@@ -67,10 +67,7 @@ class SweepResult:
             raise ValidationError("normalized values must lie in [0, 1]")
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as out:
-            out.write("cell,mean,normalized\n")
-            for cell, mean, norm in zip(self.cells, self.mean, self.normalized):
-                out.write(f"{cell},{mean!r},{norm!r}\n")
+        _write_curve_csv(path, self.cells, self.mean, self.normalized)
 
 
 def _sweep(lists, scorer, qrels, cells, run_cell, metric, tag, kind) -> SweepResult:
@@ -161,8 +158,12 @@ def sweep_ensemble_size(
 
 def write_topk_csv(values: Sequence[float], path) -> None:
     """CSV for the top-k selection curve, same 3-column shape as SweepResult."""
-    normalized = minmax_normalize(list(values))
+    cells = range(1, len(values) + 1)
+    _write_curve_csv(path, cells, values, minmax_normalize(list(values)))
+
+
+def _write_curve_csv(path, cells, means, normalized) -> None:
     with open(path, "w", encoding="utf-8") as out:
         out.write("cell,mean,normalized\n")
-        for cell, (mean, norm) in enumerate(zip(values, normalized), start=1):
+        for cell, mean, norm in zip(cells, means, normalized):
             out.write(f"{cell},{mean!r},{norm!r}\n")

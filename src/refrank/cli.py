@@ -54,14 +54,24 @@ from .strategies import (
     rank_setwise_heapsort,
 )
 
-STRATEGIES = (
-    "pointwise",
-    "refrank-single",
-    "refrank-multiple",
-    "pairwise-allpairs",
-    "pairwise-bubblesort",
-    "setwise-heapsort",
-)
+# Each entry turns the parsed command options into a ranker(candidates,
+# scorer); a factory reads and validates only the options its strategy uses.
+STRATEGIES = {
+    "pointwise": lambda **_: rank_pointwise,
+    "refrank-single": lambda ref_index, ref_topk, seed, **_: functools.partial(
+        rank_refrank_single, policy=_ref_policy(ref_index, ref_topk, seed)
+    ),
+    "refrank-multiple": lambda ensemble_m, weights, **_: functools.partial(
+        rank_refrank_multiple, config=EnsembleConfig(ensemble_m, _parse_weights(weights))
+    ),
+    "pairwise-allpairs": lambda **_: rank_pairwise_allpairs,
+    "pairwise-bubblesort": lambda top_k, **_: functools.partial(
+        rank_pairwise_bubblesort, k=top_k
+    ),
+    "setwise-heapsort": lambda children, top_k, **_: functools.partial(
+        rank_setwise_heapsort, c=children, k=top_k
+    ),
+}
 
 _EXISTING_FILE = click.Path(exists=True, dir_okay=False)
 
@@ -108,8 +118,6 @@ def _backend_options(fn):
                       default=None, help="Directory of <kind>.txt prompt templates.")(fn)
     fn = click.option("--seed", type=int, default=None,
                       help="Seed; mandatory for the oracle backend and --ref-topk.")(fn)
-    fn = click.option("--concurrency", type=int, default=1, show_default=True,
-                      help="Queries processed in parallel.")(fn)
     return fn
 
 
@@ -117,18 +125,19 @@ def _strategy_options(fn):
     fn = click.option("--strategy", default="refrank-single", show_default=True,
                       help="One of: " + ", ".join(STRATEGIES) + ". Bench accepts a comma list.")(fn)
     fn = click.option("--m", "ensemble_m", type=int, default=5, show_default=True,
-                      help="Ensemble size (refrank-multiple); sweep maximum for analyze.")(fn)
+                      help="Ensemble size (refrank-multiple).")(fn)
     fn = click.option("--weights", default="",
                       help="Comma-separated ensemble weights (default uniform).")(fn)
     fn = click.option("--ref-index", type=int, default=1, show_default=True,
                       help="Fixed anchor rank for refrank-single.")(fn)
     fn = click.option("--ref-topk", type=int, default=None,
-                      help="Pick the anchor at random from the top-K ranks "
-                           "(rerank); sweep depth for analyze.")(fn)
+                      help="Pick the refrank-single anchor at random from the top-K ranks.")(fn)
     fn = click.option("--k", "top_k", type=int, default=10, show_default=True,
-                      help="Bubble passes / heap extractions; metric cutoff for eval.")(fn)
+                      help="Bubble passes / heap extractions.")(fn)
     fn = click.option("--children", type=int, default=3, show_default=True,
                       help="Heap fanout for setwise-heapsort.")(fn)
+    fn = click.option("--concurrency", type=int, default=1, show_default=True,
+                      help="Queries processed in parallel.")(fn)
     return fn
 
 
@@ -182,37 +191,21 @@ def _ref_policy(ref_index: int, ref_topk: int | None, seed: int | None):
     return FixedIndex(ref_index)
 
 
-def _strategy_params(strategy, *, ensemble_m, weights, ref_index, ref_topk, seed,
-                     top_k, children):
-    """Validate and build only the parameters the chosen strategy uses."""
-    params = {"policy": None, "ensemble": None, "top_k": top_k, "children": children}
-    if strategy == "refrank-single":
-        params["policy"] = _ref_policy(ref_index, ref_topk, seed)
-    elif strategy == "refrank-multiple":
-        params["ensemble"] = EnsembleConfig(ensemble_m, _parse_weights(weights))
-    return params
+def _ranker(name: str, options: dict):
+    """The ranker a strategy's table entry builds from the command's options."""
+    try:
+        factory = STRATEGIES[name]
+    except KeyError:
+        raise click.UsageError(
+            f"unknown strategy {name!r}; choose from {', '.join(STRATEGIES)}"
+        ) from None
+    return factory(**options)
 
 
-def _run_strategy(strategy, candidate_list, scorer, *, policy, ensemble, top_k, children):
-    if strategy == "pointwise":
-        return rank_pointwise(candidate_list, scorer)
-    if strategy == "refrank-single":
-        return rank_refrank_single(candidate_list, scorer, policy)
-    if strategy == "refrank-multiple":
-        return rank_refrank_multiple(candidate_list, scorer, ensemble)
-    if strategy == "pairwise-allpairs":
-        return rank_pairwise_allpairs(candidate_list, scorer)
-    if strategy == "pairwise-bubblesort":
-        return rank_pairwise_bubblesort(candidate_list, scorer, k=top_k)
-    if strategy == "setwise-heapsort":
-        return rank_setwise_heapsort(candidate_list, scorer, c=children, k=top_k)
-    raise click.UsageError(f"unknown strategy {strategy!r}; choose from {', '.join(STRATEGIES)}")
-
-
-def _run_all(lists, strategy, scorer, ledger, concurrency, **params):
+def _run_all(lists, ranker, scorer, ledger, concurrency):
     def run_one(candidate_list):
         started = time.perf_counter()
-        ranking = _run_strategy(strategy, candidate_list, scorer, **params)
+        ranking = ranker(candidate_list, scorer)
         ledger.record_query_seconds(candidate_list.query.id, time.perf_counter() - started)
         return ranking
 
@@ -249,10 +242,7 @@ def cmd_rerank(run_path, corpus_path, queries_path, qrels_path, depth, strategy,
                endpoint_url, model, api_key_env, template_dir, seed, concurrency,
                out_dir, gain, force):
     """Rerank candidates and write a run file plus an experiment report."""
-    if strategy not in STRATEGIES:
-        raise click.UsageError(
-            f"unknown strategy {strategy!r}; choose from {', '.join(STRATEGIES)}"
-        )
+    ranker = _ranker(strategy, click.get_current_context().params)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     run_out = out / f"{strategy}.run"
@@ -264,10 +254,7 @@ def cmd_rerank(run_path, corpus_path, queries_path, qrels_path, depth, strategy,
     ledger = CallLedger()
     scorer = _build_scorer(backend, seed, qrels, endpoint_url, model, api_key_env,
                            template_dir, ledger)
-    params = _strategy_params(strategy, ensemble_m=ensemble_m, weights=weights,
-                              ref_index=ref_index, ref_topk=ref_topk, seed=seed,
-                              top_k=top_k, children=children)
-    rankings = _run_all(lists, strategy, scorer, ledger, concurrency, **params)
+    rankings = _run_all(lists, ranker, scorer, ledger, concurrency)
     write_run_file(rankings, strategy, run_out)
 
     report = ExperimentReport(
@@ -306,7 +293,10 @@ def cmd_rerank(run_path, corpus_path, queries_path, qrels_path, depth, strategy,
 
 @cli.command("analyze")
 @_input_options(require_qrels=True)
-@_strategy_options
+@click.option("--m", "ensemble_m", type=int, default=5, show_default=True,
+              help="Ensemble sweep maximum.")
+@click.option("--ref-topk", type=int, default=None,
+              help="Anchor-index sweep depth [default: min(10, shortest list)].")
 @_backend_options
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), required=True,
               help="Output directory for sweep CSVs.")
@@ -314,15 +304,14 @@ def cmd_rerank(run_path, corpus_path, queries_path, qrels_path, depth, strategy,
               show_default=True, help="NDCG gain convention.")
 @click.option("--force", is_flag=True, help="Overwrite existing outputs.")
 @_runtime_errors
-def cmd_analyze(run_path, corpus_path, queries_path, qrels_path, depth, strategy,
-                ensemble_m, weights, ref_index, ref_topk, top_k, children, backend,
-                endpoint_url, model, api_key_env, template_dir, seed, concurrency,
+def cmd_analyze(run_path, corpus_path, queries_path, qrels_path, depth, ensemble_m,
+                ref_topk, backend, endpoint_url, model, api_key_env, template_dir, seed,
                 out_dir, gain, force):
     """Sweep anchor index and ensemble size; write one CSV per curve.
 
-    --ref-topk sets the anchor-index sweep depth (default 10) and --m the
-    ensemble sweep maximum; the top-k selection curve is the prefix mean of
-    the anchor-index curve.
+    --ref-topk sets the anchor-index sweep depth and --m the ensemble sweep
+    maximum; the top-k selection curve is the prefix mean of the
+    anchor-index curve.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -415,23 +404,17 @@ def cmd_bench(run_path, corpus_path, queries_path, qrels_path, depth, strategy,
 
     --strategy takes a comma-separated list, e.g. pointwise,refrank-single.
     """
+    options = click.get_current_context().params
     names = [name.strip() for name in strategy.split(",") if name.strip()]
-    for name in names:
-        if name not in STRATEGIES:
-            raise click.UsageError(
-                f"unknown strategy {name!r}; choose from {', '.join(STRATEGIES)}"
-            )
+    rankers = {name: _ranker(name, options) for name in names}
     qrels = parse_qrels(qrels_path) if qrels_path else None
     lists = assemble_experiment(run_path, corpus_path, queries_path, depth)
     reports: dict[str, EfficiencyReport] = {}
-    for name in names:
+    for name, ranker in rankers.items():
         ledger = CallLedger()
         scorer = _build_scorer(backend, seed, qrels, endpoint_url, model, api_key_env,
                                template_dir, ledger)
-        params = _strategy_params(name, ensemble_m=ensemble_m, weights=weights,
-                                  ref_index=ref_index, ref_topk=ref_topk, seed=seed,
-                                  top_k=top_k, children=children)
-        _run_all(lists, name, scorer, ledger, concurrency, **params)
+        _run_all(lists, ranker, scorer, ledger, concurrency)
         reports[name] = efficiency_report(ledger, len(lists))
 
     header = f"{'strategy':<20} {'calls/query':<28} {'total':>8} {'s/query':>10}"

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from collections.abc import Mapping, Sequence
@@ -97,18 +96,28 @@ class EvalReport:
     unjudged_queries: int
 
 
-def evaluate_rankings(
-    rankings: Sequence[Ranking], qrels: Qrels, config: MetricConfig = MetricConfig()
-) -> EvalReport:
+def _evaluate(rows, ndcg, config: MetricConfig, qrels: Qrels) -> EvalReport:
+    """One report over (query_id, ranked) rows; ndcg scores each judged row."""
     per_query: dict[str, float] = {}
     unjudged = 0
-    for ranking in rankings:
-        if qrels.judged(ranking.query_id):
-            per_query[ranking.query_id] = ndcg_at_k(ranking, qrels, config)
+    for query_id, ranked in rows:
+        if qrels.judged(query_id):
+            per_query[query_id] = ndcg(query_id, ranked)
         else:
             unjudged += 1
     mean = mean_metric(per_query) if per_query else 0.0
     return EvalReport(config.name, per_query, mean, len(per_query), unjudged)
+
+
+def evaluate_rankings(
+    rankings: Sequence[Ranking], qrels: Qrels, config: MetricConfig = MetricConfig()
+) -> EvalReport:
+    return _evaluate(
+        ((ranking.query_id, ranking) for ranking in rankings),
+        lambda _, ranking: ndcg_at_k(ranking, qrels, config),
+        config,
+        qrels,
+    )
 
 
 def evaluate_run_map(
@@ -117,16 +126,14 @@ def evaluate_run_map(
     config: MetricConfig = MetricConfig(),
 ) -> EvalReport:
     """Evaluate a parsed run file (entries already sorted by rank)."""
-    per_query: dict[str, float] = {}
-    unjudged = 0
-    for query_id, entries in run.items():
-        if qrels.judged(query_id):
-            doc_ids = [entry.doc_id for entry in entries]
-            per_query[query_id] = ndcg_for_doc_ids(query_id, doc_ids, qrels, config)
-        else:
-            unjudged += 1
-    mean = mean_metric(per_query) if per_query else 0.0
-    return EvalReport(config.name, per_query, mean, len(per_query), unjudged)
+    return _evaluate(
+        run.items(),
+        lambda query_id, entries: ndcg_for_doc_ids(
+            query_id, [entry.doc_id for entry in entries], qrels, config
+        ),
+        config,
+        qrels,
+    )
 
 
 @dataclass(frozen=True)
@@ -186,15 +193,3 @@ class ExperimentReport:
         with open(path, "w", encoding="utf-8") as out:
             json.dump(asdict(self), out, indent=2, sort_keys=True)
             out.write("\n")
-
-    def to_csv(self, path) -> None:
-        """Flat per-query table: query_id, metric value, judge seconds."""
-        with open(path, "w", encoding="utf-8", newline="") as out:
-            writer = csv.writer(out)
-            writer.writerow(["query_id", self.metric or "metric", "seconds"])
-            for query_id, value in self.per_query.items():
-                writer.writerow(
-                    [query_id, repr(value), repr(self.query_seconds.get(query_id, 0.0))]
-                )
-            if self.mean is not None:
-                writer.writerow(["ALL", repr(self.mean), repr(self.total_seconds)])

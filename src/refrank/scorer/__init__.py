@@ -3,16 +3,12 @@
 from .base import (
     BatchScoringError,
     DegenerateResponseError,
-    DuelRequest,
+    JudgeRequest,
     LabelLogits,
-    PointwiseRequest,
     Scorer,
-    ScoreRequest,
     ScoringError,
-    SetwiseRequest,
     TemplateError,
     TransientBackendError,
-    TripletRequest,
     setwise_labels,
 )
 from .llm import LlmBackendConfig, LlmScorer
@@ -22,21 +18,17 @@ from .prompts import PromptTemplates, build_prompt, check_placeholders
 __all__ = [
     "BatchScoringError",
     "DegenerateResponseError",
-    "DuelRequest",
+    "JudgeRequest",
     "LabelLogits",
     "LlmBackendConfig",
     "LlmScorer",
     "OracleConfig",
     "OracleScorer",
-    "PointwiseRequest",
     "PromptTemplates",
-    "ScoreRequest",
     "Scorer",
     "ScoringError",
-    "SetwiseRequest",
     "TemplateError",
     "TransientBackendError",
-    "TripletRequest",
     "build_prompt",
     "check_placeholders",
     "oracle_latent",

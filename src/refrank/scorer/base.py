@@ -1,12 +1,13 @@
 """Scoring interface: request kinds, label logits, and the scorer contract.
 
-A scorer is a relevance judge. It takes one of four request kinds and
-returns raw log-likelihoods per answer label:
+A scorer is a relevance judge. It takes a JudgeRequest, the query plus an
+ordered tuple of documents, and returns raw log-likelihoods per answer
+label. The request kind fixes the documents and the labels:
 
-  pointwise  (query, doc)          labels yes / no
-  triplet    (query, doc, ref)     labels A (candidate) / B (reference)
-  duel       (query, doc_a, doc_b) labels A / B
-  setwise    (query, docs[2..26])  labels A.. one letter per group member
+  pointwise  (doc,)          labels yes / no
+  triplet    (doc, ref)      labels A (candidate) / B (reference)
+  duel       (doc_a, doc_b)  labels A / B
+  setwise    docs[2..26]     labels A.. one letter per group member
 
 Normalization of logits into scores lives in the strategies module; scorers
 return raw values. Every successful call increments the shared CallLedger
@@ -19,7 +20,6 @@ import math
 from abc import ABC, abstractmethod
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from typing import ClassVar
 
 from ..datamodel import CallLedger, DocCandidate, HarnessError, Query, ValidationError
 
@@ -80,95 +80,50 @@ class BatchScoringError(ScoringError):
         )
 
 
-def _require_text(label: str, text: str) -> None:
-    if not text or text.isspace():
-        raise ValidationError(f"{label}: text is empty")
+# kind -> (fewest docs, most docs, fixed labels or None for one letter per doc)
+KINDS: dict[str, tuple[int, int, tuple[str, ...] | None]] = {
+    "pointwise": (1, 1, ("yes", "no")),
+    "triplet": (2, 2, ("A", "B")),
+    "duel": (2, 2, ("A", "B")),
+    "setwise": (2, SETWISE_MAX_GROUP, None),
+}
 
 
 @dataclass(frozen=True)
-class PointwiseRequest:
-    """Judge one document's relevance to the query."""
+class JudgeRequest:
+    """One judgment: the query plus an ordered tuple of documents.
 
-    kind: ClassVar[str] = "pointwise"
+    The kind fixes how many documents the request holds and its answer
+    labels; see the module docstring for the slot order of each kind.
+    """
 
-    query: Query
-    doc: DocCandidate
-    request_id: str = ""
-
-    def __post_init__(self):
-        _require_text(f"doc {self.doc.doc_id}", self.doc.text)
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return ("yes", "no")
-
-
-@dataclass(frozen=True)
-class TripletRequest:
-    """Judge the candidate (slot A) against the reference anchor (slot B)."""
-
-    kind: ClassVar[str] = "triplet"
-
-    query: Query
-    doc: DocCandidate
-    ref: DocCandidate
-    request_id: str = ""
-
-    def __post_init__(self):
-        _require_text(f"doc {self.doc.doc_id}", self.doc.text)
-        _require_text(f"ref {self.ref.doc_id}", self.ref.text)
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return ("A", "B")
-
-
-@dataclass(frozen=True)
-class DuelRequest:
-    """Judge which of two documents is more relevant to the query."""
-
-    kind: ClassVar[str] = "duel"
-
-    query: Query
-    doc_a: DocCandidate
-    doc_b: DocCandidate
-    request_id: str = ""
-
-    def __post_init__(self):
-        _require_text(f"doc {self.doc_a.doc_id}", self.doc_a.text)
-        _require_text(f"doc {self.doc_b.doc_id}", self.doc_b.text)
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return ("A", "B")
-
-
-@dataclass(frozen=True)
-class SetwiseRequest:
-    """Pick the most relevant document out of a small group."""
-
-    kind: ClassVar[str] = "setwise"
-
+    kind: str
     query: Query
     docs: tuple[DocCandidate, ...]
     request_id: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "docs", tuple(self.docs))
-        if not 2 <= len(self.docs) <= SETWISE_MAX_GROUP:
+        docs = self.docs
+        if type(docs) is not tuple:
+            docs = tuple(docs)
+            object.__setattr__(self, "docs", docs)
+        spec = KINDS.get(self.kind)
+        if spec is None:
+            raise ValidationError(f"unknown request kind {self.kind!r}")
+        low, high, _ = spec
+        if not low <= len(docs) <= high:
+            allowed = str(low) if low == high else f"{low}..{high}"
             raise ValidationError(
-                f"setwise group size must be in 2..{SETWISE_MAX_GROUP}, "
-                f"got {len(self.docs)}"
+                f"{self.kind} request takes {allowed} documents, got {len(docs)}"
             )
-        for doc in self.docs:
-            _require_text(f"doc {doc.doc_id}", doc.text)
+        for doc in docs:
+            text = doc.text
+            if not text or text.isspace():
+                raise ValidationError(f"doc {doc.doc_id}: text is empty")
 
     @property
     def labels(self) -> tuple[str, ...]:
-        return setwise_labels(len(self.docs))
-
-
-ScoreRequest = PointwiseRequest | TripletRequest | DuelRequest | SetwiseRequest
+        return KINDS[self.kind][2] or setwise_labels(len(self.docs))
 
 
 @dataclass(frozen=True)
@@ -202,10 +157,10 @@ class Scorer(ABC):
         self.ledger = ledger if ledger is not None else CallLedger()
 
     @abstractmethod
-    def _score_one(self, request: ScoreRequest) -> tuple[LabelLogits, int]:
+    def _score_one(self, request: JudgeRequest) -> tuple[LabelLogits, int]:
         """Return (logits, prompt character count) for one request."""
 
-    def score(self, request: ScoreRequest) -> LabelLogits:
+    def score(self, request: JudgeRequest) -> LabelLogits:
         logits, prompt_chars = self._score_one(request)
         missing = [label for label in request.labels if label not in logits.logits]
         if missing:
@@ -215,19 +170,29 @@ class Scorer(ABC):
         self.ledger.record(request.kind, prompt_chars)
         return logits
 
-    def score_batch(self, requests: Sequence[ScoreRequest]) -> list[LabelLogits]:
+    def score_batch(self, requests: Sequence[JudgeRequest]) -> list[LabelLogits]:
         """Score all requests, preserving order.
 
         On partial failure raises BatchScoringError carrying both the
         per-index errors and every successful result; the ledger still
         counts each successful request exactly once.
         """
-        results: list[LabelLogits | None] = [None] * len(requests)
+        return self._collect(self.score, requests)
+
+    @staticmethod
+    def _collect(judge, items) -> list[LabelLogits]:
+        """Apply judge to each item in order, gathering per-index failures.
+
+        Raises BatchScoringError carrying every success and every failure
+        when any item fails.
+        """
+        results: list[LabelLogits | None] = []
         errors: dict[int, Exception] = {}
-        for index, request in enumerate(requests):
+        for index, item in enumerate(items):
             try:
-                results[index] = self.score(request)
+                results.append(judge(item))
             except HarnessError as exc:
+                results.append(None)
                 errors[index] = exc
         if errors:
             raise BatchScoringError(results, errors)

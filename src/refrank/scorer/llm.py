@@ -16,18 +16,17 @@ from __future__ import annotations
 import os
 import time
 from collections.abc import Mapping, Sequence
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import requests
 
-from ..datamodel import CallLedger, HarnessError, ValidationError
+from ..datamodel import CallLedger, ValidationError
 from .base import (
-    BatchScoringError,
     DegenerateResponseError,
+    JudgeRequest,
     LabelLogits,
     Scorer,
-    ScoreRequest,
     ScoringError,
     TransientBackendError,
 )
@@ -93,7 +92,7 @@ class LlmScorer(Scorer):
             self._headers["Authorization"] = f"Bearer {api_key}"
         self._session = requests.Session()
 
-    def _score_one(self, request: ScoreRequest) -> tuple[LabelLogits, int]:
+    def _score_one(self, request: JudgeRequest) -> tuple[LabelLogits, int]:
         prompt = build_prompt(request, self.config.templates, self.config.max_doc_chars)
         payload = {
             "model": self.config.model,
@@ -140,7 +139,7 @@ class LlmScorer(Scorer):
             f"request failed after {attempts} attempt(s): {last_failure}"
         )
 
-    def _extract_logits(self, request: ScoreRequest, data: dict) -> LabelLogits:
+    def _extract_logits(self, request: JudgeRequest, data: dict) -> LabelLogits:
         try:
             top = data["choices"][0]["logprobs"]["content"][0]["top_logprobs"]
         except (KeyError, IndexError, TypeError):
@@ -178,24 +177,11 @@ class LlmScorer(Scorer):
             )
         return LabelLogits(values)
 
-    def score_batch(self, requests_seq: Sequence[ScoreRequest]) -> list[LabelLogits]:
+    def score_batch(self, requests_seq: Sequence[JudgeRequest]) -> list[LabelLogits]:
         """Concurrent scoring with bounded in-flight requests; order preserved."""
         if not requests_seq:
             return []
         workers = min(self.config.batch_size, len(requests_seq))
-        results: list[LabelLogits | None] = [None] * len(requests_seq)
-        errors: dict[int, Exception] = {}
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                pool.submit(self.score, request): index
-                for index, request in enumerate(requests_seq)
-            }
-            for future in futures:
-                index = futures[future]
-                try:
-                    results[index] = future.result()
-                except HarnessError as exc:
-                    errors[index] = exc
-        if errors:
-            raise BatchScoringError(results, errors)
-        return results  # type: ignore[return-value]
+            futures = [pool.submit(self.score, request) for request in requests_seq]
+            return self._collect(Future.result, futures)

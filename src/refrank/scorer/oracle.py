@@ -37,15 +37,7 @@ from dataclasses import dataclass
 
 from .._seeded import stable_digest, std_normal, unit_uniform
 from ..datamodel import CallLedger, DocCandidate, Qrels, ValidationError
-from .base import (
-    DuelRequest,
-    LabelLogits,
-    PointwiseRequest,
-    Scorer,
-    ScoreRequest,
-    SetwiseRequest,
-    TripletRequest,
-)
+from .base import JudgeRequest, LabelLogits, Scorer
 
 
 def oracle_latent(doc: DocCandidate, qrels: Qrels, query_id: str) -> float:
@@ -122,49 +114,55 @@ class OracleScorer(Scorer):
         draw = std_normal(self._seed, kind, query_id, lo, hi)
         return sigma * draw if id_a == lo else -sigma * draw
 
-    def _score_one(self, request: ScoreRequest) -> tuple[LabelLogits, int]:
+    def _pointwise(self, request: JudgeRequest) -> LabelLogits:
         cfg = self.config
         query_id = request.query.id
-        if isinstance(request, PointwiseRequest):
-            g = self.latent(query_id, request.doc)
-            diff = cfg.beta * (2.0 * g - 1.0)
-            if cfg.bias_amplitude > 0.0:
-                diff += cfg.bias_amplitude * std_normal(
-                    self._seed, "bias", query_id, request.doc.doc_id
-                )
-            if cfg.noise_sigma > 0.0:
-                diff += cfg.noise_sigma * std_normal(
-                    self._seed, "pointwise", query_id, request.doc.doc_id
-                )
-            logits = LabelLogits({"yes": 0.5 * diff, "no": -0.5 * diff})
-            chars = len(request.query.text) + len(request.doc.text)
-        elif isinstance(request, (TripletRequest, DuelRequest)):
-            if isinstance(request, TripletRequest):
-                doc_a, doc_b = request.doc, request.ref
-            else:
-                doc_a, doc_b = request.doc_a, request.doc_b
-            g_a = self.latent(query_id, doc_a)
-            g_b = self.latent(query_id, doc_b)
-            sigma = cfg.noise_sigma
-            if isinstance(request, TripletRequest) and cfg.ref_noise_scale > 0.0:
-                sigma += cfg.ref_noise_scale * (1.0 - g_b)
-            eps = self._pair_noise(request.kind, query_id, doc_a.doc_id, doc_b.doc_id, sigma)
-            logits = LabelLogits(
-                {"A": cfg.beta * g_a + 0.5 * eps, "B": cfg.beta * g_b - 0.5 * eps}
+        (doc,) = request.docs
+        diff = cfg.beta * (2.0 * self.latent(query_id, doc) - 1.0)
+        if cfg.bias_amplitude > 0.0:
+            diff += cfg.bias_amplitude * std_normal(self._seed, "bias", query_id, doc.doc_id)
+        if cfg.noise_sigma > 0.0:
+            diff += cfg.noise_sigma * std_normal(
+                self._seed, "pointwise", query_id, doc.doc_id
             )
-            chars = len(request.query.text) + len(doc_a.text) + len(doc_b.text)
-        elif isinstance(request, SetwiseRequest):
-            group_key = stable_digest(*sorted(d.doc_id for d in request.docs)).hex()
-            values: dict[str, float] = {}
-            for label, doc in zip(request.labels, request.docs):
-                logit = cfg.beta * self.latent(query_id, doc)
-                if cfg.noise_sigma > 0.0:
-                    logit += cfg.noise_sigma * std_normal(
-                        self._seed, "setwise", query_id, group_key, doc.doc_id
-                    )
-                values[label] = logit
-            logits = LabelLogits(values)
-            chars = len(request.query.text) + sum(len(d.text) for d in request.docs)
-        else:
-            raise ValidationError(f"unsupported request type {type(request).__name__}")
-        return logits, chars
+        return LabelLogits({"yes": 0.5 * diff, "no": -0.5 * diff})
+
+    def _duel(self, request: JudgeRequest, ref_noise_scale: float = 0.0) -> LabelLogits:
+        cfg = self.config
+        query_id = request.query.id
+        doc_a, doc_b = request.docs
+        g_a = self.latent(query_id, doc_a)
+        g_b = self.latent(query_id, doc_b)
+        sigma = cfg.noise_sigma + ref_noise_scale * (1.0 - g_b)
+        eps = self._pair_noise(request.kind, query_id, doc_a.doc_id, doc_b.doc_id, sigma)
+        return LabelLogits({"A": cfg.beta * g_a + 0.5 * eps, "B": cfg.beta * g_b - 0.5 * eps})
+
+    def _triplet(self, request: JudgeRequest) -> LabelLogits:
+        return self._duel(request, self.config.ref_noise_scale)
+
+    def _setwise(self, request: JudgeRequest) -> LabelLogits:
+        cfg = self.config
+        query_id = request.query.id
+        group_key = stable_digest(*sorted(d.doc_id for d in request.docs)).hex()
+        values: dict[str, float] = {}
+        for label, doc in zip(request.labels, request.docs):
+            logit = cfg.beta * self.latent(query_id, doc)
+            if cfg.noise_sigma > 0.0:
+                logit += cfg.noise_sigma * std_normal(
+                    self._seed, "setwise", query_id, group_key, doc.doc_id
+                )
+            values[label] = logit
+        return LabelLogits(values)
+
+    _JUDGES = {
+        "pointwise": _pointwise,
+        "triplet": _triplet,
+        "duel": _duel,
+        "setwise": _setwise,
+    }
+
+    def _score_one(self, request: JudgeRequest) -> tuple[LabelLogits, int]:
+        chars = len(request.query.text)
+        for doc in request.docs:
+            chars += len(doc.text)
+        return self._JUDGES[request.kind](self, request), chars

@@ -19,14 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .base import (
-    DuelRequest,
-    PointwiseRequest,
-    ScoreRequest,
-    SetwiseRequest,
-    TemplateError,
-    TripletRequest,
-)
+from .base import JudgeRequest, TemplateError
 
 TRUNCATION_MARKER = " [...]"
 
@@ -116,8 +109,36 @@ def truncate_text(text: str, max_chars: int) -> str:
     return text
 
 
+def _doc_fields(*names):
+    """Fill one named placeholder per document slot, in slot order."""
+
+    def fields(request: JudgeRequest, max_chars: int) -> dict[str, str]:
+        return {
+            name: truncate_text(doc.text, max_chars)
+            for name, doc in zip(names, request.docs)
+        }
+
+    return fields
+
+
+def _setwise_fields(request: JudgeRequest, max_chars: int) -> dict[str, str]:
+    blocks = [
+        f"Passage {label}: {truncate_text(doc.text, max_chars)}"
+        for label, doc in zip(request.labels, request.docs)
+    ]
+    return {"docs": "\n\n".join(blocks)}
+
+
+DOC_FIELDS = {
+    "pointwise": _doc_fields("doc"),
+    "triplet": _doc_fields("doc", "ref"),
+    "duel": _doc_fields("doc_i", "doc_j"),
+    "setwise": _setwise_fields,
+}
+
+
 def build_prompt(
-    request: ScoreRequest,
+    request: JudgeRequest,
     templates: PromptTemplates,
     max_doc_chars: int = 0,
 ) -> str:
@@ -127,34 +148,9 @@ def build_prompt(
         if placeholder not in template:
             raise TemplateError(placeholder, f"missing from the {request.kind} template")
 
-    def cut(text: str) -> str:
-        return truncate_text(text, max_doc_chars)
-
-    if isinstance(request, PointwiseRequest):
-        mapping = {"query": request.query.text, "doc": cut(request.doc.text)}
-    elif isinstance(request, TripletRequest):
-        mapping = {
-            "query": request.query.text,
-            "doc": cut(request.doc.text),
-            "ref": cut(request.ref.text),
-        }
-    elif isinstance(request, DuelRequest):
-        mapping = {
-            "query": request.query.text,
-            "doc_i": cut(request.doc_a.text),
-            "doc_j": cut(request.doc_b.text),
-        }
-    elif isinstance(request, SetwiseRequest):
-        blocks = [
-            f"Passage {label}: {cut(doc.text)}"
-            for label, doc in zip(request.labels, request.docs)
-        ]
-        mapping = {"query": request.query.text, "docs": "\n\n".join(blocks)}
-    else:
-        raise TemplateError(request.kind, "unsupported request type")
-
+    fields = DOC_FIELDS[request.kind](request, max_doc_chars)
     try:
-        return template.format(**mapping)
+        return template.format(query=request.query.text, **fields)
     except KeyError as exc:
         raise TemplateError("{" + str(exc.args[0]) + "}", "not a known placeholder") from None
     except (IndexError, ValueError) as exc:

@@ -33,14 +33,10 @@ from .datamodel import (
 )
 from .scorer.base import (
     BatchScoringError,
-    DuelRequest,
+    JudgeRequest,
     LabelLogits,
-    PointwiseRequest,
     Scorer,
-    ScoreRequest,
     ScoringError,
-    SetwiseRequest,
-    TripletRequest,
 )
 
 
@@ -156,7 +152,7 @@ class EnsembleConfig:
             )
 
 
-def _scored_batch(scorer: Scorer, requests: list[ScoreRequest]) -> list[LabelLogits]:
+def _scored_batch(scorer: Scorer, requests: list[JudgeRequest]) -> list[LabelLogits]:
     try:
         return scorer.score_batch(requests)
     except BatchScoringError as exc:
@@ -170,7 +166,8 @@ def rank_pointwise(candidates: CandidateList, scorer: Scorer) -> Ranking:
     """Independent yes/no judgment per document; exactly n judge calls."""
     query = candidates.query
     requests = [
-        PointwiseRequest(query, doc, request_id=doc.doc_id) for doc in candidates.docs
+        JudgeRequest("pointwise", query, (doc,), request_id=doc.doc_id)
+        for doc in candidates.docs
     ]
     results = _scored_batch(scorer, requests)
     scored = [
@@ -195,13 +192,13 @@ def rank_refrank_single(
     """
     query = candidates.query
     ref = resolve_reference(candidates, policy)
-    requests: list[ScoreRequest] = [
-        TripletRequest(query, doc, ref, request_id=doc.doc_id)
+    requests = [
+        JudgeRequest("triplet", query, (doc, ref), request_id=doc.doc_id)
         for doc in candidates.docs
     ]
     if swap_slots:
         requests += [
-            TripletRequest(query, ref, doc, request_id=f"{doc.doc_id}~swap")
+            JudgeRequest("triplet", query, (ref, doc), request_id=f"{doc.doc_id}~swap")
             for doc in candidates.docs
         ]
     results = _scored_batch(scorer, requests)
@@ -233,7 +230,7 @@ def rank_refrank_multiple(
     query = candidates.query
     refs = candidates.docs[: config.m]
     requests = [
-        TripletRequest(query, doc, ref, request_id=f"{doc.doc_id}|{ref.doc_id}")
+        JudgeRequest("triplet", query, (doc, ref), request_id=f"{doc.doc_id}|{ref.doc_id}")
         for doc in candidates.docs
         for ref in refs
     ]
@@ -264,7 +261,7 @@ def rank_pairwise_allpairs(
     query = candidates.query
     if n == 1:
         return build_ranking(query.id, [(docs[0], 1.0)], "pairwise-allpairs")
-    requests: list[ScoreRequest] = []
+    requests: list[JudgeRequest] = []
     index: dict[tuple[int, int], int] = {}
     for i, doc_a in enumerate(docs):
         for j, doc_b in enumerate(docs):
@@ -272,7 +269,9 @@ def rank_pairwise_allpairs(
                 continue
             index[(i, j)] = len(requests)
             requests.append(
-                DuelRequest(query, doc_a, doc_b, request_id=f"{doc_a.doc_id}|{doc_b.doc_id}")
+                JudgeRequest(
+                    "duel", query, (doc_a, doc_b), request_id=f"{doc_a.doc_id}|{doc_b.doc_id}"
+                )
             )
     results = _scored_batch(scorer, requests)
 
@@ -314,7 +313,9 @@ def rank_pairwise_bubblesort(
         for i in range(n - 2, settled - 1, -1):
             upper, lower = order[i], order[i + 1]
             logits = scorer.score(
-                DuelRequest(query, lower, upper, request_id=f"{lower.doc_id}|{upper.doc_id}")
+                JudgeRequest(
+                    "duel", query, (lower, upper), request_id=f"{lower.doc_id}|{upper.doc_id}"
+                )
             )
             if refrank_score(logits["A"], logits["B"]) > 0.5:
                 order[i], order[i + 1] = lower, upper
@@ -343,8 +344,8 @@ def rank_setwise_heapsort(
     heap = list(candidates.docs)
 
     def most_relevant(group: list[DocCandidate]) -> int:
-        request = SetwiseRequest(
-            query, tuple(group), request_id="|".join(d.doc_id for d in group)
+        request = JudgeRequest(
+            "setwise", query, tuple(group), request_id="|".join(d.doc_id for d in group)
         )
         logits = scorer.score(request)
         labels = request.labels

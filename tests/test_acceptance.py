@@ -15,7 +15,7 @@ from scipy import stats
 from refrank.datamodel import CallLedger, DocCandidate, Query, build_ranking
 from refrank.eval import MetricConfig, evaluate_run_map, ndcg_at_k
 from refrank.io import parse_qrels, parse_run_file, write_run_file
-from refrank.scorer import OracleConfig, OracleScorer, TripletRequest
+from refrank.scorer import JudgeRequest, OracleConfig, OracleScorer
 from refrank.strategies import (
     EnsembleConfig,
     FixedIndex,
@@ -142,8 +142,8 @@ def test_criterion_05_symmetry_sums_to_one():
         cl = data.lists[int(rng.integers(0, len(data.lists)))]
         i, j = rng.integers(0, len(cl.docs), size=2)
         a, b = cl.docs[int(i)], cl.docs[int(j)]
-        forward = scorer.score(TripletRequest(cl.query, a, b))
-        backward = scorer.score(TripletRequest(cl.query, b, a))
+        forward = scorer.score(JudgeRequest("triplet", cl.query, (a, b)))
+        backward = scorer.score(JudgeRequest("triplet", cl.query, (b, a)))
         total = refrank_score(forward["A"], forward["B"]) + refrank_score(
             backward["A"], backward["B"]
         )

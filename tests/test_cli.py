@@ -192,6 +192,37 @@ class TestAnalyze:
         for k in range(1, 7):
             assert topk[k - 1] == pytest.approx(sum(reference[:k]) / k, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--strategy", "pointwise"),
+            ("--weights", "1"),
+            ("--k", "5"),
+            ("--children", "2"),
+            ("--ref-index", "2"),
+            ("--concurrency", "2"),
+        ],
+    )
+    def test_rerank_only_flags_are_usage_errors(self, fixture_files, tmp_path, flag, value):
+        data, paths = fixture_files
+        run, corpus, queries, qrels = paths
+        result = CliRunner().invoke(
+            cli,
+            [
+                "analyze",
+                "--run", str(run),
+                "--corpus", str(corpus),
+                "--queries", str(queries),
+                "--qrels", str(qrels),
+                "--out", str(tmp_path / "x"),
+                "--seed", "7",
+                flag, value,
+            ],
+        )
+        assert result.exit_code == 2
+        assert "No such option" in result.output
+        assert not (tmp_path / "x").exists()
+
     def test_m_max_exceeding_n_is_runtime_error(self, fixture_files, tmp_path):
         data, paths = fixture_files
         run, corpus, queries, qrels = paths
@@ -304,21 +335,22 @@ class TestBench:
 
         data = make_synth(5, 100, seed=55)
 
-        def median_seconds(run):
-            samples = []
-            for _ in range(5):
-                scorer = OracleScorer(OracleConfig(seed=1), latents=data.latents)
-                started = time.perf_counter()
-                for cl in data.lists:
-                    run(cl, scorer)
-                samples.append(time.perf_counter() - started)
-            return statistics.median(samples)
+        def seconds(run):
+            scorer = OracleScorer(OracleConfig(seed=1), latents=data.latents)
+            started = time.perf_counter()
+            for cl in data.lists:
+                run(cl, scorer)
+            return time.perf_counter() - started
 
-        pointwise = median_seconds(lambda cl, sc: rank_pointwise(cl, sc))
-        anchored = median_seconds(
-            lambda cl, sc: rank_refrank_single(cl, sc, FixedIndex(1))
-        )
-        assert anchored < 2.0 * pointwise
+        # Samples alternate between the two strategies so that a change in
+        # CPU speed during the test hits both medians alike.
+        pointwise, anchored = [], []
+        for _ in range(5):
+            pointwise.append(seconds(rank_pointwise))
+            anchored.append(
+                seconds(lambda cl, sc: rank_refrank_single(cl, sc, FixedIndex(1)))
+            )
+        assert statistics.median(anchored) < 2.0 * statistics.median(pointwise)
 
     def test_refrank_multiple_vs_allpairs_calls_at_n100(self, tmp_path):
         data = make_synth(1, 100, seed=77)

@@ -10,19 +10,16 @@ from refrank.datamodel import DocCandidate, Qrels, Query, ValidationError
 from refrank.scorer import (
     BatchScoringError,
     DegenerateResponseError,
-    DuelRequest,
+    JudgeRequest,
     LabelLogits,
     LlmBackendConfig,
     LlmScorer,
     OracleConfig,
     OracleScorer,
-    PointwiseRequest,
     PromptTemplates,
     ScoringError,
-    SetwiseRequest,
     TemplateError,
     TransientBackendError,
-    TripletRequest,
     build_prompt,
     check_placeholders,
     oracle_latent,
@@ -35,6 +32,11 @@ def doc(doc_id, rank=1, text="passage text"):
     return DocCandidate(doc_id, text, rank, 0.0)
 
 
+# the requests the stub-server tests send
+PROBE_POINTWISE = JudgeRequest("pointwise", QUERY, (doc("p"),))
+PROBE_TRIPLET = JudgeRequest("triplet", QUERY, (doc("p"), doc("r", 2)))
+
+
 def make_oracle(latents=None, **kwargs):
     config = OracleConfig(seed=kwargs.pop("seed", 7), **kwargs)
     return OracleScorer(config, latents=latents)
@@ -43,16 +45,25 @@ def make_oracle(latents=None, **kwargs):
 class TestRequests:
     def test_empty_doc_text_rejected(self):
         with pytest.raises(ValidationError):
-            PointwiseRequest(QUERY, doc("d1", text="  "))
+            JudgeRequest("pointwise", QUERY, (doc("d1", text="  "),))
 
     def test_setwise_group_bounds(self):
         with pytest.raises(ValidationError):
-            SetwiseRequest(QUERY, (doc("d1"),))
+            JudgeRequest("setwise", QUERY, (doc("d1"),))
         with pytest.raises(ValidationError):
-            SetwiseRequest(QUERY, tuple(doc(f"d{i}") for i in range(27)))
+            JudgeRequest("setwise", QUERY, tuple(doc(f"d{i}") for i in range(27)))
+
+    @pytest.mark.parametrize("kind, count", [("pointwise", 2), ("triplet", 1), ("duel", 3)])
+    def test_doc_count_fixed_by_kind(self, kind, count):
+        with pytest.raises(ValidationError):
+            JudgeRequest(kind, QUERY, tuple(doc(f"d{i}", i + 1) for i in range(count)))
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValidationError):
+            JudgeRequest("quartet", QUERY, (doc("a"), doc("b", 2)))
 
     def test_setwise_labels(self):
-        request = SetwiseRequest(QUERY, (doc("a"), doc("b"), doc("c")))
+        request = JudgeRequest("setwise", QUERY, (doc("a"), doc("b"), doc("c")))
         assert request.labels == ("A", "B", "C")
 
     def test_label_logits_require_finite(self):
@@ -78,18 +89,18 @@ class TestOracleLatent:
 class TestOracleScorer:
     def test_pointwise_noiseless_diff_is_beta_times_2g_minus_1(self):
         oracle = make_oracle(latents={("q1", "d1"): 1.0}, beta=1.0)
-        logits = oracle.score(PointwiseRequest(QUERY, doc("d1")))
+        logits = oracle.score(JudgeRequest("pointwise", QUERY, (doc("d1"),)))
         assert logits["yes"] - logits["no"] == pytest.approx(1.0, abs=1e-15)
 
     def test_triplet_equal_latents_tie(self):
         latents = {("q1", "a"): 0.4, ("q1", "b"): 0.4}
         oracle = make_oracle(latents=latents)
-        logits = oracle.score(TripletRequest(QUERY, doc("a"), doc("b", 2)))
+        logits = oracle.score(JudgeRequest("triplet", QUERY, (doc("a"), doc("b", 2))))
         assert logits["A"] == logits["B"]
 
     def test_determinism_bit_identical(self):
         latents = {("q1", "a"): 0.9, ("q1", "b"): 0.2}
-        request = TripletRequest(QUERY, doc("a"), doc("b", 2))
+        request = JudgeRequest("triplet", QUERY, (doc("a"), doc("b", 2)))
         first = make_oracle(latents=latents, noise_sigma=0.8).score(request)
         second = make_oracle(latents=latents, noise_sigma=0.8).score(request)
         assert first.logits == second.logits
@@ -97,14 +108,14 @@ class TestOracleScorer:
     def test_swap_symmetry_is_exact_even_with_noise(self):
         latents = {("q1", "a"): 0.9, ("q1", "b"): 0.2}
         oracle = make_oracle(latents=latents, noise_sigma=1.5)
-        ab = oracle.score(TripletRequest(QUERY, doc("a"), doc("b", 2)))
-        ba = oracle.score(TripletRequest(QUERY, doc("b", 2), doc("a")))
+        ab = oracle.score(JudgeRequest("triplet", QUERY, (doc("a"), doc("b", 2))))
+        ba = oracle.score(JudgeRequest("triplet", QUERY, (doc("b", 2), doc("a"))))
         assert ab["A"] == ba["B"] and ab["B"] == ba["A"]
 
     def test_self_pair_scores_half_even_with_noise(self):
         latents = {("q1", "a"): 0.7}
         oracle = make_oracle(latents=latents, noise_sigma=2.0)
-        logits = oracle.score(TripletRequest(QUERY, doc("a"), doc("a")))
+        logits = oracle.score(JudgeRequest("triplet", QUERY, (doc("a"), doc("a"))))
         assert logits["A"] == logits["B"]
 
     def test_noiseless_monotonicity_in_latent_gap(self):
@@ -113,7 +124,7 @@ class TestOracleScorer:
         for gap in gaps:
             latents = {("q1", "a"): 0.5 + gap / 2, ("q1", "b"): 0.5 - gap / 2}
             oracle = make_oracle(latents=latents, beta=2.0)
-            logits = oracle.score(TripletRequest(QUERY, doc("a"), doc("b", 2)))
+            logits = oracle.score(JudgeRequest("triplet", QUERY, (doc("a"), doc("b", 2))))
             diffs.append(logits["A"] - logits["B"])
         assert all(b > a for a, b in zip(diffs, diffs[1:]))
 
@@ -127,8 +138,9 @@ class TestOracleScorer:
                 OracleConfig(seed=11, noise_sigma=0.0, ref_noise_scale=1.0),
                 latents=latents,
             )
-            lg_good = oracle.score(TripletRequest(query, doc("cand"), doc("good", 2)))
-            lg_bad = oracle.score(TripletRequest(query, doc("cand"), doc("bad", 3)))
+            cand = doc("cand")
+            lg_good = oracle.score(JudgeRequest("triplet", query, (cand, doc("good", 2))))
+            lg_bad = oracle.score(JudgeRequest("triplet", query, (cand, doc("bad", 3))))
             strong.append(lg_good["A"] - lg_good["B"])
             weak.append(lg_bad["A"] - lg_bad["B"])
         # a perfect reference (latent 1.0) gets sigma_eff = 0: exact logit diff
@@ -140,8 +152,8 @@ class TestOracleScorer:
         latents = {("q1", "a"): 0.9, ("q1", "b"): 0.5, ("q1", "c"): 0.1}
         oracle = make_oracle(latents=latents, noise_sigma=0.7)
         docs = (doc("a"), doc("b", 2), doc("c", 3))
-        forward = oracle.score(SetwiseRequest(QUERY, docs))
-        backward = oracle.score(SetwiseRequest(QUERY, tuple(reversed(docs))))
+        forward = oracle.score(JudgeRequest("setwise", QUERY, docs))
+        backward = oracle.score(JudgeRequest("setwise", QUERY, tuple(reversed(docs))))
         # same doc gets the same logit regardless of its slot letter
         assert forward["A"] == backward["C"]
         assert forward["B"] == backward["B"]
@@ -162,15 +174,15 @@ class TestOracleScorer:
     def test_missing_explicit_latent_is_error(self):
         oracle = make_oracle(latents={("q1", "a"): 0.5})
         with pytest.raises(ValidationError):
-            oracle.score(PointwiseRequest(QUERY, doc("unknown")))
+            oracle.score(JudgeRequest("pointwise", QUERY, (doc("unknown"),)))
 
     def test_ledger_counts_by_kind(self):
         latents = {("q1", "a"): 0.5, ("q1", "b"): 0.4}
         oracle = make_oracle(latents=latents)
-        oracle.score(PointwiseRequest(QUERY, doc("a")))
-        oracle.score(TripletRequest(QUERY, doc("a"), doc("b", 2)))
-        oracle.score(DuelRequest(QUERY, doc("a"), doc("b", 2)))
-        oracle.score(SetwiseRequest(QUERY, (doc("a"), doc("b", 2))))
+        oracle.score(JudgeRequest("pointwise", QUERY, (doc("a"),)))
+        oracle.score(JudgeRequest("triplet", QUERY, (doc("a"), doc("b", 2))))
+        oracle.score(JudgeRequest("duel", QUERY, (doc("a"), doc("b", 2))))
+        oracle.score(JudgeRequest("setwise", QUERY, (doc("a"), doc("b", 2))))
         assert oracle.ledger.counts == {
             "pointwise": 1,
             "triplet": 1,
@@ -190,7 +202,9 @@ class TestScoreBatch:
     def test_alignment_and_count(self):
         latents = {("q1", f"d{i}"): i / 10 for i in range(10)}
         oracle = make_oracle(latents=latents)
-        requests = [PointwiseRequest(QUERY, doc(f"d{i}", i + 1)) for i in range(10)]
+        requests = [
+            JudgeRequest("pointwise", QUERY, (doc(f"d{i}", i + 1),)) for i in range(10)
+        ]
         results = oracle.score_batch(requests)
         assert len(results) == 10
         assert oracle.ledger.count("pointwise") == 10
@@ -204,7 +218,9 @@ class TestScoreBatch:
 
     def test_concatenation_statelessness(self):
         latents = {("q1", f"d{i}"): i / 8 for i in range(8)}
-        requests = [PointwiseRequest(QUERY, doc(f"d{i}", i + 1)) for i in range(8)]
+        requests = [
+            JudgeRequest("pointwise", QUERY, (doc(f"d{i}", i + 1),)) for i in range(8)
+        ]
         whole = make_oracle(latents=latents).score_batch(requests)
         oracle = make_oracle(latents=latents)
         split = oracle.score_batch(requests[:3]) + oracle.score_batch(requests[3:])
@@ -214,8 +230,8 @@ class TestScoreBatch:
         latents = {("q1", "good"): 0.5}
         oracle = make_oracle(latents=latents)
         requests = [
-            PointwiseRequest(QUERY, doc("good")),
-            PointwiseRequest(QUERY, doc("missing", 2)),
+            JudgeRequest("pointwise", QUERY, (doc("good"),)),
+            JudgeRequest("pointwise", QUERY, (doc("missing", 2),)),
         ]
         with pytest.raises(BatchScoringError) as exc:
             oracle.score_batch(requests)
@@ -224,16 +240,30 @@ class TestScoreBatch:
         assert list(exc.value.errors) == [1]
 
 
+# kind -> (document texts in slot order, the exact prompt they render)
+SUBSTITUTIONS = {
+    "pointwise": (("p",), "Q: what is x D: p"),
+    "triplet": (("p", "r"), "Q: what is x A: p B: r"),
+    "duel": (("i", "j"), "Q: what is x A: i B: j"),
+    "setwise": (
+        ("ta", "tb", "tc"),
+        "Q: what is x\nPassage A: ta\n\nPassage B: tb\n\nPassage C: tc",
+    ),
+}
+
+
 class TestPrompts:
-    def test_substitution(self):
+    @pytest.mark.parametrize("kind", list(SUBSTITUTIONS))
+    def test_substitution(self, kind):
         templates = PromptTemplates(
             pointwise="Q: {query} D: {doc}",
             triplet="Q: {query} A: {doc} B: {ref}",
             duel="Q: {query} A: {doc_i} B: {doc_j}",
             setwise="Q: {query}\n{docs}",
         )
-        request = TripletRequest(QUERY, doc("p", text="p"), doc("r", 2, text="r"))
-        assert build_prompt(request, templates) == "Q: what is x A: p B: r"
+        texts, expected = SUBSTITUTIONS[kind]
+        docs = tuple(doc(f"d{i}", i + 1, text=text) for i, text in enumerate(texts))
+        assert build_prompt(JudgeRequest(kind, QUERY, docs), templates) == expected
 
     def test_missing_required_placeholder(self):
         templates = PromptTemplates(
@@ -242,7 +272,7 @@ class TestPrompts:
             duel="Q: {query} A: {doc_i} B: {doc_j}",
             setwise="Q: {query}\n{docs}",
         )
-        request = TripletRequest(QUERY, doc("p"), doc("r", 2))
+        request = JudgeRequest("triplet", QUERY, (doc("p"), doc("r", 2)))
         with pytest.raises(TemplateError) as exc:
             build_prompt(request, templates)
         assert exc.value.placeholder == "{ref}"
@@ -255,19 +285,22 @@ class TestPrompts:
             setwise=PromptTemplates.defaults().setwise,
         )
         with pytest.raises(TemplateError) as exc:
-            build_prompt(PointwiseRequest(QUERY, doc("p")), templates)
+            build_prompt(JudgeRequest("pointwise", QUERY, (doc("p"),)), templates)
         assert exc.value.placeholder == "{mystery}"
 
     def test_truncation_marker(self):
         long_doc = doc("d", text="x" * 10_000)
         prompt = build_prompt(
-            PointwiseRequest(QUERY, long_doc), PromptTemplates.defaults(), max_doc_chars=4000
+            JudgeRequest("pointwise", QUERY, (long_doc,)),
+            PromptTemplates.defaults(),
+            max_doc_chars=4000,
         )
         assert "x" * 4000 + " [...]" in prompt
         assert "x" * 4001 not in prompt
 
     def test_setwise_blocks_use_labels(self):
-        request = SetwiseRequest(QUERY, (doc("a", text="ta"), doc("b", 2, text="tb")))
+        docs = (doc("a", text="ta"), doc("b", 2, text="tb"))
+        request = JudgeRequest("setwise", QUERY, docs)
         prompt = build_prompt(request, PromptTemplates.defaults())
         assert "Passage A: ta" in prompt and "Passage B: tb" in prompt
 
@@ -344,7 +377,7 @@ class TestLlmScorer:
         ]
         StubHandler.behaviors = [lambda i: (200, completion_payload(top))]
         scorer = llm_scorer(stub_server)
-        logits = scorer.score(TripletRequest(QUERY, doc("p"), doc("r", 2)))
+        logits = scorer.score(PROBE_TRIPLET)
         assert logits["A"] == pytest.approx(-0.2)
         assert logits["B"] == pytest.approx(-1.7)
         assert scorer.ledger.count("triplet") == 1
@@ -356,7 +389,7 @@ class TestLlmScorer:
             {"token": "B", "logprob": -2.0},
         ]
         StubHandler.behaviors = [lambda i: (200, completion_payload(top))]
-        logits = llm_scorer(stub_server).score(TripletRequest(QUERY, doc("p"), doc("r", 2)))
+        logits = llm_scorer(stub_server).score(PROBE_TRIPLET)
         assert logits["A"] == pytest.approx(-0.1)
 
     def test_missing_label_gets_floor(self, stub_server):
@@ -365,21 +398,21 @@ class TestLlmScorer:
             {"token": "noise", "logprob": -4.0},
         ]
         StubHandler.behaviors = [lambda i: (200, completion_payload(top))]
-        logits = llm_scorer(stub_server).score(TripletRequest(QUERY, doc("p"), doc("r", 2)))
+        logits = llm_scorer(stub_server).score(PROBE_TRIPLET)
         assert logits["B"] == pytest.approx(-5.0)  # min(-0.5, -4.0) - 1
 
     def test_no_label_at_all_is_degenerate(self, stub_server):
         top = [{"token": "zzz", "logprob": -1.0}]
         StubHandler.behaviors = [lambda i: (200, completion_payload(top))]
         with pytest.raises(DegenerateResponseError):
-            llm_scorer(stub_server).score(TripletRequest(QUERY, doc("p"), doc("r", 2)))
+            llm_scorer(stub_server).score(PROBE_TRIPLET)
         # degenerate responses are not retried
         assert len(StubHandler.calls) == 1
 
     def test_missing_logprobs_structure_is_degenerate(self, stub_server):
         StubHandler.behaviors = [lambda i: (200, {"choices": [{}]})]
         with pytest.raises(DegenerateResponseError):
-            llm_scorer(stub_server).score(PointwiseRequest(QUERY, doc("p")))
+            llm_scorer(stub_server).score(PROBE_POINTWISE)
 
     def test_retry_then_success(self, stub_server):
         top = [{"token": "yes", "logprob": -0.3}, {"token": "no", "logprob": -1.3}]
@@ -388,7 +421,7 @@ class TestLlmScorer:
             lambda i: (429, {"error": "slow down"}),
             lambda i: (200, completion_payload(top)),
         ]
-        logits = llm_scorer(stub_server).score(PointwiseRequest(QUERY, doc("p")))
+        logits = llm_scorer(stub_server).score(PROBE_POINTWISE)
         assert logits["yes"] == pytest.approx(-0.3)
         assert len(StubHandler.calls) == 3
 
@@ -396,19 +429,19 @@ class TestLlmScorer:
         StubHandler.behaviors = [lambda i: (503, {"error": "down"})]
         scorer = llm_scorer(stub_server, max_retries=2)
         with pytest.raises(TransientBackendError):
-            scorer.score(PointwiseRequest(QUERY, doc("p")))
+            scorer.score(PROBE_POINTWISE)
         assert len(StubHandler.calls) == 3  # initial + 2 retries
 
     def test_non_retryable_http_error(self, stub_server):
         StubHandler.behaviors = [lambda i: (400, {"error": "bad request"})]
         with pytest.raises(ScoringError):
-            llm_scorer(stub_server).score(PointwiseRequest(QUERY, doc("p")))
+            llm_scorer(stub_server).score(PROBE_POINTWISE)
         assert len(StubHandler.calls) == 1
 
     def test_request_payload_shape(self, stub_server):
         top = [{"token": "yes", "logprob": -0.1}, {"token": "no", "logprob": -2.0}]
         StubHandler.behaviors = [lambda i: (200, completion_payload(top))]
-        llm_scorer(stub_server).score(PointwiseRequest(QUERY, doc("p")))
+        llm_scorer(stub_server).score(PROBE_POINTWISE)
         sent = StubHandler.calls[0]
         assert sent["temperature"] == 0
         assert sent["max_tokens"] == 1
@@ -426,7 +459,9 @@ class TestLlmScorer:
 
         StubHandler.behaviors = [behave]
         scorer = llm_scorer(stub_server, batch_size=1)
-        requests = [PointwiseRequest(QUERY, doc(f"d{i}", i + 1)) for i in range(3)]
+        requests = [
+            JudgeRequest("pointwise", QUERY, (doc(f"d{i}", i + 1),)) for i in range(3)
+        ]
         with pytest.raises(BatchScoringError) as exc:
             scorer.score_batch(requests)
         assert list(exc.value.errors) == [1]

@@ -194,13 +194,13 @@ class TestProperties:
         data = make_synth(1, 30, seed=13)
         cl = data.lists[0]
         scorer = oracle_for(data.latents, noise_sigma=0.9)
-        from refrank.scorer import TripletRequest
+        from refrank.scorer import JudgeRequest
 
         for _ in range(200):
             i, j = rng.integers(0, 30, size=2)
             a, b = cl.docs[int(i)], cl.docs[int(j)]
-            forward = scorer.score(TripletRequest(cl.query, a, b))
-            backward = scorer.score(TripletRequest(cl.query, b, a))
+            forward = scorer.score(JudgeRequest("triplet", cl.query, (a, b)))
+            backward = scorer.score(JudgeRequest("triplet", cl.query, (b, a)))
             total = refrank_score(forward["A"], forward["B"]) + refrank_score(
                 backward["A"], backward["B"]
             )
