@@ -1,21 +1,28 @@
 """Command-line entry points: rerank, analyze, eval, bench.
 
-Exit codes: 0 success, 1 runtime error, 2 usage error. Every rerank run
-writes a config snapshot (all parameters, the seed, and the package
-version) into its report; re-running with the same configuration and seed
-reproduces the run file byte for byte under the oracle backend, which never
-touches the network.
+Exit codes: 0 success, 1 runtime error, 2 usage error. A strategy-only
+flag (--m, --weights, --ref-index, --ref-topk, --k, --children) that no
+named strategy reads is a usage error, and --concurrency is at least 1.
+Every rerank run writes a config snapshot into its report: the options the
+run read, the seed, and the package version. Re-running with the same
+configuration and seed reproduces the run file byte for byte under the
+oracle backend, which never touches the network. Blank input lines and
+repeated qrel pairs are skipped with one warning on stderr.
 """
 
 from __future__ import annotations
 
 import functools
+import inspect
+import json
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict
 from pathlib import Path
 
 import click
+from click.core import ParameterSource
 
 from . import __version__
 from .analysis import (
@@ -25,15 +32,14 @@ from .analysis import (
     write_topk_csv,
 )
 from .datamodel import CallLedger, HarnessError, Qrels
-from .eval import (
-    EfficiencyReport,
-    ExperimentReport,
-    MetricConfig,
-    efficiency_report,
-    evaluate_rankings,
-    evaluate_run_map,
+from .eval import MetricConfig, evaluate_rankings, evaluate_run_map
+from .io import (
+    ParseWarnings,
+    assemble_experiment,
+    parse_qrels,
+    parse_run_file,
+    write_run_file,
 )
-from .io import assemble_experiment, parse_qrels, parse_run_file, write_run_file
 from .scorer import (
     LlmBackendConfig,
     LlmScorer,
@@ -55,23 +61,25 @@ from .strategies import (
 )
 
 # Each entry turns the parsed command options into a ranker(candidates,
-# scorer); a factory reads and validates only the options its strategy uses.
+# scorer); a factory reads and validates only the options its strategy uses,
+# and the parameters it names are the options the strategy reads.
 STRATEGIES = {
     "pointwise": lambda **_: rank_pointwise,
     "refrank-single": lambda ref_index, ref_topk, seed, **_: functools.partial(
         rank_refrank_single, policy=_ref_policy(ref_index, ref_topk, seed)
     ),
-    "refrank-multiple": lambda ensemble_m, weights, **_: functools.partial(
-        rank_refrank_multiple, config=EnsembleConfig(ensemble_m, _parse_weights(weights))
+    "refrank-multiple": lambda m, weights, **_: functools.partial(
+        rank_refrank_multiple, config=EnsembleConfig(m, _parse_weights(weights))
     ),
     "pairwise-allpairs": lambda **_: rank_pairwise_allpairs,
-    "pairwise-bubblesort": lambda top_k, **_: functools.partial(
-        rank_pairwise_bubblesort, k=top_k
-    ),
-    "setwise-heapsort": lambda children, top_k, **_: functools.partial(
-        rank_setwise_heapsort, c=children, k=top_k
+    "pairwise-bubblesort": lambda k, **_: functools.partial(rank_pairwise_bubblesort, k=k),
+    "setwise-heapsort": lambda children, k, **_: functools.partial(
+        rank_setwise_heapsort, c=children, k=k
     ),
 }
+
+# The options that only some strategies read.
+_STRATEGY_ONLY = ("m", "weights", "ref_index", "ref_topk", "k", "children")
 
 _EXISTING_FILE = click.Path(exists=True, dir_okay=False)
 
@@ -90,14 +98,13 @@ def _runtime_errors(fn):
 
 def _input_options(require_qrels: bool = False):
     def deco(fn):
-        fn = click.option("--run", "run_path", type=_EXISTING_FILE, required=True,
+        fn = click.option("--run", type=_EXISTING_FILE, required=True,
                           help="First-stage run file (six-column format).")(fn)
-        fn = click.option("--corpus", "corpus_path", type=_EXISTING_FILE, required=True,
+        fn = click.option("--corpus", type=_EXISTING_FILE, required=True,
                           help="Corpus JSONL with id/contents (+optional title).")(fn)
-        fn = click.option("--queries", "queries_path", type=_EXISTING_FILE, required=True,
+        fn = click.option("--queries", type=_EXISTING_FILE, required=True,
                           help="Queries TSV: <qid><TAB><text>.")(fn)
-        fn = click.option("--qrels", "qrels_path", type=_EXISTING_FILE,
-                          required=require_qrels,
+        fn = click.option("--qrels", type=_EXISTING_FILE, required=require_qrels,
                           help="Relevance judgments (qid 0 docid grade).")(fn)
         fn = click.option("--depth", type=int, default=100, show_default=True,
                           help="Candidates kept per query.")(fn)
@@ -110,10 +117,9 @@ def _backend_options(fn):
     fn = click.option("--backend", type=click.Choice(["oracle", "endpoint"]),
                       default="oracle", show_default=True,
                       help="Relevance judge to use.")(fn)
-    fn = click.option("--endpoint-url", default="", help="Chat-completions base URL.")(fn)
-    fn = click.option("--model", default="", help="Model name for the endpoint.")(fn)
-    fn = click.option("--api-key-env", default="",
-                      help="Environment variable holding the API key.")(fn)
+    fn = click.option("--endpoint-url", help="Chat-completions base URL.")(fn)
+    fn = click.option("--model", help="Model name for the endpoint.")(fn)
+    fn = click.option("--api-key-env", help="Environment variable holding the API key.")(fn)
     fn = click.option("--template-dir", type=click.Path(exists=True, file_okay=False),
                       default=None, help="Directory of <kind>.txt prompt templates.")(fn)
     fn = click.option("--seed", type=int, default=None,
@@ -124,19 +130,19 @@ def _backend_options(fn):
 def _strategy_options(fn):
     fn = click.option("--strategy", default="refrank-single", show_default=True,
                       help="One of: " + ", ".join(STRATEGIES) + ". Bench accepts a comma list.")(fn)
-    fn = click.option("--m", "ensemble_m", type=int, default=5, show_default=True,
+    fn = click.option("--m", type=int, default=5, show_default=True,
                       help="Ensemble size (refrank-multiple).")(fn)
-    fn = click.option("--weights", default="",
+    fn = click.option("--weights",
                       help="Comma-separated ensemble weights (default uniform).")(fn)
     fn = click.option("--ref-index", type=int, default=1, show_default=True,
                       help="Fixed anchor rank for refrank-single.")(fn)
     fn = click.option("--ref-topk", type=int, default=None,
                       help="Pick the refrank-single anchor at random from the top-K ranks.")(fn)
-    fn = click.option("--k", "top_k", type=int, default=10, show_default=True,
+    fn = click.option("--k", type=int, default=10, show_default=True,
                       help="Bubble passes / heap extractions.")(fn)
     fn = click.option("--children", type=int, default=3, show_default=True,
                       help="Heap fanout for setwise-heapsort.")(fn)
-    fn = click.option("--concurrency", type=int, default=1, show_default=True,
+    fn = click.option("--concurrency", type=click.IntRange(min=1), default=1, show_default=True,
                       help="Queries processed in parallel.")(fn)
     return fn
 
@@ -147,36 +153,28 @@ def _require_seed(seed: int | None, why: str) -> int:
     return seed
 
 
-def _build_scorer(
-    backend: str,
-    seed: int | None,
-    qrels: Qrels | None,
-    endpoint_url: str,
-    model: str,
-    api_key_env: str,
-    template_dir: str | None,
-    ledger: CallLedger,
-) -> Scorer:
-    if backend == "oracle":
-        seed = _require_seed(seed, "with the oracle backend")
+def _build_scorer(options: dict, qrels: Qrels | None, ledger: CallLedger) -> Scorer:
+    if options["backend"] == "oracle":
+        seed = _require_seed(options["seed"], "with the oracle backend")
         return OracleScorer(OracleConfig(seed=seed), qrels=qrels, ledger=ledger)
-    if not endpoint_url or not model:
+    if not options["endpoint_url"] or not options["model"]:
         raise click.UsageError(
             "--endpoint-url and --model are required with the endpoint backend"
         )
+    template_dir = options["template_dir"]
     templates = (
         PromptTemplates.from_dir(template_dir) if template_dir else PromptTemplates.defaults()
     )
     config = LlmBackendConfig(
-        base_url=endpoint_url,
-        model=model,
-        api_key_env=api_key_env,
+        base_url=options["endpoint_url"],
+        model=options["model"],
+        api_key_env=options["api_key_env"] or "",
         templates=templates,
     )
     return LlmScorer(config, ledger=ledger)
 
 
-def _parse_weights(text: str) -> tuple[float, ...]:
+def _parse_weights(text: str | None) -> tuple[float, ...]:
     if not text:
         return ()
     try:
@@ -191,34 +189,94 @@ def _ref_policy(ref_index: int, ref_topk: int | None, seed: int | None):
     return FixedIndex(ref_index)
 
 
-def _ranker(name: str, options: dict):
-    """The ranker a strategy's table entry builds from the command's options."""
+def _reads(name: str) -> set[str]:
+    """The options a strategy reads: the parameters its STRATEGIES entry names."""
     try:
         factory = STRATEGIES[name]
     except KeyError:
         raise click.UsageError(
             f"unknown strategy {name!r}; choose from {', '.join(STRATEGIES)}"
         ) from None
-    return factory(**options)
+    return set(inspect.signature(factory).parameters)
 
 
-def _run_all(lists, ranker, scorer, ledger, concurrency):
+def _rankers(names: list[str], options: dict) -> dict:
+    """The ranker each named strategy's table entry builds from the options.
+
+    A strategy-only flag given on the command line that none of the named
+    strategies reads is a usage error.
+    """
+    reads = set().union(*(_reads(name) for name in names))
+    ctx = click.get_current_context()
+    for option in _STRATEGY_ONLY:
+        if option not in reads and ctx.get_parameter_source(option) is not ParameterSource.DEFAULT:
+            raise click.UsageError(
+                f"--{option.replace('_', '-')} is not read by strategy {', '.join(names)}"
+            )
+    return {name: STRATEGIES[name](**options) for name in names}
+
+
+def _load_inputs(options: dict):
+    """The candidate lists and the qrels (None without --qrels).
+
+    Skipped blank lines and repeated qrel pairs are reported in one warning.
+    """
+    warnings = ParseWarnings()
+    qrels = parse_qrels(options["qrels"], warnings) if options["qrels"] else None
+    lists = assemble_experiment(
+        options["run"], options["corpus"], options["queries"], options["depth"],
+        warnings=warnings,
+    )
+    _warn_skipped(warnings)
+    return lists, qrels
+
+
+def _warn_skipped(warnings: ParseWarnings) -> None:
+    if warnings.blank_lines or warnings.duplicate_qrel_pairs:
+        click.echo(
+            f"warning: skipped {warnings.blank_lines} blank line(s) and "
+            f"{warnings.duplicate_qrel_pairs} repeated qrel pair(s) in the inputs",
+            err=True,
+        )
+
+
+def _run_all(lists, ranker, qrels: Qrels | None, options: dict):
+    """Rank every list on a fresh scorer.
+
+    Returns the rankings, the scorer's ledger and each query's seconds.
+    """
+    ledger = CallLedger()
+    scorer = _build_scorer(options, qrels, ledger)
+
     def run_one(candidate_list):
         started = time.perf_counter()
         ranking = ranker(candidate_list, scorer)
-        ledger.record_query_seconds(candidate_list.query.id, time.perf_counter() - started)
-        return ranking
+        return ranking, time.perf_counter() - started
 
-    if concurrency <= 1:
-        return [run_one(cl) for cl in lists]
-    with ThreadPoolExecutor(max_workers=concurrency) as pool:
-        return list(pool.map(run_one, lists))
+    if options["concurrency"] == 1:
+        timed = [run_one(cl) for cl in lists]
+    else:
+        with ThreadPoolExecutor(max_workers=options["concurrency"]) as pool:
+            timed = list(pool.map(run_one, lists))
+    seconds = {cl.query.id: elapsed for cl, (_, elapsed) in zip(lists, timed)}
+    return [ranking for ranking, _ in timed], ledger, seconds
 
 
-def _guard_outputs(paths, force: bool) -> None:
+def _outputs(out_dir, force: bool, *names: str) -> list[Path]:
+    """Create out_dir and return the named paths in it, none of which may exist without force."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    paths = [out / name for name in names]
     for path in paths:
-        if Path(path).exists() and not force:
+        if path.exists() and not force:
             raise HarnessError(f"refusing to overwrite {path} (pass --force)")
+    return paths
+
+
+def _write_json(path: Path, payload: dict) -> None:
+    with open(path, "w", encoding="utf-8") as out:
+        json.dump(payload, out, indent=2, sort_keys=True)
+        out.write("\n")
 
 
 @click.group()
@@ -237,63 +295,45 @@ def cli():
               show_default=True, help="NDCG gain convention for the report.")
 @click.option("--force", is_flag=True, help="Overwrite existing outputs.")
 @_runtime_errors
-def cmd_rerank(run_path, corpus_path, queries_path, qrels_path, depth, strategy,
-               ensemble_m, weights, ref_index, ref_topk, top_k, children, backend,
-               endpoint_url, model, api_key_env, template_dir, seed, concurrency,
-               out_dir, gain, force):
+def cmd_rerank(out_dir, force, **options):
     """Rerank candidates and write a run file plus an experiment report."""
-    ranker = _ranker(strategy, click.get_current_context().params)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    run_out = out / f"{strategy}.run"
-    report_out = out / f"{strategy}.report.json"
-    _guard_outputs([run_out, report_out], force)
-
-    qrels = parse_qrels(qrels_path) if qrels_path else None
-    lists = assemble_experiment(run_path, corpus_path, queries_path, depth)
-    ledger = CallLedger()
-    scorer = _build_scorer(backend, seed, qrels, endpoint_url, model, api_key_env,
-                           template_dir, ledger)
-    rankings = _run_all(lists, ranker, scorer, ledger, concurrency)
+    strategy = options["strategy"]
+    ranker = _rankers([strategy], options)[strategy]
+    run_out, report_out = _outputs(out_dir, force, f"{strategy}.run", f"{strategy}.report.json")
+    lists, qrels = _load_inputs(options)
+    rankings, ledger, seconds = _run_all(lists, ranker, qrels, options)
     write_run_file(rankings, strategy, run_out)
 
-    report = ExperimentReport(
-        config={
-            "command": "rerank", "version": __version__, "strategy": strategy,
-            "run": str(run_path), "corpus": str(corpus_path),
-            "queries": str(queries_path), "qrels": str(qrels_path) if qrels_path else None,
-            "depth": depth, "m": ensemble_m, "weights": weights or None,
-            "ref_index": ref_index, "ref_topk": ref_topk, "k": top_k,
-            "children": children, "backend": backend,
-            "endpoint_url": endpoint_url or None, "model": model or None,
-            "api_key_env": api_key_env or None, "template_dir": template_dir,
-            "seed": seed, "concurrency": concurrency, "gain": gain,
-        },
-        strategy=strategy,
-        calls=ledger.counts,
-        total_calls=ledger.total_calls,
-        prompt_chars=ledger.prompt_chars,
-        query_seconds=ledger.query_seconds,
-        total_seconds=sum(ledger.query_seconds.values()),
-    )
-    if qrels is not None:
-        metric = MetricConfig(gain=gain)
-        evaluation = evaluate_rankings(rankings, qrels, metric)
-        report.metric = evaluation.metric
-        report.per_query = evaluation.per_query
-        report.mean = evaluation.mean
-        report.judged_queries = evaluation.judged_queries
-        report.unjudged_queries = evaluation.unjudged_queries
-    report.to_json(report_out)
+    if qrels is None:
+        evaluation = dict(metric=None, per_query={}, mean=None, judged_queries=0,
+                          unjudged_queries=0)
+    else:
+        evaluation = asdict(evaluate_rankings(rankings, qrels, MetricConfig(gain=options["gain"])))
+    reads = _reads(strategy)
+    config = {name: value for name, value in options.items()
+              if name in reads or name not in _STRATEGY_ONLY}
+    _write_json(report_out, {
+        "config": {"command": "rerank", "version": __version__, **config},
+        "strategy": strategy,
+        "calls": ledger.counts,
+        "total_calls": ledger.total_calls,
+        "prompt_chars": ledger.prompt_chars,
+        "query_seconds": seconds,
+        "total_seconds": sum(seconds.values()),
+        **evaluation,
+    })
     click.echo(f"wrote {run_out}")
     click.echo(f"wrote {report_out}")
-    if report.mean is not None:
-        click.echo(f"mean {report.metric}: {report.mean:.4f} over {report.judged_queries} queries")
+    if qrels is not None:
+        click.echo(
+            f"mean {evaluation['metric']}: {evaluation['mean']:.4f} "
+            f"over {evaluation['judged_queries']} queries"
+        )
 
 
 @cli.command("analyze")
 @_input_options(require_qrels=True)
-@click.option("--m", "ensemble_m", type=int, default=5, show_default=True,
+@click.option("--m", type=int, default=5, show_default=True,
               help="Ensemble sweep maximum.")
 @click.option("--ref-topk", type=int, default=None,
               help="Anchor-index sweep depth [default: min(10, shortest list)].")
@@ -304,34 +344,26 @@ def cmd_rerank(run_path, corpus_path, queries_path, qrels_path, depth, strategy,
               show_default=True, help="NDCG gain convention.")
 @click.option("--force", is_flag=True, help="Overwrite existing outputs.")
 @_runtime_errors
-def cmd_analyze(run_path, corpus_path, queries_path, qrels_path, depth, ensemble_m,
-                ref_topk, backend, endpoint_url, model, api_key_env, template_dir, seed,
-                out_dir, gain, force):
+def cmd_analyze(out_dir, force, **options):
     """Sweep anchor index and ensemble size; write one CSV per curve.
 
     --ref-topk sets the anchor-index sweep depth and --m the ensemble sweep
     maximum; the top-k selection curve is the prefix mean of the
     anchor-index curve.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    reference_csv = out / "reference_sweep.csv"
-    topk_csv = out / "topk_selection.csv"
-    ensemble_csv = out / "ensemble_sweep.csv"
-    _guard_outputs([reference_csv, topk_csv, ensemble_csv], force)
-
-    qrels = parse_qrels(qrels_path)
-    lists = assemble_experiment(run_path, corpus_path, queries_path, depth)
-    ledger = CallLedger()
-    scorer = _build_scorer(backend, seed, qrels, endpoint_url, model, api_key_env,
-                           template_dir, ledger)
-    metric = MetricConfig(gain=gain)
+    reference_csv, topk_csv, ensemble_csv = _outputs(
+        out_dir, force, "reference_sweep.csv", "topk_selection.csv", "ensemble_sweep.csv"
+    )
+    lists, qrels = _load_inputs(options)
+    scorer = _build_scorer(options, qrels, CallLedger())
+    metric = MetricConfig(gain=options["gain"])
+    ref_topk = options["ref_topk"]
     depth_r = ref_topk if ref_topk is not None else min(10, min(len(cl) for cl in lists))
 
     reference = sweep_reference_quality(lists, scorer, qrels, depth_r, metric)
     reference.to_csv(reference_csv)
     write_topk_csv(sweep_topk_selection(reference, depth_r), topk_csv)
-    ensemble = sweep_ensemble_size(lists, scorer, qrels, ensemble_m, metric)
+    ensemble = sweep_ensemble_size(lists, scorer, qrels, options["m"], metric)
     ensemble.to_csv(ensemble_csv)
     for path in (reference_csv, topk_csv, ensemble_csv):
         click.echo(f"wrote {path}")
@@ -352,8 +384,10 @@ def cmd_analyze(run_path, corpus_path, queries_path, qrels_path, depth, ensemble
 @_runtime_errors
 def cmd_eval(run_path, qrels_path, top_k, gain, out_dir, force):
     """Score a run file against qrels: per-query and mean NDCG@k."""
-    run = parse_run_file(run_path)
-    qrels = parse_qrels(qrels_path)
+    warnings = ParseWarnings()
+    run = parse_run_file(run_path, warnings)
+    qrels = parse_qrels(qrels_path, warnings)
+    _warn_skipped(warnings)
     metric = MetricConfig(k=top_k, gain=gain)
     report = evaluate_run_map(run, qrels, metric)
     for query_id, value in report.per_query.items():
@@ -368,27 +402,8 @@ def cmd_eval(run_path, qrels_path, top_k, gain, out_dir, force):
             err=True,
         )
     if out_dir:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        eval_json = out / "eval.json"
-        _guard_outputs([eval_json], force)
-        import json
-
-        with open(eval_json, "w", encoding="utf-8") as handle:
-            json.dump(
-                {
-                    "metric": report.metric,
-                    "gain": gain,
-                    "per_query": report.per_query,
-                    "mean": report.mean,
-                    "judged_queries": report.judged_queries,
-                    "unjudged_queries": report.unjudged_queries,
-                },
-                handle,
-                indent=2,
-                sort_keys=True,
-            )
-            handle.write("\n")
+        (eval_json,) = _outputs(out_dir, force, "eval.json")
+        _write_json(eval_json, {**asdict(report), "gain": gain})
         click.echo(f"wrote {eval_json}")
 
 
@@ -397,38 +412,25 @@ def cmd_eval(run_path, qrels_path, top_k, gain, out_dir, force):
 @_strategy_options
 @_backend_options
 @_runtime_errors
-def cmd_bench(run_path, corpus_path, queries_path, qrels_path, depth, strategy,
-              ensemble_m, weights, ref_index, ref_topk, top_k, children, backend,
-              endpoint_url, model, api_key_env, template_dir, seed, concurrency):
+def cmd_bench(**options):
     """Run each named strategy on the same fixture and print call/latency stats.
 
     --strategy takes a comma-separated list, e.g. pointwise,refrank-single.
     """
-    options = click.get_current_context().params
-    names = [name.strip() for name in strategy.split(",") if name.strip()]
-    rankers = {name: _ranker(name, options) for name in names}
-    qrels = parse_qrels(qrels_path) if qrels_path else None
-    lists = assemble_experiment(run_path, corpus_path, queries_path, depth)
-    reports: dict[str, EfficiencyReport] = {}
-    for name, ranker in rankers.items():
-        ledger = CallLedger()
-        scorer = _build_scorer(backend, seed, qrels, endpoint_url, model, api_key_env,
-                               template_dir, ledger)
-        _run_all(lists, ranker, scorer, ledger, concurrency)
-        reports[name] = efficiency_report(ledger, len(lists))
-
+    names = [name.strip() for name in options["strategy"].split(",") if name.strip()]
+    rankers = _rankers(names, options)
+    lists, qrels = _load_inputs(options)
     header = f"{'strategy':<20} {'calls/query':<28} {'total':>8} {'s/query':>10}"
     click.echo(header)
     click.echo("-" * len(header))
-    for name, report in reports.items():
+    for name, ranker in rankers.items():
+        _, ledger, seconds = _run_all(lists, ranker, qrels, options)
         per_kind = " ".join(
-            f"{kind}={report.avg_calls_per_query[kind]:g}"
-            for kind in report.calls
-            if report.calls[kind]
+            f"{kind}={count / len(lists):g}" for kind, count in ledger.counts.items() if count
         ) or "none"
         click.echo(
-            f"{name:<20} {per_kind:<28} {report.total_calls:>8} "
-            f"{report.avg_seconds_per_query:>10.4f}"
+            f"{name:<20} {per_kind:<28} {ledger.total_calls:>8} "
+            f"{sum(seconds.values()) / len(lists):>10.4f}"
         )
 
 

@@ -276,7 +276,7 @@ class Qrels:
 
 
 class CallLedger:
-    """Counts judge calls by kind, prompt characters, and per-query wall time.
+    """Counts judge calls by kind and their prompt characters.
 
     Increment-only and lock-protected: concurrent workers may share one
     instance, and only the final totals are observable.
@@ -288,7 +288,6 @@ class CallLedger:
         self._lock = threading.Lock()
         self._counts = dict.fromkeys(self.KINDS, 0)
         self._prompt_chars = 0
-        self._query_seconds: dict[str, float] = {}
 
     def record(self, kind: str, prompt_chars: int = 0) -> None:
         if kind not in self._counts:
@@ -297,14 +296,9 @@ class CallLedger:
             self._counts[kind] += 1
             self._prompt_chars += prompt_chars
 
-    def record_query_seconds(self, query_id: str, seconds: float) -> None:
-        with self._lock:
-            self._query_seconds[query_id] = (
-                self._query_seconds.get(query_id, 0.0) + seconds
-            )
-
     def count(self, kind: str) -> int:
-        return self._counts[kind]
+        with self._lock:
+            return self._counts[kind]
 
     @property
     def counts(self) -> dict[str, int]:
@@ -318,9 +312,5 @@ class CallLedger:
 
     @property
     def prompt_chars(self) -> int:
-        return self._prompt_chars
-
-    @property
-    def query_seconds(self) -> dict[str, float]:
         with self._lock:
-            return dict(self._query_seconds)
+            return self._prompt_chars

@@ -1,13 +1,12 @@
-"""Ranking-quality metrics (NDCG@k) and judge-call efficiency accounting."""
+"""Ranking-quality metrics: NDCG@k per query and over a run."""
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Mapping, Sequence
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 
-from .datamodel import CallLedger, Qrels, Ranking, ValidationError
+from .datamodel import Qrels, Ranking, ValidationError
 from .io import RunEntry
 
 GAIN_MODES = ("exp", "linear")
@@ -134,62 +133,3 @@ def evaluate_run_map(
         config,
         qrels,
     )
-
-
-@dataclass(frozen=True)
-class EfficiencyReport:
-    """Judge-call counts and wall time, per query on average.
-
-    Call counts are the ledger totals, preserved exactly.
-    """
-
-    query_count: int
-    calls: dict[str, int]
-    avg_calls_per_query: dict[str, float]
-    total_calls: int
-    prompt_chars: int
-    query_seconds: dict[str, float]
-    total_seconds: float
-    avg_seconds_per_query: float
-
-
-def efficiency_report(ledger: CallLedger, query_count: int) -> EfficiencyReport:
-    if query_count < 1:
-        raise ValidationError(f"query_count must be >= 1, got {query_count}")
-    calls = ledger.counts
-    seconds = ledger.query_seconds
-    total_seconds = sum(seconds.values())
-    return EfficiencyReport(
-        query_count=query_count,
-        calls=calls,
-        avg_calls_per_query={kind: count / query_count for kind, count in calls.items()},
-        total_calls=sum(calls.values()),
-        prompt_chars=ledger.prompt_chars,
-        query_seconds=seconds,
-        total_seconds=total_seconds,
-        avg_seconds_per_query=total_seconds / query_count,
-    )
-
-
-@dataclass
-class ExperimentReport:
-    """Everything one reranking run produces: metrics, call accounting, and
-    the exact configuration snapshot needed to reproduce it."""
-
-    config: dict
-    strategy: str
-    metric: str | None = None
-    per_query: dict[str, float] = field(default_factory=dict)
-    mean: float | None = None
-    judged_queries: int = 0
-    unjudged_queries: int = 0
-    calls: dict[str, int] = field(default_factory=dict)
-    total_calls: int = 0
-    prompt_chars: int = 0
-    query_seconds: dict[str, float] = field(default_factory=dict)
-    total_seconds: float = 0.0
-
-    def to_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as out:
-            json.dump(asdict(self), out, indent=2, sort_keys=True)
-            out.write("\n")

@@ -243,19 +243,25 @@ def assemble_experiment(
     queries_path,
     depth: int = 100,
     include_title: bool = True,
+    warnings: ParseWarnings | None = None,
 ) -> list[CandidateList]:
     """Join a run file, corpus, and queries into per-query candidate lists.
 
     Each query's run entries are truncated to ``depth`` and ranks renumbered
     contiguously from 1. Docs within the truncated pool must resolve in the
     corpus; when ``include_title`` is set, passage text is title + " " +
-    contents for records that carry a title.
+    contents for records that carry a title. A run file without entries is
+    an error. Blank lines in all three files are counted in ``warnings``.
     """
     if depth < 1:
         raise ValidationError(f"depth must be >= 1, got {depth}")
-    run = parse_run_file(run_path)
-    corpus = parse_corpus_jsonl(corpus_path)
-    queries: Mapping[str, Query] = {q.id: q for q in parse_queries_tsv(queries_path)}
+    run = parse_run_file(run_path, warnings)
+    if not run:
+        raise ValidationError(f"run file {run_path} has no entries")
+    corpus = parse_corpus_jsonl(corpus_path, warnings)
+    queries: Mapping[str, Query] = {
+        q.id: q for q in parse_queries_tsv(queries_path, warnings)
+    }
 
     missing_queries = [query_id for query_id in run if query_id not in queries]
     if missing_queries:

@@ -18,6 +18,11 @@ def invoke(args):
     return CliRunner().invoke(cli, args, catch_exceptions=False)
 
 
+def input_args(paths):
+    run, corpus, queries, qrels = paths
+    return ["--run", str(run), "--corpus", str(corpus), "--queries", str(queries)]
+
+
 def rerank_args(paths, out, strategy="refrank-single", extra=()):
     run, corpus, queries, qrels = paths
     return [
@@ -50,6 +55,43 @@ class TestRerank:
         assert report["metric"] == "ndcg@10"
         assert report["mean"] == 1.0  # noiseless oracle on judged fixture
         assert report["config"]["seed"] == 7
+        # the snapshot holds the strategy options refrank-single reads, no others
+        assert report["config"]["ref_index"] == 1
+        assert not {"m", "weights", "k", "children"} & set(report["config"])
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--m", "0"),
+            ("--weights", "nonsense"),
+            ("--ref-index", "999"),
+            ("--ref-topk", "2"),
+            ("--k", "999"),
+            ("--children", "-5"),
+            ("--concurrency", "-3"),
+        ],
+    )
+    def test_unread_strategy_flags_and_bad_concurrency_are_usage_errors(
+        self, fixture_files, tmp_path, flag, value
+    ):
+        data, paths = fixture_files
+        out = tmp_path / "out"
+        result = CliRunner().invoke(
+            cli, rerank_args(paths, out, strategy="pointwise", extra=[flag, value])
+        )
+        assert result.exit_code == 2
+        assert flag in result.output
+        assert not out.exists()
+
+    def test_blank_input_line_warns_once(self, fixture_files, tmp_path):
+        data, paths = fixture_files
+        run = paths[0]
+        run.write_text(run.read_text() + "\n")
+        result = CliRunner().invoke(cli, rerank_args(paths, tmp_path / "out"))
+        assert result.exit_code == 0, result.output
+        warnings = [line for line in result.stderr.splitlines() if line.startswith("warning:")]
+        assert len(warnings) == 1
+        assert "1 blank line" in warnings[0]
 
     def test_unknown_strategy_is_usage_error(self, fixture_files, tmp_path):
         data, paths = fixture_files
@@ -134,6 +176,27 @@ class TestRerank:
         args[args.index("--run") + 1] = str(tmp_path / "nope.run")
         result = CliRunner().invoke(cli, args)
         assert result.exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("rerank", ["--out", "out", "--strategy", "pointwise"]),
+        ("analyze", ["--out", "out"]),
+        ("bench", ["--strategy", "pointwise"]),
+    ],
+)
+def test_empty_run_file_is_runtime_error(fixture_files, tmp_path, monkeypatch, command, extra):
+    data, paths = fixture_files
+    paths[0].write_text("")
+    monkeypatch.chdir(tmp_path)
+    result = CliRunner().invoke(
+        cli, [command, *input_args(paths), "--qrels", str(paths[3]), "--seed", "7", *extra]
+    )
+    assert result.exit_code == 1
+    assert "error:" in result.output
+    assert str(paths[0]) in result.output
+    assert not (tmp_path / "out" / "pointwise.run").exists()
 
 
 class TestAnalyze:
@@ -307,6 +370,16 @@ class TestBench:
         assert "pointwise=12" in lines["pointwise"]
         assert "triplet=12" in lines["refrank-single"]
         assert "triplet=36" in lines["refrank-multiple"]
+
+    def test_flag_no_named_strategy_reads_is_usage_error(self, fixture_files):
+        data, paths = fixture_files
+        args = ["bench", *input_args(paths), "--seed", "1",
+                "--strategy", "pointwise,refrank-single", "--ref-index", "2"]
+        assert invoke(args).exit_code == 0
+        result = CliRunner().invoke(cli, [*args, "--children", "2"])
+        assert result.exit_code == 2
+        assert "--children" in result.output
+        assert "calls/query" not in result.output
 
     def test_unknown_strategy_in_list(self, fixture_files):
         data, paths = fixture_files

@@ -178,11 +178,19 @@ class TestCallLedger:
         with pytest.raises(ValidationError):
             CallLedger().record("listwise")
 
-    def test_query_seconds_accumulate(self):
+    def test_reads_take_the_lock(self):
         ledger = CallLedger()
-        ledger.record_query_seconds("q1", 0.5)
-        ledger.record_query_seconds("q1", 0.25)
-        assert ledger.query_seconds == {"q1": 0.75}
+        read = []
+        with ledger._lock:
+            reader = threading.Thread(
+                target=lambda: read.append((ledger.count("duel"), ledger.prompt_chars))
+            )
+            reader.start()
+            reader.join(timeout=0.1)
+            assert reader.is_alive()  # blocked on the lock a writer holds
+        reader.join(timeout=5)
+        assert not reader.is_alive()
+        assert read == [(0, 0)]
 
     def test_concurrent_increments(self):
         ledger = CallLedger()

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from refrank.datamodel import (
-    CallLedger,
     DocCandidate,
     Qrels,
     RankEntry,
@@ -13,10 +12,7 @@ from refrank.datamodel import (
     build_ranking,
 )
 from refrank.eval import (
-    EfficiencyReport,
-    ExperimentReport,
     MetricConfig,
-    efficiency_report,
     evaluate_rankings,
     evaluate_run_map,
     mean_metric,
@@ -169,48 +165,3 @@ class TestEvaluateRankings:
         from_ranking = evaluate_rankings([ranking_of(["d2", "d1"])], qrels)
         assert from_map.per_query == from_ranking.per_query
 
-
-class TestEfficiencyReport:
-    def test_averages_and_exact_counts(self):
-        ledger = CallLedger()
-        for _ in range(4300):
-            ledger.record("pointwise", prompt_chars=10)
-        report = efficiency_report(ledger, 43)
-        assert report.calls["pointwise"] == 4300
-        assert report.avg_calls_per_query["pointwise"] == 100.0
-        assert report.prompt_chars == 43_000
-        assert report.total_calls == 4300
-
-    def test_wall_time_averaged(self):
-        ledger = CallLedger()
-        ledger.record_query_seconds("q1", 0.2)
-        ledger.record_query_seconds("q2", 0.4)
-        report = efficiency_report(ledger, 2)
-        assert report.avg_seconds_per_query == pytest.approx(0.3)
-
-    def test_query_count_validation(self):
-        with pytest.raises(ValidationError):
-            efficiency_report(CallLedger(), 0)
-
-
-class TestExperimentReport:
-    def test_json_round_trip(self, tmp_path):
-        report = ExperimentReport(
-            config={"seed": 7, "strategy": "pointwise"},
-            strategy="pointwise",
-            metric="ndcg@10",
-            per_query={"q1": 0.5},
-            mean=0.5,
-            judged_queries=1,
-            calls={"pointwise": 10},
-            total_calls=10,
-            query_seconds={"q1": 0.01},
-            total_seconds=0.01,
-        )
-        json_path = tmp_path / "report.json"
-        report.to_json(json_path)
-        import json
-
-        loaded = json.loads(json_path.read_text())
-        assert loaded["mean"] == 0.5
-        assert loaded["config"]["seed"] == 7

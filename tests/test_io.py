@@ -255,6 +255,21 @@ class TestAssembleExperiment:
         with pytest.raises(ValidationError):
             assemble_experiment(run_path, corpus_path, queries_path, depth=0)
 
+    @pytest.mark.parametrize("content", ["", "\n\n"])
+    def test_empty_run_file_rejected(self, tmp_path, content):
+        run_path, corpus_path, queries_path = self.write_inputs(tmp_path)
+        run_path.write_text(content)
+        with pytest.raises(ValidationError, match="first.run"):
+            assemble_experiment(run_path, corpus_path, queries_path, depth=3)
+
+    def test_blank_lines_counted_in_warnings(self, tmp_path):
+        run_path, corpus_path, queries_path = self.write_inputs(tmp_path)
+        run_path.write_text("\n" + run_path.read_text())
+        queries_path.write_text(queries_path.read_text() + "\n")
+        warnings = ParseWarnings()
+        assemble_experiment(run_path, corpus_path, queries_path, depth=3, warnings=warnings)
+        assert warnings.blank_lines == 2
+
     def test_query_missing_from_queries_file(self, tmp_path):
         run_path, corpus_path, queries_path = self.write_inputs(tmp_path)
         (tmp_path / "queries.tsv").write_text("q2\tother\n")
