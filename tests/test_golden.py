@@ -1,9 +1,11 @@
-"""Golden output bytes of the `rerank` and `analyze` commands.
+"""Golden output bytes of the `rerank` and `analyze` commands and of prompts.
 
 The digests pin the exact run files and sweep CSVs the CLI writes for a
 small seeded fixture, so any change to request construction, the oracle's
 noise keying, strategy dispatch or the writers that alters a single byte
-fails here. The CLI's oracle is built with noise_sigma=0; the test swaps in
+fails here. The prompt digests pin what the default templates render for
+every request kind, with and without truncation, since the endpoint judge
+sees nothing else. The CLI's oracle is built with noise_sigma=0; the test swaps in
 a noisy OracleConfig (pointwise bias, pair noise and reference-dependent
 noise all nonzero) so ties are rare and every noise draw reaches the output.
 
@@ -19,7 +21,7 @@ from click.testing import CliRunner
 
 import refrank.cli as cli_module
 from refrank.cli import cli
-from refrank.scorer import OracleConfig
+from refrank.scorer import JudgeRequest, OracleConfig, PromptTemplates, build_prompt
 
 from synth import make_synth, write_experiment_files
 
@@ -79,6 +81,47 @@ GOLDEN_SWEEPS = {
 }
 
 
+# 0 renders whole passages. Every fixture passage is 15 chars long, so 14
+# cuts each one and 15, the boundary, cuts none.
+PROMPT_CAPS = (0, 14, 15)
+
+GOLDEN_PROMPTS = {
+    "pointwise": (
+        "a9cf443d3593b55edc97184caad14f82"
+        "a814de252b95186a179aa21cece55636"
+    ),
+    "triplet": (
+        "96d31edc1873e734824cb308283ab6c0"
+        "bdd8c0ff241f242d3a4d11dfd876756a"
+    ),
+    "duel": (
+        "f25b9314cb0bef73192d22e3a874e14c"
+        "d8da7b662e12b709cf1696d51b2b6cf8"
+    ),
+    "setwise": (
+        "d8dbd85a90b888317eff9a5638665fc2"
+        "9b1b0c5cde36bbcaa7caf3c602a22b0f"
+    ),
+}
+
+
+def prompt_requests(kind: str) -> list[JudgeRequest]:
+    """Requests of one kind over a small synth fixture; triplets anchor on the top two."""
+    requests = []
+    for candidates in make_synth(2, 6, seed=29).lists:
+        query, docs = candidates.query, candidates.docs
+        if kind == "pointwise":
+            groups = [(doc,) for doc in docs]
+        elif kind == "triplet":
+            groups = [(doc, ref) for doc in docs for ref in docs[:2]]
+        elif kind == "duel":
+            groups = [(a, b) for a in docs for b in docs if a is not b]
+        else:
+            groups = [docs[i : i + size] for size in (2, 3, 4) for i in range(len(docs) - size + 1)]
+        requests += [JudgeRequest(kind, query, group) for group in groups]
+    return requests
+
+
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
     data = make_synth(4, 12, seed=29, rank_correlation=0.3)
@@ -118,3 +161,15 @@ def test_analyze_csv_bytes(inputs, noisy_oracle, tmp_path):
     assert result.exit_code == 0, result.output
     digests = {name: sha256(tmp_path / name) for name in GOLDEN_SWEEPS}
     assert digests == GOLDEN_SWEEPS
+
+
+@pytest.mark.parametrize("kind", list(GOLDEN_PROMPTS))
+def test_default_prompt_bytes(kind):
+    templates = PromptTemplates.defaults()
+    prompts = [
+        build_prompt(request, templates, cap)
+        for cap in PROMPT_CAPS
+        for request in prompt_requests(kind)
+    ]
+    digest = hashlib.sha256("\0".join(prompts).encode("utf-8")).hexdigest()
+    assert digest == GOLDEN_PROMPTS[kind]
