@@ -7,7 +7,9 @@ Every rerank run writes a config snapshot into its report: the options the
 run read, the seed, and the package version. Re-running with the same
 configuration and seed reproduces the run file byte for byte under the
 oracle backend, which never touches the network. Blank input lines and
-repeated qrel pairs are skipped with one warning on stderr.
+repeated qrel pairs are skipped with one warning on stderr. An output
+directory is created only once the inputs have loaded and the scorer is
+built.
 """
 
 from __future__ import annotations
@@ -240,26 +242,21 @@ def _warn_skipped(warnings: ParseWarnings) -> None:
         )
 
 
-def _run_all(lists, ranker, qrels: Qrels | None, options: dict):
-    """Rank every list on a fresh scorer.
-
-    Returns the rankings, the scorer's ledger and each query's seconds.
-    """
-    ledger = CallLedger()
-    scorer = _build_scorer(options, qrels, ledger)
+def _run_all(lists, ranker, scorer: Scorer, concurrency: int):
+    """Rank every list with the scorer; return the rankings and each query's seconds."""
 
     def run_one(candidate_list):
         started = time.perf_counter()
         ranking = ranker(candidate_list, scorer)
         return ranking, time.perf_counter() - started
 
-    if options["concurrency"] == 1:
+    if concurrency == 1:
         timed = [run_one(cl) for cl in lists]
     else:
-        with ThreadPoolExecutor(max_workers=options["concurrency"]) as pool:
+        with ThreadPoolExecutor(max_workers=concurrency) as pool:
             timed = list(pool.map(run_one, lists))
     seconds = {cl.query.id: elapsed for cl, (_, elapsed) in zip(lists, timed)}
-    return [ranking for ranking, _ in timed], ledger, seconds
+    return [ranking for ranking, _ in timed], seconds
 
 
 def _outputs(out_dir, force: bool, *names: str) -> list[Path]:
@@ -299,9 +296,11 @@ def cmd_rerank(out_dir, force, **options):
     """Rerank candidates and write a run file plus an experiment report."""
     strategy = options["strategy"]
     ranker = _rankers([strategy], options)[strategy]
-    run_out, report_out = _outputs(out_dir, force, f"{strategy}.run", f"{strategy}.report.json")
     lists, qrels = _load_inputs(options)
-    rankings, ledger, seconds = _run_all(lists, ranker, qrels, options)
+    ledger = CallLedger()
+    scorer = _build_scorer(options, qrels, ledger)
+    run_out, report_out = _outputs(out_dir, force, f"{strategy}.run", f"{strategy}.report.json")
+    rankings, seconds = _run_all(lists, ranker, scorer, options["concurrency"])
     write_run_file(rankings, strategy, run_out)
 
     if qrels is None:
@@ -351,11 +350,11 @@ def cmd_analyze(out_dir, force, **options):
     maximum; the top-k selection curve is the prefix mean of the
     anchor-index curve.
     """
+    lists, qrels = _load_inputs(options)
+    scorer = _build_scorer(options, qrels, CallLedger())
     reference_csv, topk_csv, ensemble_csv = _outputs(
         out_dir, force, "reference_sweep.csv", "topk_selection.csv", "ensemble_sweep.csv"
     )
-    lists, qrels = _load_inputs(options)
-    scorer = _build_scorer(options, qrels, CallLedger())
     metric = MetricConfig(gain=options["gain"])
     ref_topk = options["ref_topk"]
     depth_r = ref_topk if ref_topk is not None else min(10, min(len(cl) for cl in lists))
@@ -424,7 +423,9 @@ def cmd_bench(**options):
     click.echo(header)
     click.echo("-" * len(header))
     for name, ranker in rankers.items():
-        _, ledger, seconds = _run_all(lists, ranker, qrels, options)
+        ledger = CallLedger()
+        scorer = _build_scorer(options, qrels, ledger)
+        _, seconds = _run_all(lists, ranker, scorer, options["concurrency"])
         per_kind = " ".join(
             f"{kind}={count / len(lists):g}" for kind, count in ledger.counts.items() if count
         ) or "none"

@@ -61,8 +61,8 @@ class Query:
 class DocCandidate:
     """One first-stage candidate: passage text plus its initial rank and score.
 
-    Text is stored verbatim; truncation to a prompt budget is a scorer
-    concern, not a datamodel concern.
+    Text is stored verbatim and must not be empty or blank; truncation to a
+    prompt budget is a scorer concern, not a datamodel concern.
     """
 
     doc_id: str
@@ -73,6 +73,8 @@ class DocCandidate:
     def __post_init__(self):
         if not self.doc_id:
             raise ValidationError("doc_id must be nonempty")
+        if not self.text or self.text.isspace():
+            raise ValidationError(f"doc {self.doc_id}: text is empty")
         if self.first_stage_rank < 1:
             raise ValidationError(
                 f"doc {self.doc_id!r}: first_stage_rank must be >= 1, "

@@ -97,7 +97,10 @@ def _lines(path):
 def parse_run_file(
     path, warnings: ParseWarnings | None = None
 ) -> dict[str, list[RunEntry]]:
-    """Read a six-column run file into per-query entries sorted by rank."""
+    """Read a six-column run file into per-query entries sorted by rank.
+
+    A run file without entries is an error.
+    """
     warnings = warnings if warnings is not None else ParseWarnings()
     per_query: dict[str, list[RunEntry]] = {}
     seen: set[tuple[str, str]] = set()
@@ -127,6 +130,8 @@ def parse_run_file(
             )
         seen.add((query_id, doc_id))
         per_query.setdefault(query_id, []).append(RunEntry(doc_id, rank, score))
+    if not per_query:
+        raise ValidationError(f"run file {path} has no entries")
     for entries in per_query.values():
         entries.sort(key=lambda entry: entry.rank)
     return per_query
@@ -250,14 +255,12 @@ def assemble_experiment(
     Each query's run entries are truncated to ``depth`` and ranks renumbered
     contiguously from 1. Docs within the truncated pool must resolve in the
     corpus; when ``include_title`` is set, passage text is title + " " +
-    contents for records that carry a title. A run file without entries is
-    an error. Blank lines in all three files are counted in ``warnings``.
+    contents for records that carry a title. Blank lines in all three files
+    are counted in ``warnings``.
     """
     if depth < 1:
         raise ValidationError(f"depth must be >= 1, got {depth}")
     run = parse_run_file(run_path, warnings)
-    if not run:
-        raise ValidationError(f"run file {run_path} has no entries")
     corpus = parse_corpus_jsonl(corpus_path, warnings)
     queries: Mapping[str, Query] = {
         q.id: q for q in parse_queries_tsv(queries_path, warnings)

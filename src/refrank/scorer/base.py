@@ -100,7 +100,6 @@ class JudgeRequest:
     kind: str
     query: Query
     docs: tuple[DocCandidate, ...]
-    request_id: str = ""
 
     def __post_init__(self):
         docs = self.docs
@@ -116,10 +115,6 @@ class JudgeRequest:
             raise ValidationError(
                 f"{self.kind} request takes {allowed} documents, got {len(docs)}"
             )
-        for doc in docs:
-            text = doc.text
-            if not text or text.isspace():
-                raise ValidationError(f"doc {doc.doc_id}: text is empty")
 
     @property
     def labels(self) -> tuple[str, ...]:

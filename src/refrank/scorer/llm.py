@@ -30,7 +30,7 @@ from .base import (
     ScoringError,
     TransientBackendError,
 )
-from .prompts import PromptTemplates, build_prompt, check_placeholders
+from .prompts import PromptTemplates, build_prompt
 
 RETRYABLE_STATUS = frozenset({429, 500, 502, 503, 504})
 
@@ -69,7 +69,6 @@ class LlmBackendConfig:
         tokens = list(self.label_tokens.values())
         if len(tokens) != len(set(tokens)):
             raise ValidationError("label tokens must be distinct")
-        check_placeholders(self.templates)
 
     def token_for(self, label: str) -> str:
         return self.label_tokens.get(label, label)

@@ -1,17 +1,20 @@
 """Prompt construction for LLM judges: templates, placeholders, truncation.
 
-Templates are plain text with str.format placeholders. Required
-placeholders by request kind:
+Templates are plain text with str.format placeholders. SLOTS names the
+placeholder each document slot of a request kind fills; every template
+takes {query} as well:
 
   pointwise  {query} {doc}
   triplet    {query} {doc} {ref}
   duel       {query} {doc_i} {doc_j}
   setwise    {query} {docs}
 
-For setwise requests, {docs} expands to one lettered "Passage X: ..." block
-per group member, letters matching the request's labels. Document texts
-longer than the configured cap are cut at the cap and a truncation marker
-appended.
+PromptTemplates checks these placeholders when it is built, so a template
+that lacks one raises TemplateError when it is loaded, before any request
+is rendered. For setwise requests, {docs} expands to one lettered
+"Passage X: ..." block per group member, letters matching the request's
+labels. Document texts longer than the configured cap are cut at the cap
+and a truncation marker appended.
 """
 
 from __future__ import annotations
@@ -23,11 +26,13 @@ from .base import JudgeRequest, TemplateError
 
 TRUNCATION_MARKER = " [...]"
 
-REQUIRED_PLACEHOLDERS = {
-    "pointwise": ("{query}", "{doc}"),
-    "triplet": ("{query}", "{doc}", "{ref}"),
-    "duel": ("{query}", "{doc_i}", "{doc_j}"),
-    "setwise": ("{query}", "{docs}"),
+# kind -> the placeholder each document slot fills, in slot order. setwise
+# has one placeholder that holds every document as a lettered block.
+SLOTS = {
+    "pointwise": ("doc",),
+    "triplet": ("doc", "ref"),
+    "duel": ("doc_i", "doc_j"),
+    "setwise": ("docs",),
 }
 
 DEFAULT_TEMPLATES = {
@@ -60,17 +65,18 @@ DEFAULT_TEMPLATES = {
     ),
 }
 
-TEMPLATE_FILES = {kind: f"{kind}.txt" for kind in DEFAULT_TEMPLATES}
-
 
 @dataclass(frozen=True)
 class PromptTemplates:
-    """One template string per request kind."""
+    """One template string per request kind, checked by check_placeholders when built."""
 
     pointwise: str
     triplet: str
     duel: str
     setwise: str
+
+    def __post_init__(self):
+        check_placeholders(self)
 
     @classmethod
     def defaults(cls) -> "PromptTemplates":
@@ -81,24 +87,19 @@ class PromptTemplates:
         """Load ``<kind>.txt`` files; kinds without a file keep the default."""
         directory = Path(directory)
         values = dict(DEFAULT_TEMPLATES)
-        for kind, filename in TEMPLATE_FILES.items():
-            path = directory / filename
+        for kind in SLOTS:
+            path = directory / f"{kind}.txt"
             if path.is_file():
                 values[kind] = path.read_text(encoding="utf-8")
         return cls(**values)
 
-    def for_kind(self, kind: str) -> str:
-        try:
-            return getattr(self, kind)
-        except AttributeError:
-            raise TemplateError(kind, "no template for this request kind") from None
-
 
 def check_placeholders(templates: PromptTemplates) -> None:
     """Raise TemplateError naming the first required placeholder a template lacks."""
-    for kind, required in REQUIRED_PLACEHOLDERS.items():
-        template = templates.for_kind(kind)
-        for placeholder in required:
+    for kind, slots in SLOTS.items():
+        template = getattr(templates, kind)
+        for name in ("query", *slots):
+            placeholder = "{" + name + "}"
             if placeholder not in template:
                 raise TemplateError(placeholder, f"missing from the {kind} template")
 
@@ -109,49 +110,22 @@ def truncate_text(text: str, max_chars: int) -> str:
     return text
 
 
-def _doc_fields(*names):
-    """Fill one named placeholder per document slot, in slot order."""
-
-    def fields(request: JudgeRequest, max_chars: int) -> dict[str, str]:
-        return {
-            name: truncate_text(doc.text, max_chars)
-            for name, doc in zip(names, request.docs)
-        }
-
-    return fields
-
-
-def _setwise_fields(request: JudgeRequest, max_chars: int) -> dict[str, str]:
-    blocks = [
-        f"Passage {label}: {truncate_text(doc.text, max_chars)}"
-        for label, doc in zip(request.labels, request.docs)
-    ]
-    return {"docs": "\n\n".join(blocks)}
-
-
-DOC_FIELDS = {
-    "pointwise": _doc_fields("doc"),
-    "triplet": _doc_fields("doc", "ref"),
-    "duel": _doc_fields("doc_i", "doc_j"),
-    "setwise": _setwise_fields,
-}
-
-
 def build_prompt(
     request: JudgeRequest,
     templates: PromptTemplates,
     max_doc_chars: int = 0,
 ) -> str:
     """Substitute the request into its kind's template."""
-    template = templates.for_kind(request.kind)
-    for placeholder in REQUIRED_PLACEHOLDERS[request.kind]:
-        if placeholder not in template:
-            raise TemplateError(placeholder, f"missing from the {request.kind} template")
-
-    fields = DOC_FIELDS[request.kind](request, max_doc_chars)
+    kind = request.kind
+    texts = [truncate_text(doc.text, max_doc_chars) for doc in request.docs]
+    if kind == "setwise":
+        blocks = [f"Passage {label}: {text}" for label, text in zip(request.labels, texts)]
+        fields = {"docs": "\n\n".join(blocks)}
+    else:
+        fields = dict(zip(SLOTS[kind], texts))
     try:
-        return template.format(query=request.query.text, **fields)
+        return getattr(templates, kind).format(query=request.query.text, **fields)
     except KeyError as exc:
         raise TemplateError("{" + str(exc.args[0]) + "}", "not a known placeholder") from None
     except (IndexError, ValueError) as exc:
-        raise TemplateError(request.kind, f"malformed template: {exc}") from None
+        raise TemplateError(kind, f"malformed template: {exc}") from None

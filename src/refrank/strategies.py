@@ -157,7 +157,7 @@ def _scored_batch(scorer: Scorer, requests: list[JudgeRequest]) -> list[LabelLog
         return scorer.score_batch(requests)
     except BatchScoringError as exc:
         failed = ", ".join(
-            requests[i].request_id or f"#{i}" for i in sorted(exc.errors)[:8]
+            "|".join(doc.doc_id for doc in requests[i].docs) for i in sorted(exc.errors)[:8]
         )
         raise ScoringError(f"scoring failed for: {failed}") from exc
 
@@ -166,7 +166,7 @@ def rank_pointwise(candidates: CandidateList, scorer: Scorer) -> Ranking:
     """Independent yes/no judgment per document; exactly n judge calls."""
     query = candidates.query
     requests = [
-        JudgeRequest("pointwise", query, (doc,), request_id=doc.doc_id)
+        JudgeRequest("pointwise", query, (doc,))
         for doc in candidates.docs
     ]
     results = _scored_batch(scorer, requests)
@@ -193,12 +193,12 @@ def rank_refrank_single(
     query = candidates.query
     ref = resolve_reference(candidates, policy)
     requests = [
-        JudgeRequest("triplet", query, (doc, ref), request_id=doc.doc_id)
+        JudgeRequest("triplet", query, (doc, ref))
         for doc in candidates.docs
     ]
     if swap_slots:
         requests += [
-            JudgeRequest("triplet", query, (ref, doc), request_id=f"{doc.doc_id}~swap")
+            JudgeRequest("triplet", query, (ref, doc))
             for doc in candidates.docs
         ]
     results = _scored_batch(scorer, requests)
@@ -230,7 +230,7 @@ def rank_refrank_multiple(
     query = candidates.query
     refs = candidates.docs[: config.m]
     requests = [
-        JudgeRequest("triplet", query, (doc, ref), request_id=f"{doc.doc_id}|{ref.doc_id}")
+        JudgeRequest("triplet", query, (doc, ref))
         for doc in candidates.docs
         for ref in refs
     ]
@@ -268,11 +268,7 @@ def rank_pairwise_allpairs(
             if i == j or (not both_orders and i > j):
                 continue
             index[(i, j)] = len(requests)
-            requests.append(
-                JudgeRequest(
-                    "duel", query, (doc_a, doc_b), request_id=f"{doc_a.doc_id}|{doc_b.doc_id}"
-                )
-            )
+            requests.append(JudgeRequest("duel", query, (doc_a, doc_b)))
     results = _scored_batch(scorer, requests)
 
     def prob_a(i: int, j: int) -> float:
@@ -312,11 +308,7 @@ def rank_pairwise_bubblesort(
     for settled in range(k):
         for i in range(n - 2, settled - 1, -1):
             upper, lower = order[i], order[i + 1]
-            logits = scorer.score(
-                JudgeRequest(
-                    "duel", query, (lower, upper), request_id=f"{lower.doc_id}|{upper.doc_id}"
-                )
-            )
+            logits = scorer.score(JudgeRequest("duel", query, (lower, upper)))
             if refrank_score(logits["A"], logits["B"]) > 0.5:
                 order[i], order[i + 1] = lower, upper
     final = order[:k] + sorted(order[k:], key=tiebreak_key)
@@ -344,9 +336,7 @@ def rank_setwise_heapsort(
     heap = list(candidates.docs)
 
     def most_relevant(group: list[DocCandidate]) -> int:
-        request = JudgeRequest(
-            "setwise", query, tuple(group), request_id="|".join(d.doc_id for d in group)
-        )
+        request = JudgeRequest("setwise", query, tuple(group))
         logits = scorer.score(request)
         labels = request.labels
         best = 0

@@ -184,19 +184,42 @@ class TestRerank:
         ("rerank", ["--out", "out", "--strategy", "pointwise"]),
         ("analyze", ["--out", "out"]),
         ("bench", ["--strategy", "pointwise"]),
+        ("eval", ["--out", "out"]),
     ],
 )
 def test_empty_run_file_is_runtime_error(fixture_files, tmp_path, monkeypatch, command, extra):
     data, paths = fixture_files
     paths[0].write_text("")
     monkeypatch.chdir(tmp_path)
-    result = CliRunner().invoke(
-        cli, [command, *input_args(paths), "--qrels", str(paths[3]), "--seed", "7", *extra]
-    )
+    inputs = ["--run", str(paths[0])] if command == "eval" else [*input_args(paths), "--seed", "7"]
+    result = CliRunner().invoke(cli, [command, *inputs, "--qrels", str(paths[3]), *extra])
     assert result.exit_code == 1
     assert "error:" in result.output
     assert str(paths[0]) in result.output
-    assert not (tmp_path / "out" / "pointwise.run").exists()
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, extra, exit_code",
+    [
+        ("rerank", ["--strategy", "pointwise"], 2),  # no --seed
+        ("analyze", ["--backend", "endpoint", "--model", "m"], 2),  # no --endpoint-url
+        ("rerank", ["--backend", "endpoint", "--endpoint-url", "http://127.0.0.1:9",
+                    "--model", "m", "--template-dir", "templates"], 1),
+    ],
+    ids=["rerank-no-seed", "analyze-no-endpoint-url", "template-without-ref"],
+)
+def test_failed_setup_creates_no_out_dir(fixture_files, tmp_path, monkeypatch, command, extra,
+                                         exit_code):
+    data, paths = fixture_files
+    (tmp_path / "templates").mkdir()
+    (tmp_path / "templates" / "triplet.txt").write_text("{query} {doc}")
+    monkeypatch.chdir(tmp_path)
+    result = CliRunner().invoke(
+        cli, [command, *input_args(paths), "--qrels", str(paths[3]), "--out", "out", *extra]
+    )
+    assert result.exit_code == exit_code, result.output
+    assert not (tmp_path / "out").exists()
 
 
 class TestAnalyze:

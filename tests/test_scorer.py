@@ -266,15 +266,13 @@ class TestPrompts:
         assert build_prompt(JudgeRequest(kind, QUERY, docs), templates) == expected
 
     def test_missing_required_placeholder(self):
-        templates = PromptTemplates(
-            pointwise="Q: {query} D: {doc}",
-            triplet="Q: {query} A: {doc}",  # no {ref}
-            duel="Q: {query} A: {doc_i} B: {doc_j}",
-            setwise="Q: {query}\n{docs}",
-        )
-        request = JudgeRequest("triplet", QUERY, (doc("p"), doc("r", 2)))
         with pytest.raises(TemplateError) as exc:
-            build_prompt(request, templates)
+            PromptTemplates(
+                pointwise="Q: {query} D: {doc}",
+                triplet="Q: {query} A: {doc}",  # no {ref}
+                duel="Q: {query} A: {doc_i} B: {doc_j}",
+                setwise="Q: {query}\n{docs}",
+            )
         assert exc.value.placeholder == "{ref}"
 
     def test_unknown_placeholder(self):
@@ -312,6 +310,12 @@ class TestPrompts:
         templates = PromptTemplates.from_dir(tmp_path)
         assert templates.triplet.startswith("custom")
         assert templates.pointwise == PromptTemplates.defaults().pointwise
+
+    def test_from_dir_rejects_missing_placeholder_at_load(self, tmp_path):
+        (tmp_path / "triplet.txt").write_text("custom {query} {doc}")
+        with pytest.raises(TemplateError) as exc:
+            PromptTemplates.from_dir(tmp_path)
+        assert exc.value.placeholder == "{ref}"
 
 
 class StubHandler(BaseHTTPRequestHandler):
@@ -479,13 +483,13 @@ class TestLlmScorer:
             )
 
     def test_config_rejects_template_missing_required_placeholder(self):
-        broken = PromptTemplates(
-            pointwise="no placeholders here",
-            triplet=PromptTemplates.defaults().triplet,
-            duel=PromptTemplates.defaults().duel,
-            setwise=PromptTemplates.defaults().setwise,
-        )
         with pytest.raises(TemplateError):
+            broken = PromptTemplates(
+                pointwise="no placeholders here",
+                triplet=PromptTemplates.defaults().triplet,
+                duel=PromptTemplates.defaults().duel,
+                setwise=PromptTemplates.defaults().setwise,
+            )
             LlmBackendConfig(base_url="http://x", model="m", templates=broken)
 
 

@@ -337,3 +337,22 @@ class TestErrorTagging:
         with pytest.raises(ScoringError) as exc:
             rank_pointwise(cl, scorer)
         assert cl.docs[2].doc_id in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "rank, refs",
+        [
+            (lambda cl, sc: rank_refrank_multiple(cl, sc, EnsembleConfig(2)), (0, 1)),
+            (lambda cl, sc: rank_refrank_single(cl, sc, FixedIndex(2)), (1,)),
+        ],
+        ids=["refrank-multiple", "refrank-single"],
+    )
+    def test_batch_failure_names_doc_and_ref(self, rank, refs):
+        cl, latents = fixture_list(5)
+        broken = dict(latents)
+        del broken[(cl.query.id, cl.docs[2].doc_id)]
+        from refrank.scorer import ScoringError
+
+        with pytest.raises(ScoringError) as exc:
+            rank(cl, oracle_for(broken))
+        failed = ", ".join(f"{cl.docs[2].doc_id}|{cl.docs[r].doc_id}" for r in refs)
+        assert str(exc.value) == f"scoring failed for: {failed}"
