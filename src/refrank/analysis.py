@@ -70,6 +70,15 @@ class SweepResult:
         _write_curve_csv(path, self.cells, self.mean, self.normalized)
 
 
+def check_sweep_depth(lists: Sequence[CandidateList], depth: int, name: str) -> None:
+    """Reject a sweep depth outside 1..(length of the shortest list)."""
+    if not lists:
+        raise ValidationError("no candidate lists to sweep")
+    shortest = min(len(cl) for cl in lists)
+    if not 1 <= depth <= shortest:
+        raise ValidationError(f"{name}={depth} must be within 1..{shortest} (shortest list)")
+
+
 def _sweep(lists, scorer, qrels, cells, run_cell, metric, tag, kind) -> SweepResult:
     rows = []
     for candidate_list in lists:
@@ -100,13 +109,7 @@ def sweep_reference_quality(
     tag: str = "dataset",
 ) -> SweepResult:
     """Mean ranking quality when anchoring on first-stage rank r, r = 1..depth_r."""
-    if not lists:
-        raise ValidationError("no candidate lists to sweep")
-    shortest = min(len(cl) for cl in lists)
-    if not 1 <= depth_r <= shortest:
-        raise ValidationError(
-            f"depth_r={depth_r} must be within 1..{shortest} (shortest list)"
-        )
+    check_sweep_depth(lists, depth_r, "depth_r")
 
     def run_cell(candidate_list, r):
         return rank_refrank_single(candidate_list, scorer, FixedIndex(r))
@@ -140,13 +143,7 @@ def sweep_ensemble_size(
     tag: str = "dataset",
 ) -> SweepResult:
     """Mean ranking quality of the uniform top-m anchor ensemble, m = 1..m_max."""
-    if not lists:
-        raise ValidationError("no candidate lists to sweep")
-    shortest = min(len(cl) for cl in lists)
-    if not 1 <= m_max <= shortest:
-        raise ValidationError(
-            f"m_max={m_max} must be within 1..{shortest} (shortest list)"
-        )
+    check_sweep_depth(lists, m_max, "m_max")
 
     def run_cell(candidate_list, m):
         return rank_refrank_multiple(candidate_list, scorer, EnsembleConfig(m))

@@ -8,8 +8,8 @@ run read, the seed, and the package version. Re-running with the same
 configuration and seed reproduces the run file byte for byte under the
 oracle backend, which never touches the network. Blank input lines and
 repeated qrel pairs are skipped with one warning on stderr. An output
-directory is created only once the inputs have loaded and the scorer is
-built.
+directory is created only once the inputs have loaded, the scorer is built
+and analyze's sweep depths are checked.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from click.core import ParameterSource
 
 from . import __version__
 from .analysis import (
+    check_sweep_depth,
     sweep_ensemble_size,
     sweep_reference_quality,
     sweep_topk_selection,
@@ -347,17 +348,20 @@ def cmd_analyze(out_dir, force, **options):
     """Sweep anchor index and ensemble size; write one CSV per curve.
 
     --ref-topk sets the anchor-index sweep depth and --m the ensemble sweep
-    maximum; the top-k selection curve is the prefix mean of the
+    maximum, each within 1..(shortest list length) and checked before any
+    judge call; the top-k selection curve is the prefix mean of the
     anchor-index curve.
     """
     lists, qrels = _load_inputs(options)
     scorer = _build_scorer(options, qrels, CallLedger())
+    ref_topk = options["ref_topk"]
+    depth_r = ref_topk if ref_topk is not None else min(10, min(len(cl) for cl in lists))
+    check_sweep_depth(lists, depth_r, "--ref-topk")
+    check_sweep_depth(lists, options["m"], "--m")
     reference_csv, topk_csv, ensemble_csv = _outputs(
         out_dir, force, "reference_sweep.csv", "topk_selection.csv", "ensemble_sweep.csv"
     )
     metric = MetricConfig(gain=options["gain"])
-    ref_topk = options["ref_topk"]
-    depth_r = ref_topk if ref_topk is not None else min(10, min(len(cl) for cl in lists))
 
     reference = sweep_reference_quality(lists, scorer, qrels, depth_r, metric)
     reference.to_csv(reference_csv)

@@ -142,8 +142,6 @@ class CandidateList:
 
 def make_candidate_list(query: Query, docs: Sequence[DocCandidate]) -> CandidateList:
     """Sort docs by first-stage rank and validate the resulting list."""
-    if not docs:
-        raise ValidationError(f"query {query.id!r}: no candidate docs given")
     return CandidateList(query, tuple(sorted(docs, key=tiebreak_key)))
 
 
@@ -209,11 +207,8 @@ def build_ranking(
 
     Sorting is total and deterministic: score descending, then first-stage
     rank ascending, and (score, first_stage_rank) pairs are unique within a
-    candidate list.
+    candidate list. Ranking rejects a non-finite score.
     """
-    for doc, score in scored:
-        if not math.isfinite(score):
-            raise ValidationError(f"doc {doc.doc_id!r}: non-finite score {score}")
     ordered = sorted(scored, key=lambda pair: (-pair[1], tiebreak_key(pair[0])))
     entries = tuple(
         RankEntry(doc.doc_id, score, position)

@@ -283,14 +283,17 @@ def assemble_experiment(
 
     lists: list[CandidateList] = []
     for query_id, entries in kept.items():
-        docs = [
-            DocCandidate(
-                doc_id=entry.doc_id,
-                text=corpus[entry.doc_id].passage_text(include_title),
-                first_stage_rank=new_rank,
-                first_stage_score=entry.score,
-            )
-            for new_rank, entry in enumerate(entries, start=1)
-        ]
+        try:
+            docs = [
+                DocCandidate(
+                    doc_id=entry.doc_id,
+                    text=corpus[entry.doc_id].passage_text(include_title),
+                    first_stage_rank=new_rank,
+                    first_stage_score=entry.score,
+                )
+                for new_rank, entry in enumerate(entries, start=1)
+            ]
+        except ValidationError as exc:
+            raise ValidationError(f"{corpus_path}: {exc}") from exc
         lists.append(make_candidate_list(queries[query_id], docs))
     return lists

@@ -4,7 +4,6 @@ from .base import (
     BatchScoringError,
     DegenerateResponseError,
     JudgeRequest,
-    LabelLogits,
     Scorer,
     ScoringError,
     TemplateError,
@@ -19,7 +18,6 @@ __all__ = [
     "BatchScoringError",
     "DegenerateResponseError",
     "JudgeRequest",
-    "LabelLogits",
     "LlmBackendConfig",
     "LlmScorer",
     "OracleConfig",

@@ -1,17 +1,19 @@
-"""Scoring interface: request kinds, label logits, and the scorer contract.
+"""Scoring interface: request kinds and the scorer contract.
 
 A scorer is a relevance judge. It takes a JudgeRequest, the query plus an
-ordered tuple of documents, and returns raw log-likelihoods per answer
-label. The request kind fixes the documents and the labels:
+ordered tuple of documents, and returns a dict from each answer label to its
+raw log-likelihood. The request kind fixes the documents and the labels:
 
   pointwise  (doc,)          labels yes / no
   triplet    (doc, ref)      labels A (candidate) / B (reference)
   duel       (doc_a, doc_b)  labels A / B
   setwise    docs[2..26]     labels A.. one letter per group member
 
-Normalization of logits into scores lives in the strategies module; scorers
-return raw values. Every successful call increments the shared CallLedger
-exactly once with the request kind.
+Scorer.score checks every answer once: a label that is missing or not
+finite raises DegenerateResponseError, so code downstream of it takes the
+values as they are. Normalization of logits into scores lives in the
+strategies module; scorers return raw values. Every successful call
+increments the shared CallLedger exactly once with the request kind.
 """
 
 from __future__ import annotations
@@ -121,51 +123,33 @@ class JudgeRequest:
         return KINDS[self.kind][2] or setwise_labels(len(self.docs))
 
 
-@dataclass(frozen=True)
-class LabelLogits:
-    """Raw label log-likelihoods returned by a judge."""
-
-    logits: Mapping[str, float]
-
-    def __post_init__(self):
-        object.__setattr__(self, "logits", dict(self.logits))
-        for label, value in self.logits.items():
-            if not math.isfinite(value):
-                raise ValidationError(f"logit for label {label!r} is not finite")
-
-    def __getitem__(self, label: str) -> float:
-        return self.logits[label]
-
-    def labels(self) -> tuple[str, ...]:
-        return tuple(self.logits)
-
-
 class Scorer(ABC):
     """Uniform interface over relevance judges.
 
-    Implementations must be safe to call from multiple threads and must
-    return one finite logit per request label. ``score_batch`` results are
-    positionally aligned with the requests regardless of completion order.
+    Implementations must be safe to call from multiple threads; ``score``
+    rejects an answer without one finite logit per request label.
+    ``score_batch`` results are positionally aligned with the requests
+    regardless of completion order.
     """
 
     def __init__(self, ledger: CallLedger | None = None):
         self.ledger = ledger if ledger is not None else CallLedger()
 
     @abstractmethod
-    def _score_one(self, request: JudgeRequest) -> tuple[LabelLogits, int]:
-        """Return (logits, prompt character count) for one request."""
+    def _score_one(self, request: JudgeRequest) -> tuple[dict[str, float], int]:
+        """Return (label -> logit, prompt character count) for one request."""
 
-    def score(self, request: JudgeRequest) -> LabelLogits:
+    def score(self, request: JudgeRequest) -> dict[str, float]:
         logits, prompt_chars = self._score_one(request)
-        missing = [label for label in request.labels if label not in logits.logits]
-        if missing:
-            raise DegenerateResponseError(
-                f"backend produced no logit for labels {missing}", payload=logits.logits
-            )
+        for label in request.labels:
+            if not math.isfinite(logits.get(label, math.nan)):
+                raise DegenerateResponseError(
+                    f"backend produced no finite logit for label {label!r}", payload=logits
+                )
         self.ledger.record(request.kind, prompt_chars)
         return logits
 
-    def score_batch(self, requests: Sequence[JudgeRequest]) -> list[LabelLogits]:
+    def score_batch(self, requests: Sequence[JudgeRequest]) -> list[dict[str, float]]:
         """Score all requests, preserving order.
 
         On partial failure raises BatchScoringError carrying both the
@@ -175,13 +159,13 @@ class Scorer(ABC):
         return self._collect(self.score, requests)
 
     @staticmethod
-    def _collect(judge, items) -> list[LabelLogits]:
+    def _collect(judge, items) -> list[dict[str, float]]:
         """Apply judge to each item in order, gathering per-index failures.
 
         Raises BatchScoringError carrying every success and every failure
         when any item fails.
         """
-        results: list[LabelLogits | None] = []
+        results: list[dict[str, float] | None] = []
         errors: dict[int, Exception] = {}
         for index, item in enumerate(items):
             try:

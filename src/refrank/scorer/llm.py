@@ -6,9 +6,9 @@ the first generated position. A label's logit is the log-probability of its
 token; a leading-space variant is probed as well and the larger value taken
 (tokenizers differ on whitespace). Labels absent from the top-K get a floor
 of one nat below the smallest returned log-probability. A response with no
-usable top-K list, or in which no label token appears at all, is degenerate
-and never retried; transient transport failures are retried with
-exponential backoff.
+usable top-K list, in which no label token appears at all, or in which a
+label's log-probability is not finite, is degenerate and never retried;
+transient transport failures are retried with exponential backoff.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from ..datamodel import CallLedger, ValidationError
 from .base import (
     DegenerateResponseError,
     JudgeRequest,
-    LabelLogits,
     Scorer,
     ScoringError,
     TransientBackendError,
@@ -91,7 +90,7 @@ class LlmScorer(Scorer):
             self._headers["Authorization"] = f"Bearer {api_key}"
         self._session = requests.Session()
 
-    def _score_one(self, request: JudgeRequest) -> tuple[LabelLogits, int]:
+    def _score_one(self, request: JudgeRequest) -> tuple[dict[str, float], int]:
         prompt = build_prompt(request, self.config.templates, self.config.max_doc_chars)
         payload = {
             "model": self.config.model,
@@ -138,7 +137,7 @@ class LlmScorer(Scorer):
             f"request failed after {attempts} attempt(s): {last_failure}"
         )
 
-    def _extract_logits(self, request: JudgeRequest, data: dict) -> LabelLogits:
+    def _extract_logits(self, request: JudgeRequest, data: dict) -> dict[str, float]:
         try:
             top = data["choices"][0]["logprobs"]["content"][0]["top_logprobs"]
         except (KeyError, IndexError, TypeError):
@@ -174,9 +173,9 @@ class LlmScorer(Scorer):
                 f"appears in the top-{self.config.top_logprobs} log-probabilities",
                 payload=data,
             )
-        return LabelLogits(values)
+        return values
 
-    def score_batch(self, requests_seq: Sequence[JudgeRequest]) -> list[LabelLogits]:
+    def score_batch(self, requests_seq: Sequence[JudgeRequest]) -> list[dict[str, float]]:
         """Concurrent scoring with bounded in-flight requests; order preserved."""
         if not requests_seq:
             return []

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 from .._seeded import stable_digest, std_normal, unit_uniform
 from ..datamodel import CallLedger, DocCandidate, Qrels, ValidationError
-from .base import JudgeRequest, LabelLogits, Scorer
+from .base import JudgeRequest, Scorer
 
 
 def oracle_latent(doc: DocCandidate, qrels: Qrels, query_id: str) -> float:
@@ -114,7 +114,7 @@ class OracleScorer(Scorer):
         draw = std_normal(self._seed, kind, query_id, lo, hi)
         return sigma * draw if id_a == lo else -sigma * draw
 
-    def _pointwise(self, request: JudgeRequest) -> LabelLogits:
+    def _pointwise(self, request: JudgeRequest) -> dict[str, float]:
         cfg = self.config
         query_id = request.query.id
         (doc,) = request.docs
@@ -125,9 +125,9 @@ class OracleScorer(Scorer):
             diff += cfg.noise_sigma * std_normal(
                 self._seed, "pointwise", query_id, doc.doc_id
             )
-        return LabelLogits({"yes": 0.5 * diff, "no": -0.5 * diff})
+        return {"yes": 0.5 * diff, "no": -0.5 * diff}
 
-    def _duel(self, request: JudgeRequest, ref_noise_scale: float = 0.0) -> LabelLogits:
+    def _duel(self, request: JudgeRequest, ref_noise_scale: float = 0.0) -> dict[str, float]:
         cfg = self.config
         query_id = request.query.id
         doc_a, doc_b = request.docs
@@ -135,12 +135,12 @@ class OracleScorer(Scorer):
         g_b = self.latent(query_id, doc_b)
         sigma = cfg.noise_sigma + ref_noise_scale * (1.0 - g_b)
         eps = self._pair_noise(request.kind, query_id, doc_a.doc_id, doc_b.doc_id, sigma)
-        return LabelLogits({"A": cfg.beta * g_a + 0.5 * eps, "B": cfg.beta * g_b - 0.5 * eps})
+        return {"A": cfg.beta * g_a + 0.5 * eps, "B": cfg.beta * g_b - 0.5 * eps}
 
-    def _triplet(self, request: JudgeRequest) -> LabelLogits:
+    def _triplet(self, request: JudgeRequest) -> dict[str, float]:
         return self._duel(request, self.config.ref_noise_scale)
 
-    def _setwise(self, request: JudgeRequest) -> LabelLogits:
+    def _setwise(self, request: JudgeRequest) -> dict[str, float]:
         cfg = self.config
         query_id = request.query.id
         group_key = stable_digest(*sorted(d.doc_id for d in request.docs)).hex()
@@ -152,7 +152,7 @@ class OracleScorer(Scorer):
                     self._seed, "setwise", query_id, group_key, doc.doc_id
                 )
             values[label] = logit
-        return LabelLogits(values)
+        return values
 
     _JUDGES = {
         "pointwise": _pointwise,
@@ -161,7 +161,7 @@ class OracleScorer(Scorer):
         "setwise": _setwise,
     }
 
-    def _score_one(self, request: JudgeRequest) -> tuple[LabelLogits, int]:
+    def _score_one(self, request: JudgeRequest) -> tuple[dict[str, float], int]:
         chars = len(request.query.text)
         for doc in request.docs:
             chars += len(doc.text)

@@ -34,7 +34,6 @@ from .datamodel import (
 from .scorer.base import (
     BatchScoringError,
     JudgeRequest,
-    LabelLogits,
     Scorer,
     ScoringError,
 )
@@ -42,8 +41,6 @@ from .scorer.base import (
 
 def _two_way_softmax(first: float, second: float) -> float:
     """exp(first) / (exp(first) + exp(second)), safe for large magnitudes."""
-    if not (math.isfinite(first) and math.isfinite(second)):
-        raise ValidationError("logits must be finite")
     top = first if first >= second else second
     e_first = math.exp(first - top)
     e_second = math.exp(second - top)
@@ -133,8 +130,8 @@ class EnsembleConfig:
             raise ValidationError(
                 f"expected {self.m} weights, got {len(weights)}"
             )
-        if any(w < 0 for w in weights):
-            raise ValidationError("weights must be nonnegative")
+        if not all(w >= 0 for w in weights):
+            raise ValidationError(f"weights must be nonnegative, got {weights!r}")
         if abs(sum(weights) - 1.0) > 1e-9:
             raise ValidationError(f"weights must sum to 1, got {sum(weights)!r}")
 
@@ -152,7 +149,7 @@ class EnsembleConfig:
             )
 
 
-def _scored_batch(scorer: Scorer, requests: list[JudgeRequest]) -> list[LabelLogits]:
+def _scored_batch(scorer: Scorer, requests: list[JudgeRequest]) -> list[dict[str, float]]:
     try:
         return scorer.score_batch(requests)
     except BatchScoringError as exc:

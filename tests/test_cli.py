@@ -206,8 +206,14 @@ def test_empty_run_file_is_runtime_error(fixture_files, tmp_path, monkeypatch, c
         ("analyze", ["--backend", "endpoint", "--model", "m"], 2),  # no --endpoint-url
         ("rerank", ["--backend", "endpoint", "--endpoint-url", "http://127.0.0.1:9",
                     "--model", "m", "--template-dir", "templates"], 1),
+        ("rerank", ["--strategy", "refrank-multiple", "--m", "2", "--weights", "nan,1",
+                    "--seed", "1"], 1),
+        ("analyze", ["--m", "20", "--seed", "7"], 1),
+        ("analyze", ["--m", "0", "--seed", "7"], 1),
+        ("analyze", ["--ref-topk", "0", "--seed", "7"], 1),
     ],
-    ids=["rerank-no-seed", "analyze-no-endpoint-url", "template-without-ref"],
+    ids=["rerank-no-seed", "analyze-no-endpoint-url", "template-without-ref", "nan-weight",
+         "analyze-m-past-list", "analyze-m-zero", "analyze-ref-topk-zero"],
 )
 def test_failed_setup_creates_no_out_dir(fixture_files, tmp_path, monkeypatch, command, extra,
                                          exit_code):

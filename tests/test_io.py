@@ -262,6 +262,14 @@ class TestAssembleExperiment:
         with pytest.raises(ValidationError, match="first.run"):
             assemble_experiment(run_path, corpus_path, queries_path, depth=3)
 
+    def test_blank_passage_names_corpus_file(self, tmp_path):
+        run_path, corpus_path, queries_path = self.write_inputs(tmp_path, n_docs=3)
+        corpus_path.write_text(
+            corpus_path.read_text().replace('"passage 2"', '"   "')
+        )
+        with pytest.raises(ValidationError, match=r"corpus\.jsonl: doc d2: text is empty"):
+            assemble_experiment(run_path, corpus_path, queries_path, depth=3)
+
     def test_blank_lines_counted_in_warnings(self, tmp_path):
         run_path, corpus_path, queries_path = self.write_inputs(tmp_path)
         run_path.write_text("\n" + run_path.read_text())

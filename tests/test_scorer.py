@@ -11,12 +11,12 @@ from refrank.scorer import (
     BatchScoringError,
     DegenerateResponseError,
     JudgeRequest,
-    LabelLogits,
     LlmBackendConfig,
     LlmScorer,
     OracleConfig,
     OracleScorer,
     PromptTemplates,
+    Scorer,
     ScoringError,
     TemplateError,
     TransientBackendError,
@@ -66,9 +66,21 @@ class TestRequests:
         request = JudgeRequest("setwise", QUERY, (doc("a"), doc("b"), doc("c")))
         assert request.labels == ("A", "B", "C")
 
-    def test_label_logits_require_finite(self):
-        with pytest.raises(ValidationError):
-            LabelLogits({"A": float("inf")})
+    @pytest.mark.parametrize(
+        "answer",
+        [{"A": 0.5}, {"A": 0.5, "B": float("-inf")}, {"A": float("nan"), "B": 0.5}],
+        ids=["missing", "infinite", "nan"],
+    )
+    def test_score_rejects_missing_or_nonfinite_label(self, answer):
+        class FixedJudge(Scorer):
+            def _score_one(self, request):
+                return answer, 0
+
+        judge = FixedJudge()
+        with pytest.raises(DegenerateResponseError) as exc:
+            judge.score(PROBE_TRIPLET)
+        assert exc.value.payload == answer
+        assert judge.ledger.total_calls == 0
 
 
 class TestOracleLatent:
@@ -103,7 +115,7 @@ class TestOracleScorer:
         request = JudgeRequest("triplet", QUERY, (doc("a"), doc("b", 2)))
         first = make_oracle(latents=latents, noise_sigma=0.8).score(request)
         second = make_oracle(latents=latents, noise_sigma=0.8).score(request)
-        assert first.logits == second.logits
+        assert first == second
 
     def test_swap_symmetry_is_exact_even_with_noise(self):
         latents = {("q1", "a"): 0.9, ("q1", "b"): 0.2}
@@ -209,7 +221,7 @@ class TestScoreBatch:
         assert len(results) == 10
         assert oracle.ledger.count("pointwise") == 10
         singles = [make_oracle(latents=latents).score(r) for r in requests]
-        assert [r.logits for r in results] == [s.logits for s in singles]
+        assert results == singles
 
     def test_empty_batch(self):
         oracle = make_oracle(latents={})
@@ -224,7 +236,7 @@ class TestScoreBatch:
         whole = make_oracle(latents=latents).score_batch(requests)
         oracle = make_oracle(latents=latents)
         split = oracle.score_batch(requests[:3]) + oracle.score_batch(requests[3:])
-        assert [r.logits for r in whole] == [r.logits for r in split]
+        assert whole == split
 
     def test_partial_failure_carries_results_and_errors(self):
         latents = {("q1", "good"): 0.5}
@@ -412,6 +424,15 @@ class TestLlmScorer:
             llm_scorer(stub_server).score(PROBE_TRIPLET)
         # degenerate responses are not retried
         assert len(StubHandler.calls) == 1
+
+    def test_infinite_label_logprob_is_degenerate(self, stub_server):
+        top = [{"token": "A", "logprob": float("-inf")}, {"token": "B", "logprob": -0.5}]
+        StubHandler.behaviors = [lambda i: (200, completion_payload(top))]
+        scorer = llm_scorer(stub_server)
+        with pytest.raises(DegenerateResponseError):
+            scorer.score(PROBE_TRIPLET)
+        assert len(StubHandler.calls) == 1
+        assert scorer.ledger.total_calls == 0
 
     def test_missing_logprobs_structure_is_degenerate(self, stub_server):
         StubHandler.behaviors = [lambda i: (200, {"choices": [{}]})]

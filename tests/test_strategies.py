@@ -253,6 +253,10 @@ class TestEnsembleConfig:
         with pytest.raises(ValidationError):
             EnsembleConfig(2, (1.5, -0.5))
 
+    def test_nan_weight_rejected(self):
+        with pytest.raises(ValidationError):
+            EnsembleConfig(2, (float("nan"), 1.0))
+
     def test_m_greater_than_n_is_error(self):
         cl, latents = fixture_list(5)
         with pytest.raises(ValidationError):
