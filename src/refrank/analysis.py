@@ -79,7 +79,7 @@ def check_sweep_depth(lists: Sequence[CandidateList], depth: int, name: str) -> 
         raise ValidationError(f"{name}={depth} must be within 1..{shortest} (shortest list)")
 
 
-def _sweep(lists, scorer, qrels, cells, run_cell, metric, tag, kind) -> SweepResult:
+def _sweep(lists, qrels, cells, run_cell, metric, tag, kind) -> SweepResult:
     rows = []
     for candidate_list in lists:
         row = tuple(
@@ -114,9 +114,7 @@ def sweep_reference_quality(
     def run_cell(candidate_list, r):
         return rank_refrank_single(candidate_list, scorer, FixedIndex(r))
 
-    return _sweep(
-        lists, scorer, qrels, range(1, depth_r + 1), run_cell, metric, tag, "reference"
-    )
+    return _sweep(lists, qrels, range(1, depth_r + 1), run_cell, metric, tag, "reference")
 
 
 def sweep_topk_selection(sweep: SweepResult, k_max: int) -> list[float]:
@@ -148,9 +146,7 @@ def sweep_ensemble_size(
     def run_cell(candidate_list, m):
         return rank_refrank_multiple(candidate_list, scorer, EnsembleConfig(m))
 
-    return _sweep(
-        lists, scorer, qrels, range(1, m_max + 1), run_cell, metric, tag, "ensemble"
-    )
+    return _sweep(lists, qrels, range(1, m_max + 1), run_cell, metric, tag, "ensemble")
 
 
 def write_topk_csv(values: Sequence[float], path) -> None:

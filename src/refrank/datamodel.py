@@ -133,12 +133,6 @@ class CandidateList:
     def doc_ids(self) -> tuple[str, ...]:
         return tuple(doc.doc_id for doc in self.docs)
 
-    def doc_at_rank(self, rank: int) -> DocCandidate:
-        """The doc with the given first-stage rank (ranks are contiguous 1..n)."""
-        if not 1 <= rank <= len(self.docs):
-            raise ValidationError(f"rank {rank} out of range 1..{len(self.docs)}")
-        return self.docs[rank - 1]
-
 
 def make_candidate_list(query: Query, docs: Sequence[DocCandidate]) -> CandidateList:
     """Sort docs by first-stage rank and validate the resulting list."""
@@ -233,7 +227,7 @@ class Qrels:
     """Graded relevance judgments keyed by (query_id, doc_id).
 
     Absent pairs mean grade 0. Treat instances as read-only after
-    construction.
+    construction: each query's maximum grade is computed there, once.
     """
 
     def __init__(self, grades: Mapping[str, Mapping[str, int]] | None = None):
@@ -244,6 +238,9 @@ class Qrels:
                     doc_id: _as_grade(grade) for doc_id, grade in docs.items()
                 }
         self._by_query = by_query
+        self._max_grade = {
+            query_id: max(judged.values()) for query_id, judged in by_query.items() if judged
+        }
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[str, str, int]]) -> Qrels:
@@ -261,8 +258,7 @@ class Qrels:
         return self._by_query.get(query_id, {})
 
     def max_grade(self, query_id: str) -> int:
-        judged = self._by_query.get(query_id)
-        return max(judged.values()) if judged else 0
+        return self._max_grade.get(query_id, 0)
 
     @property
     def query_ids(self) -> tuple[str, ...]:

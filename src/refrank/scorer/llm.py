@@ -5,14 +5,16 @@ temperature 0, one output token, and top-K log-probabilities requested for
 the first generated position. A label's logit is the log-probability of its
 token; a leading-space variant is probed as well and the larger value taken
 (tokenizers differ on whitespace). Labels absent from the top-K get a floor
-of one nat below the smallest returned log-probability. A response with no
-usable top-K list, in which no label token appears at all, or in which a
-label's log-probability is not finite, is degenerate and never retried;
-transient transport failures are retried with exponential backoff.
+of one nat below the smallest finite log-probability returned. A response
+with no usable top-K list, with no finite log-probability, in which no label
+token appears at all, or in which a label's log-probability is not finite,
+is degenerate and never retried; transient transport failures are retried
+with exponential backoff.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from collections.abc import Mapping, Sequence
@@ -156,7 +158,10 @@ class LlmScorer(Scorer):
                 ) from None
             if token not in by_token or logprob > by_token[token]:
                 by_token[token] = logprob
-        floor = min(by_token.values()) - 1.0
+        finite = [logprob for logprob in by_token.values() if math.isfinite(logprob)]
+        if not finite:
+            raise DegenerateResponseError("no finite log-probability in top_logprobs", payload=data)
+        floor = min(finite) - 1.0
         values: dict[str, float] = {}
         found_any = False
         for label in request.labels:

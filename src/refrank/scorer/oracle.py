@@ -28,6 +28,13 @@ leaves duels and setwise groups untouched.
 Latent sources, in precedence order: an explicit (query_id, doc_id) -> g
 map, qrels grades normalized per query (see oracle_latent), or seeded
 per-document uniform draws.
+
+Each scorer remembers the judgments of the query it is judging now, keyed
+by (kind, ordered doc ids). With the query id that the memo is bound to,
+that key holds every input a judgment reads (the seed, the config and the
+latent source are fixed per scorer), so a remembered answer is the one a
+fresh computation would give. Document text feeds only the prompt
+character count, which is computed on every call.
 """
 
 from __future__ import annotations
@@ -78,7 +85,12 @@ class OracleConfig:
 
 
 class OracleScorer(Scorer):
-    """Stateless seeded judge; repeated calls agree bit for bit."""
+    """Seeded judge that remembers the current query's judgments.
+
+    Repeated calls agree bit for bit, since every judgment is a pure
+    function of the memo key and the scorer's fixed inputs; see the module
+    docstring. Each call, remembered or not, is counted in the ledger.
+    """
 
     def __init__(
         self,
@@ -93,6 +105,10 @@ class OracleScorer(Scorer):
         self._qrels = qrels
         self._latents = dict(latents) if latents is not None else None
         self._seed = str(config.seed)
+        # (query id, {(kind, *doc ids): logits}), replaced in one assignment
+        # so that concurrent callers never see one query's dict under another
+        # query's id.
+        self._memo: tuple[str | None, dict] = (None, {})
 
     def latent(self, query_id: str, doc: DocCandidate) -> float:
         if self._latents is not None:
@@ -163,6 +179,17 @@ class OracleScorer(Scorer):
 
     def _score_one(self, request: JudgeRequest) -> tuple[dict[str, float], int]:
         chars = len(request.query.text)
+        parts = [request.kind]
         for doc in request.docs:
             chars += len(doc.text)
-        return self._JUDGES[request.kind](self, request), chars
+            parts.append(doc.doc_id)
+        key = tuple(parts)
+        query_id, memo = self._memo
+        if query_id != request.query.id:
+            memo = {}
+            self._memo = (request.query.id, memo)
+        logits = memo.get(key)
+        if logits is None:
+            logits = memo[key] = self._JUDGES[request.kind](self, request)
+        # a copy, so that a caller editing its answer cannot change a later one
+        return dict(logits), chars

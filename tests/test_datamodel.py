@@ -76,12 +76,6 @@ class TestMakeCandidateList:
         cl.validate()
         cl.validate()
 
-    def test_doc_at_rank(self):
-        cl = make_candidate_list(Query("q", "t"), [doc("a", 2), doc("b", 1)])
-        assert cl.doc_at_rank(1).doc_id == "b"
-        with pytest.raises(ValidationError):
-            cl.doc_at_rank(3)
-
 
 class TestBuildRanking:
     def test_sorted_by_score_desc(self):

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -96,6 +97,15 @@ class TestOracleLatent:
     def test_all_zero_grades(self):
         qrels = Qrels({"q1": {"a": 0, "b": 0}})
         assert oracle_latent(doc("a"), qrels, "q1") == 0.0
+
+    def test_max_grade(self):
+        qrels = Qrels.from_pairs(
+            [("q1", "a", 0), ("q1", "b", 0), ("q2", "a", 3), ("q2", "b", 2), ("q2", "a", 1)]
+        )
+        assert qrels.max_grade("unknown") == 0
+        assert qrels.max_grade("q1") == 0
+        # later pairs win: a's grade 3 is replaced by 1, so b's 2 is the top
+        assert qrels.max_grade("q2") == 2
 
 
 class TestOracleScorer:
@@ -208,6 +218,74 @@ class TestOracleScorer:
             OracleConfig(seed=0, noise_sigma=-1)
         with pytest.raises(ValidationError):
             OracleConfig(seed=0, beta=0)
+
+
+class TestOracleMemo:
+    """The oracle remembers the current query's judgments without changing any."""
+
+    QRELS = Qrels({"q1": {"a": 3, "b": 1, "c": 2}, "q2": {"a": 0, "b": 2, "c": 3}})
+    CONFIG = OracleConfig(seed=5, noise_sigma=0.7, bias_amplitude=0.3, ref_noise_scale=0.5)
+
+    @classmethod
+    def requests(cls):
+        # the same doc ids under two queries, every kind and both orientations
+        out = []
+        for query in (Query("q1", "first"), Query("q2", "second")):
+            a, b, c = doc("a"), doc("b", 2), doc("c", 3)
+            out += [
+                JudgeRequest("pointwise", query, (a,)),
+                JudgeRequest("triplet", query, (a, b)),
+                JudgeRequest("triplet", query, (b, a)),
+                JudgeRequest("duel", query, (a, b)),
+                JudgeRequest("setwise", query, (a, b, c)),
+            ]
+        return out
+
+    def test_interleaved_queries_across_threads_match_a_fresh_scorer(self):
+        requests = self.requests()
+        expected = [OracleScorer(self.CONFIG, qrels=self.QRELS).score(r) for r in requests]
+        # the two queries' answers differ, so a judgment read under the wrong query shows
+        assert expected[: len(expected) // 2] != expected[len(expected) // 2 :]
+        shared = OracleScorer(self.CONFIG, qrels=self.QRELS)
+        mismatches = []
+
+        def worker(offset):
+            for step in range(400):
+                # alternate queries from one call to the next, out of step across threads
+                index = (offset + step * 3) % len(requests)
+                if shared.score(requests[index]) != expected[index]:
+                    mismatches.append(index)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == []
+        assert shared.ledger.total_calls == 8 * 400
+
+    def test_mutating_an_answer_leaves_the_next_one_unchanged(self):
+        request = JudgeRequest("triplet", QUERY, (doc("a"), doc("b", 2)))
+        oracle = make_oracle(latents={("q1", "a"): 0.9, ("q1", "b"): 0.2}, noise_sigma=0.8)
+        first = oracle.score(request)
+        expected = dict(first)
+        first["A"] = 99.0
+        del first["B"]
+        assert oracle.score(request) == expected
+
+    def test_repeated_requests_are_each_counted_in_full(self):
+        request = JudgeRequest("duel", QUERY, (doc("a", text="one"), doc("b", 2, text="three")))
+        oracle = make_oracle(latents={("q1", "a"): 0.9, ("q1", "b"): 0.2})
+        for _ in range(3):
+            oracle.score(request)
+        assert oracle.ledger.counts == {"pointwise": 0, "triplet": 0, "duel": 3, "setwise": 0}
+        assert oracle.ledger.prompt_chars == 3 * len("what is x" "one" "three")
 
 
 class TestScoreBatch:
@@ -433,6 +511,26 @@ class TestLlmScorer:
             scorer.score(PROBE_TRIPLET)
         assert len(StubHandler.calls) == 1
         assert scorer.ledger.total_calls == 0
+
+    @pytest.mark.parametrize(
+        "top",
+        [
+            [("A", -0.5), ("zzz", -math.inf)],
+            [("zzz", math.nan), ("A", -0.5)],
+            [("A", -0.5), ("zzz", math.nan)],
+        ],
+    )
+    def test_floor_ignores_nonfinite_logprobs(self, stub_server, top):
+        payload = completion_payload([{"token": t, "logprob": v} for t, v in top])
+        StubHandler.behaviors = [lambda i: (200, payload)]
+        assert llm_scorer(stub_server).score(PROBE_TRIPLET) == {"A": -0.5, "B": -1.5}
+
+    def test_no_finite_logprob_is_degenerate(self, stub_server):
+        top = [{"token": "A", "logprob": float("-inf")}]
+        StubHandler.behaviors = [lambda i: (200, completion_payload(top))]
+        with pytest.raises(DegenerateResponseError):
+            llm_scorer(stub_server).score(PROBE_TRIPLET)
+        assert len(StubHandler.calls) == 1
 
     def test_missing_logprobs_structure_is_degenerate(self, stub_server):
         StubHandler.behaviors = [lambda i: (200, {"choices": [{}]})]
