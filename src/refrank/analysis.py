@@ -47,7 +47,6 @@ class SweepResult:
     each cell over queries and ``normalized`` is its min-max rescaling.
     """
 
-    tag: str
     kind: str  # "reference" or "ensemble"
     cells: tuple[int, ...]
     query_ids: tuple[str, ...]
@@ -79,7 +78,7 @@ def check_sweep_depth(lists: Sequence[CandidateList], depth: int, name: str) -> 
         raise ValidationError(f"{name}={depth} must be within 1..{shortest} (shortest list)")
 
 
-def _sweep(lists, qrels, cells, run_cell, metric, tag, kind) -> SweepResult:
+def _sweep(lists, qrels, cells, run_cell, metric, kind) -> SweepResult:
     rows = []
     for candidate_list in lists:
         row = tuple(
@@ -90,7 +89,6 @@ def _sweep(lists, qrels, cells, run_cell, metric, tag, kind) -> SweepResult:
         sum(row[j] for row in rows) / len(rows) for j in range(len(cells))
     )
     return SweepResult(
-        tag=tag,
         kind=kind,
         cells=tuple(cells),
         query_ids=tuple(cl.query.id for cl in lists),
@@ -106,7 +104,6 @@ def sweep_reference_quality(
     qrels: Qrels,
     depth_r: int,
     metric: MetricConfig = MetricConfig(),
-    tag: str = "dataset",
 ) -> SweepResult:
     """Mean ranking quality when anchoring on first-stage rank r, r = 1..depth_r."""
     check_sweep_depth(lists, depth_r, "depth_r")
@@ -114,7 +111,7 @@ def sweep_reference_quality(
     def run_cell(candidate_list, r):
         return rank_refrank_single(candidate_list, scorer, FixedIndex(r))
 
-    return _sweep(lists, qrels, range(1, depth_r + 1), run_cell, metric, tag, "reference")
+    return _sweep(lists, qrels, range(1, depth_r + 1), run_cell, metric, "reference")
 
 
 def sweep_topk_selection(sweep: SweepResult, k_max: int) -> list[float]:
@@ -138,7 +135,6 @@ def sweep_ensemble_size(
     qrels: Qrels,
     m_max: int,
     metric: MetricConfig = MetricConfig(),
-    tag: str = "dataset",
 ) -> SweepResult:
     """Mean ranking quality of the uniform top-m anchor ensemble, m = 1..m_max."""
     check_sweep_depth(lists, m_max, "m_max")
@@ -146,7 +142,7 @@ def sweep_ensemble_size(
     def run_cell(candidate_list, m):
         return rank_refrank_multiple(candidate_list, scorer, EnsembleConfig(m))
 
-    return _sweep(lists, qrels, range(1, m_max + 1), run_cell, metric, tag, "ensemble")
+    return _sweep(lists, qrels, range(1, m_max + 1), run_cell, metric, "ensemble")
 
 
 def write_topk_csv(values: Sequence[float], path) -> None:

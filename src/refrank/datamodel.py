@@ -105,10 +105,6 @@ class CandidateList:
 
     def __post_init__(self):
         object.__setattr__(self, "docs", tuple(self.docs))
-        self.validate()
-
-    def validate(self) -> None:
-        """Re-check all invariants; idempotent on an already-valid list."""
         if not self.docs:
             raise ValidationError(f"query {self.query.id!r}: candidate list is empty")
         seen: set[str] = set()

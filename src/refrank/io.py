@@ -82,8 +82,9 @@ class CorpusRecord:
     contents: str
     title: str | None = None
 
-    def passage_text(self, include_title: bool = True) -> str:
-        if include_title and self.title:
+    def passage_text(self) -> str:
+        """Title + " " + contents for a record with a title, else contents."""
+        if self.title:
             return f"{self.title} {self.contents}"
         return self.contents
 
@@ -247,16 +248,14 @@ def assemble_experiment(
     corpus_path,
     queries_path,
     depth: int = 100,
-    include_title: bool = True,
     warnings: ParseWarnings | None = None,
 ) -> list[CandidateList]:
     """Join a run file, corpus, and queries into per-query candidate lists.
 
     Each query's run entries are truncated to ``depth`` and ranks renumbered
     contiguously from 1. Docs within the truncated pool must resolve in the
-    corpus; when ``include_title`` is set, passage text is title + " " +
-    contents for records that carry a title. Blank lines in all three files
-    are counted in ``warnings``.
+    corpus; passage text is title + " " + contents for records that carry a
+    title. Blank lines in all three files are counted in ``warnings``.
     """
     if depth < 1:
         raise ValidationError(f"depth must be >= 1, got {depth}")
@@ -287,7 +286,7 @@ def assemble_experiment(
             docs = [
                 DocCandidate(
                     doc_id=entry.doc_id,
-                    text=corpus[entry.doc_id].passage_text(include_title),
+                    text=corpus[entry.doc_id].passage_text(),
                     first_stage_rank=new_rank,
                     first_stage_score=entry.score,
                 )

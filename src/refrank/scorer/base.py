@@ -66,20 +66,15 @@ class TemplateError(HarnessError):
 class BatchScoringError(ScoringError):
     """Some requests in a batch failed; successful results are preserved.
 
+    The message names the first eight failed requests by their doc ids.
     ``results[i]`` holds the logits for request i or None where it failed;
     ``errors`` maps the failed indices to their exceptions.
     """
 
-    def __init__(self, results, errors: Mapping[int, Exception]):
+    def __init__(self, message: str, results, errors: Mapping[int, Exception]):
+        super().__init__(message)
         self.results = list(results)
         self.errors = dict(errors)
-        shown = ", ".join(str(i) for i in sorted(self.errors)[:8])
-        if len(self.errors) > 8:
-            shown += ", ..."
-        super().__init__(
-            f"{len(self.errors)} of {len(self.results)} requests failed "
-            f"(indices {shown})"
-        )
 
 
 # kind -> (fewest docs, most docs, fixed labels or None for one letter per doc)
@@ -156,14 +151,15 @@ class Scorer(ABC):
         per-index errors and every successful result; the ledger still
         counts each successful request exactly once.
         """
-        return self._collect(self.score, requests)
+        return self._collect(requests, self.score, requests)
 
     @staticmethod
-    def _collect(judge, items) -> list[dict[str, float]]:
-        """Apply judge to each item in order, gathering per-index failures.
+    def _collect(requests, judge, items) -> list[dict[str, float]]:
+        """Apply judge to each item, one per request, in order.
 
         Raises BatchScoringError carrying every success and every failure
-        when any item fails.
+        when any item fails; its message names the failed requests as
+        ``doc|doc`` ids, the first eight.
         """
         results: list[dict[str, float] | None] = []
         errors: dict[int, Exception] = {}
@@ -174,5 +170,8 @@ class Scorer(ABC):
                 results.append(None)
                 errors[index] = exc
         if errors:
-            raise BatchScoringError(results, errors)
+            failed = ", ".join(
+                "|".join(doc.doc_id for doc in requests[index].docs) for index in list(errors)[:8]
+            )
+            raise BatchScoringError(f"scoring failed for: {failed}", results, errors)
         return results  # type: ignore[return-value]

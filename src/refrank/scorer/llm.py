@@ -1,14 +1,16 @@
 """Network judge for chat-completions endpoints that return token log-probs.
 
 Endpoint contract: the backend POSTs a single-message chat completion with
-temperature 0, one output token, and top-K log-probabilities requested for
-the first generated position. A label's logit is the log-probability of its
-token; a leading-space variant is probed as well and the larger value taken
-(tokenizers differ on whitespace). Labels absent from the top-K get a floor
-of one nat below the smallest finite log-probability returned. A response
-with no usable top-K list, with no finite log-probability, in which no label
-token appears at all, or in which a label's log-probability is not finite,
-is degenerate and never retried; transient transport failures are retried
+temperature 0, one output token, and the top 20 log-probabilities requested
+for the first generated position. Each document is cut to its first 4,000
+characters in the prompt. A label's token is the label itself. Its logit is
+the largest finite log-probability listed for that token or its
+leading-space variant (tokenizers differ on whitespace), repeated entries
+included. Labels absent from the top 20 get a floor of one nat below the
+smallest finite log-probability returned. A response with no usable top-20
+list, with no finite log-probability, in which no label token appears at
+all, or in which a label's token appears with no finite log-probability, is
+degenerate and never retried; transient transport failures are retried
 with exponential backoff.
 """
 
@@ -17,7 +19,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -34,6 +36,8 @@ from .base import (
 from .prompts import PromptTemplates, build_prompt
 
 RETRYABLE_STATUS = frozenset({429, 500, 502, 503, 504})
+_TOP_LOGPROBS = 20
+_MAX_DOC_CHARS = 4000
 
 
 @dataclass(frozen=True)
@@ -44,17 +48,13 @@ class LlmBackendConfig:
     model: str
     api_key_env: str = ""
     templates: PromptTemplates = field(default_factory=PromptTemplates.defaults)
-    label_tokens: Mapping[str, str] = field(default_factory=dict)
     timeout: float = 30.0
     max_retries: int = 3
     retry_backoff: float = 0.5
-    max_doc_chars: int = 4000
     batch_size: int = 4
-    top_logprobs: int = 20
     path: str = "/v1/chat/completions"
 
     def __post_init__(self):
-        object.__setattr__(self, "label_tokens", dict(self.label_tokens))
         if not self.base_url:
             raise ValidationError("base_url must be nonempty")
         if not self.model:
@@ -65,14 +65,6 @@ class LlmBackendConfig:
             raise ValidationError("max_retries must be >= 0")
         if self.batch_size < 1:
             raise ValidationError("batch_size must be >= 1")
-        if self.top_logprobs < 1:
-            raise ValidationError("top_logprobs must be >= 1")
-        tokens = list(self.label_tokens.values())
-        if len(tokens) != len(set(tokens)):
-            raise ValidationError("label tokens must be distinct")
-
-    def token_for(self, label: str) -> str:
-        return self.label_tokens.get(label, label)
 
 
 class LlmScorer(Scorer):
@@ -93,14 +85,14 @@ class LlmScorer(Scorer):
         self._session = requests.Session()
 
     def _score_one(self, request: JudgeRequest) -> tuple[dict[str, float], int]:
-        prompt = build_prompt(request, self.config.templates, self.config.max_doc_chars)
+        prompt = build_prompt(request, self.config.templates, _MAX_DOC_CHARS)
         payload = {
             "model": self.config.model,
             "messages": [{"role": "user", "content": prompt}],
             "temperature": 0,
             "max_tokens": 1,
             "logprobs": True,
-            "top_logprobs": self.config.top_logprobs,
+            "top_logprobs": _TOP_LOGPROBS,
         }
         data = self._post_with_retries(payload)
         return self._extract_logits(request, data), len(prompt)
@@ -148,34 +140,36 @@ class LlmScorer(Scorer):
             ) from None
         if not top:
             raise DegenerateResponseError("empty top_logprobs list", payload=data)
-        by_token: dict[str, float] = {}
+        entries: list[tuple[str, float]] = []
         for item in top:
             try:
-                token, logprob = item["token"], float(item["logprob"])
+                entries.append((item["token"], float(item["logprob"])))
             except (KeyError, TypeError, ValueError):
                 raise DegenerateResponseError(
                     "malformed top_logprobs entry", payload=data
                 ) from None
-            if token not in by_token or logprob > by_token[token]:
-                by_token[token] = logprob
-        finite = [logprob for logprob in by_token.values() if math.isfinite(logprob)]
+        finite = [logprob for _, logprob in entries if math.isfinite(logprob)]
         if not finite:
             raise DegenerateResponseError("no finite log-probability in top_logprobs", payload=data)
         floor = min(finite) - 1.0
         values: dict[str, float] = {}
         found_any = False
         for label in request.labels:
-            token = self.config.token_for(label)
-            present = [by_token[v] for v in (token, " " + token) if v in by_token]
+            present = [logprob for token, logprob in entries if token in (label, " " + label)]
             if present:
-                values[label] = max(present)
+                # A label listed only with non-finite values keeps one of
+                # them, so that Scorer.score rejects the answer.
+                values[label] = max(
+                    (logprob for logprob in present if math.isfinite(logprob)),
+                    default=present[0],
+                )
                 found_any = True
             else:
                 values[label] = floor
         if not found_any:
             raise DegenerateResponseError(
-                f"no label token among {[self.config.token_for(l) for l in request.labels]} "
-                f"appears in the top-{self.config.top_logprobs} log-probabilities",
+                f"no label token among {list(request.labels)} "
+                f"appears in the top-{_TOP_LOGPROBS} log-probabilities",
                 payload=data,
             )
         return values
@@ -187,4 +181,4 @@ class LlmScorer(Scorer):
         workers = min(self.config.batch_size, len(requests_seq))
         with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(self.score, request) for request in requests_seq]
-            return self._collect(Future.result, futures)
+            return self._collect(requests_seq, Future.result, futures)

@@ -2,10 +2,10 @@
 
 Scores derive from a latent relevance value g in [0, 1] per (query, doc):
 
-  pointwise   s_yes - s_no = beta * (2 g - 1) + bias_d + eps
-  triplet     s_A - s_B   = beta * (g_A - g_B) + eps
+  pointwise   s_yes - s_no = (2 g - 1) + bias_d + eps
+  triplet     s_A - s_B   = (g_A - g_B) + eps
   duel        same as triplet
-  setwise     logit_k      = beta * g_k + eps_k
+  setwise     logit_k      = g_k + eps_k
 
 All randomness is a pure function of (seed, request content), so batching,
 call order, and threading can never change a result. For triplets and duels
@@ -66,7 +66,6 @@ class OracleConfig:
     seed: int
     noise_sigma: float = 0.0
     bias_amplitude: float = 0.0
-    beta: float = 1.0
     ref_noise_scale: float = 0.0
 
     def __post_init__(self):
@@ -76,8 +75,6 @@ class OracleConfig:
             raise ValidationError(
                 f"bias_amplitude must be >= 0, got {self.bias_amplitude}"
             )
-        if self.beta <= 0:
-            raise ValidationError(f"beta must be > 0, got {self.beta}")
         if self.ref_noise_scale < 0:
             raise ValidationError(
                 f"ref_noise_scale must be >= 0, got {self.ref_noise_scale}"
@@ -134,7 +131,7 @@ class OracleScorer(Scorer):
         cfg = self.config
         query_id = request.query.id
         (doc,) = request.docs
-        diff = cfg.beta * (2.0 * self.latent(query_id, doc) - 1.0)
+        diff = 2.0 * self.latent(query_id, doc) - 1.0
         if cfg.bias_amplitude > 0.0:
             diff += cfg.bias_amplitude * std_normal(self._seed, "bias", query_id, doc.doc_id)
         if cfg.noise_sigma > 0.0:
@@ -151,7 +148,7 @@ class OracleScorer(Scorer):
         g_b = self.latent(query_id, doc_b)
         sigma = cfg.noise_sigma + ref_noise_scale * (1.0 - g_b)
         eps = self._pair_noise(request.kind, query_id, doc_a.doc_id, doc_b.doc_id, sigma)
-        return {"A": cfg.beta * g_a + 0.5 * eps, "B": cfg.beta * g_b - 0.5 * eps}
+        return {"A": g_a + 0.5 * eps, "B": g_b - 0.5 * eps}
 
     def _triplet(self, request: JudgeRequest) -> dict[str, float]:
         return self._duel(request, self.config.ref_noise_scale)
@@ -162,7 +159,7 @@ class OracleScorer(Scorer):
         group_key = stable_digest(*sorted(d.doc_id for d in request.docs)).hex()
         values: dict[str, float] = {}
         for label, doc in zip(request.labels, request.docs):
-            logit = cfg.beta * self.latent(query_id, doc)
+            logit = self.latent(query_id, doc)
             if cfg.noise_sigma > 0.0:
                 logit += cfg.noise_sigma * std_normal(
                     self._seed, "setwise", query_id, group_key, doc.doc_id

@@ -6,14 +6,15 @@ whose doc_ids are a permutation of the input. Judge-call counts are exact:
     pointwise            n
     refrank-single       n
     refrank-multiple     m * n
-    pairwise-allpairs    n(n-1)      (n(n-1)/2 in half-matrix mode)
+    pairwise-allpairs    n(n-1)
     pairwise-bubblesort  k(n-1) - k(k-1)/2
     setwise-heapsort     data-dependent; the ledger reports it exactly
 
 Batchable strategies (pointwise, refrank, allpairs) issue all their
 requests in one score_batch call; bubblesort and heapsort depend on earlier
 outcomes and score serially. Score aggregation always walks candidates in
-first-stage-rank order so floating-point sums are reproducible.
+first-stage-rank order so floating-point sums are reproducible. A batch with
+failed requests raises BatchScoringError naming their doc ids.
 """
 
 from __future__ import annotations
@@ -31,12 +32,7 @@ from .datamodel import (
     build_ranking,
     tiebreak_key,
 )
-from .scorer.base import (
-    BatchScoringError,
-    JudgeRequest,
-    Scorer,
-    ScoringError,
-)
+from .scorer.base import JudgeRequest, Scorer
 
 
 def _two_way_softmax(first: float, second: float) -> float:
@@ -55,9 +51,7 @@ def pointwise_score(s_yes: float, s_no: float) -> float:
 def refrank_score(s_a: float, s_b: float) -> float:
     """Probability mass on the candidate slot (A) against the reference slot (B).
 
-    The candidate always occupies slot A and the reference slot B; there is
-    no built-in position-swap debiasing (swap_slots on the single-reference
-    strategy averages both orientations as an optional extension).
+    The candidate always occupies slot A and the reference slot B.
     """
     return _two_way_softmax(s_a, s_b)
 
@@ -149,14 +143,49 @@ class EnsembleConfig:
             )
 
 
-def _scored_batch(scorer: Scorer, requests: list[JudgeRequest]) -> list[dict[str, float]]:
-    try:
-        return scorer.score_batch(requests)
-    except BatchScoringError as exc:
-        failed = ", ".join(
-            "|".join(doc.doc_id for doc in requests[i].docs) for i in sorted(exc.errors)[:8]
-        )
-        raise ScoringError(f"scoring failed for: {failed}") from exc
+def _anchored(
+    candidates: CandidateList,
+    scorer: Scorer,
+    refs: tuple[DocCandidate, ...],
+    weights: tuple[float, ...],
+    tag: str,
+) -> Ranking:
+    """Score each candidate by its weighted sum of scores against the anchors.
+
+    One batch of len(refs) * n triplets, doc-major; each sum runs over the
+    anchors in the order given, and the candidates in first-stage order.
+    """
+    query = candidates.query
+    requests = [
+        JudgeRequest("triplet", query, (doc, ref))
+        for doc in candidates.docs
+        for ref in refs
+    ]
+    results = iter(scorer.score_batch(requests))
+    scored = []
+    for doc in candidates.docs:
+        total = 0.0
+        for weight in weights:
+            logits = next(results)
+            total += weight * refrank_score(logits["A"], logits["B"])
+        scored.append((doc, total))
+    return build_ranking(query.id, scored, tag)
+
+
+def _positional(
+    query_id: str,
+    settled: list[DocCandidate],
+    rest: list[DocCandidate],
+    tag: str,
+) -> Ranking:
+    """The settled docs on top in their order, the rest in first-stage order.
+
+    Scores run n, n-1, ..., 1 down the list.
+    """
+    final = settled + sorted(rest, key=tiebreak_key)
+    n = len(final)
+    scored = [(doc, float(n - position)) for position, doc in enumerate(final)]
+    return build_ranking(query_id, scored, tag)
 
 
 def rank_pointwise(candidates: CandidateList, scorer: Scorer) -> Ranking:
@@ -166,7 +195,7 @@ def rank_pointwise(candidates: CandidateList, scorer: Scorer) -> Ranking:
         JudgeRequest("pointwise", query, (doc,))
         for doc in candidates.docs
     ]
-    results = _scored_batch(scorer, requests)
+    results = scorer.score_batch(requests)
     scored = [
         (doc, pointwise_score(logits["yes"], logits["no"]))
         for doc, logits in zip(candidates.docs, results)
@@ -178,36 +207,16 @@ def rank_refrank_single(
     candidates: CandidateList,
     scorer: Scorer,
     policy: RefPolicy = FixedIndex(1),
-    swap_slots: bool = False,
 ) -> Ranking:
     """Score every document against one anchor; exactly n triplet calls.
 
     The anchor is scored too (its triplet pairs it with itself), keeping the
     call count at n with no special-cased score; a symmetric judge gives the
-    self-pair 0.5, so the anchor's final rank rests on the tie-break. With
-    swap_slots both orientations are judged and averaged (2n calls).
+    self-pair 0.5, so the anchor's final rank rests on the tie-break. This
+    is the one-anchor ensemble with weight 1.0.
     """
-    query = candidates.query
     ref = resolve_reference(candidates, policy)
-    requests = [
-        JudgeRequest("triplet", query, (doc, ref))
-        for doc in candidates.docs
-    ]
-    if swap_slots:
-        requests += [
-            JudgeRequest("triplet", query, (ref, doc))
-            for doc in candidates.docs
-        ]
-    results = _scored_batch(scorer, requests)
-    scored = []
-    for index, doc in enumerate(candidates.docs):
-        logits = results[index]
-        value = refrank_score(logits["A"], logits["B"])
-        if swap_slots:
-            swapped = results[len(candidates.docs) + index]
-            value = 0.5 * (value + (1.0 - refrank_score(swapped["A"], swapped["B"])))
-        scored.append((doc, value))
-    return build_ranking(query.id, scored, "refrank-single")
+    return _anchored(candidates, scorer, (ref,), (1.0,), "refrank-single")
 
 
 def rank_refrank_multiple(
@@ -224,66 +233,41 @@ def rank_refrank_multiple(
     if config.m > n:
         raise ValidationError(f"ensemble size m={config.m} exceeds list length {n}")
     config.check_budget(n)
-    query = candidates.query
     refs = candidates.docs[: config.m]
-    requests = [
-        JudgeRequest("triplet", query, (doc, ref))
-        for doc in candidates.docs
-        for ref in refs
-    ]
-    results = _scored_batch(scorer, requests)
-    scored = []
-    position = 0
-    for doc in candidates.docs:
-        total = 0.0
-        for weight in config.weights:
-            logits = results[position]
-            position += 1
-            total += weight * refrank_score(logits["A"], logits["B"])
-        scored.append((doc, total))
-    return build_ranking(query.id, scored, "refrank-multiple")
+    return _anchored(candidates, scorer, refs, config.weights, "refrank-multiple")
 
 
-def rank_pairwise_allpairs(
-    candidates: CandidateList, scorer: Scorer, both_orders: bool = True
-) -> Ranking:
-    """Duel every pair of documents and average win probabilities.
+def rank_pairwise_allpairs(candidates: CandidateList, scorer: Scorer) -> Ranking:
+    """Duel every ordered pair of documents and average win probabilities.
 
-    Both orientations of each pair are judged by default, n(n-1) calls, so
-    slot preference cancels in the aggregate; half-matrix mode judges each
-    unordered pair once, n(n-1)/2 calls, treating the complement as 1 - p.
+    Both orientations of each pair are judged, n(n-1) calls, so slot
+    preference cancels in the aggregate.
     """
     docs = candidates.docs
     n = len(docs)
     query = candidates.query
     if n == 1:
         return build_ranking(query.id, [(docs[0], 1.0)], "pairwise-allpairs")
-    requests: list[JudgeRequest] = []
-    index: dict[tuple[int, int], int] = {}
-    for i, doc_a in enumerate(docs):
-        for j, doc_b in enumerate(docs):
-            if i == j or (not both_orders and i > j):
-                continue
-            index[(i, j)] = len(requests)
-            requests.append(JudgeRequest("duel", query, (doc_a, doc_b)))
-    results = _scored_batch(scorer, requests)
+    requests = [
+        JudgeRequest("duel", query, (doc_a, doc_b))
+        for i, doc_a in enumerate(docs)
+        for j, doc_b in enumerate(docs)
+        if i != j
+    ]
+    results = scorer.score_batch(requests)
 
     def prob_a(i: int, j: int) -> float:
-        logits = results[index[(i, j)]]
+        # row i holds the n-1 duels of doc i in slot A, skipping j == i
+        logits = results[i * (n - 1) + j - (j > i)]
         return refrank_score(logits["A"], logits["B"])
 
     scored = []
     for i, doc in enumerate(docs):
         total = 0.0
         for j in range(n):
-            if j == i:
-                continue
-            if both_orders:
+            if j != i:
                 total += prob_a(i, j) + (1.0 - prob_a(j, i))
-            else:
-                total += prob_a(i, j) if i < j else 1.0 - prob_a(j, i)
-        denominator = 2.0 * (n - 1) if both_orders else float(n - 1)
-        scored.append((doc, total / denominator))
+        scored.append((doc, total / (2.0 * (n - 1))))
     return build_ranking(query.id, scored, "pairwise-allpairs")
 
 
@@ -308,9 +292,7 @@ def rank_pairwise_bubblesort(
             logits = scorer.score(JudgeRequest("duel", query, (lower, upper)))
             if refrank_score(logits["A"], logits["B"]) > 0.5:
                 order[i], order[i + 1] = lower, upper
-    final = order[:k] + sorted(order[k:], key=tiebreak_key)
-    scored = [(doc, float(n - position)) for position, doc in enumerate(final)]
-    return build_ranking(query.id, scored, "pairwise-bubblesort")
+    return _positional(query.id, order[:k], order[k:], "pairwise-bubblesort")
 
 
 def rank_setwise_heapsort(
@@ -367,6 +349,4 @@ def rank_setwise_heapsort(
             break
         heap[0] = heap[size]
         sift_down(0, size)
-    final = extracted + sorted(heap[:size], key=tiebreak_key)
-    scored = [(doc, float(n - position)) for position, doc in enumerate(final)]
-    return build_ranking(query.id, scored, "setwise-heapsort")
+    return _positional(query.id, extracted, heap[:size], "setwise-heapsort")

@@ -114,7 +114,6 @@ class TestTopkSelection:
 
     def test_arithmetic(self):
         sweep = SweepResult(
-            tag="t",
             kind="reference",
             cells=(1, 2),
             query_ids=("q",),
@@ -135,7 +134,6 @@ class TestTopkSelection:
 
     def test_nonincreasing_curve_stays_nonincreasing(self):
         sweep = SweepResult(
-            tag="t",
             kind="reference",
             cells=(1, 2, 3),
             query_ids=("q",),
@@ -212,8 +210,7 @@ class TestCsv:
     def test_result_validation(self):
         with pytest.raises(ValidationError):
             SweepResult(
-                tag="t",
-                kind="reference",
+                    kind="reference",
                 cells=(1, 2),
                 query_ids=("q",),
                 per_query=((0.5,),),  # wrong row width
@@ -222,8 +219,7 @@ class TestCsv:
             )
         with pytest.raises(ValidationError):
             SweepResult(
-                tag="t",
-                kind="reference",
+                    kind="reference",
                 cells=(1,),
                 query_ids=("q",),
                 per_query=((0.5,),),

@@ -71,11 +71,6 @@ class TestMakeCandidateList:
         with pytest.raises(ValidationError):
             make_candidate_list(Query("q", "t"), [])
 
-    def test_revalidation_is_idempotent(self):
-        cl = make_candidate_list(Query("q", "t"), [doc("a", 1), doc("b", 2)])
-        cl.validate()
-        cl.validate()
-
 
 class TestBuildRanking:
     def test_sorted_by_score_desc(self):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from refrank.datamodel import (
+    CandidateList,
     DocCandidate,
     HarnessError,
     Ranking,
@@ -133,7 +134,6 @@ class TestParseCorpus:
     def test_title_concatenation(self):
         record = CorpusRecord("d1", "body", title="Head")
         assert record.passage_text() == "Head body"
-        assert record.passage_text(include_title=False) == "body"
 
 
 class TestParseQueries:
@@ -288,14 +288,10 @@ class TestAssembleExperiment:
         run_path, corpus_path, queries_path = self.write_inputs(tmp_path, n_docs=1)
         corpus_path.write_text('{"id":"d1","contents":"body","title":"Head"}\n')
         with_title = assemble_experiment(run_path, corpus_path, queries_path, depth=1)
-        without = assemble_experiment(
-            run_path, corpus_path, queries_path, depth=1, include_title=False
-        )
         assert with_title[0].docs[0].text == "Head body"
-        assert without[0].docs[0].text == "body"
 
     def test_output_satisfies_invariants(self, tmp_path):
         run_path, corpus_path, queries_path = self.write_inputs(tmp_path, n_docs=5)
         lists = assemble_experiment(run_path, corpus_path, queries_path, depth=5)
         for cl in lists:
-            cl.validate()
+            CandidateList(cl.query, cl.docs)

@@ -109,8 +109,8 @@ class TestOracleLatent:
 
 
 class TestOracleScorer:
-    def test_pointwise_noiseless_diff_is_beta_times_2g_minus_1(self):
-        oracle = make_oracle(latents={("q1", "d1"): 1.0}, beta=1.0)
+    def test_pointwise_noiseless_diff_is_2g_minus_1(self):
+        oracle = make_oracle(latents={("q1", "d1"): 1.0})
         logits = oracle.score(JudgeRequest("pointwise", QUERY, (doc("d1"),)))
         assert logits["yes"] - logits["no"] == pytest.approx(1.0, abs=1e-15)
 
@@ -145,7 +145,7 @@ class TestOracleScorer:
         diffs = []
         for gap in gaps:
             latents = {("q1", "a"): 0.5 + gap / 2, ("q1", "b"): 0.5 - gap / 2}
-            oracle = make_oracle(latents=latents, beta=2.0)
+            oracle = make_oracle(latents=latents)
             logits = oracle.score(JudgeRequest("triplet", QUERY, (doc("a"), doc("b", 2))))
             diffs.append(logits["A"] - logits["B"])
         assert all(b > a for a, b in zip(diffs, diffs[1:]))
@@ -216,8 +216,6 @@ class TestOracleScorer:
     def test_invalid_config(self):
         with pytest.raises(ValidationError):
             OracleConfig(seed=0, noise_sigma=-1)
-        with pytest.raises(ValidationError):
-            OracleConfig(seed=0, beta=0)
 
 
 class TestOracleMemo:
@@ -449,6 +447,7 @@ def stub_server():
     StubHandler.calls = []
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
+    server.server_close()
 
 
 def llm_scorer(base_url, **kwargs):
@@ -525,6 +524,28 @@ class TestLlmScorer:
         StubHandler.behaviors = [lambda i: (200, payload)]
         assert llm_scorer(stub_server).score(PROBE_TRIPLET) == {"A": -0.5, "B": -1.5}
 
+    @pytest.mark.parametrize(
+        "top",
+        [
+            [("A", math.nan), (" A", -0.3), ("B", -1.0)],
+            [(" A", -0.3), ("A", math.nan), ("B", -1.0)],
+            [("A", math.nan), ("A", -0.3), ("B", -1.0)],
+        ],
+        ids=["nan-then-space", "space-then-nan", "repeated-token"],
+    )
+    def test_label_takes_max_finite_logprob(self, stub_server, top):
+        payload = completion_payload([{"token": t, "logprob": v} for t, v in top])
+        StubHandler.behaviors = [lambda i: (200, payload)]
+        assert llm_scorer(stub_server).score(PROBE_TRIPLET) == {"A": -0.3, "B": -1.0}
+
+    def test_label_without_finite_logprob_is_degenerate(self, stub_server):
+        top = [{"token": "A", "logprob": math.nan}, {"token": "B", "logprob": -1.0}]
+        StubHandler.behaviors = [lambda i: (200, completion_payload(top))]
+        scorer = llm_scorer(stub_server)
+        with pytest.raises(DegenerateResponseError):
+            scorer.score(PROBE_TRIPLET)
+        assert scorer.ledger.total_calls == 0
+
     def test_no_finite_logprob_is_degenerate(self, stub_server):
         top = [{"token": "A", "logprob": float("-inf")}]
         StubHandler.behaviors = [lambda i: (200, completion_payload(top))]
@@ -589,17 +610,12 @@ class TestLlmScorer:
             scorer.score_batch(requests)
         assert list(exc.value.errors) == [1]
         assert exc.value.results[0] is not None and exc.value.results[2] is not None
+        assert str(exc.value) == "scoring failed for: d1"
 
     def test_api_key_env_missing(self, stub_server, monkeypatch):
         monkeypatch.delenv("STUB_KEY", raising=False)
         with pytest.raises(ValidationError):
             llm_scorer(stub_server, api_key_env="STUB_KEY")
-
-    def test_duplicate_label_tokens_rejected(self):
-        with pytest.raises(ValidationError):
-            LlmBackendConfig(
-                base_url="http://x", model="m", label_tokens={"yes": "Y", "no": "Y"}
-            )
 
     def test_config_rejects_template_missing_required_placeholder(self):
         with pytest.raises(TemplateError):

@@ -84,12 +84,6 @@ class TestCallCounts:
         rank_pairwise_allpairs(cl, scorer)
         assert scorer.ledger.count("duel") == 90
 
-    def test_allpairs_half_matrix(self):
-        cl, latents = fixture_list(10)
-        scorer = oracle_for(latents)
-        rank_pairwise_allpairs(cl, scorer, both_orders=False)
-        assert scorer.ledger.count("duel") == 45
-
     @pytest.mark.parametrize("n,k", [(10, 3), (10, 10), (15, 1)])
     def test_bubblesort_closed_form(self, n, k):
         cl, latents = fixture_list(n)
@@ -227,13 +221,6 @@ class TestProperties:
         ranking = rank_pairwise_allpairs(cl, oracle_for(latents, noise_sigma=0.5))
         total = sum(e.score for e in ranking.entries)
         assert total == pytest.approx(1.0, abs=1e-12)
-
-    def test_swap_slots_extension(self):
-        cl, latents = fixture_list(8, seed=47)
-        scorer = oracle_for(latents, noise_sigma=0.5)
-        ranking = rank_refrank_single(cl, scorer, FixedIndex(1), swap_slots=True)
-        assert scorer.ledger.count("triplet") == 16
-        assert sorted(ranking.doc_ids) == sorted(cl.doc_ids)
 
 
 class TestEnsembleConfig:
