@@ -14,7 +14,7 @@ so identical seeds and configs reproduce a SweepResult bit for bit.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .datamodel import CandidateList, Qrels, ValidationError
 from .eval import MetricConfig, ndcg_at_k
@@ -43,27 +43,32 @@ def minmax_normalize(values: Sequence[float]) -> list[float]:
 class SweepResult:
     """Per-query metric matrix over sweep cells, plus aggregates.
 
-    ``per_query[i][j]`` is query i's metric at cell j; ``mean`` averages
-    each cell over queries and ``normalized`` is its min-max rescaling.
+    ``per_query[i][j]`` is query i's metric at cell j. ``mean`` averages
+    each cell over queries in row order and ``normalized`` is its min-max
+    rescaling; both are derived from ``per_query`` at construction.
     """
 
     kind: str  # "reference" or "ensemble"
     cells: tuple[int, ...]
     query_ids: tuple[str, ...]
     per_query: tuple[tuple[float, ...], ...]
-    mean: tuple[float, ...]
-    normalized: tuple[float, ...]
+    mean: tuple[float, ...] = field(init=False)
+    normalized: tuple[float, ...] = field(init=False)
 
     def __post_init__(self):
+        if not self.per_query:
+            raise ValidationError("a sweep result needs at least one query")
         if len(self.per_query) != len(self.query_ids):
             raise ValidationError("per_query rows must match query_ids")
         for row in self.per_query:
             if len(row) != len(self.cells):
                 raise ValidationError("per_query row length must match cells")
-        if len(self.mean) != len(self.cells) or len(self.normalized) != len(self.cells):
-            raise ValidationError("aggregate lengths must match cells")
-        if any(not 0.0 <= value <= 1.0 for value in self.normalized):
-            raise ValidationError("normalized values must lie in [0, 1]")
+        mean = tuple(
+            sum(row[j] for row in self.per_query) / len(self.per_query)
+            for j in range(len(self.cells))
+        )
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "normalized", tuple(minmax_normalize(mean)))
 
     def to_csv(self, path) -> None:
         _write_curve_csv(path, self.cells, self.mean, self.normalized)
@@ -79,23 +84,11 @@ def check_sweep_depth(lists: Sequence[CandidateList], depth: int, name: str) -> 
 
 
 def _sweep(lists, qrels, cells, run_cell, metric, kind) -> SweepResult:
-    rows = []
-    for candidate_list in lists:
-        row = tuple(
-            ndcg_at_k(run_cell(candidate_list, cell), qrels, metric) for cell in cells
-        )
-        rows.append(row)
-    means = tuple(
-        sum(row[j] for row in rows) / len(rows) for j in range(len(cells))
+    rows = tuple(
+        tuple(ndcg_at_k(run_cell(candidate_list, cell), qrels, metric) for cell in cells)
+        for candidate_list in lists
     )
-    return SweepResult(
-        kind=kind,
-        cells=tuple(cells),
-        query_ids=tuple(cl.query.id for cl in lists),
-        per_query=tuple(rows),
-        mean=means,
-        normalized=tuple(minmax_normalize(means)),
-    )
+    return SweepResult(kind, tuple(cells), tuple(cl.query.id for cl in lists), rows)
 
 
 def sweep_reference_quality(

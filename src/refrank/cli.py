@@ -8,8 +8,9 @@ run read, the seed, and the package version. Re-running with the same
 configuration and seed reproduces the run file byte for byte under the
 oracle backend, which never touches the network. Blank input lines and
 repeated qrel pairs are skipped with one warning on stderr. An output
-directory is created only once the inputs have loaded, the scorer is built
-and analyze's sweep depths are checked.
+directory is created only when the first output is written, so a run that
+fails before then leaves none behind; existing outputs are refused before
+any judge call.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from click.core import ParameterSource
 
 from . import __version__
 from .analysis import (
+    SweepResult,
     check_sweep_depth,
     sweep_ensemble_size,
     sweep_reference_quality,
@@ -144,7 +146,7 @@ def _strategy_options(fn):
     fn = click.option("--k", type=int, default=10, show_default=True,
                       help="Bubble passes / heap extractions.")(fn)
     fn = click.option("--children", type=int, default=3, show_default=True,
-                      help="Heap fanout for setwise-heapsort.")(fn)
+                      help="Heap fanout for setwise-heapsort, within 2..25.")(fn)
     fn = click.option("--concurrency", type=click.IntRange(min=1), default=1, show_default=True,
                       help="Queries processed in parallel.")(fn)
     return fn
@@ -261,14 +263,31 @@ def _run_all(lists, ranker, scorer: Scorer, concurrency: int):
 
 
 def _outputs(out_dir, force: bool, *names: str) -> list[Path]:
-    """Create out_dir and return the named paths in it, none of which may exist without force."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths = [out / name for name in names]
+    """The named paths in out_dir, none of which may exist without force.
+
+    out_dir itself is made by _created, when the first output is written.
+    """
+    paths = [Path(out_dir) / name for name in names]
     for path in paths:
         if path.exists() and not force:
             raise HarnessError(f"refusing to overwrite {path} (pass --force)")
     return paths
+
+
+def _created(path: Path) -> Path:
+    """Make path's directory if it is missing, and return path."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
+
+
+def _concat(results: tuple[SweepResult, ...]) -> SweepResult:
+    """One sweep over every query, from per-query sweeps of the same cells."""
+    return SweepResult(
+        results[0].kind,
+        results[0].cells,
+        tuple(query_id for result in results for query_id in result.query_ids),
+        tuple(row for result in results for row in result.per_query),
+    )
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -302,7 +321,7 @@ def cmd_rerank(out_dir, force, **options):
     scorer = _build_scorer(options, qrels, ledger)
     run_out, report_out = _outputs(out_dir, force, f"{strategy}.run", f"{strategy}.report.json")
     rankings, seconds = _run_all(lists, ranker, scorer, options["concurrency"])
-    write_run_file(rankings, strategy, run_out)
+    write_run_file(rankings, strategy, _created(run_out))
 
     if qrels is None:
         evaluation = dict(metric=None, per_query={}, mean=None, judged_queries=0,
@@ -363,10 +382,18 @@ def cmd_analyze(out_dir, force, **options):
     )
     metric = MetricConfig(gain=options["gain"])
 
-    reference = sweep_reference_quality(lists, scorer, qrels, depth_r, metric)
-    reference.to_csv(reference_csv)
+    # Both sweeps run one query at a time, so the judgments they share are
+    # made while the oracle still remembers that query's judgments.
+    per_query = [
+        (
+            sweep_reference_quality([cl], scorer, qrels, depth_r, metric),
+            sweep_ensemble_size([cl], scorer, qrels, options["m"], metric),
+        )
+        for cl in lists
+    ]
+    reference, ensemble = (_concat(results) for results in zip(*per_query))
+    reference.to_csv(_created(reference_csv))
     write_topk_csv(sweep_topk_selection(reference, depth_r), topk_csv)
-    ensemble = sweep_ensemble_size(lists, scorer, qrels, options["m"], metric)
     ensemble.to_csv(ensemble_csv)
     for path in (reference_csv, topk_csv, ensemble_csv):
         click.echo(f"wrote {path}")
@@ -406,7 +433,7 @@ def cmd_eval(run_path, qrels_path, top_k, gain, out_dir, force):
         )
     if out_dir:
         (eval_json,) = _outputs(out_dir, force, "eval.json")
-        _write_json(eval_json, {**asdict(report), "gain": gain})
+        _write_json(_created(eval_json), {**asdict(report), "gain": gain})
         click.echo(f"wrote {eval_json}")
 
 

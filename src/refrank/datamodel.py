@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import threading
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 
@@ -59,7 +59,7 @@ class Query:
 
 @dataclass(frozen=True)
 class DocCandidate:
-    """One first-stage candidate: passage text plus its initial rank and score.
+    """One first-stage candidate: passage text plus its initial rank.
 
     Text is stored verbatim and must not be empty or blank; truncation to a
     prompt budget is a scorer concern, not a datamodel concern.
@@ -68,7 +68,6 @@ class DocCandidate:
     doc_id: str
     text: str
     first_stage_rank: int
-    first_stage_score: float
 
     def __post_init__(self):
         if not self.doc_id:
@@ -238,14 +237,6 @@ class Qrels:
             query_id: max(judged.values()) for query_id, judged in by_query.items() if judged
         }
 
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[str, str, int]]) -> Qrels:
-        """Build from (query_id, doc_id, grade) triples; later pairs win."""
-        by_query: dict[str, dict[str, int]] = {}
-        for query_id, doc_id, grade in pairs:
-            by_query.setdefault(query_id, {})[doc_id] = _as_grade(grade)
-        return cls(by_query)
-
     def grade(self, query_id: str, doc_id: str) -> int:
         return self._by_query.get(query_id, {}).get(doc_id, 0)
 
@@ -255,13 +246,6 @@ class Qrels:
 
     def max_grade(self, query_id: str) -> int:
         return self._max_grade.get(query_id, 0)
-
-    @property
-    def query_ids(self) -> tuple[str, ...]:
-        return tuple(self._by_query)
-
-    def __len__(self) -> int:
-        return sum(len(docs) for docs in self._by_query.values())
 
 
 class CallLedger:

@@ -4,12 +4,14 @@ Formats handled:
 
   run file  ``<qid> Q0 <docid> <rank> <score> <tag>`` (whitespace separated)
   qrels     ``<qid> 0 <docid> <grade>``
-  corpus    JSON Lines with keys "id", "contents", optional "title"
+  corpus    JSON Lines with keys "id", "contents", optional "title"; a
+            passage is title + " " + contents when the title is non-empty
   queries   TSV ``<qid>\\t<text>``
 
 Parsers are pure functions of file contents; every failure is a structured
 error carrying the offending line number, and arbitrary bytes never crash
-them. Blank lines are skipped and counted in a ParseWarnings sink.
+them. Blank lines are skipped, and counted when a ParseWarnings sink is
+given.
 """
 
 from __future__ import annotations
@@ -76,23 +78,15 @@ class RunEntry(NamedTuple):
     score: float
 
 
-@dataclass(frozen=True)
-class CorpusRecord:
-    id: str
-    contents: str
-    title: str | None = None
-
-    def passage_text(self) -> str:
-        """Title + " " + contents for a record with a title, else contents."""
-        if self.title:
-            return f"{self.title} {self.contents}"
-        return self.contents
-
-
-def _lines(path):
+def _lines(path, warnings: ParseWarnings | None):
+    """Yield (line number, line) for each non-blank line; count blank ones in warnings."""
     with open(path, encoding="utf-8", errors="replace") as handle:
         for line_number, raw in enumerate(handle, start=1):
-            yield line_number, raw.rstrip("\r\n")
+            line = raw.rstrip("\r\n")
+            if line.strip():
+                yield line_number, line
+            elif warnings is not None:
+                warnings.blank_lines += 1
 
 
 def parse_run_file(
@@ -102,13 +96,9 @@ def parse_run_file(
 
     A run file without entries is an error.
     """
-    warnings = warnings if warnings is not None else ParseWarnings()
     per_query: dict[str, list[RunEntry]] = {}
     seen: set[tuple[str, str]] = set()
-    for line_number, line in _lines(path):
-        if not line.strip():
-            warnings.blank_lines += 1
-            continue
+    for line_number, line in _lines(path, warnings):
         fields = line.split()
         if len(fields) != 6:
             raise ParseError(path, line_number, f"expected 6 fields, found {len(fields)}")
@@ -140,12 +130,8 @@ def parse_run_file(
 
 def parse_qrels(path, warnings: ParseWarnings | None = None) -> Qrels:
     """Read TREC qrels; a repeated (query, doc) pair keeps the last grade."""
-    warnings = warnings if warnings is not None else ParseWarnings()
     grades: dict[str, dict[str, int]] = {}
-    for line_number, line in _lines(path):
-        if not line.strip():
-            warnings.blank_lines += 1
-            continue
+    for line_number, line in _lines(path, warnings):
         fields = line.split()
         if len(fields) != 4:
             raise ParseError(path, line_number, f"expected 4 fields, found {len(fields)}")
@@ -157,22 +143,20 @@ def parse_qrels(path, warnings: ParseWarnings | None = None) -> Qrels:
         if grade < 0:
             raise ParseError(path, line_number, f"grade must be nonnegative, got {grade}")
         query_grades = grades.setdefault(query_id, {})
-        if doc_id in query_grades:
+        if doc_id in query_grades and warnings is not None:
             warnings.duplicate_qrel_pairs += 1
         query_grades[doc_id] = grade
     return Qrels(grades)
 
 
-def parse_corpus_jsonl(
-    path, warnings: ParseWarnings | None = None
-) -> dict[str, CorpusRecord]:
-    """Read a JSONL corpus into a map id -> CorpusRecord."""
-    warnings = warnings if warnings is not None else ParseWarnings()
-    records: dict[str, CorpusRecord] = {}
-    for line_number, line in _lines(path):
-        if not line.strip():
-            warnings.blank_lines += 1
-            continue
+def parse_corpus_jsonl(path, warnings: ParseWarnings | None = None) -> dict[str, str]:
+    """Read a JSONL corpus into a map id -> passage text.
+
+    The passage text is title + " " + contents when the record has a
+    non-empty title, else contents.
+    """
+    records: dict[str, str] = {}
+    for line_number, line in _lines(path, warnings):
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
@@ -187,24 +171,18 @@ def parse_corpus_jsonl(
             raise ParseError(path, line_number, "empty doc id")
         if doc_id in records:
             raise DuplicateEntryError(path, line_number, f"duplicate doc id {doc_id!r}")
+        contents = str(obj["contents"])
         title = obj.get("title")
-        records[doc_id] = CorpusRecord(
-            id=doc_id,
-            contents=str(obj["contents"]),
-            title=str(title) if title is not None else None,
-        )
+        title = str(title) if title is not None else ""
+        records[doc_id] = f"{title} {contents}" if title else contents
     return records
 
 
 def parse_queries_tsv(path, warnings: ParseWarnings | None = None) -> list[Query]:
     """Read ``qid<TAB>text`` lines into Query objects, in file order."""
-    warnings = warnings if warnings is not None else ParseWarnings()
     queries: list[Query] = []
     seen: set[str] = set()
-    for line_number, line in _lines(path):
-        if not line.strip():
-            warnings.blank_lines += 1
-            continue
+    for line_number, line in _lines(path, warnings):
         if "\t" not in line:
             raise ParseError(path, line_number, "expected <qid><TAB><text>")
         query_id, text = line.split("\t", 1)
@@ -254,8 +232,7 @@ def assemble_experiment(
 
     Each query's run entries are truncated to ``depth`` and ranks renumbered
     contiguously from 1. Docs within the truncated pool must resolve in the
-    corpus; passage text is title + " " + contents for records that carry a
-    title. Blank lines in all three files are counted in ``warnings``.
+    corpus. Blank lines in all three files are counted in ``warnings``.
     """
     if depth < 1:
         raise ValidationError(f"depth must be >= 1, got {depth}")
@@ -286,9 +263,8 @@ def assemble_experiment(
             docs = [
                 DocCandidate(
                     doc_id=entry.doc_id,
-                    text=corpus[entry.doc_id].passage_text(),
+                    text=corpus[entry.doc_id],
                     first_stage_rank=new_rank,
-                    first_stage_score=entry.score,
                 )
                 for new_rank, entry in enumerate(entries, start=1)
             ]

@@ -32,7 +32,7 @@ from .datamodel import (
     build_ranking,
     tiebreak_key,
 )
-from .scorer.base import JudgeRequest, Scorer
+from .scorer.base import SETWISE_MAX_GROUP, JudgeRequest, Scorer
 
 
 def _two_way_softmax(first: float, second: float) -> float:
@@ -302,13 +302,16 @@ def rank_setwise_heapsort(
 
     Every sift step asks one setwise question over a parent and its up-to-c
     children and promotes the winner, so each judge call replaces up to c
-    duels. Extracted docs take the top ranks; the rest keep first-stage
-    order. The exact comparison count depends on how far winners sift and is
-    reported by the ledger.
+    duels; c is at most 25, since the group's labels run A..Z. Extracted
+    docs take the top ranks; the rest keep first-stage order. The exact
+    comparison count depends on how far winners sift and is reported by the
+    ledger.
     """
     n = len(candidates)
-    if c < 2:
-        raise ValidationError(f"setwise fanout c must be >= 2, got {c}")
+    if not 2 <= c <= SETWISE_MAX_GROUP - 1:
+        raise ValidationError(
+            f"setwise fanout c must be within 2..{SETWISE_MAX_GROUP - 1}, got {c}"
+        )
     if not 1 <= k <= n:
         raise ValidationError(f"extraction count k={k} must be within 1..{n}")
     query = candidates.query

@@ -54,9 +54,7 @@ def make_synth(
         docs = []
         for di in range(n_docs):
             doc_id = f"{qid}_d{di:03d}"
-            docs.append(
-                DocCandidate(doc_id, f"passage {qid} {di}", di + 1, float(n_docs - di))
-            )
+            docs.append(DocCandidate(doc_id, f"passage {qid} {di}", di + 1))
             latents[(qid, doc_id)] = float(latent[di])
         # grade by latent order: position p of n -> fraction p/n
         order = np.argsort(-latent)
@@ -89,7 +87,7 @@ def write_experiment_files(data: SynthData, directory, tag: str = "bm25"):
             for doc in cl.docs:
                 run_out.write(
                     f"{cl.query.id} Q0 {doc.doc_id} {doc.first_stage_rank} "
-                    f"{doc.first_stage_score:.6f} {tag}\n"
+                    f"{len(cl) - doc.first_stage_rank + 1:.6f} {tag}\n"
                 )
                 corpus_out.write(json.dumps({"id": doc.doc_id, "contents": doc.text}) + "\n")
             for doc_id, grade in data.qrels.judged(cl.query.id).items():

@@ -273,7 +273,7 @@ def test_criterion_11_run_file_round_trip(tmp_path):
     rankings = []
     for qi in range(1000):
         n = int(rng.integers(1, 15))
-        docs = [DocCandidate(f"q{qi}_d{i}", "text", i + 1, 0.0) for i in range(n)]
+        docs = [DocCandidate(f"q{qi}_d{i}", "text", i + 1) for i in range(n)]
         scores = rng.normal(size=n)
         rankings.append(build_ranking(f"q{qi}", list(zip(docs, scores)), "t"))
     path = tmp_path / "roundtrip.run"

@@ -118,8 +118,6 @@ class TestTopkSelection:
             cells=(1, 2),
             query_ids=("q",),
             per_query=((0.8, 0.6),),
-            mean=(0.8, 0.6),
-            normalized=(1.0, 0.0),
         )
         assert sweep_topk_selection(sweep, 2) == pytest.approx([0.8, 0.7])
 
@@ -138,8 +136,6 @@ class TestTopkSelection:
             cells=(1, 2, 3),
             query_ids=("q",),
             per_query=((0.9, 0.5, 0.1),),
-            mean=(0.9, 0.5, 0.1),
-            normalized=(1.0, 0.5, 0.0),
         )
         values = sweep_topk_selection(sweep, 3)
         assert all(a >= b for a, b in zip(values, values[1:]))
@@ -207,22 +203,18 @@ class TestCsv:
         assert lines[0] == "cell,mean,normalized"
         assert len(lines) == 4
 
+    def test_aggregates_derive_from_rows(self):
+        sweep = SweepResult("ensemble", (1, 2), ("a", "b"), ((0.2, 0.9), (0.4, 0.5)))
+        assert sweep.mean == ((0.2 + 0.4) / 2, (0.9 + 0.5) / 2)
+        assert sweep.normalized == (0.0, 1.0)
+
     def test_result_validation(self):
         with pytest.raises(ValidationError):
             SweepResult(
-                    kind="reference",
+                kind="reference",
                 cells=(1, 2),
                 query_ids=("q",),
                 per_query=((0.5,),),  # wrong row width
-                mean=(0.5, 0.5),
-                normalized=(0.0, 0.0),
             )
         with pytest.raises(ValidationError):
-            SweepResult(
-                    kind="reference",
-                cells=(1,),
-                query_ids=("q",),
-                per_query=((0.5,),),
-                mean=(0.5,),
-                normalized=(1.5,),  # outside [0, 1]
-            )
+            SweepResult(kind="reference", cells=(1,), query_ids=(), per_query=())  # no rows

@@ -3,7 +3,10 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from refrank import cli as cli_module
 from refrank.cli import cli
+from refrank.datamodel import CallLedger
+from refrank.scorer import OracleScorer
 
 from synth import make_synth, write_experiment_files
 
@@ -211,9 +214,16 @@ def test_empty_run_file_is_runtime_error(fixture_files, tmp_path, monkeypatch, c
         ("analyze", ["--m", "20", "--seed", "7"], 1),
         ("analyze", ["--m", "0", "--seed", "7"], 1),
         ("analyze", ["--ref-topk", "0", "--seed", "7"], 1),
+        ("rerank", ["--strategy", "refrank-multiple", "--m", "99", "--seed", "7"], 1),
+        ("rerank", ["--ref-index", "99", "--seed", "7"], 1),
+        ("rerank", ["--strategy", "pairwise-bubblesort", "--k", "0", "--seed", "7"], 1),
+        ("rerank", ["--strategy", "pairwise-bubblesort", "--k", "99", "--seed", "7"], 1),
+        ("rerank", ["--strategy", "setwise-heapsort", "--children", "1", "--seed", "7"], 1),
     ],
     ids=["rerank-no-seed", "analyze-no-endpoint-url", "template-without-ref", "nan-weight",
-         "analyze-m-past-list", "analyze-m-zero", "analyze-ref-topk-zero"],
+         "analyze-m-past-list", "analyze-m-zero", "analyze-ref-topk-zero", "rerank-m-past-list",
+         "rerank-ref-index-past-list", "rerank-k-zero", "rerank-k-past-list",
+         "rerank-children-one"],
 )
 def test_failed_setup_creates_no_out_dir(fixture_files, tmp_path, monkeypatch, command, extra,
                                          exit_code):
@@ -229,6 +239,36 @@ def test_failed_setup_creates_no_out_dir(fixture_files, tmp_path, monkeypatch, c
 
 
 class TestAnalyze:
+    def test_sweeps_share_each_querys_judgments(self, tmp_path, monkeypatch):
+        # 8 queries x 100 docs, anchors 1..5 in both sweeps: 500 distinct
+        # (doc, anchor) judgments per query behind 2,000 counted calls
+        paths = write_experiment_files(make_synth(8, 100, 3), tmp_path / "data")
+        judges = OracleScorer._JUDGES
+        judged = []
+
+        def counted(kind):
+            def judge(scorer, request):
+                judged.append(kind)
+                return judges[kind](scorer, request)
+
+            return judge
+
+        ledgers = []
+
+        class KeptLedger(CallLedger):
+            def __init__(self):
+                super().__init__()
+                ledgers.append(self)
+
+        monkeypatch.setattr(OracleScorer, "_JUDGES", {kind: counted(kind) for kind in judges})
+        monkeypatch.setattr(cli_module, "CallLedger", KeptLedger)
+        result = invoke(["analyze", *input_args(paths), "--qrels", str(paths[3]),
+                         "--out", str(tmp_path / "out"), "--ref-topk", "5", "--m", "5",
+                         "--seed", "1"])
+        assert result.exit_code == 0, result.output
+        assert len(judged) == 4_000
+        assert [ledger.total_calls for ledger in ledgers] == [16_000]
+
     def test_writes_three_csvs(self, fixture_files, tmp_path):
         data, paths = fixture_files
         run, corpus, queries, qrels = paths

@@ -19,8 +19,8 @@ from refrank.datamodel import (
 )
 
 
-def doc(doc_id, rank, score=0.0, text="some passage text"):
-    return DocCandidate(doc_id, text, rank, score)
+def doc(doc_id, rank, text="some passage text"):
+    return DocCandidate(doc_id, text, rank)
 
 
 class TestQuery:
@@ -130,10 +130,6 @@ class TestQrels:
         assert qrels.grade("q1", "d9") == 0
         assert qrels.grade("q2", "d3") == 0
 
-    def test_from_pairs_last_wins(self):
-        qrels = Qrels.from_pairs([("q1", "d1", 1), ("q1", "d1", 3)])
-        assert qrels.grade("q1", "d1") == 3
-
     def test_negative_grade_rejected(self):
         with pytest.raises(ValidationError):
             Qrels({"q1": {"d1": -1}})
@@ -146,10 +142,6 @@ class TestQrels:
         qrels = Qrels({"q1": {"a": 1, "b": 3}})
         assert qrels.max_grade("q1") == 3
         assert qrels.max_grade("missing") == 0
-
-    def test_len_counts_pairs(self):
-        qrels = Qrels({"q1": {"a": 1, "b": 0}, "q2": {"c": 2}})
-        assert len(qrels) == 3
 
 
 class TestCallLedger:

@@ -11,7 +11,6 @@ from refrank.datamodel import (
     build_ranking,
 )
 from refrank.io import (
-    CorpusRecord,
     DuplicateEntryError,
     MissingDocsError,
     MissingFieldError,
@@ -109,8 +108,7 @@ class TestParseCorpus:
     def test_basic(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text('{"id":"d1","contents":"abc"}\n')
-        records = parse_corpus_jsonl(path)
-        assert records["d1"] == CorpusRecord("d1", "abc")
+        assert parse_corpus_jsonl(path) == {"d1": "abc"}
 
     def test_duplicate_id(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -131,9 +129,13 @@ class TestParseCorpus:
             parse_corpus_jsonl(path)
         assert exc.value.line_number == 2
 
-    def test_title_concatenation(self):
-        record = CorpusRecord("d1", "body", title="Head")
-        assert record.passage_text() == "Head body"
+    def test_title_concatenation(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text(
+            '{"id":"d1","contents":"body","title":"Head"}\n'
+            '{"id":"d2","contents":"body","title":""}\n'
+        )
+        assert parse_corpus_jsonl(path) == {"d1": "Head body", "d2": "body"}
 
 
 class TestParseQueries:
@@ -194,7 +196,7 @@ class TestWriteRunFile:
         rankings = []
         for qi in range(50):
             n = int(rng.integers(1, 20))
-            docs = [DocCandidate(f"q{qi}_d{i}", "text", i + 1, 0.0) for i in range(n)]
+            docs = [DocCandidate(f"q{qi}_d{i}", "text", i + 1) for i in range(n)]
             scores = rng.normal(size=n)
             rankings.append(build_ranking(f"q{qi}", list(zip(docs, scores)), "t"))
         path = tmp_path / "out.run"

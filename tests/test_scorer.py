@@ -30,7 +30,7 @@ QUERY = Query("q1", "what is x")
 
 
 def doc(doc_id, rank=1, text="passage text"):
-    return DocCandidate(doc_id, text, rank, 0.0)
+    return DocCandidate(doc_id, text, rank)
 
 
 # the requests the stub-server tests send
@@ -99,12 +99,9 @@ class TestOracleLatent:
         assert oracle_latent(doc("a"), qrels, "q1") == 0.0
 
     def test_max_grade(self):
-        qrels = Qrels.from_pairs(
-            [("q1", "a", 0), ("q1", "b", 0), ("q2", "a", 3), ("q2", "b", 2), ("q2", "a", 1)]
-        )
+        qrels = Qrels({"q1": {"a": 0, "b": 0}, "q2": {"a": 1, "b": 2}})
         assert qrels.max_grade("unknown") == 0
         assert qrels.max_grade("q1") == 0
-        # later pairs win: a's grade 3 is replaced by 1, so b's 2 is the top
         assert qrels.max_grade("q2") == 2
 
 

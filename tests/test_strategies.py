@@ -289,7 +289,7 @@ class TestResolveReference:
         counts = {1: 0, 2: 0}
         for i in range(10_000):
             query = Query(f"q{i}", "t")
-            docs = [DocCandidate(f"q{i}_d{j}", "text", j + 1, 0.0) for j in range(4)]
+            docs = [DocCandidate(f"q{i}_d{j}", "text", j + 1) for j in range(4)]
             cl = make_candidate_list(query, docs)
             chosen = resolve_reference(cl, RandomTopK(2, seed=123))
             counts[chosen.first_stage_rank] += 1
@@ -308,6 +308,19 @@ class TestSetwiseValidation:
         cl, latents = fixture_list(5)
         with pytest.raises(ValidationError):
             rank_setwise_heapsort(cl, oracle_for(latents), c=1, k=3)
+
+    def test_c_past_label_letters_rejected_before_any_call(self):
+        # a group is the parent plus up to c children, one letter A..Z each
+        cl, latents = fixture_list(30)
+        scorer = oracle_for(latents)
+        with pytest.raises(ValidationError, match="2..25"):
+            rank_setwise_heapsort(cl, scorer, c=26, k=3)
+        assert scorer.ledger.total_calls == 0
+
+    def test_c_at_label_limit_ranks(self):
+        cl, latents = fixture_list(30)
+        ranking = rank_setwise_heapsort(cl, oracle_for(latents), c=25, k=3)
+        assert len(ranking.entries) == 30
 
     def test_k_bounds(self):
         cl, latents = fixture_list(5)
