@@ -318,9 +318,9 @@ def cmd_rerank(out_dir, force, **options):
     ranker = _rankers([strategy], options)[strategy]
     lists, qrels = _load_inputs(options)
     ledger = CallLedger()
-    scorer = _build_scorer(options, qrels, ledger)
-    run_out, report_out = _outputs(out_dir, force, f"{strategy}.run", f"{strategy}.report.json")
-    rankings, seconds = _run_all(lists, ranker, scorer, options["concurrency"])
+    with _build_scorer(options, qrels, ledger) as scorer:
+        run_out, report_out = _outputs(out_dir, force, f"{strategy}.run", f"{strategy}.report.json")
+        rankings, seconds = _run_all(lists, ranker, scorer, options["concurrency"])
     write_run_file(rankings, strategy, _created(run_out))
 
     if qrels is None:
@@ -337,6 +337,7 @@ def cmd_rerank(out_dir, force, **options):
         "calls": ledger.counts,
         "total_calls": ledger.total_calls,
         "prompt_chars": ledger.prompt_chars,
+        "retries": ledger.retries,
         "query_seconds": seconds,
         "total_seconds": sum(seconds.values()),
         **evaluation,
@@ -372,25 +373,25 @@ def cmd_analyze(out_dir, force, **options):
     anchor-index curve.
     """
     lists, qrels = _load_inputs(options)
-    scorer = _build_scorer(options, qrels, CallLedger())
-    ref_topk = options["ref_topk"]
-    depth_r = ref_topk if ref_topk is not None else min(10, min(len(cl) for cl in lists))
-    check_sweep_depth(lists, depth_r, "--ref-topk")
-    check_sweep_depth(lists, options["m"], "--m")
-    reference_csv, topk_csv, ensemble_csv = _outputs(
-        out_dir, force, "reference_sweep.csv", "topk_selection.csv", "ensemble_sweep.csv"
-    )
-    metric = MetricConfig(gain=options["gain"])
-
-    # Both sweeps run one query at a time, so the judgments they share are
-    # made while the oracle still remembers that query's judgments.
-    per_query = [
-        (
-            sweep_reference_quality([cl], scorer, qrels, depth_r, metric),
-            sweep_ensemble_size([cl], scorer, qrels, options["m"], metric),
+    with _build_scorer(options, qrels, CallLedger()) as scorer:
+        ref_topk = options["ref_topk"]
+        depth_r = ref_topk if ref_topk is not None else min(10, min(len(cl) for cl in lists))
+        check_sweep_depth(lists, depth_r, "--ref-topk")
+        check_sweep_depth(lists, options["m"], "--m")
+        reference_csv, topk_csv, ensemble_csv = _outputs(
+            out_dir, force, "reference_sweep.csv", "topk_selection.csv", "ensemble_sweep.csv"
         )
-        for cl in lists
-    ]
+        metric = MetricConfig(gain=options["gain"])
+
+        # Both sweeps run one query at a time, so the judgments they share are
+        # made while the oracle still remembers that query's judgments.
+        per_query = [
+            (
+                sweep_reference_quality([cl], scorer, qrels, depth_r, metric),
+                sweep_ensemble_size([cl], scorer, qrels, options["m"], metric),
+            )
+            for cl in lists
+        ]
     reference, ensemble = (_concat(results) for results in zip(*per_query))
     reference.to_csv(_created(reference_csv))
     write_topk_csv(sweep_topk_selection(reference, depth_r), topk_csv)
@@ -455,8 +456,8 @@ def cmd_bench(**options):
     click.echo("-" * len(header))
     for name, ranker in rankers.items():
         ledger = CallLedger()
-        scorer = _build_scorer(options, qrels, ledger)
-        _, seconds = _run_all(lists, ranker, scorer, options["concurrency"])
+        with _build_scorer(options, qrels, ledger) as scorer:
+            _, seconds = _run_all(lists, ranker, scorer, options["concurrency"])
         per_kind = " ".join(
             f"{kind}={count / len(lists):g}" for kind, count in ledger.counts.items() if count
         ) or "none"

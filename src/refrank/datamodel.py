@@ -249,7 +249,10 @@ class Qrels:
 
 
 class CallLedger:
-    """Counts judge calls by kind and their prompt characters.
+    """Counts judge calls by kind, their prompt characters, and retried attempts.
+
+    A call counts once, when it succeeds; ``retries`` counts each attempt
+    after a request's first, by kind, whether or not the request succeeds.
 
     Increment-only and lock-protected: concurrent workers may share one
     instance, and only the final totals are observable.
@@ -261,6 +264,7 @@ class CallLedger:
         self._lock = threading.Lock()
         self._counts = dict.fromkeys(self.KINDS, 0)
         self._prompt_chars = 0
+        self._retries: dict[str, int] = {}
 
     def record(self, kind: str, prompt_chars: int = 0) -> None:
         if kind not in self._counts:
@@ -268,6 +272,10 @@ class CallLedger:
         with self._lock:
             self._counts[kind] += 1
             self._prompt_chars += prompt_chars
+
+    def record_retry(self, kind: str) -> None:
+        with self._lock:
+            self._retries[kind] = self._retries.get(kind, 0) + 1
 
     def count(self, kind: str) -> int:
         with self._lock:
@@ -287,3 +295,9 @@ class CallLedger:
     def prompt_chars(self) -> int:
         with self._lock:
             return self._prompt_chars
+
+    @property
+    def retries(self) -> dict[str, int]:
+        """Retried attempts per kind, for the kinds that had any."""
+        with self._lock:
+            return dict(self._retries)

@@ -130,6 +130,15 @@ class Scorer(ABC):
     def __init__(self, ledger: CallLedger | None = None):
         self.ledger = ledger if ledger is not None else CallLedger()
 
+    def close(self) -> None:
+        """Release what the scorer holds open; a scorer that holds nothing does nothing."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
     @abstractmethod
     def _score_one(self, request: JudgeRequest) -> tuple[dict[str, float], int]:
         """Return (label -> logit, prompt character count) for one request."""

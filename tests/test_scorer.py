@@ -1,13 +1,24 @@
+import contextlib
 import json
 import math
+import os
+import subprocess
 import sys
+import textwrap
 import threading
+import time
+import zlib
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
+import refrank
+from refrank.cli import cli
 from refrank.datamodel import DocCandidate, Qrels, Query, ValidationError
+from refrank.scorer import llm
 from refrank.scorer import (
     BatchScoringError,
     DegenerateResponseError,
@@ -25,6 +36,7 @@ from refrank.scorer import (
     check_placeholders,
     oracle_latent,
 )
+from synth import make_synth, write_experiment_files
 
 QUERY = Query("q1", "what is x")
 
@@ -404,22 +416,34 @@ class TestPrompts:
 
 
 class StubHandler(BaseHTTPRequestHandler):
-    """Programmable chat-completions stub."""
+    """Programmable chat-completions stub.
 
-    behaviors: list = []  # list of callables(request_index) -> (status, body dict|str)
+    A behavior answers (status, body) or (status, body, headers), or None to
+    close the connection without answering.
+    """
+
+    behaviors: list = []  # list of callables(request_index) -> answer
     calls: list = []
+    peers: list = []  # the client address of each request
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
         body = json.loads(self.rfile.read(length) or b"{}")
         index = len(StubHandler.calls)
         StubHandler.calls.append(body)
+        StubHandler.peers.append(self.client_address)
         behavior = StubHandler.behaviors[min(index, len(StubHandler.behaviors) - 1)]
-        status, payload = behavior(index)
+        answer = behavior(index)
+        if answer is None:
+            self.close_connection = True
+            return
+        status, payload, *headers = answer
         data = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
+        for name, value in (headers[0] if headers else {}).items():
+            self.send_header(name, value)
         self.end_headers()
         self.wfile.write(data)
 
@@ -442,6 +466,7 @@ def stub_server():
     thread.start()
     StubHandler.behaviors = [lambda i: (200, completion_payload([]))]
     StubHandler.calls = []
+    StubHandler.peers = []
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
     server.server_close()
@@ -562,9 +587,12 @@ class TestLlmScorer:
             lambda i: (429, {"error": "slow down"}),
             lambda i: (200, completion_payload(top)),
         ]
-        logits = llm_scorer(stub_server).score(PROBE_POINTWISE)
+        scorer = llm_scorer(stub_server)
+        logits = scorer.score(PROBE_POINTWISE)
         assert logits["yes"] == pytest.approx(-0.3)
         assert len(StubHandler.calls) == 3
+        assert scorer.ledger.retries == {"pointwise": 2}
+        assert scorer.ledger.total_calls == 1
 
     def test_transient_after_retries_exhausted(self, stub_server):
         StubHandler.behaviors = [lambda i: (503, {"error": "down"})]
@@ -623,6 +651,231 @@ class TestLlmScorer:
                 setwise=PromptTemplates.defaults().setwise,
             )
             LlmBackendConfig(base_url="http://x", model="m", templates=broken)
+
+
+class CountingStub(ThreadingHTTPServer):
+    """Keep-alive stub that counts requests, 429s and requests in flight.
+
+    Every answer comes latency_s after the request and lists the labels of
+    every kind. With throttle_every n, the first attempt of each prompt whose
+    CRC-32 is divisible by n gets HTTP 429.
+    """
+
+    daemon_threads = True
+
+    def __init__(self, latency_s, throttle_every=0):
+        super().__init__(("127.0.0.1", 0), CountingHandler)
+        self.latency_s = latency_s
+        self.throttle_every = throttle_every
+        self.lock = threading.Lock()
+        self.requests = self.throttled = self.inflight = self.inflight_max = 0
+        self.seen = set()
+
+    @property
+    def url(self):
+        return f"http://127.0.0.1:{self.server_port}"
+
+
+class CountingHandler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"
+    ANSWER = json.dumps(completion_payload(
+        [{"token": t, "logprob": v} for t, v in (("A", -0.2), ("B", -1.5), ("yes", -0.4), ("no", -1.1))]
+    )).encode()
+
+    def do_POST(self):
+        server = self.server
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        prompt = body["messages"][0]["content"].encode()
+        with server.lock:
+            server.requests += 1
+            server.inflight += 1
+            server.inflight_max = max(server.inflight_max, server.inflight)
+            throttle = bool(server.throttle_every) and prompt not in server.seen and (
+                zlib.crc32(prompt) % server.throttle_every == 0
+            )
+            server.throttled += throttle
+            server.seen.add(prompt)
+        time.sleep(server.latency_s)
+        with server.lock:  # before answering, so the next request cannot overlap this one
+            server.inflight -= 1
+        status, data = (429, b'{"error": "slow down"}') if throttle else (200, self.ANSWER)
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):  # silence
+        pass
+
+
+@contextlib.contextmanager
+def counting_stub(latency_s, throttle_every=0):
+    server = CountingStub(latency_s, throttle_every)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+
+
+YES_NO = completion_payload([{"token": "yes", "logprob": -0.3}, {"token": "no", "logprob": -1.3}])
+
+
+class TestLlmTransport:
+    @pytest.mark.parametrize(
+        "retry_after, low, high",
+        [
+            ("0.05", 0.05, 5.0),
+            ("2", 2.0, 5.0),
+            ("100", 5.0, 5.0),  # capped at the timeout
+            ("Wed, 21 Oct 2015 07:28:00 GMT", 0.0, 0.01),  # a date falls back to the backoff
+        ],
+        ids=["decimal", "integer", "capped", "http-date"],
+    )
+    def test_retry_after_sets_the_least_sleep(self, stub_server, monkeypatch, retry_after, low, high):
+        sleeps = []
+        monkeypatch.setattr(llm.time, "sleep", sleeps.append)
+        StubHandler.behaviors = [
+            lambda i: (429, {"error": "slow down"}, {"Retry-After": retry_after}),
+            lambda i: (200, YES_NO),
+        ]
+        scorer = llm_scorer(stub_server)
+        assert scorer.score(PROBE_POINTWISE)["yes"] == pytest.approx(-0.3)
+        assert len(sleeps) == 1 and low <= sleeps[0] <= high
+        assert scorer.ledger.retries == {"pointwise": 1}
+
+    def test_5xx_burst_then_success_with_jittered_backoff(self, stub_server, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr(llm.time, "sleep", sleeps.append)
+        StubHandler.behaviors = [
+            lambda i: (500, {"error": "boom"}),
+            lambda i: (502, {"error": "bad gateway"}),
+            lambda i: (503, {"error": "down"}),
+            lambda i: (200, YES_NO),
+        ]
+        scorer = llm_scorer(stub_server, max_retries=3)
+        assert scorer.score(PROBE_POINTWISE)["no"] == pytest.approx(-1.3)
+        assert len(sleeps) == 3
+        assert all(0.0 <= pause <= 0.01 * 2**n for n, pause in enumerate(sleeps))
+        assert scorer.ledger.retries == {"pointwise": 3}
+        assert scorer.ledger.total_calls == 1
+
+    def test_non_json_200_is_degenerate_and_not_retried(self, stub_server):
+        StubHandler.behaviors = [lambda i: (200, b"<html>not json</html>")]
+        scorer = llm_scorer(stub_server)
+        with pytest.raises(DegenerateResponseError) as exc:
+            scorer.score(PROBE_POINTWISE)
+        assert exc.value.payload == "<html>not json</html>"
+        assert len(StubHandler.calls) == 1
+        assert scorer.ledger.retries == {} and scorer.ledger.total_calls == 0
+
+    def test_dropped_connection_reconnects_and_counts_one_retry(self, stub_server, monkeypatch):
+        monkeypatch.setattr(StubHandler, "protocol_version", "HTTP/1.1")  # keep-alive
+        StubHandler.behaviors = [lambda i: None, lambda i: (200, YES_NO)]
+        with llm_scorer(stub_server) as scorer:
+            assert scorer.score(PROBE_POINTWISE)["yes"] == pytest.approx(-0.3)
+            assert scorer.ledger.counts["pointwise"] == 1
+            assert scorer.ledger.retries == {"pointwise": 1}
+            scorer.score(PROBE_POINTWISE)
+        first, retried, reused = StubHandler.peers
+        assert retried != first  # a new connection after the drop
+        assert reused == retried  # which is kept alive for the next call
+
+    @pytest.mark.parametrize(
+        "base_url",
+        ["localhost:8000", "ftp://host", "http://", "http://host/v1", "http://host?x=1",
+         "http://user@host", "http://host:port"],
+    )
+    def test_base_url_must_be_scheme_host_and_port(self, base_url):
+        with pytest.raises(ValidationError, match=r"http\(s\)://host"):
+            LlmScorer(LlmBackendConfig(base_url=base_url, model="m"))
+
+    @pytest.mark.parametrize("base_url", ["http://127.0.0.1:8000/", "https://example.org", "http://[::1]:80"])
+    def test_base_url_accepts_scheme_host_and_port(self, base_url):
+        with LlmScorer(LlmBackendConfig(base_url=base_url, model="m")):
+            pass
+
+    def test_rerank_concurrency_keeps_batch_size_in_flight(self, tmp_path):
+        run, corpus, queries, _ = write_experiment_files(make_synth(4, 8, seed=17), tmp_path / "data")
+        with counting_stub(latency_s=0.02) as server:
+            result = CliRunner().invoke(cli, [
+                "rerank", "--run", str(run), "--corpus", str(corpus), "--queries", str(queries),
+                "--depth", "8", "--strategy", "refrank-multiple", "--m", "2", "--concurrency", "4",
+                "--backend", "endpoint", "--endpoint-url", server.url, "--model", "m",
+                "--out", str(tmp_path / "out"),
+            ], catch_exceptions=False)
+        assert result.exit_code == 0, result.output
+        assert 1 < server.inflight_max <= LlmBackendConfig.batch_size
+        report = json.loads((tmp_path / "out" / "refrank-multiple.report.json").read_text())
+        assert report["total_calls"] == server.requests == 4 * 2 * 8
+        assert report["retries"] == {}
+
+    def test_shared_scorer_counts_and_bound_under_contention(self):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with counting_stub(latency_s=0.001, throttle_every=4) as server:
+                with llm_scorer(server.url, batch_size=3) as scorer:
+
+                    def work(worker):
+                        requests = [
+                            JudgeRequest("pointwise", QUERY, (doc(f"d{i}", i + 1, f"text {worker} {i}"),))
+                            for i in range(12)
+                        ]
+                        scorer.score_batch(requests[:8])
+                        for request in requests[8:]:
+                            scorer.score(request)
+
+                    threads = [threading.Thread(target=work, args=(w,)) for w in range(8)]
+                    for thread in threads:
+                        thread.start()
+                    for thread in threads:
+                        thread.join(timeout=60)
+                    assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert scorer.ledger.total_calls == 8 * 12
+        assert server.throttled > 0
+        assert server.requests == 8 * 12 + server.throttled
+        assert scorer.ledger.retries == {"pointwise": server.throttled}
+        assert server.inflight_max <= 3
+
+    @pytest.mark.parametrize("close", [True, False])
+    def test_close_leaves_no_socket_open(self, close):
+        script = textwrap.dedent("""
+            import gc, sys
+            from refrank.datamodel import DocCandidate, Query
+            from refrank.scorer import JudgeRequest, LlmBackendConfig, LlmScorer
+
+            scorer = LlmScorer(LlmBackendConfig(base_url=sys.argv[1], model="m", batch_size=2))
+            requests = [
+                JudgeRequest("pointwise", Query("q", "x"), (DocCandidate(f"d{i}", f"text {i}", i + 1),))
+                for i in range(4)
+            ]
+            scorer.score_batch(requests)
+            scorer.score(requests[0])
+            if sys.argv[2] == "close":
+                scorer.close()
+                assert all(connection.sock is None for connection in scorer._connections)
+            del scorer
+            gc.collect()
+        """)
+        src = str(Path(refrank.__file__).resolve().parent.parent)
+        with counting_stub(latency_s=0.0) as server:
+            done = subprocess.run(
+                [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c", script,
+                 server.url, "close" if close else "keep"],
+                capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+            )
+        assert done.returncode == 0, done.stderr
+        if close:
+            assert done.stderr == ""
+        else:  # the check can fail: unclosed keep-alive sockets do warn
+            assert "ResourceWarning" in done.stderr
 
 
 class TestSoftmaxHelpers:
