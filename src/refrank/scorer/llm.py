@@ -14,19 +14,20 @@ degenerate and never retried.
 
 Transport: the standard library's ``http.client``, with one keep-alive
 connection per thread, so proxy environment variables and ``.netrc`` are not
-read. ``base_url`` is ``http(s)://host[:port]``. Each scorer has one worker
-pool of ``batch_size`` threads for every ``score_batch``, and a semaphore of
-the same size around every HTTP exchange, so serial ``score`` calls from
-any number of threads share the same bound: at most ``batch_size`` requests
-are in flight per scorer. ``close()`` stops the pool and closes the
-connections.
+read. ``base_url`` is ``http(s)://host[:port]``. A connection the server
+closed while it was idle is reopened before the next request, without
+counting a retry. Each scorer has one worker pool of ``batch_size`` threads
+for every ``score_batch``, and a semaphore of the same size around every
+HTTP exchange, so serial ``score`` calls from any number of threads share
+the same bound: at most ``batch_size`` requests are in flight per scorer.
+``close()`` stops the pool and closes the connections.
 
 Transient failures (a dropped or reset connection, a timeout, HTTP 429,
-500, 502, 503 or 504) are retried up to ``max_retries`` times. Before retry n the scorer
-sleeps a uniform draw from [0, retry_backoff * 2**(n-1)] (full jitter); after
-a 429 or 503 whose ``Retry-After`` gives seconds, it sleeps at least that
-long, capped at ``timeout``. Results never depend on the draw. The ledger
-counts each retried attempt by request kind.
+500, 502, 503 or 504) are retried up to ``max_retries`` times. Before retry
+n the scorer sleeps a uniform draw from [0, retry_backoff * 2**(n-1)] (full
+jitter); after a 429 or 503 whose ``Retry-After`` gives seconds, it sleeps
+at least that long, capped at ``timeout``. Results never depend on the
+draw. The ledger counts each retried attempt by request kind.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ import json
 import math
 import os
 import random
+import selectors
 import threading
 import time
 from collections.abc import Sequence
@@ -174,6 +176,10 @@ class LlmScorer(Scorer):
             self._local.connection = connection
             with self._connections_lock:
                 self._connections.append(connection)
+        elif connection.sock is not None and _readable(connection.sock):
+            # The server closed the idle connection (a keep-alive timeout):
+            # nothing was sent on it, so reopen it without a retry.
+            connection.close()
         with self._in_flight:
             try:
                 connection.request("POST", self.config.path, body, self._headers)
@@ -254,8 +260,16 @@ def _endpoint(base_url: str) -> tuple[type[http.client.HTTPConnection], str, int
         or parts.fragment
     ):
         raise ValidationError(f"base_url must be http(s)://host[:port], got {base_url!r}")
-    connection_type = http.client.HTTPSConnection if parts.scheme == "https" else http.client.HTTPConnection
-    return connection_type, parts.hostname, port
+    if parts.scheme == "https":
+        return http.client.HTTPSConnection, parts.hostname, port
+    return http.client.HTTPConnection, parts.hostname, port
+
+
+def _readable(sock) -> bool:
+    """Whether an idle socket has input: end of stream, or bytes no request asked for."""
+    with selectors.DefaultSelector() as selector:
+        selector.register(sock, selectors.EVENT_READ)
+        return bool(selector.select(0))
 
 
 def _retry_after_seconds(value: str | None) -> float:

@@ -425,6 +425,7 @@ class StubHandler(BaseHTTPRequestHandler):
     behaviors: list = []  # list of callables(request_index) -> answer
     calls: list = []
     peers: list = []  # the client address of each request
+    close_after_answer = False  # close a keep-alive connection unannounced, as an idle timeout does
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
@@ -446,6 +447,8 @@ class StubHandler(BaseHTTPRequestHandler):
             self.send_header(name, value)
         self.end_headers()
         self.wfile.write(data)
+        if self.close_after_answer:
+            self.close_connection = True
 
     def log_message(self, *args):  # silence
         pass
@@ -679,7 +682,8 @@ class CountingStub(ThreadingHTTPServer):
 class CountingHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     ANSWER = json.dumps(completion_payload(
-        [{"token": t, "logprob": v} for t, v in (("A", -0.2), ("B", -1.5), ("yes", -0.4), ("no", -1.1))]
+        [{"token": t, "logprob": v}
+         for t, v in (("A", -0.2), ("B", -1.5), ("yes", -0.4), ("no", -1.1))]
     )).encode()
 
     def do_POST(self):
@@ -736,7 +740,9 @@ class TestLlmTransport:
         ],
         ids=["decimal", "integer", "capped", "http-date"],
     )
-    def test_retry_after_sets_the_least_sleep(self, stub_server, monkeypatch, retry_after, low, high):
+    def test_retry_after_sets_the_least_sleep(
+        self, stub_server, monkeypatch, retry_after, low, high
+    ):
         sleeps = []
         monkeypatch.setattr(llm.time, "sleep", sleeps.append)
         StubHandler.behaviors = [
@@ -785,6 +791,18 @@ class TestLlmTransport:
         assert retried != first  # a new connection after the drop
         assert reused == retried  # which is kept alive for the next call
 
+    def test_connection_closed_while_idle_reopens_without_a_retry(self, stub_server, monkeypatch):
+        monkeypatch.setattr(StubHandler, "protocol_version", "HTTP/1.1")
+        monkeypatch.setattr(StubHandler, "close_after_answer", True)
+        StubHandler.behaviors = [lambda i: (200, YES_NO)]
+        with llm_scorer(stub_server) as scorer:
+            for _ in range(3):
+                scorer.score(PROBE_POINTWISE)
+                time.sleep(0.05)  # idle, while the server's close arrives
+        assert len(StubHandler.calls) == 3
+        assert len(set(StubHandler.peers)) == 3  # one connection per request
+        assert scorer.ledger.retries == {}
+
     @pytest.mark.parametrize(
         "base_url",
         ["localhost:8000", "ftp://host", "http://", "http://host/v1", "http://host?x=1",
@@ -794,13 +812,16 @@ class TestLlmTransport:
         with pytest.raises(ValidationError, match=r"http\(s\)://host"):
             LlmScorer(LlmBackendConfig(base_url=base_url, model="m"))
 
-    @pytest.mark.parametrize("base_url", ["http://127.0.0.1:8000/", "https://example.org", "http://[::1]:80"])
+    @pytest.mark.parametrize(
+        "base_url", ["http://127.0.0.1:8000/", "https://example.org", "http://[::1]:80"]
+    )
     def test_base_url_accepts_scheme_host_and_port(self, base_url):
         with LlmScorer(LlmBackendConfig(base_url=base_url, model="m")):
             pass
 
     def test_rerank_concurrency_keeps_batch_size_in_flight(self, tmp_path):
-        run, corpus, queries, _ = write_experiment_files(make_synth(4, 8, seed=17), tmp_path / "data")
+        data = make_synth(4, 8, seed=17)
+        run, corpus, queries, _ = write_experiment_files(data, tmp_path / "data")
         with counting_stub(latency_s=0.02) as server:
             result = CliRunner().invoke(cli, [
                 "rerank", "--run", str(run), "--corpus", str(corpus), "--queries", str(queries),
@@ -818,17 +839,21 @@ class TestLlmTransport:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            with counting_stub(latency_s=0.001, throttle_every=4) as server:
+            with counting_stub(latency_s=0.005, throttle_every=4) as server:
                 with llm_scorer(server.url, batch_size=3) as scorer:
 
                     def work(worker):
                         requests = [
-                            JudgeRequest("pointwise", QUERY, (doc(f"d{i}", i + 1, f"text {worker} {i}"),))
+                            JudgeRequest(
+                                "pointwise", QUERY, (doc(f"d{i}", i + 1, f"text {worker} {i}"),)
+                            )
                             for i in range(12)
                         ]
-                        scorer.score_batch(requests[:8])
-                        for request in requests[8:]:
-                            scorer.score(request)
+                        if worker % 2:  # half the workers batch, half call serially
+                            scorer.score_batch(requests)
+                        else:
+                            for request in requests:
+                                scorer.score(request)
 
                     threads = [threading.Thread(target=work, args=(w,)) for w in range(8)]
                     for thread in threads:
@@ -853,7 +878,7 @@ class TestLlmTransport:
 
             scorer = LlmScorer(LlmBackendConfig(base_url=sys.argv[1], model="m", batch_size=2))
             requests = [
-                JudgeRequest("pointwise", Query("q", "x"), (DocCandidate(f"d{i}", f"text {i}", i + 1),))
+                JudgeRequest("pointwise", Query("q", "x"), (DocCandidate(f"d{i}", f"t{i}", i + 1),))
                 for i in range(4)
             ]
             scorer.score_batch(requests)
