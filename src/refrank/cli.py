@@ -7,7 +7,8 @@ Every rerank run writes a config snapshot into its report: the options the
 run read, the seed, and the package version. Re-running with the same
 configuration and seed reproduces the run file byte for byte under the
 oracle backend, which never touches the network. Blank input lines and
-repeated qrel pairs are skipped with one warning on stderr. An output
+repeated qrel pairs are skipped with one warning on stderr; rerank and bench
+also warn there when refrank-multiple's --m exceeds floor(log2 n). An output
 directory is created only when the first output is written, so a run that
 fails before then leaves none behind; existing outputs are refused before
 any judge call.
@@ -245,6 +246,15 @@ def _warn_skipped(warnings: ParseWarnings) -> None:
         )
 
 
+def _warn_over_budget(names: list[str], m: int, lists) -> None:
+    """Warn when refrank-multiple's m*n calls cost more than an O(n log n) sort would."""
+    n = min(len(cl) for cl in lists)
+    log2_n = n.bit_length() - 1  # floor(log2 n)
+    if "refrank-multiple" in names and m > log2_n:
+        click.echo(f"warning: ensemble size m={m} exceeds the log2(n)~{log2_n} "
+                   f"call-budget guideline at n={n}", err=True)
+
+
 def _run_all(lists, ranker, scorer: Scorer, concurrency: int):
     """Rank every list with the scorer; return the rankings and each query's seconds."""
 
@@ -317,6 +327,7 @@ def cmd_rerank(out_dir, force, **options):
     strategy = options["strategy"]
     ranker = _rankers([strategy], options)[strategy]
     lists, qrels = _load_inputs(options)
+    _warn_over_budget([strategy], options["m"], lists)
     ledger = CallLedger()
     with _build_scorer(options, qrels, ledger) as scorer:
         run_out, report_out = _outputs(out_dir, force, f"{strategy}.run", f"{strategy}.report.json")
@@ -451,6 +462,7 @@ def cmd_bench(**options):
     names = [name.strip() for name in options["strategy"].split(",") if name.strip()]
     rankers = _rankers(names, options)
     lists, qrels = _load_inputs(options)
+    _warn_over_budget(names, options["m"], lists)
     header = f"{'strategy':<20} {'calls/query':<28} {'total':>8} {'s/query':>10}"
     click.echo(header)
     click.echo("-" * len(header))

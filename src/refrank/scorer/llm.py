@@ -12,22 +12,22 @@ list, with no finite log-probability, in which no label token appears at
 all, or in which a label's token appears with no finite log-probability, is
 degenerate and never retried.
 
-Transport: the standard library's ``http.client``, with one keep-alive
-connection per thread, so proxy environment variables and ``.netrc`` are not
-read. ``base_url`` is ``http(s)://host[:port]``. A connection the server
-closed while it was idle is reopened before the next request, without
-counting a retry. Each scorer has one worker pool of ``batch_size`` threads
-for every ``score_batch``, and a semaphore of the same size around every
-HTTP exchange, so serial ``score`` calls from any number of threads share
-the same bound: at most ``batch_size`` requests are in flight per scorer.
-``close()`` stops the pool and closes the connections.
+Transport: the standard library's ``http.client``, so proxy environment
+variables and ``.netrc`` are not read. ``base_url`` is ``http(s)://host[:port]``.
+A scorer owns ``batch_size`` keep-alive connections. Each HTTP exchange
+takes a free one and waits while none is, so at most ``batch_size`` requests
+are in flight per scorer, from any number of threads. A connection the
+server closed while it was idle is reopened before the next request, without
+counting a retry. One worker pool of ``batch_size`` threads serves every
+``score_batch``. ``close()`` stops the pool and closes the connections;
+after it, calls raise ``ScoringError`` and open nothing.
 
 Transient failures (a dropped or reset connection, a timeout, HTTP 429,
-500, 502, 503 or 504) are retried up to ``max_retries`` times. Before retry
-n the scorer sleeps a uniform draw from [0, retry_backoff * 2**(n-1)] (full
-jitter); after a 429 or 503 whose ``Retry-After`` gives seconds, it sleeps
-at least that long, capped at ``timeout``. Results never depend on the
-draw. The ledger counts each retried attempt by request kind.
+500, 502, 503 or 504) are retried up to 3 times. Before retry n the scorer
+sleeps, holding no connection, a uniform draw from [0, retry_backoff *
+2**(n-1)] (full jitter); after a 429 or 503 whose ``Retry-After`` gives
+seconds, at least that long, capped at the 30 s timeout. Results never
+depend on the draw. The ledger counts each retried attempt by request kind.
 """
 
 from __future__ import annotations
@@ -36,9 +36,9 @@ import http.client
 import json
 import math
 import os
+import queue
 import random
 import selectors
-import threading
 import time
 from collections.abc import Sequence
 from concurrent.futures import Future, ThreadPoolExecutor, wait
@@ -59,6 +59,8 @@ RETRYABLE_STATUS = frozenset({429, 500, 502, 503, 504})
 _RETRY_AFTER_STATUS = frozenset({429, 503})
 _TOP_LOGPROBS = 20
 _MAX_DOC_CHARS = 4000
+_TIMEOUT_S = 30.0
+_MAX_RETRIES = 3
 
 
 @dataclass(frozen=True)
@@ -69,10 +71,8 @@ class LlmBackendConfig:
     model: str
     api_key_env: str = ""
     templates: PromptTemplates = field(default_factory=PromptTemplates.defaults)
-    timeout: float = 30.0
-    max_retries: int = 3
     retry_backoff: float = 0.5
-    batch_size: int = 4  # the most requests the scorer has in flight at once
+    batch_size: int = 4  # connections, so the most requests in flight at once
     path: str = "/v1/chat/completions"
 
     def __post_init__(self):
@@ -80,10 +80,6 @@ class LlmBackendConfig:
             raise ValidationError("base_url must be nonempty")
         if not self.model:
             raise ValidationError("model must be nonempty")
-        if self.timeout <= 0:
-            raise ValidationError("timeout must be positive")
-        if self.max_retries < 0:
-            raise ValidationError("max_retries must be >= 0")
         if self.batch_size < 1:
             raise ValidationError("batch_size must be >= 1")
 
@@ -94,7 +90,7 @@ class LlmScorer(Scorer):
     def __init__(self, config: LlmBackendConfig, ledger: CallLedger | None = None):
         super().__init__(ledger)
         self.config = config
-        self._connection_type, self._host, self._port = _endpoint(config.base_url)
+        connection_type, host, port = _endpoint(config.base_url)
         self._headers = {"Content-Type": "application/json"}
         if config.api_key_env:
             api_key = os.environ.get(config.api_key_env, "")
@@ -104,18 +100,22 @@ class LlmScorer(Scorer):
                 )
             self._headers["Authorization"] = f"Bearer {api_key}"
         self._pool = ThreadPoolExecutor(max_workers=config.batch_size)
-        self._in_flight = threading.BoundedSemaphore(config.batch_size)
-        self._local = threading.local()
-        # Every connection opened, from any thread, so that close() reaches them.
-        self._connections: list[http.client.HTTPConnection] = []
-        self._connections_lock = threading.Lock()
+        self._connections = tuple(
+            connection_type(host, port, timeout=_TIMEOUT_S) for _ in range(config.batch_size)
+        )
+        # Taking a free connection is the in-flight limit. Last in, first out
+        # reuses the connection used last, the likeliest to be still open.
+        self._free = queue.LifoQueue()
+        for connection in self._connections:
+            self._free.put(connection)
+        self._closed = False
 
     def close(self) -> None:
-        """Stop the worker pool and close every connection the scorer opened."""
+        """Stop the worker pool and close every connection; later calls raise ScoringError."""
+        self._closed = True
         self._pool.shutdown()
-        with self._connections_lock:
-            for connection in self._connections:
-                connection.close()
+        for connection in self._connections:
+            connection.close()
 
     def _score_one(self, request: JudgeRequest) -> tuple[dict[str, float], int]:
         prompt = build_prompt(request, self.config.templates, _MAX_DOC_CHARS)
@@ -131,14 +131,14 @@ class LlmScorer(Scorer):
         return self._extract_logits(request, data), len(prompt)
 
     def _post_with_retries(self, kind: str, body: bytes) -> dict:
-        attempts = self.config.max_retries + 1
+        attempts = _MAX_RETRIES + 1
         last_failure = "no attempt made"
         retry_after = 0.0
         for attempt in range(attempts):
             if attempt:
                 self.ledger.record_retry(kind)
                 backoff = random.uniform(0.0, self.config.retry_backoff * 2 ** (attempt - 1))
-                time.sleep(max(backoff, min(retry_after, self.config.timeout)))
+                time.sleep(max(backoff, min(retry_after, _TIMEOUT_S)))
                 retry_after = 0.0
             try:
                 status, retry_after_header, data = self._exchange(body)
@@ -164,30 +164,28 @@ class LlmScorer(Scorer):
         )
 
     def _exchange(self, body: bytes) -> tuple[int, str | None, bytes]:
-        """POST body on this thread's connection: (status, Retry-After, whole body).
+        """POST body on a free connection: (status, Retry-After, whole body).
 
-        The body is read in full, so the connection can carry the next
-        request. A connection that fails is closed, and reopens on its next
-        request.
+        Waits while every connection is taken. The body is read in full, so
+        the connection can carry the next request. A connection that fails
+        is closed, and reopens on its next request.
         """
-        connection = getattr(self._local, "connection", None)
-        if connection is None:
-            connection = self._connection_type(self._host, self._port, timeout=self.config.timeout)
-            self._local.connection = connection
-            with self._connections_lock:
-                self._connections.append(connection)
-        elif connection.sock is not None and _readable(connection.sock):
-            # The server closed the idle connection (a keep-alive timeout):
-            # nothing was sent on it, so reopen it without a retry.
-            connection.close()
-        with self._in_flight:
-            try:
-                connection.request("POST", self.config.path, body, self._headers)
-                response = connection.getresponse()
-                return response.status, response.getheader("Retry-After"), response.read()
-            except (OSError, http.client.HTTPException):
+        connection = self._free.get()
+        try:
+            if self._closed:
+                raise ScoringError("scorer is closed")
+            if connection.sock is not None and _readable(connection.sock):
+                # The server closed the idle connection (a keep-alive timeout):
+                # nothing was sent on it, so reopen it without a retry.
                 connection.close()
-                raise
+            connection.request("POST", self.config.path, body, self._headers)
+            response = connection.getresponse()
+            return response.status, response.getheader("Retry-After"), response.read()
+        except (OSError, http.client.HTTPException):
+            connection.close()
+            raise
+        finally:
+            self._free.put(connection)
 
     def _extract_logits(self, request: JudgeRequest, data: dict) -> dict[str, float]:
         try:
@@ -238,6 +236,8 @@ class LlmScorer(Scorer):
         Returns or raises only once every request has finished, so none is
         left recording into the ledger after the caller has moved on.
         """
+        if self._closed:
+            raise ScoringError("scorer is closed")
         futures = [self._pool.submit(self.score, request) for request in requests_seq]
         wait(futures)
         return self._collect(requests_seq, Future.result, futures)

@@ -20,7 +20,6 @@ failed requests raises BatchScoringError naming their doc ids.
 from __future__ import annotations
 
 import math
-import warnings as _warnings
 from dataclasses import dataclass
 
 from ._seeded import unit_uniform
@@ -129,19 +128,6 @@ class EnsembleConfig:
         if abs(sum(weights) - 1.0) > 1e-9:
             raise ValidationError(f"weights must sum to 1, got {sum(weights)!r}")
 
-    def check_budget(self, n: int) -> None:
-        """Warn when m exceeds floor(log2 n).
-
-        Past that point the m*n judge calls cost more than an O(n log n)
-        comparison sort would; large m stays allowed for sweep experiments.
-        """
-        if n >= 1 and self.m > int(math.log2(n)):
-            _warnings.warn(
-                f"ensemble size m={self.m} exceeds the log2(n)~{int(math.log2(n))} "
-                f"call-budget guideline at n={n}",
-                stacklevel=3,
-            )
-
 
 def _anchored(
     candidates: CandidateList,
@@ -232,7 +218,6 @@ def rank_refrank_multiple(
     n = len(candidates)
     if config.m > n:
         raise ValidationError(f"ensemble size m={config.m} exceeds list length {n}")
-    config.check_budget(n)
     refs = candidates.docs[: config.m]
     return _anchored(candidates, scorer, refs, config.weights, "refrank-multiple")
 

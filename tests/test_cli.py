@@ -96,6 +96,25 @@ class TestRerank:
         assert len(warnings) == 1
         assert "1 blank line" in warnings[0]
 
+    def test_budget_warning_past_log2_n(self, fixture_files, tmp_path):
+        data, paths = fixture_files
+        rerank = invoke(rerank_args(paths, tmp_path / "out", "refrank-multiple", ["--m", "4"]))
+        bench = invoke([
+            "bench", *input_args(paths), "--strategy", "pointwise,refrank-multiple",
+            "--m", "4", "--seed", "7", "--depth", "12",
+        ])
+        for result in (rerank, bench):
+            assert result.exit_code == 0, result.output
+            assert result.stderr == (
+                "warning: ensemble size m=4 exceeds the log2(n)~3 call-budget guideline at n=12\n"
+            )
+
+    def test_no_warning_within_budget(self, fixture_files, tmp_path):
+        data, paths = fixture_files
+        result = invoke(rerank_args(paths, tmp_path / "out", "refrank-multiple", ["--m", "3"]))
+        assert result.exit_code == 0, result.output
+        assert result.stderr == ""
+
     def test_unknown_strategy_is_usage_error(self, fixture_files, tmp_path):
         data, paths = fixture_files
         result = CliRunner().invoke(
@@ -288,6 +307,7 @@ class TestAnalyze:
             ]
         )
         assert result.exit_code == 0, result.output
+        assert result.stderr == ""  # the sweeps pass --m 4 > log2(12) without a budget warning
         reference = (out / "reference_sweep.csv").read_text().strip().splitlines()
         topk = (out / "topk_selection.csv").read_text().strip().splitlines()
         ensemble = (out / "ensemble_sweep.csv").read_text().strip().splitlines()

@@ -1,4 +1,7 @@
+import collections
 import contextlib
+import functools
+import hashlib
 import json
 import math
 import os
@@ -16,7 +19,8 @@ import pytest
 from click.testing import CliRunner
 
 import refrank
-from refrank.cli import cli
+from refrank import cli as cli_module
+from refrank.cli import STRATEGIES, cli
 from refrank.datamodel import DocCandidate, Qrels, Query, ValidationError
 from refrank.scorer import llm
 from refrank.scorer import (
@@ -480,7 +484,6 @@ def llm_scorer(base_url, **kwargs):
         base_url=base_url,
         model="test-model",
         retry_backoff=0.01,
-        timeout=5.0,
         **kwargs,
     )
     return LlmScorer(config)
@@ -599,10 +602,10 @@ class TestLlmScorer:
 
     def test_transient_after_retries_exhausted(self, stub_server):
         StubHandler.behaviors = [lambda i: (503, {"error": "down"})]
-        scorer = llm_scorer(stub_server, max_retries=2)
+        scorer = llm_scorer(stub_server)
         with pytest.raises(TransientBackendError):
             scorer.score(PROBE_POINTWISE)
-        assert len(StubHandler.calls) == 3  # initial + 2 retries
+        assert len(StubHandler.calls) == 4  # initial + 3 retries
 
     def test_non_retryable_http_error(self, stub_server):
         StubHandler.behaviors = [lambda i: (400, {"error": "bad request"})]
@@ -657,22 +660,28 @@ class TestLlmScorer:
 
 
 class CountingStub(ThreadingHTTPServer):
-    """Keep-alive stub that counts requests, 429s and requests in flight.
+    """Keep-alive stub that counts requests, faults, connections and requests in flight.
 
-    Every answer comes latency_s after the request and lists the labels of
-    every kind. With throttle_every n, the first attempt of each prompt whose
-    CRC-32 is divisible by n gets HTTP 429.
+    Every answer comes latency_s after the request. It lists the labels of
+    every kind, with log-probabilities drawn from the prompt's SHA-256
+    digest, so a run through the stub is a function of its prompts. The
+    first attempts of each prompt that faulty selects get the answers in
+    faults instead, one per attempt: an HTTP status with Retry-After: 0, or
+    None to drop the connection without an answer.
     """
 
     daemon_threads = True
 
-    def __init__(self, latency_s, throttle_every=0):
+    def __init__(self, latency_s, faults=(), faulty=lambda prompt: zlib.crc32(prompt) % 4 == 0):
         super().__init__(("127.0.0.1", 0), CountingHandler)
         self.latency_s = latency_s
-        self.throttle_every = throttle_every
+        self.faults = faults
+        self.faulty = faulty
         self.lock = threading.Lock()
-        self.requests = self.throttled = self.inflight = self.inflight_max = 0
-        self.seen = set()
+        self.requests = self.inflight = self.inflight_max = 0
+        self.attempts = collections.Counter()  # by prompt
+        self.injected = collections.Counter()  # by fault
+        self.ports = set()  # the client port of every connection
 
     @property
     def url(self):
@@ -681,10 +690,8 @@ class CountingStub(ThreadingHTTPServer):
 
 class CountingHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
-    ANSWER = json.dumps(completion_payload(
-        [{"token": t, "logprob": v}
-         for t, v in (("A", -0.2), ("B", -1.5), ("yes", -0.4), ("no", -1.1))]
-    )).encode()
+    disable_nagle_algorithm = True  # else delayed ACKs stall each serial call
+    TOKENS = ("A", "B", "C", "D", "yes", "no")
 
     def do_POST(self):
         server = self.server
@@ -694,18 +701,31 @@ class CountingHandler(BaseHTTPRequestHandler):
             server.requests += 1
             server.inflight += 1
             server.inflight_max = max(server.inflight_max, server.inflight)
-            throttle = bool(server.throttle_every) and prompt not in server.seen and (
-                zlib.crc32(prompt) % server.throttle_every == 0
-            )
-            server.throttled += throttle
-            server.seen.add(prompt)
+            server.ports.add(self.client_address[1])
+            attempt = server.attempts[prompt]
+            server.attempts[prompt] += 1
+            status = 200
+            if attempt < len(server.faults) and server.faulty(prompt):
+                status = server.faults[attempt]
+                server.injected[status] += 1
         time.sleep(server.latency_s)
         with server.lock:  # before answering, so the next request cannot overlap this one
             server.inflight -= 1
-        status, data = (429, b'{"error": "slow down"}') if throttle else (200, self.ANSWER)
+        if status is None:
+            self.close_connection = True
+            return
+        if status == 200:
+            digest = hashlib.sha256(prompt).digest()
+            data = json.dumps(completion_payload(
+                [{"token": token, "logprob": -digest[i] / 25.6} for i, token in enumerate(self.TOKENS)]
+            )).encode()
+        else:
+            data = b'{"error": "injected"}'
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
+        if status != 200:
+            self.send_header("Retry-After", "0")
         self.end_headers()
         self.wfile.write(data)
 
@@ -714,9 +734,9 @@ class CountingHandler(BaseHTTPRequestHandler):
 
 
 @contextlib.contextmanager
-def counting_stub(latency_s, throttle_every=0):
-    server = CountingStub(latency_s, throttle_every)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+def counting_stub(latency_s, **kwargs):
+    server = CountingStub(latency_s, **kwargs)
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
     thread.start()
     try:
         yield server
@@ -726,6 +746,26 @@ def counting_stub(latency_s, throttle_every=0):
         thread.join(timeout=10)
 
 
+def rerank_through(server, paths, out, strategy, *extra):
+    run, corpus, queries, _ = paths
+    return CliRunner().invoke(cli, [
+        "rerank", "--run", str(run), "--corpus", str(corpus), "--queries", str(queries),
+        "--strategy", strategy, *extra, "--backend", "endpoint", "--endpoint-url", server.url,
+        "--model", "m", "--out", str(out),
+    ], catch_exceptions=False)
+
+
+# Faults each prompt's first attempts may get; each costs one retry.
+FAULT_PROFILES = {"429": (429,), "500-then-503": (500, 503), "drop": (None,)}
+# Flags that keep every strategy's calls few on 6-document lists.
+SMALL_RUN_FLAGS = {
+    "refrank-multiple": ("--m", "2"),
+    "pairwise-bubblesort": ("--k", "3"),
+    "setwise-heapsort": ("--k", "3"),
+}
+FAST_RETRIES = functools.partial(LlmBackendConfig, retry_backoff=0.001)
+
+
 YES_NO = completion_payload([{"token": "yes", "logprob": -0.3}, {"token": "no", "logprob": -1.3}])
 
 
@@ -733,9 +773,9 @@ class TestLlmTransport:
     @pytest.mark.parametrize(
         "retry_after, low, high",
         [
-            ("0.05", 0.05, 5.0),
-            ("2", 2.0, 5.0),
-            ("100", 5.0, 5.0),  # capped at the timeout
+            ("0.05", 0.05, 0.05),
+            ("2", 2.0, 2.0),
+            ("100", 30.0, 30.0),  # capped at the 30 s timeout
             ("Wed, 21 Oct 2015 07:28:00 GMT", 0.0, 0.01),  # a date falls back to the backoff
         ],
         ids=["decimal", "integer", "capped", "http-date"],
@@ -763,7 +803,7 @@ class TestLlmTransport:
             lambda i: (503, {"error": "down"}),
             lambda i: (200, YES_NO),
         ]
-        scorer = llm_scorer(stub_server, max_retries=3)
+        scorer = llm_scorer(stub_server)
         assert scorer.score(PROBE_POINTWISE)["no"] == pytest.approx(-1.3)
         assert len(sleeps) == 3
         assert all(0.0 <= pause <= 0.01 * 2**n for n, pause in enumerate(sleeps))
@@ -839,7 +879,7 @@ class TestLlmTransport:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            with counting_stub(latency_s=0.005, throttle_every=4) as server:
+            with counting_stub(latency_s=0.005, faults=(429,)) as server:
                 with llm_scorer(server.url, batch_size=3) as scorer:
 
                     def work(worker):
@@ -864,10 +904,58 @@ class TestLlmTransport:
         finally:
             sys.setswitchinterval(interval)
         assert scorer.ledger.total_calls == 8 * 12
-        assert server.throttled > 0
-        assert server.requests == 8 * 12 + server.throttled
-        assert scorer.ledger.retries == {"pointwise": server.throttled}
+        assert server.injected[429] > 0
+        assert server.requests == 8 * 12 + server.injected[429]
+        assert scorer.ledger.retries == {"pointwise": server.injected[429]}
         assert server.inflight_max <= 3
+        assert len(server.ports) <= 3  # the scorer's connections, whichever thread calls
+
+    def test_closed_scorer_raises_and_opens_nothing(self):
+        with counting_stub(latency_s=0.0) as server:
+            scorer = llm_scorer(server.url, batch_size=2)
+            scorer.score(PROBE_POINTWISE)
+            scorer.close()
+            with pytest.raises(ScoringError, match="scorer is closed"):
+                scorer.score(PROBE_POINTWISE)
+            with pytest.raises(ScoringError, match="scorer is closed"):
+                scorer.score_batch([PROBE_POINTWISE])
+            assert all(connection.sock is None for connection in scorer._connections)
+        assert server.requests == 1 and len(server.ports) == 1
+
+    @pytest.mark.parametrize("concurrency", ["1", "4"])
+    @pytest.mark.parametrize("strategy", list(STRATEGIES))
+    def test_rerank_under_faults_matches_the_clean_run(
+        self, tmp_path, monkeypatch, strategy, concurrency
+    ):
+        monkeypatch.setattr(cli_module, "LlmBackendConfig", FAST_RETRIES)
+        paths = write_experiment_files(make_synth(4, 6, seed=23), tmp_path / "data")
+        outcomes = {}
+        for profile, faults in {"clean": (), **FAULT_PROFILES}.items():
+            out = tmp_path / profile
+            with counting_stub(latency_s=0.0, faults=faults,
+                               faulty=lambda prompt: zlib.crc32(prompt) % 3 == 0) as server:
+                result = rerank_through(server, paths, out, strategy, "--concurrency", concurrency,
+                                        *SMALL_RUN_FLAGS.get(strategy, ()))
+            assert result.exit_code == 0, (profile, result.output)
+            report = json.loads((out / f"{strategy}.report.json").read_text())
+            injected = sum(server.injected.values())
+            assert (injected > 0) == bool(faults), profile
+            assert sum(report["retries"].values()) == injected, profile
+            # a dropped connection is reopened, on a new port
+            assert len(server.ports) <= LlmBackendConfig.batch_size + server.injected[None], profile
+            run_digest = hashlib.sha256((out / f"{strategy}.run").read_bytes()).hexdigest()
+            outcomes[profile] = run_digest, report["total_calls"]
+        assert all(outcome == outcomes["clean"] for outcome in outcomes.values()), outcomes
+
+    def test_rerank_names_the_docs_whose_retries_ran_out(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli_module, "LlmBackendConfig", FAST_RETRIES)
+        paths = write_experiment_files(make_synth(2, 6, seed=23), tmp_path / "data")
+        with counting_stub(latency_s=0.0, faults=(500,) * 4,
+                           faulty=lambda prompt: b"passage q0001 4" in prompt) as server:
+            result = rerank_through(server, paths, tmp_path / "out", "pointwise")
+        assert result.exit_code == 1
+        assert result.stderr == "error: scoring failed for: q0001_d004\n"
+        assert server.injected == {500: 4}
 
     @pytest.mark.parametrize("close", [True, False])
     def test_close_leaves_no_socket_open(self, close):

@@ -249,16 +249,6 @@ class TestEnsembleConfig:
         with pytest.raises(ValidationError):
             rank_refrank_multiple(cl, oracle_for(latents), EnsembleConfig(6))
 
-    def test_budget_warning_past_log2_n(self):
-        cl, latents = fixture_list(16)
-        with pytest.warns(UserWarning, match="call-budget"):
-            rank_refrank_multiple(cl, oracle_for(latents), EnsembleConfig(5))
-
-    def test_no_warning_within_budget(self, recwarn):
-        cl, latents = fixture_list(16)
-        rank_refrank_multiple(cl, oracle_for(latents), EnsembleConfig(4))
-        assert not [w for w in recwarn if "call-budget" in str(w.message)]
-
 
 class TestResolveReference:
     def test_fixed_index(self):
