@@ -11,10 +11,12 @@ whose doc_ids are a permutation of the input. Judge-call counts are exact:
     setwise-heapsort     data-dependent; the ledger reports it exactly
 
 Batchable strategies (pointwise, refrank, allpairs) issue all their
-requests in one score_batch call; bubblesort and heapsort depend on earlier
-outcomes and score serially. Score aggregation always walks candidates in
-first-stage-rank order so floating-point sums are reproducible. A batch with
-failed requests raises BatchScoringError naming their doc ids.
+requests in one score_batch call. Bubblesort sends one batch per wave of
+duels whose inputs are settled. Only heapsort depends on each earlier
+outcome; it sends its set comparisons one per batch. Every strategy reaches
+the judge through score_batch, so a failed request raises BatchScoringError
+naming its doc ids. Score aggregation always walks candidates in
+first-stage-rank order so floating-point sums are reproducible.
 """
 
 from __future__ import annotations
@@ -265,18 +267,31 @@ def rank_pairwise_bubblesort(
     swapping adjacent docs whenever the lower-positioned one wins its duel
     (probability above 0.5 judged from slot A). Docs beyond the settled
     top-k fall back to first-stage order. Exactly k(n-1) - k(k-1)/2 calls.
+
+    The passes run in wavefronts, one score_batch per wave: pass s duels
+    positions (i, i+1) at wave (n-2-i) + 2s, two waves behind pass s-1.
+    The duels of one wave touch disjoint positions, and every earlier duel
+    of the serial sweep that touches i or i+1 falls in an earlier wave, so
+    each duel sees the same pair and the outcome equals the serial sweep's.
+    That is n + min(k, n-1) - 2 batches of at most k duels each, none at n = 1.
     """
     n = len(candidates)
     if not 1 <= k <= n:
         raise ValidationError(f"bubble passes k={k} must be within 1..{n}")
     query = candidates.query
     order = list(candidates.docs)
-    for settled in range(k):
-        for i in range(n - 2, settled - 1, -1):
-            upper, lower = order[i], order[i + 1]
-            logits = scorer.score(JudgeRequest("duel", query, (lower, upper)))
+    for wave in range(n + k - 2):
+        # this wave holds pass s's duel at i = t + 2s, for each s with s <= i <= n-2
+        t = n - 2 - wave
+        positions = range(t + 2 * max(0, -t), t + 2 * min(k - 1, wave // 2) + 1, 2)
+        if not positions:
+            continue
+        results = scorer.score_batch(
+            [JudgeRequest("duel", query, (order[i + 1], order[i])) for i in positions]
+        )
+        for i, logits in zip(positions, results):
             if refrank_score(logits["A"], logits["B"]) > 0.5:
-                order[i], order[i + 1] = lower, upper
+                order[i], order[i + 1] = order[i + 1], order[i]
     return _positional(query.id, order[:k], order[k:], "pairwise-bubblesort")
 
 
@@ -304,7 +319,7 @@ def rank_setwise_heapsort(
 
     def most_relevant(group: list[DocCandidate]) -> int:
         request = JudgeRequest("setwise", query, tuple(group))
-        logits = scorer.score(request)
+        logits = scorer.score_batch([request])[0]
         labels = request.labels
         best = 0
         for position in range(1, len(group)):

@@ -659,6 +659,10 @@ class TestLlmScorer:
             LlmBackendConfig(base_url="http://x", model="m", templates=broken)
 
 
+# Name suffixes of the threads socketserver runs the stub on (Python 3.10+).
+STUB_THREADS = ("(process_request_thread)", "(serve_forever)")
+
+
 class CountingStub(ThreadingHTTPServer):
     """Keep-alive stub that counts requests, faults, connections and requests in flight.
 
@@ -667,7 +671,9 @@ class CountingStub(ThreadingHTTPServer):
     digest, so a run through the stub is a function of its prompts. The
     first attempts of each prompt that faulty selects get the answers in
     faults instead, one per attempt: an HTTP status with Retry-After: 0, or
-    None to drop the connection without an answer.
+    None to drop the connection without an answer. Each request also
+    samples the client's live threads: those started since the stub was
+    made, plus the thread that made it, less the stub's own.
     """
 
     daemon_threads = True
@@ -682,6 +688,14 @@ class CountingStub(ThreadingHTTPServer):
         self.attempts = collections.Counter()  # by prompt
         self.injected = collections.Counter()  # by fault
         self.ports = set()  # the client port of every connection
+        self.bystanders = set(threading.enumerate()) - {threading.current_thread()}
+        self.threads_max = 0
+
+    def client_threads(self):
+        return sum(
+            1 for thread in threading.enumerate()
+            if thread not in self.bystanders and not thread.name.endswith(STUB_THREADS)
+        )
 
     @property
     def url(self):
@@ -702,6 +716,7 @@ class CountingHandler(BaseHTTPRequestHandler):
             server.inflight += 1
             server.inflight_max = max(server.inflight_max, server.inflight)
             server.ports.add(self.client_address[1])
+            server.threads_max = max(server.threads_max, server.client_threads())
             attempt = server.attempts[prompt]
             server.attempts[prompt] += 1
             status = 200
@@ -943,18 +958,28 @@ class TestLlmTransport:
             assert sum(report["retries"].values()) == injected, profile
             # a dropped connection is reopened, on a new port
             assert len(server.ports) <= LlmBackendConfig.batch_size + server.injected[None], profile
+            # the scorer's pool, the rerank workers and the caller
+            assert server.threads_max <= LlmBackendConfig.batch_size + int(concurrency) + 1, profile
             run_digest = hashlib.sha256((out / f"{strategy}.run").read_bytes()).hexdigest()
             outcomes[profile] = run_digest, report["total_calls"]
         assert all(outcome == outcomes["clean"] for outcome in outcomes.values()), outcomes
 
-    def test_rerank_names_the_docs_whose_retries_ran_out(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("strategy, failed", [
+        ("pointwise", "q0001_d004"),
+        ("pairwise-bubblesort", "q0001_d005|q0001_d004"),
+        ("setwise-heapsort", "q0001_d001|q0001_d004|q0001_d005"),
+    ], ids=["pointwise", "pairwise-bubblesort", "setwise-heapsort"])
+    def test_rerank_names_the_docs_whose_retries_ran_out(
+        self, tmp_path, monkeypatch, strategy, failed
+    ):
         monkeypatch.setattr(cli_module, "LlmBackendConfig", FAST_RETRIES)
         paths = write_experiment_files(make_synth(2, 6, seed=23), tmp_path / "data")
         with counting_stub(latency_s=0.0, faults=(500,) * 4,
                            faulty=lambda prompt: b"passage q0001 4" in prompt) as server:
-            result = rerank_through(server, paths, tmp_path / "out", "pointwise")
+            result = rerank_through(server, paths, tmp_path / "out", strategy,
+                                    *SMALL_RUN_FLAGS.get(strategy, ()))
         assert result.exit_code == 1
-        assert result.stderr == "error: scoring failed for: q0001_d004\n"
+        assert result.stderr == f"error: scoring failed for: {failed}\n"
         assert server.injected == {500: 4}
 
     @pytest.mark.parametrize("close", [True, False])

@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -11,7 +12,8 @@ from refrank.datamodel import (
     ValidationError,
     make_candidate_list,
 )
-from refrank.scorer import OracleConfig, OracleScorer
+from refrank._seeded import std_normal
+from refrank.scorer import JudgeRequest, OracleConfig, OracleScorer, Scorer
 from refrank.strategies import (
     EnsembleConfig,
     FixedIndex,
@@ -103,6 +105,79 @@ class TestCallCounts:
         ranking = rank_setwise_heapsort(cl, scorer, c=3, k=1)
         assert scorer.ledger.count("setwise") == 0
         assert ranking.doc_ids == cl.doc_ids
+
+
+class NoisyDuelJudge(Scorer):
+    """Seeded duel judge that is not swap-symmetric, recording how it is called.
+
+    Slot A's logit is a draw keyed by the ordered pair, so (a, b) and (b, a)
+    are judged independently. ``batches`` lists each score_batch call's
+    (lower, upper) doc id pairs; ``direct`` counts score calls made outside one.
+    """
+
+    def __init__(self, seed=0):
+        super().__init__()
+        self.seed = str(seed)
+        self.batches = []
+        self.direct = 0
+
+    def _score_one(self, request):
+        lower, upper = (doc.doc_id for doc in request.docs)
+        return {"A": std_normal(self.seed, lower, upper), "B": 0.0}, 0
+
+    def score(self, request):
+        self.direct += 1
+        return super().score(request)
+
+    def score_batch(self, requests):
+        self.batches.append([tuple(doc.doc_id for doc in r.docs) for r in requests])
+        return [Scorer.score(self, request) for request in requests]
+
+
+def serial_bubblesort(candidates, scorer, k):
+    """The serial sweep, one duel at a time: the final order and each pass's duels."""
+    order = list(candidates.docs)
+    passes = []
+    for settled in range(k):
+        duels = []
+        for i in range(len(order) - 2, settled - 1, -1):
+            upper, lower = order[i], order[i + 1]
+            logits = scorer.score(JudgeRequest("duel", candidates.query, (lower, upper)))
+            duels.append((lower.doc_id, upper.doc_id))
+            if refrank_score(logits["A"], logits["B"]) > 0.5:
+                order[i], order[i + 1] = lower, upper
+        passes.append(duels)
+    return order, passes
+
+
+BUBBLE_SHAPES = [(n, k) for n in range(1, 13) for k in range(1, n + 1)] + [(100, 10)]
+
+
+class TestBubblesortWaves:
+    @pytest.mark.parametrize("n,k", BUBBLE_SHAPES)
+    def test_waves_replay_the_serial_sweep(self, n, k):
+        cl, _ = fixture_list(n, seed=n)
+        order, passes = serial_bubblesort(cl, NoisyDuelJudge(seed=k), k)
+        judge = NoisyDuelJudge(seed=k)
+        ranking = rank_pairwise_bubblesort(cl, judge, k=k)
+        rest = sorted(order[k:], key=lambda doc: doc.first_stage_rank)
+        assert ranking.doc_ids == tuple(doc.doc_id for doc in order[:k] + rest)
+        # wave w holds step j of pass s for every j + 2s = w, in pass order
+        waves = collections.defaultdict(list)
+        for s, duels in enumerate(passes):
+            for j, duel in enumerate(duels):
+                waves[j + 2 * s].append(duel)
+        assert judge.batches == [waves[w] for w in sorted(waves)]
+
+    @pytest.mark.parametrize("n,k", BUBBLE_SHAPES)
+    def test_one_batch_per_wave(self, n, k):
+        cl, _ = fixture_list(n, seed=n)
+        judge = NoisyDuelJudge()
+        rank_pairwise_bubblesort(cl, judge, k=k)
+        assert len(judge.batches) == max(0, n + min(k, n - 1) - 2)  # none when n = 1
+        assert all(1 <= len(batch) <= k for batch in judge.batches)
+        assert judge.direct == 0
+        assert judge.ledger.count("duel") == k * (n - 1) - k * (k - 1) // 2
 
 
 class TestNoiselessBehavior:
