@@ -3,6 +3,13 @@
 Built on BLAKE2b so values are identical across processes and platforms,
 unlike the builtin hash(). The synthetic oracle and reference selection use
 these so that call order, batching, and threading can never change outcomes.
+
+A draw hashes its parts as one byte string: each part's UTF-8 bytes
+followed by 0x1f. Hashing is streaming, so a hash state that has absorbed
+the leading parts (``prefix``) and is then copied and fed the rest gives
+the digest of all the parts at once: ``prefixed_normal(prefix(a, b), c)``
+equals ``std_normal(a, b, c)`` bit for bit. A caller that draws many times
+under the same leading parts hashes them once.
 """
 
 from __future__ import annotations
@@ -10,16 +17,22 @@ from __future__ import annotations
 import hashlib
 import math
 
-_SEP = b"\x1f"
 _TWO64 = 2.0**64
 
 
+def _encode(parts: tuple[str, ...]) -> bytes:
+    # "\x1f" is the single byte 0x1f in UTF-8; the empty last item ends the
+    # last part with it, and no parts give no bytes
+    return "\x1f".join((*parts, "")).encode("utf-8")
+
+
+def prefix(*parts: str, size: int = 16):
+    """A BLAKE2b state that has absorbed parts; copy it before each use."""
+    return hashlib.blake2b(_encode(parts), digest_size=size)
+
+
 def stable_digest(*parts: str, size: int = 16) -> bytes:
-    hasher = hashlib.blake2b(digest_size=size)
-    for part in parts:
-        hasher.update(part.encode("utf-8"))
-        hasher.update(_SEP)
-    return hasher.digest()
+    return prefix(*parts, size=size).digest()
 
 
 def unit_uniform(*parts: str) -> float:
@@ -28,9 +41,23 @@ def unit_uniform(*parts: str) -> float:
     return (value + 0.5) / _TWO64
 
 
-def std_normal(*parts: str) -> float:
-    """Deterministic standard normal draw (Box-Muller over two uniforms)."""
-    raw = stable_digest(*parts, size=16)
+def prefixed_normal(state, *parts: str) -> float:
+    """std_normal of the parts ``state`` absorbed followed by ``parts``.
+
+    ``state`` is a 16-byte ``prefix``; it is copied, never changed.
+    """
+    hasher = state.copy()
+    hasher.update(_encode(parts))
+    raw = hasher.digest()
+    # Box-Muller over two uniforms in (0, 1)
     u1 = (int.from_bytes(raw[:8], "big") + 0.5) / _TWO64
     u2 = (int.from_bytes(raw[8:], "big") + 0.5) / _TWO64
     return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+
+
+_EMPTY = prefix()
+
+
+def std_normal(*parts: str) -> float:
+    """Deterministic standard normal draw (Box-Muller over two uniforms)."""
+    return prefixed_normal(_EMPTY, *parts)

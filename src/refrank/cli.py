@@ -256,20 +256,27 @@ def _warn_over_budget(names: list[str], m: int, lists) -> None:
 
 
 def _run_all(lists, ranker, scorer: Scorer, concurrency: int):
-    """Rank every list with the scorer; return the rankings and each query's seconds."""
+    """Rank every list with the scorer.
+
+    Returns the rankings, each query's seconds and the wall seconds of the
+    whole run. Queries overlap at a concurrency above 1, so their seconds
+    can add up to more than the wall time.
+    """
 
     def run_one(candidate_list):
         started = time.perf_counter()
         ranking = ranker(candidate_list, scorer)
         return ranking, time.perf_counter() - started
 
+    started = time.perf_counter()
     if concurrency == 1:
         timed = [run_one(cl) for cl in lists]
     else:
         with ThreadPoolExecutor(max_workers=concurrency) as pool:
             timed = list(pool.map(run_one, lists))
+    wall = time.perf_counter() - started
     seconds = {cl.query.id: elapsed for cl, (_, elapsed) in zip(lists, timed)}
-    return [ranking for ranking, _ in timed], seconds
+    return [ranking for ranking, _ in timed], seconds, wall
 
 
 def _outputs(out_dir, force: bool, *names: str) -> list[Path]:
@@ -331,7 +338,7 @@ def cmd_rerank(out_dir, force, **options):
     ledger = CallLedger()
     with _build_scorer(options, qrels, ledger) as scorer:
         run_out, report_out = _outputs(out_dir, force, f"{strategy}.run", f"{strategy}.report.json")
-        rankings, seconds = _run_all(lists, ranker, scorer, options["concurrency"])
+        rankings, seconds, wall = _run_all(lists, ranker, scorer, options["concurrency"])
     write_run_file(rankings, strategy, _created(run_out))
 
     if qrels is None:
@@ -351,6 +358,7 @@ def cmd_rerank(out_dir, force, **options):
         "retries": ledger.retries,
         "query_seconds": seconds,
         "total_seconds": sum(seconds.values()),
+        "wall_seconds": wall,
         **evaluation,
     })
     click.echo(f"wrote {run_out}")
@@ -463,19 +471,20 @@ def cmd_bench(**options):
     rankers = _rankers(names, options)
     lists, qrels = _load_inputs(options)
     _warn_over_budget(names, options["m"], lists)
-    header = f"{'strategy':<20} {'calls/query':<28} {'total':>8} {'s/query':>10}"
+    header = (f"{'strategy':<20} {'calls/query':<28} {'total':>8} {'s/query':>10} "
+              f"{'wall s/query':>13}")
     click.echo(header)
     click.echo("-" * len(header))
     for name, ranker in rankers.items():
         ledger = CallLedger()
         with _build_scorer(options, qrels, ledger) as scorer:
-            _, seconds = _run_all(lists, ranker, scorer, options["concurrency"])
+            _, seconds, wall = _run_all(lists, ranker, scorer, options["concurrency"])
         per_kind = " ".join(
             f"{kind}={count / len(lists):g}" for kind, count in ledger.counts.items() if count
         ) or "none"
         click.echo(
             f"{name:<20} {per_kind:<28} {ledger.total_calls:>8} "
-            f"{sum(seconds.values()) / len(lists):>10.4f}"
+            f"{sum(seconds.values()) / len(lists):>10.4f} {wall / len(lists):>13.4f}"
         )
 
 

@@ -11,7 +11,7 @@ from .base import (
     setwise_labels,
 )
 from .llm import LlmBackendConfig, LlmScorer
-from .oracle import OracleConfig, OracleScorer, oracle_latent
+from .oracle import OracleConfig, OracleScorer
 from .prompts import PromptTemplates, build_prompt, check_placeholders
 
 __all__ = [
@@ -29,6 +29,5 @@ __all__ = [
     "TransientBackendError",
     "build_prompt",
     "check_placeholders",
-    "oracle_latent",
     "setwise_labels",
 ]

@@ -26,37 +26,36 @@ anchor quality shapes ranking quality; it is asymmetric by construction and
 leaves duels and setwise groups untouched.
 
 Latent sources, in precedence order: an explicit (query_id, doc_id) -> g
-map, qrels grades normalized per query (see oracle_latent), or seeded
-per-document uniform draws.
+map, qrels grades over the query's maximum grade (0.0 for unjudged docs and
+for a query whose grades are all zero), or seeded per-document uniform
+draws.
 
-Each scorer remembers the judgments of the query it is judging now, keyed
-by (kind, ordered doc ids). With the query id that the memo is bound to,
-that key holds every input a judgment reads (the seed, the config and the
-latent source are fixed per scorer), so a remembered answer is the one a
-fresh computation would give. Document text feeds only the prompt
-character count, which is computed on every call.
+Each scorer keeps one state for the query it is judging now, built when the
+query id changes and replaced in one assignment:
+
+- the memo, keyed by (kind, ordered doc ids). With the state's query id,
+  that key holds every input a judgment reads (the seed, the config and the
+  latent source are fixed per scorer), so a remembered answer is the one a
+  fresh computation would give. Document text feeds only the prompt
+  character count, which is computed on every call.
+- the latent table, doc id -> g, computing each value on first use. A
+  computation that raises stores nothing.
+- one BLAKE2b state per draw kind (pointwise, bias, triplet, duel, setwise)
+  that has absorbed (seed, kind, query id). A draw copies it and hashes
+  only its doc ids (a setwise draw: the group key and the doc id).
+  BLAKE2b is streaming, so each draw equals std_normal(seed, kind,
+  query id, ...) bit for bit; see _seeded.
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Mapping
 from dataclasses import dataclass
 
-from .._seeded import stable_digest, std_normal, unit_uniform
-from ..datamodel import CallLedger, DocCandidate, Qrels, ValidationError
+from .._seeded import prefix, prefixed_normal, stable_digest, unit_uniform
+from ..datamodel import CallLedger, Qrels, ValidationError
 from .base import JudgeRequest, Scorer
-
-
-def oracle_latent(doc: DocCandidate, qrels: Qrels, query_id: str) -> float:
-    """Latent relevance from qrels: grade over the query's maximum grade.
-
-    Docs absent from qrels get 0.0, and a query whose grades are all zero
-    maps every doc to 0.0.
-    """
-    top = qrels.max_grade(query_id)
-    if top <= 0:
-        return 0.0
-    return qrels.grade(query_id, doc.doc_id) / top
 
 
 @dataclass(frozen=True)
@@ -81,6 +80,40 @@ class OracleConfig:
             )
 
 
+# the draw kinds, each hashed under its own (seed, kind, query id) prefix
+_DRAWS = ("pointwise", "bias", "triplet", "duel", "setwise")
+
+
+class _Latents(dict):
+    """doc id -> latent g for one query, each computed on first use.
+
+    A computation that raises stores nothing, so a missing latent fails on
+    every call, not only on the first.
+    """
+
+    __slots__ = ("_compute",)
+
+    def __init__(self, compute):
+        super().__init__()
+        self._compute = compute
+
+    def __missing__(self, doc_id: str) -> float:
+        value = self[doc_id] = self._compute(doc_id)
+        return value
+
+
+class _QueryState:
+    """The memo, latent table and draw prefixes of one query; see the module docstring."""
+
+    __slots__ = ("query_id", "memo", "latent", "prefix")
+
+    def __init__(self, query_id: str, seed: str, latent):
+        self.query_id = query_id
+        self.memo: dict[tuple[str, ...], dict[str, float]] = {}
+        self.latent = _Latents(functools.partial(latent, query_id))
+        self.prefix = {kind: prefix(seed, kind, query_id) for kind in _DRAWS}
+
+
 class OracleScorer(Scorer):
     """Seeded judge that remembers the current query's judgments.
 
@@ -102,68 +135,73 @@ class OracleScorer(Scorer):
         self._qrels = qrels
         self._latents = dict(latents) if latents is not None else None
         self._seed = str(config.seed)
-        # (query id, {(kind, *doc ids): logits}), replaced in one assignment
-        # so that concurrent callers never see one query's dict under another
-        # query's id.
-        self._memo: tuple[str | None, dict] = (None, {})
+        # any id will do: its state is built as the first query's would be
+        self._state = _QueryState("", self._seed, self.latent)
 
-    def latent(self, query_id: str, doc: DocCandidate) -> float:
+    def _state_for(self, query_id: str) -> _QueryState:
+        state = self._state
+        if state.query_id != query_id:
+            # replaced in one assignment, so that concurrent callers never
+            # see one query's state under another query's id
+            state = self._state = _QueryState(query_id, self._seed, self.latent)
+        return state
+
+    def latent(self, query_id: str, doc_id: str) -> float:
+        """Latent relevance g of one document, computed afresh.
+
+        The judges read it through the current query's table, which calls
+        this once per document.
+        """
         if self._latents is not None:
             try:
-                return self._latents[(query_id, doc.doc_id)]
+                return self._latents[(query_id, doc_id)]
             except KeyError:
                 raise ValidationError(
-                    f"no latent relevance for ({query_id}, {doc.doc_id})"
+                    f"no latent relevance for ({query_id}, {doc_id})"
                 ) from None
         if self._qrels is not None:
-            return oracle_latent(doc, self._qrels, query_id)
-        return unit_uniform(self._seed, "latent", query_id, doc.doc_id)
-
-    def _pair_noise(self, kind: str, query_id: str, id_a: str, id_b: str, sigma: float) -> float:
-        # Keyed by the unordered pair, signed by orientation: swap-exact.
-        if sigma <= 0.0 or id_a == id_b:
-            return 0.0
-        lo, hi = (id_a, id_b) if id_a < id_b else (id_b, id_a)
-        draw = std_normal(self._seed, kind, query_id, lo, hi)
-        return sigma * draw if id_a == lo else -sigma * draw
+            top = self._qrels.max_grade(query_id)
+            return self._qrels.grade(query_id, doc_id) / top if top > 0 else 0.0
+        return unit_uniform(self._seed, "latent", query_id, doc_id)
 
     def _pointwise(self, request: JudgeRequest) -> dict[str, float]:
         cfg = self.config
-        query_id = request.query.id
-        (doc,) = request.docs
-        diff = 2.0 * self.latent(query_id, doc) - 1.0
+        state = self._state_for(request.query.id)
+        doc_id = request.docs[0].doc_id
+        diff = 2.0 * state.latent[doc_id] - 1.0
         if cfg.bias_amplitude > 0.0:
-            diff += cfg.bias_amplitude * std_normal(self._seed, "bias", query_id, doc.doc_id)
+            diff += cfg.bias_amplitude * prefixed_normal(state.prefix["bias"], doc_id)
         if cfg.noise_sigma > 0.0:
-            diff += cfg.noise_sigma * std_normal(
-                self._seed, "pointwise", query_id, doc.doc_id
-            )
+            diff += cfg.noise_sigma * prefixed_normal(state.prefix["pointwise"], doc_id)
         return {"yes": 0.5 * diff, "no": -0.5 * diff}
 
     def _duel(self, request: JudgeRequest, ref_noise_scale: float = 0.0) -> dict[str, float]:
-        cfg = self.config
-        query_id = request.query.id
+        state = self._state_for(request.query.id)
         doc_a, doc_b = request.docs
-        g_a = self.latent(query_id, doc_a)
-        g_b = self.latent(query_id, doc_b)
-        sigma = cfg.noise_sigma + ref_noise_scale * (1.0 - g_b)
-        eps = self._pair_noise(request.kind, query_id, doc_a.doc_id, doc_b.doc_id, sigma)
+        id_a, id_b = doc_a.doc_id, doc_b.doc_id
+        g_a = state.latent[id_a]
+        g_b = state.latent[id_b]
+        sigma = self.config.noise_sigma + ref_noise_scale * (1.0 - g_b)
+        eps = 0.0
+        # keyed by the unordered pair, signed by orientation: swap-exact
+        if sigma > 0.0 and id_a != id_b:
+            lo, hi, signed = (id_a, id_b, sigma) if id_a < id_b else (id_b, id_a, -sigma)
+            eps = signed * prefixed_normal(state.prefix[request.kind], lo, hi)
         return {"A": g_a + 0.5 * eps, "B": g_b - 0.5 * eps}
 
     def _triplet(self, request: JudgeRequest) -> dict[str, float]:
         return self._duel(request, self.config.ref_noise_scale)
 
     def _setwise(self, request: JudgeRequest) -> dict[str, float]:
-        cfg = self.config
-        query_id = request.query.id
+        sigma = self.config.noise_sigma
+        state = self._state_for(request.query.id)
+        draws = state.prefix["setwise"]
         group_key = stable_digest(*sorted(d.doc_id for d in request.docs)).hex()
         values: dict[str, float] = {}
         for label, doc in zip(request.labels, request.docs):
-            logit = self.latent(query_id, doc)
-            if cfg.noise_sigma > 0.0:
-                logit += cfg.noise_sigma * std_normal(
-                    self._seed, "setwise", query_id, group_key, doc.doc_id
-                )
+            logit = state.latent[doc.doc_id]
+            if sigma > 0.0:
+                logit += sigma * prefixed_normal(draws, group_key, doc.doc_id)
             values[label] = logit
         return values
 
@@ -181,10 +219,7 @@ class OracleScorer(Scorer):
             chars += len(doc.text)
             parts.append(doc.doc_id)
         key = tuple(parts)
-        query_id, memo = self._memo
-        if query_id != request.query.id:
-            memo = {}
-            self._memo = (request.query.id, memo)
+        memo = self._state_for(request.query.id).memo
         logits = memo.get(key)
         if logits is None:
             logits = memo[key] = self._JUDGES[request.kind](self, request)

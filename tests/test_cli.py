@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -144,6 +145,7 @@ class TestRerank:
         for report in (report_a, report_b):
             report.pop("query_seconds")
             report.pop("total_seconds")
+            report.pop("wall_seconds")
         assert report_a == report_b
 
     def test_refuses_overwrite_without_force(self, fixture_files, tmp_path):
@@ -167,6 +169,32 @@ class TestRerank:
         assert (serial / "refrank-single.run").read_bytes() == (
             parallel / "refrank-single.run"
         ).read_bytes()
+
+    def test_wall_seconds_next_to_summed_query_seconds(self, tmp_path, monkeypatch):
+        # every judgment waits 2 ms, as on an endpoint, so queries ranked in
+        # parallel overlap: 8 queries of 12 docs take about 24 ms each
+        paths = write_experiment_files(make_synth(8, 12, seed=3), tmp_path / "data")
+        judges = OracleScorer._JUDGES
+
+        def waiting(kind):
+            def judge(scorer, request):
+                time.sleep(0.002)
+                return judges[kind](scorer, request)
+
+            return judge
+
+        monkeypatch.setattr(OracleScorer, "_JUDGES", {kind: waiting(kind) for kind in judges})
+        reports = {}
+        for concurrency in ("1", "4"):
+            out = tmp_path / concurrency
+            result = invoke(rerank_args(paths, out, strategy="pointwise",
+                                        extra=["--concurrency", concurrency]))
+            assert result.exit_code == 0, result.output
+            reports[concurrency] = json.loads((out / "pointwise.report.json").read_text())
+        serial, parallel = reports["1"], reports["4"]
+        assert serial["total_seconds"] <= serial["wall_seconds"]
+        assert max(parallel["query_seconds"].values()) <= parallel["wall_seconds"]
+        assert parallel["wall_seconds"] < parallel["total_seconds"]
 
     def test_refrank_multiple_line_count(self, fixture_files, tmp_path):
         data, paths = fixture_files
@@ -459,6 +487,11 @@ class TestBench:
         assert "pointwise=12" in lines["pointwise"]
         assert "triplet=12" in lines["refrank-single"]
         assert "triplet=36" in lines["refrank-multiple"]
+        assert result.output.splitlines()[0].split()[-3:] == ["s/query", "wall", "s/query"]
+        for line in lines.values():
+            summed, wall = map(float, line.split()[-2:])
+            # one query at a time: the wall time holds every query's time
+            assert summed <= wall
 
     def test_flag_no_named_strategy_reads_is_usage_error(self, fixture_files):
         data, paths = fixture_files

@@ -2,6 +2,7 @@ import collections
 import contextlib
 import functools
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -20,6 +21,7 @@ from click.testing import CliRunner
 
 import refrank
 from refrank import cli as cli_module
+from refrank._seeded import prefix, prefixed_normal, stable_digest, std_normal, unit_uniform
 from refrank.cli import STRATEGIES, cli
 from refrank.datamodel import DocCandidate, Qrels, Query, ValidationError
 from refrank.scorer import llm
@@ -38,7 +40,6 @@ from refrank.scorer import (
     TransientBackendError,
     build_prompt,
     check_placeholders,
-    oracle_latent,
 )
 from synth import make_synth, write_experiment_files
 
@@ -101,18 +102,22 @@ class TestRequests:
 
 
 class TestOracleLatent:
+    @staticmethod
+    def latent(qrels, doc_id):
+        return OracleScorer(OracleConfig(seed=1), qrels=qrels).latent("q1", doc_id)
+
     def test_normalized_by_query_max(self):
         qrels = Qrels({"q1": {"a": 0, "b": 1, "c": 2, "d": 3}})
-        assert oracle_latent(doc("d"), qrels, "q1") == 1.0
-        assert oracle_latent(doc("b"), qrels, "q1") == pytest.approx(1 / 3)
+        assert self.latent(qrels, "d") == 1.0
+        assert self.latent(qrels, "b") == pytest.approx(1 / 3)
 
     def test_absent_doc_is_zero(self):
         qrels = Qrels({"q1": {"a": 2}})
-        assert oracle_latent(doc("zz"), qrels, "q1") == 0.0
+        assert self.latent(qrels, "zz") == 0.0
 
     def test_all_zero_grades(self):
         qrels = Qrels({"q1": {"a": 0, "b": 0}})
-        assert oracle_latent(doc("a"), qrels, "q1") == 0.0
+        assert self.latent(qrels, "a") == 0.0
 
     def test_max_grade(self):
         qrels = Qrels({"q1": {"a": 0, "b": 0}, "q2": {"a": 1, "b": 2}})
@@ -196,15 +201,15 @@ class TestOracleScorer:
 
     def test_hash_latent_mode_without_qrels_or_latents(self):
         oracle = make_oracle()
-        value = oracle.latent("q1", doc("d1"))
+        value = oracle.latent("q1", "d1")
         assert 0.0 < value < 1.0
-        assert oracle.latent("q1", doc("d1")) == value
+        assert oracle.latent("q1", "d1") == value
 
     def test_qrels_latent_mode(self):
         qrels = Qrels({"q1": {"d1": 3, "d2": 1}})
         oracle = OracleScorer(OracleConfig(seed=1), qrels=qrels)
-        assert oracle.latent("q1", doc("d1")) == 1.0
-        assert oracle.latent("q1", doc("d2")) == pytest.approx(1 / 3)
+        assert oracle.latent("q1", "d1") == 1.0
+        assert oracle.latent("q1", "d2") == pytest.approx(1 / 3)
 
     def test_missing_explicit_latent_is_error(self):
         oracle = make_oracle(latents={("q1", "a"): 0.5})
@@ -297,6 +302,110 @@ class TestOracleMemo:
             oracle.score(request)
         assert oracle.ledger.counts == {"pointwise": 0, "triplet": 0, "duel": 3, "setwise": 0}
         assert oracle.ledger.prompt_chars == 3 * len("what is x" "one" "three")
+
+
+class TestSeededDraws:
+    """The seeded draws under every oracle judgment, pinned on fixed inputs."""
+
+    @pytest.mark.parametrize("parts, digest, digest8, uniform, normal", [
+        (("7", "triplet", "q1", "a", "b"), "9de6d498ccdcceaf39ee7b010ddae817",
+         "f99360862f8eeb0e", 0.9749050452806461, 0.14587820332502105),
+        (("0", "latent", "q0001", "q0001_d001"), "a963134c8b85b508cfc8b660d2245e2e",
+         "c2da3ac66333c7cd", 0.7611424192757134, 0.3433408684837268),
+        (("3", "bias", "ü", "文档"), "353f7b0924534dc4581fdc45672fc2e0",
+         "85aea84e997671b8", 0.5221963111775609, -0.9890374598482836),
+        ((), "cae66941d9efbd404e4d88758ea67670",
+         "e4a6a0577479b2b4", 0.8931675160897388, -0.23447628454038916),
+    ])
+    def test_pinned_values(self, parts, digest, digest8, uniform, normal):
+        assert stable_digest(*parts).hex() == digest
+        assert stable_digest(*parts, size=8).hex() == digest8
+        assert unit_uniform(*parts) == uniform
+        assert std_normal(*parts) == normal
+
+    def test_parts_hash_as_utf8_each_followed_by_0x1f(self):
+        parts = ("3", "bias", "ü", "文档")
+        data = b"".join(part.encode("utf-8") + b"\x1f" for part in parts)
+        assert stable_digest(*parts) == hashlib.blake2b(data, digest_size=16).digest()
+
+    @pytest.mark.parametrize("split", range(6))
+    def test_prefixed_normal_equals_std_normal(self, split):
+        parts = ("7", "setwise", "q1", "group", "文档")
+        state = prefix(*parts[:split])
+        assert prefixed_normal(state, *parts[split:]) == std_normal(*parts)
+        # the prefix is copied, not consumed
+        assert prefixed_normal(state, *parts[split:]) == std_normal(*parts)
+
+
+class TestOracleDraws:
+    """Each oracle draw equals std_normal(seed, kind, query id, *parts)."""
+
+    QUERY = Query("q-ü", "text")
+    IDS = ("a", "é", "文档", "b🙂")
+    LATENTS = {("q-ü", "a"): 0.9, ("q-ü", "é"): 0.4, ("q-ü", "文档"): 0.65, ("q-ü", "b🙂"): 0.1}
+
+    def oracle(self, **kwargs):
+        return OracleScorer(OracleConfig(seed=7, **kwargs), latents=self.LATENTS)
+
+    def g(self, doc_id):
+        return self.LATENTS[(self.QUERY.id, doc_id)]
+
+    def draw(self, kind, *parts):
+        return std_normal("7", kind, self.QUERY.id, *parts)
+
+    def test_pointwise_and_bias(self):
+        oracle = self.oracle(noise_sigma=0.5, bias_amplitude=0.3)
+        for doc_id in self.IDS:
+            logits = oracle.score(JudgeRequest("pointwise", self.QUERY, (doc(doc_id),)))
+            diff = 2.0 * self.g(doc_id) - 1.0
+            diff += 0.3 * self.draw("bias", doc_id)
+            diff += 0.5 * self.draw("pointwise", doc_id)
+            assert logits == {"yes": 0.5 * diff, "no": -0.5 * diff}
+
+    @pytest.mark.parametrize("kind", ["triplet", "duel"])
+    def test_pairs_in_both_orientations(self, kind):
+        oracle = self.oracle(noise_sigma=0.5, ref_noise_scale=0.8)
+        for id_a, id_b in itertools.permutations(self.IDS, 2):
+            logits = oracle.score(JudgeRequest(kind, self.QUERY, (doc(id_a), doc(id_b))))
+            g_a, g_b = self.g(id_a), self.g(id_b)
+            sigma = 0.5 + 0.8 * (1.0 - g_b) if kind == "triplet" else 0.5
+            lo, hi = sorted((id_a, id_b))
+            eps = sigma * self.draw(kind, lo, hi) if id_a == lo else -sigma * self.draw(kind, lo, hi)
+            assert logits == {"A": g_a + 0.5 * eps, "B": g_b - 0.5 * eps}
+
+    def test_setwise_draws_are_keyed_by_the_group(self):
+        oracle = self.oracle(noise_sigma=0.5)
+        docs = tuple(doc(doc_id) for doc_id in reversed(self.IDS))
+        logits = oracle.score(JudgeRequest("setwise", self.QUERY, docs))
+        group_key = stable_digest(*sorted(self.IDS)).hex()
+        assert logits == {
+            label: self.g(d.doc_id) + 0.5 * self.draw("setwise", group_key, d.doc_id)
+            for label, d in zip("ABCD", docs)
+        }
+
+
+class TestOracleLatentTable:
+    def test_a_missing_latent_fails_every_call(self):
+        oracle = make_oracle(latents={("q1", "a"): 0.5})
+        missing = [
+            JudgeRequest("pointwise", QUERY, (doc("unknown"),)),
+            JudgeRequest("triplet", QUERY, (doc("a"), doc("unknown", 2))),
+            JudgeRequest("pointwise", QUERY, (doc("unknown"),)),
+        ]
+        for request in missing:
+            with pytest.raises(ValidationError, match="unknown"):
+                oracle.score(request)
+        assert oracle.score(JudgeRequest("pointwise", QUERY, (doc("a"),))) == {"yes": 0.0, "no": -0.0}
+        assert oracle.ledger.total_calls == 1
+
+    def test_seeded_latents_without_qrels_or_latents(self):
+        oracle = make_oracle()
+        ids = ("a", "é", "文档")
+        for doc_id in ids:
+            oracle.score(JudgeRequest("pointwise", QUERY, (doc(doc_id),)))
+        assert oracle._state_for("q1").latent == {
+            doc_id: unit_uniform("7", "latent", "q1", doc_id) for doc_id in ids
+        }
 
 
 class TestScoreBatch:
