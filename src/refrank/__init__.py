@@ -10,15 +10,12 @@ from .datamodel import (
     DocCandidate,
     DuplicateDocError,
     HarnessError,
-    NonContiguousRanksError,
     Qrels,
     Query,
     RankEntry,
     Ranking,
     ValidationError,
     build_ranking,
-    make_candidate_list,
-    tiebreak_key,
 )
 
 __all__ = [
@@ -27,7 +24,6 @@ __all__ = [
     "DocCandidate",
     "DuplicateDocError",
     "HarnessError",
-    "NonContiguousRanksError",
     "Qrels",
     "Query",
     "RankEntry",
@@ -35,6 +31,4 @@ __all__ = [
     "ValidationError",
     "__version__",
     "build_ranking",
-    "make_candidate_list",
-    "tiebreak_key",
 ]

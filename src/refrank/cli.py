@@ -465,9 +465,12 @@ def cmd_eval(run_path, qrels_path, top_k, gain, out_dir, force):
 def cmd_bench(**options):
     """Run each named strategy on the same fixture and print call/latency stats.
 
-    --strategy takes a comma-separated list, e.g. pointwise,refrank-single.
+    --strategy takes a comma-separated list of distinct names, e.g.
+    pointwise,refrank-single.
     """
     names = [name.strip() for name in options["strategy"].split(",") if name.strip()]
+    if not names or len(set(names)) < len(names):
+        raise click.UsageError(f"--strategy {options['strategy']!r} must name distinct strategies")
     rankers = _rankers(names, options)
     lists, qrels = _load_inputs(options)
     _warn_over_budget(names, options["m"], lists)

@@ -4,6 +4,10 @@ Everything here is immutable after construction and free of I/O and scoring
 logic. The one exception is CallLedger, which accumulates judge-call counts
 behind a lock so concurrent workers can share a single instance; only its
 final totals are meaningful.
+
+No rank is stored anywhere: a document's first-stage rank is its position
+in a CandidateList, and its new rank its position in a Ranking. Tied scores
+keep first-stage order.
 """
 
 from __future__ import annotations
@@ -33,16 +37,6 @@ class DuplicateDocError(ValidationError):
         super().__init__(message)
 
 
-class NonContiguousRanksError(ValidationError):
-    """First-stage ranks must form a contiguous 1..n permutation."""
-
-    def __init__(self, missing_rank: int):
-        self.missing_rank = missing_rank
-        super().__init__(
-            f"first-stage ranks are not contiguous: missing rank {missing_rank}"
-        )
-
-
 @dataclass(frozen=True)
 class Query:
     """A search query: stable identifier plus verbatim text."""
@@ -59,44 +53,29 @@ class Query:
 
 @dataclass(frozen=True)
 class DocCandidate:
-    """One first-stage candidate: passage text plus its initial rank.
+    """One first-stage candidate: a passage's id and its text.
 
     Text is stored verbatim and must not be empty or blank; truncation to a
-    prompt budget is a scorer concern, not a datamodel concern.
+    prompt budget is a scorer concern, not a datamodel concern. A candidate
+    carries no rank: its first-stage rank is its position in a CandidateList.
     """
 
     doc_id: str
     text: str
-    first_stage_rank: int
 
     def __post_init__(self):
         if not self.doc_id:
             raise ValidationError("doc_id must be nonempty")
         if not self.text or self.text.isspace():
             raise ValidationError(f"doc {self.doc_id}: text is empty")
-        if self.first_stage_rank < 1:
-            raise ValidationError(
-                f"doc {self.doc_id!r}: first_stage_rank must be >= 1, "
-                f"got {self.first_stage_rank}"
-            )
-
-
-def tiebreak_key(candidate: DocCandidate) -> int:
-    """Secondary sort key wherever scores tie: the first-stage rank, ascending.
-
-    Deterministic and reproducible, and it favors the stronger first-stage
-    prior. Equal scores with equal ranks cannot occur because ranks are
-    unique within a list.
-    """
-    return candidate.first_stage_rank
 
 
 @dataclass(frozen=True)
 class CandidateList:
-    """A query with its candidate documents ordered by first-stage rank.
+    """A query with its candidate documents in first-stage order.
 
-    Use make_candidate_list to build one from unsorted docs; the constructor
-    itself rejects out-of-order input.
+    The document at docs[r-1] has first-stage rank r; the order is the only
+    record of it.
     """
 
     query: Query
@@ -111,15 +90,6 @@ class CandidateList:
             if doc.doc_id in seen:
                 raise DuplicateDocError(doc.doc_id, context=f"query {self.query.id}")
             seen.add(doc.doc_id)
-        ranks = [doc.first_stage_rank for doc in self.docs]
-        present = set(ranks)
-        for expected in range(1, len(self.docs) + 1):
-            if expected not in present:
-                raise NonContiguousRanksError(expected)
-        if any(ranks[i] > ranks[i + 1] for i in range(len(ranks) - 1)):
-            raise ValidationError(
-                f"query {self.query.id!r}: docs are not sorted by first_stage_rank"
-            )
 
     def __len__(self) -> int:
         return len(self.docs)
@@ -129,30 +99,22 @@ class CandidateList:
         return tuple(doc.doc_id for doc in self.docs)
 
 
-def make_candidate_list(query: Query, docs: Sequence[DocCandidate]) -> CandidateList:
-    """Sort docs by first-stage rank and validate the resulting list."""
-    return CandidateList(query, tuple(sorted(docs, key=tiebreak_key)))
-
-
 @dataclass(frozen=True)
 class RankEntry:
     doc_id: str
     score: float
-    rank: int
 
 
 @dataclass(frozen=True)
 class Ranking:
     """An ordered reranking result for one query.
 
-    Entries are sorted by score descending with ties broken by the source
-    candidates' first-stage rank; ranks run contiguously from 1. Build
-    through build_ranking, which enforces the tie-break.
+    Entries run by score, non-increasing; an entry's rank is its position
+    from 1. Build through build_ranking, which sorts the scored pairs.
     """
 
     query_id: str
     entries: tuple[RankEntry, ...]
-    strategy_tag: str
 
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(self.entries))
@@ -161,12 +123,7 @@ class Ranking:
         if not self.entries:
             raise ValidationError(f"ranking for {self.query_id!r} is empty")
         seen: set[str] = set()
-        for position, entry in enumerate(self.entries, start=1):
-            if entry.rank != position:
-                raise ValidationError(
-                    f"ranking for {self.query_id!r}: rank {entry.rank} at "
-                    f"position {position}, expected {position}"
-                )
+        for entry in self.entries:
             if not math.isfinite(entry.score):
                 raise ValidationError(
                     f"ranking for {self.query_id!r}: non-finite score for "
@@ -175,11 +132,11 @@ class Ranking:
             if entry.doc_id in seen:
                 raise DuplicateDocError(entry.doc_id, context=f"ranking {self.query_id}")
             seen.add(entry.doc_id)
-        for left, right in zip(self.entries, self.entries[1:]):
+        for rank, (left, right) in enumerate(zip(self.entries, self.entries[1:]), start=1):
             if left.score < right.score:
                 raise ValidationError(
                     f"ranking for {self.query_id!r}: scores increase between "
-                    f"ranks {left.rank} and {right.rank}"
+                    f"ranks {rank} and {rank + 1}"
                 )
 
     @property
@@ -187,23 +144,15 @@ class Ranking:
         return tuple(entry.doc_id for entry in self.entries)
 
 
-def build_ranking(
-    query_id: str,
-    scored: Sequence[tuple[DocCandidate, float]],
-    strategy_tag: str,
-) -> Ranking:
-    """Order (candidate, score) pairs into a Ranking.
+def build_ranking(query_id: str, scored: Sequence[tuple[DocCandidate, float]]) -> Ranking:
+    """Order (candidate, score) pairs into a Ranking, score descending.
 
-    Sorting is total and deterministic: score descending, then first-stage
-    rank ascending, and (score, first_stage_rank) pairs are unique within a
-    candidate list. Ranking rejects a non-finite score.
+    The sort is stable, so tied pairs keep the order they are given in;
+    every strategy gives them in first-stage order. Ranking rejects a
+    non-finite score.
     """
-    ordered = sorted(scored, key=lambda pair: (-pair[1], tiebreak_key(pair[0])))
-    entries = tuple(
-        RankEntry(doc.doc_id, score, position)
-        for position, (doc, score) in enumerate(ordered, start=1)
-    )
-    return Ranking(query_id, entries, strategy_tag)
+    ordered = sorted(scored, key=lambda pair: -pair[1])
+    return Ranking(query_id, tuple(RankEntry(doc.doc_id, score) for doc, score in ordered))
 
 
 def _as_grade(value) -> int:

@@ -4,8 +4,9 @@ Formats handled:
 
   run file  ``<qid> Q0 <docid> <rank> <score> <tag>`` (whitespace separated)
   qrels     ``<qid> 0 <docid> <grade>``
-  corpus    JSON Lines with keys "id", "contents", optional "title"; a
-            passage is title + " " + contents when the title is non-empty
+  corpus    JSON Lines with keys "id" (a string or integer), "contents" (a
+            string), optional "title" (a string or null); a passage is
+            title + " " + contents when the title is non-empty
   queries   TSV ``<qid>\\t<text>``
 
 Parsers are pure functions of file contents; every failure is a structured
@@ -30,7 +31,6 @@ from .datamodel import (
     Query,
     Ranking,
     ValidationError,
-    make_candidate_list,
 )
 
 
@@ -166,14 +166,18 @@ def parse_corpus_jsonl(path, warnings: ParseWarnings | None = None) -> dict[str,
         for key in ("id", "contents"):
             if key not in obj:
                 raise MissingFieldError(path, line_number, f"missing {key!r} key")
-        doc_id = str(obj["id"])
+        doc_id, contents, title = obj["id"], obj["contents"], obj.get("title")
+        if isinstance(doc_id, bool) or not isinstance(doc_id, (str, int)):
+            raise ParseError(path, line_number, "'id' must be a string or an integer")
+        if not isinstance(contents, str):
+            raise ParseError(path, line_number, "'contents' must be a string")
+        if not isinstance(title, (str, type(None))):
+            raise ParseError(path, line_number, "'title' must be a string or null")
+        doc_id = str(doc_id)
         if not doc_id:
             raise ParseError(path, line_number, "empty doc id")
         if doc_id in records:
             raise DuplicateEntryError(path, line_number, f"duplicate doc id {doc_id!r}")
-        contents = str(obj["contents"])
-        title = obj.get("title")
-        title = str(title) if title is not None else ""
         records[doc_id] = f"{title} {contents}" if title else contents
     return records
 
@@ -206,19 +210,17 @@ def _check_token(value: str, what: str) -> str:
 def write_run_file(rankings: Sequence[Ranking], tag: str, path) -> None:
     """Write rankings as six-column run lines, queries in input order.
 
-    Scores are serialized with six decimal places so golden files are stable
-    across platforms; (query, doc, rank) round-trips exactly through
-    parse_run_file.
+    Each line's rank is the entry's position in its ranking, from 1. Scores
+    are serialized with six decimal places so golden files are stable across
+    platforms; (query, doc, rank) round-trips exactly through parse_run_file.
     """
     _check_token(tag, "run tag")
     with open(path, "w", encoding="utf-8") as out:
         for ranking in rankings:
             query_id = _check_token(ranking.query_id, "query id")
-            for entry in ranking.entries:
+            for rank, entry in enumerate(ranking.entries, start=1):
                 doc_id = _check_token(entry.doc_id, "doc id")
-                out.write(
-                    f"{query_id} Q0 {doc_id} {entry.rank} {entry.score:.6f} {tag}\n"
-                )
+                out.write(f"{query_id} Q0 {doc_id} {rank} {entry.score:.6f} {tag}\n")
 
 
 def assemble_experiment(
@@ -230,9 +232,11 @@ def assemble_experiment(
 ) -> list[CandidateList]:
     """Join a run file, corpus, and queries into per-query candidate lists.
 
-    Each query's run entries are truncated to ``depth`` and ranks renumbered
-    contiguously from 1. Docs within the truncated pool must resolve in the
-    corpus. Blank lines in all three files are counted in ``warnings``.
+    Each query's run entries, sorted by rank, are truncated to ``depth`` and
+    kept in that order, so a document's first-stage rank is its position in
+    the list; the run file's own rank values are not kept. Docs within the
+    truncated pool must resolve in the corpus. Blank lines in all three
+    files are counted in ``warnings``.
     """
     if depth < 1:
         raise ValidationError(f"depth must be >= 1, got {depth}")
@@ -260,15 +264,8 @@ def assemble_experiment(
     lists: list[CandidateList] = []
     for query_id, entries in kept.items():
         try:
-            docs = [
-                DocCandidate(
-                    doc_id=entry.doc_id,
-                    text=corpus[entry.doc_id],
-                    first_stage_rank=new_rank,
-                )
-                for new_rank, entry in enumerate(entries, start=1)
-            ]
+            docs = tuple(DocCandidate(entry.doc_id, corpus[entry.doc_id]) for entry in entries)
         except ValidationError as exc:
             raise ValidationError(f"{corpus_path}: {exc}") from exc
-        lists.append(make_candidate_list(queries[query_id], docs))
+        lists.append(CandidateList(queries[query_id], docs))
     return lists

@@ -66,7 +66,8 @@ class TemplateError(HarnessError):
 class BatchScoringError(ScoringError):
     """Some requests in a batch failed; successful results are preserved.
 
-    The message names the first eight failed requests by their doc ids.
+    The message names the first eight failed requests by their doc ids, and
+    the first failure's class and message.
     ``results[i]`` holds the logits for request i or None where it failed;
     ``errors`` maps the failed indices to their exceptions.
     """
@@ -168,7 +169,7 @@ class Scorer(ABC):
 
         Raises BatchScoringError carrying every success and every failure
         when any item fails; its message names the failed requests as
-        ``doc|doc`` ids, the first eight.
+        ``doc|doc`` ids, the first eight, then the first failure.
         """
         results: list[dict[str, float] | None] = []
         errors: dict[int, Exception] = {}
@@ -182,5 +183,8 @@ class Scorer(ABC):
             failed = ", ".join(
                 "|".join(doc.doc_id for doc in requests[index].docs) for index in list(errors)[:8]
             )
-            raise BatchScoringError(f"scoring failed for: {failed}", results, errors)
+            cause = next(iter(errors.values()))
+            raise BatchScoringError(
+                f"scoring failed for: {failed} ({type(cause).__name__}: {cause})", results, errors
+            )
         return results  # type: ignore[return-value]

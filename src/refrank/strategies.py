@@ -15,8 +15,10 @@ requests in one score_batch call. Bubblesort sends one batch per wave of
 duels whose inputs are settled. Only heapsort depends on each earlier
 outcome; it sends its set comparisons one per batch. Every strategy reaches
 the judge through score_batch, so a failed request raises BatchScoringError
-naming its doc ids. Score aggregation always walks candidates in
-first-stage-rank order so floating-point sums are reproducible.
+naming its doc ids. A document's first-stage rank is its position in
+candidates.docs. Score aggregation always walks the candidates in that
+order, so floating-point sums are reproducible and build_ranking, whose
+sort is stable, leaves tied scores in first-stage order.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .datamodel import (
     Ranking,
     ValidationError,
     build_ranking,
-    tiebreak_key,
 )
 from .scorer.base import SETWISE_MAX_GROUP, JudgeRequest, Scorer
 
@@ -136,7 +137,6 @@ def _anchored(
     scorer: Scorer,
     refs: tuple[DocCandidate, ...],
     weights: tuple[float, ...],
-    tag: str,
 ) -> Ranking:
     """Score each candidate by its weighted sum of scores against the anchors.
 
@@ -157,23 +157,19 @@ def _anchored(
             logits = next(results)
             total += weight * refrank_score(logits["A"], logits["B"])
         scored.append((doc, total))
-    return build_ranking(query.id, scored, tag)
+    return build_ranking(query.id, scored)
 
 
-def _positional(
-    query_id: str,
-    settled: list[DocCandidate],
-    rest: list[DocCandidate],
-    tag: str,
-) -> Ranking:
+def _positional(candidates: CandidateList, settled: list[DocCandidate]) -> Ranking:
     """The settled docs on top in their order, the rest in first-stage order.
 
     Scores run n, n-1, ..., 1 down the list.
     """
-    final = settled + sorted(rest, key=tiebreak_key)
+    settled_ids = {doc.doc_id for doc in settled}
+    final = settled + [doc for doc in candidates.docs if doc.doc_id not in settled_ids]
     n = len(final)
     scored = [(doc, float(n - position)) for position, doc in enumerate(final)]
-    return build_ranking(query_id, scored, tag)
+    return build_ranking(candidates.query.id, scored)
 
 
 def rank_pointwise(candidates: CandidateList, scorer: Scorer) -> Ranking:
@@ -188,7 +184,7 @@ def rank_pointwise(candidates: CandidateList, scorer: Scorer) -> Ranking:
         (doc, pointwise_score(logits["yes"], logits["no"]))
         for doc, logits in zip(candidates.docs, results)
     ]
-    return build_ranking(query.id, scored, "pointwise")
+    return build_ranking(query.id, scored)
 
 
 def rank_refrank_single(
@@ -204,7 +200,7 @@ def rank_refrank_single(
     is the one-anchor ensemble with weight 1.0.
     """
     ref = resolve_reference(candidates, policy)
-    return _anchored(candidates, scorer, (ref,), (1.0,), "refrank-single")
+    return _anchored(candidates, scorer, (ref,), (1.0,))
 
 
 def rank_refrank_multiple(
@@ -221,7 +217,7 @@ def rank_refrank_multiple(
     if config.m > n:
         raise ValidationError(f"ensemble size m={config.m} exceeds list length {n}")
     refs = candidates.docs[: config.m]
-    return _anchored(candidates, scorer, refs, config.weights, "refrank-multiple")
+    return _anchored(candidates, scorer, refs, config.weights)
 
 
 def rank_pairwise_allpairs(candidates: CandidateList, scorer: Scorer) -> Ranking:
@@ -234,7 +230,7 @@ def rank_pairwise_allpairs(candidates: CandidateList, scorer: Scorer) -> Ranking
     n = len(docs)
     query = candidates.query
     if n == 1:
-        return build_ranking(query.id, [(docs[0], 1.0)], "pairwise-allpairs")
+        return build_ranking(query.id, [(docs[0], 1.0)])
     requests = [
         JudgeRequest("duel", query, (doc_a, doc_b))
         for i, doc_a in enumerate(docs)
@@ -255,7 +251,7 @@ def rank_pairwise_allpairs(candidates: CandidateList, scorer: Scorer) -> Ranking
             if j != i:
                 total += prob_a(i, j) + (1.0 - prob_a(j, i))
         scored.append((doc, total / (2.0 * (n - 1))))
-    return build_ranking(query.id, scored, "pairwise-allpairs")
+    return build_ranking(query.id, scored)
 
 
 def rank_pairwise_bubblesort(
@@ -292,7 +288,7 @@ def rank_pairwise_bubblesort(
         for i, logits in zip(positions, results):
             if refrank_score(logits["A"], logits["B"]) > 0.5:
                 order[i], order[i + 1] = order[i + 1], order[i]
-    return _positional(query.id, order[:k], order[k:], "pairwise-bubblesort")
+    return _positional(candidates, order[:k])
 
 
 def rank_setwise_heapsort(
@@ -352,4 +348,4 @@ def rank_setwise_heapsort(
             break
         heap[0] = heap[size]
         sift_down(0, size)
-    return _positional(query.id, extracted, heap[:size], "setwise-heapsort")
+    return _positional(candidates, extracted)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from refrank.datamodel import CandidateList, DocCandidate, Qrels, Query, make_candidate_list
+from refrank.datamodel import CandidateList, DocCandidate, Qrels, Query
 
 
 @dataclass
@@ -54,7 +54,7 @@ def make_synth(
         docs = []
         for di in range(n_docs):
             doc_id = f"{qid}_d{di:03d}"
-            docs.append(DocCandidate(doc_id, f"passage {qid} {di}", di + 1))
+            docs.append(DocCandidate(doc_id, f"passage {qid} {di}"))
             latents[(qid, doc_id)] = float(latent[di])
         # grade by latent order: position p of n -> fraction p/n
         order = np.argsort(-latent)
@@ -64,7 +64,7 @@ def make_synth(
             if grade > 0:
                 query_grades[docs[di].doc_id] = grade
         grades[qid] = query_grades
-        lists.append(make_candidate_list(query, docs))
+        lists.append(CandidateList(query, docs))
     return SynthData(lists=lists, qrels=Qrels(grades), latents=latents)
 
 
@@ -84,10 +84,9 @@ def write_experiment_files(data: SynthData, directory, tag: str = "bm25"):
     ) as qrels_out:
         for cl in data.lists:
             queries_out.write(f"{cl.query.id}\t{cl.query.text}\n")
-            for doc in cl.docs:
+            for rank, doc in enumerate(cl.docs, start=1):
                 run_out.write(
-                    f"{cl.query.id} Q0 {doc.doc_id} {doc.first_stage_rank} "
-                    f"{len(cl) - doc.first_stage_rank + 1:.6f} {tag}\n"
+                    f"{cl.query.id} Q0 {doc.doc_id} {rank} {len(cl) - rank + 1:.6f} {tag}\n"
                 )
                 corpus_out.write(json.dumps({"id": doc.doc_id, "contents": doc.text}) + "\n")
             for doc_id, grade in data.qrels.judged(cl.query.id).items():

@@ -128,7 +128,6 @@ def test_criterion_04_ensemble_reduction_bitwise():
         multi = rank_refrank_multiple(cl, scorer, EnsembleConfig(1))
         assert multi.doc_ids == single.doc_ids
         assert [e.score for e in multi.entries] == [e.score for e in single.entries]
-        assert [e.rank for e in multi.entries] == [e.rank for e in single.entries]
     _pass(4, "m=1 ensemble bitwise equal to single reference on 20 noisy queries")
 
 
@@ -273,16 +272,16 @@ def test_criterion_11_run_file_round_trip(tmp_path):
     rankings = []
     for qi in range(1000):
         n = int(rng.integers(1, 15))
-        docs = [DocCandidate(f"q{qi}_d{i}", "text", i + 1) for i in range(n)]
+        docs = [DocCandidate(f"q{qi}_d{i}", "text") for i in range(n)]
         scores = rng.normal(size=n)
-        rankings.append(build_ranking(f"q{qi}", list(zip(docs, scores)), "t"))
+        rankings.append(build_ranking(f"q{qi}", list(zip(docs, scores))))
     path = tmp_path / "roundtrip.run"
     write_run_file(rankings, "t", path)
     parsed = parse_run_file(path)
     assert list(parsed) == [r.query_id for r in rankings]
     for ranking in rankings:
         got = [(e.doc_id, e.rank) for e in parsed[ranking.query_id]]
-        want = [(e.doc_id, e.rank) for e in ranking.entries]
+        want = [(doc_id, rank) for rank, doc_id in enumerate(ranking.doc_ids, start=1)]
         assert got == want
     _pass(11, "1,000 rankings round-trip exactly on (qid, docid, rank)")
 

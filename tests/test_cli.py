@@ -503,6 +503,17 @@ class TestBench:
         assert "--children" in result.output
         assert "calls/query" not in result.output
 
+    @pytest.mark.parametrize("names", [",", " , ", "pointwise,pointwise",
+                                       "pointwise, refrank-single,pointwise"])
+    def test_empty_or_repeated_strategy_names(self, tmp_path, names):
+        # unparseable inputs: exit 2 shows the names were checked before any was read
+        paths = [tmp_path / name for name in ("run", "corpus", "queries", "qrels")]
+        for path in paths:
+            path.write_text("not a valid line\n")
+        result = CliRunner().invoke(cli, ["bench", *input_args(paths), "--strategy", names])
+        assert result.exit_code == 2
+        assert "must name distinct strategies" in result.output
+
     def test_unknown_strategy_in_list(self, fixture_files):
         data, paths = fixture_files
         run, corpus, queries, qrels = paths

@@ -5,22 +5,20 @@ import pytest
 
 from refrank.datamodel import (
     CallLedger,
+    CandidateList,
     DocCandidate,
     DuplicateDocError,
-    NonContiguousRanksError,
     Qrels,
     Query,
     RankEntry,
     Ranking,
     ValidationError,
     build_ranking,
-    make_candidate_list,
-    tiebreak_key,
 )
 
 
-def doc(doc_id, rank, text="some passage text"):
-    return DocCandidate(doc_id, text, rank)
+def doc(doc_id, text="some passage text"):
+    return DocCandidate(doc_id, text)
 
 
 class TestQuery:
@@ -34,93 +32,61 @@ class TestQuery:
             Query(qid, text)
 
 
-class TestDocCandidate:
-    def test_rank_must_be_positive(self):
-        with pytest.raises(ValidationError):
-            doc("d1", 0)
-
-    def test_tiebreak_key_is_first_stage_rank(self):
-        assert tiebreak_key(doc("d1", 5)) == 5
-
-
-class TestMakeCandidateList:
-    def test_sorts_by_rank(self):
-        docs = [doc("a", 2), doc("b", 1), doc("c", 3)]
-        cl = make_candidate_list(Query("q", "t"), docs)
-        assert [d.first_stage_rank for d in cl.docs] == [1, 2, 3]
-        assert cl.doc_ids == ("b", "a", "c")
-
+class TestCandidateList:
     def test_duplicate_doc_id(self):
-        docs = [doc("d7", 1), doc("d7", 2)]
+        docs = [doc("d7"), doc("d7")]
         with pytest.raises(DuplicateDocError) as exc:
-            make_candidate_list(Query("q", "t"), docs)
+            CandidateList(Query("q", "t"), docs)
         assert exc.value.doc_id == "d7"
-
-    def test_non_contiguous_ranks(self):
-        docs = [doc("a", 1), doc("b", 2), doc("c", 4)]
-        with pytest.raises(NonContiguousRanksError) as exc:
-            make_candidate_list(Query("q", "t"), docs)
-        assert exc.value.missing_rank == 3
-
-    def test_duplicate_ranks_are_non_contiguous(self):
-        docs = [doc("a", 1), doc("b", 1), doc("c", 2)]
-        with pytest.raises(NonContiguousRanksError):
-            make_candidate_list(Query("q", "t"), docs)
 
     def test_empty(self):
         with pytest.raises(ValidationError):
-            make_candidate_list(Query("q", "t"), [])
+            CandidateList(Query("q", "t"), [])
 
 
 class TestBuildRanking:
     def test_sorted_by_score_desc(self):
-        scored = [(doc("a", 1), 0.2), (doc("b", 2), 0.9), (doc("c", 3), 0.5)]
-        ranking = build_ranking("q", scored, "test")
+        scored = [(doc("a"), 0.2), (doc("b"), 0.9), (doc("c"), 0.5)]
+        ranking = build_ranking("q", scored)
         assert ranking.doc_ids == ("b", "c", "a")
-        assert [e.rank for e in ranking.entries] == [1, 2, 3]
 
-    def test_ties_broken_by_first_stage_rank(self):
-        scored = [(doc("late", 9), 0.5), (doc("early", 3), 0.5)]
-        ranking = build_ranking("q", scored, "test")
-        assert ranking.doc_ids == ("early", "late")
+    def test_ties_keep_the_given_order(self):
+        scored = [(doc("late"), 0.5), (doc("top"), 0.9), (doc("early"), 0.5)]
+        assert build_ranking("q", scored).doc_ids == ("top", "late", "early")
+        assert build_ranking("q", scored[::-1]).doc_ids == ("top", "early", "late")
 
     def test_nonfinite_score_rejected(self):
         with pytest.raises(ValidationError):
-            build_ranking("q", [(doc("a", 1), float("nan"))], "test")
+            build_ranking("q", [(doc("a"), float("nan"))])
 
     def test_permutation_property(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             n = int(rng.integers(1, 30))
-            docs = [doc(f"d{i}", i + 1) for i in range(n)]
+            docs = [doc(f"d{i}") for i in range(n)]
             scores = rng.normal(size=n)
-            ranking = build_ranking("q", list(zip(docs, scores)), "test")
+            ranking = build_ranking("q", list(zip(docs, scores)))
             assert sorted(ranking.doc_ids) == sorted(d.doc_id for d in docs)
 
     def test_deterministic_total_order(self):
         rng = np.random.default_rng(1)
-        docs = [doc(f"d{i}", i + 1) for i in range(20)]
+        docs = [doc(f"d{i}") for i in range(20)]
         scores = list(rng.choice([0.1, 0.5, 0.9], size=20))
-        first = build_ranking("q", list(zip(docs, scores)), "t")
-        second = build_ranking("q", list(zip(reversed(docs), reversed(scores))), "t")
-        assert first.doc_ids == second.doc_ids
+        ranking = build_ranking("q", list(zip(docs, scores)))
+        order = sorted(range(20), key=lambda i: (-scores[i], i))
+        assert ranking.doc_ids == tuple(f"d{i}" for i in order)
 
 
 class TestRankingValidation:
-    def test_ranks_must_be_contiguous_from_one(self):
-        entries = (RankEntry("a", 1.0, 1), RankEntry("b", 0.5, 3))
-        with pytest.raises(ValidationError):
-            Ranking("q", entries, "t")
-
     def test_scores_must_not_increase(self):
-        entries = (RankEntry("a", 0.1, 1), RankEntry("b", 0.5, 2))
-        with pytest.raises(ValidationError):
-            Ranking("q", entries, "t")
+        entries = (RankEntry("a", 0.1), RankEntry("b", 0.5))
+        with pytest.raises(ValidationError, match="between ranks 1 and 2"):
+            Ranking("q", entries)
 
     def test_duplicate_doc(self):
-        entries = (RankEntry("a", 1.0, 1), RankEntry("a", 0.5, 2))
+        entries = (RankEntry("a", 1.0), RankEntry("a", 0.5))
         with pytest.raises(DuplicateDocError):
-            Ranking("q", entries, "t")
+            Ranking("q", entries)
 
 
 class TestQrels:

@@ -24,10 +24,8 @@ from refrank.io import RunEntry
 
 def ranking_of(doc_ids, query_id="q1"):
     n = len(doc_ids)
-    entries = tuple(
-        RankEntry(doc_id, float(n - i), i + 1) for i, doc_id in enumerate(doc_ids)
-    )
-    return Ranking(query_id, entries, "test")
+    entries = tuple(RankEntry(doc_id, float(n - i)) for i, doc_id in enumerate(doc_ids))
+    return Ranking(query_id, entries)
 
 
 def brute_force_ndcg(doc_ids, judged, k, gain):

@@ -137,6 +137,29 @@ class TestParseCorpus:
         )
         assert parse_corpus_jsonl(path) == {"d1": "Head body", "d2": "body"}
 
+    @pytest.mark.parametrize("line", [
+        '{"id":"d1","contents":null}',
+        '{"id":"d1","contents":["a","list"]}',
+        '{"id":"d1","contents":7}',
+        '{"id":"d1","contents":"a","title":3}',
+        '{"id":"d1","contents":"a","title":["t"]}',
+        '{"id":true,"contents":"a"}',
+        '{"id":null,"contents":"a"}',
+        '{"id":1.5,"contents":"a"}',
+        '{"id":["d1"],"contents":"a"}',
+    ])
+    def test_field_of_wrong_type_names_its_line(self, tmp_path, line):
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"id":"d0","contents":"ok"}\n' + line + "\n")
+        with pytest.raises(ParseError, match=r"c\.jsonl:2: ") as exc:
+            parse_corpus_jsonl(path)
+        assert exc.value.line_number == 2
+
+    def test_integer_id_and_null_title(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"id":7,"contents":"a","title":null}\n')
+        assert parse_corpus_jsonl(path) == {"7": "a"}
+
 
 class TestParseQueries:
     def test_basic(self, tmp_path):
@@ -174,9 +197,7 @@ class TestParseQueries:
 
 class TestWriteRunFile:
     def test_exact_format(self, tmp_path):
-        ranking = Ranking(
-            "q1", (RankEntry("d2", 0.9, 1), RankEntry("d5", 0.1, 2)), "tag"
-        )
+        ranking = Ranking("q1", (RankEntry("d2", 0.9), RankEntry("d5", 0.1)))
         path = tmp_path / "out.run"
         write_run_file([ranking], "tag", path)
         assert path.read_text() == "q1 Q0 d2 1 0.900000 tag\nq1 Q0 d5 2 0.100000 tag\n"
@@ -187,7 +208,7 @@ class TestWriteRunFile:
         assert path.read_text() == ""
 
     def test_whitespace_tag_rejected(self, tmp_path):
-        ranking = Ranking("q1", (RankEntry("d1", 1.0, 1),), "t")
+        ranking = Ranking("q1", (RankEntry("d1", 1.0),))
         with pytest.raises(ValidationError):
             write_run_file([ranking], "bad tag", tmp_path / "out.run")
 
@@ -196,16 +217,16 @@ class TestWriteRunFile:
         rankings = []
         for qi in range(50):
             n = int(rng.integers(1, 20))
-            docs = [DocCandidate(f"q{qi}_d{i}", "text", i + 1) for i in range(n)]
+            docs = [DocCandidate(f"q{qi}_d{i}", "text") for i in range(n)]
             scores = rng.normal(size=n)
-            rankings.append(build_ranking(f"q{qi}", list(zip(docs, scores)), "t"))
+            rankings.append(build_ranking(f"q{qi}", list(zip(docs, scores))))
         path = tmp_path / "out.run"
         write_run_file(rankings, "t", path)
         parsed = parse_run_file(path)
         assert list(parsed) == [r.query_id for r in rankings]
         for ranking in rankings:
             got = [(e.doc_id, e.rank) for e in parsed[ranking.query_id]]
-            want = [(e.doc_id, e.rank) for e in ranking.entries]
+            want = [(doc_id, rank) for rank, doc_id in enumerate(ranking.doc_ids, start=1)]
             assert got == want
             # scores survive at the serialized 6-decimal precision
             for parsed_entry, entry in zip(parsed[ranking.query_id], ranking.entries):
@@ -235,7 +256,6 @@ class TestAssembleExperiment:
         lists = assemble_experiment(run_path, corpus_path, queries_path, depth=3)
         assert len(lists) == 1
         assert lists[0].doc_ids == ("d1", "d2", "d3")
-        assert [d.first_stage_rank for d in lists[0].docs] == [1, 2, 3]
 
     def test_missing_doc_in_corpus(self, tmp_path):
         run_path, corpus_path, queries_path = self.write_inputs(

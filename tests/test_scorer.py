@@ -46,13 +46,13 @@ from synth import make_synth, write_experiment_files
 QUERY = Query("q1", "what is x")
 
 
-def doc(doc_id, rank=1, text="passage text"):
-    return DocCandidate(doc_id, text, rank)
+def doc(doc_id, text="passage text"):
+    return DocCandidate(doc_id, text)
 
 
 # the requests the stub-server tests send
 PROBE_POINTWISE = JudgeRequest("pointwise", QUERY, (doc("p"),))
-PROBE_TRIPLET = JudgeRequest("triplet", QUERY, (doc("p"), doc("r", 2)))
+PROBE_TRIPLET = JudgeRequest("triplet", QUERY, (doc("p"), doc("r")))
 
 
 def make_oracle(latents=None, **kwargs):
@@ -74,11 +74,11 @@ class TestRequests:
     @pytest.mark.parametrize("kind, count", [("pointwise", 2), ("triplet", 1), ("duel", 3)])
     def test_doc_count_fixed_by_kind(self, kind, count):
         with pytest.raises(ValidationError):
-            JudgeRequest(kind, QUERY, tuple(doc(f"d{i}", i + 1) for i in range(count)))
+            JudgeRequest(kind, QUERY, tuple(doc(f"d{i}") for i in range(count)))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValidationError):
-            JudgeRequest("quartet", QUERY, (doc("a"), doc("b", 2)))
+            JudgeRequest("quartet", QUERY, (doc("a"), doc("b")))
 
     def test_setwise_labels(self):
         request = JudgeRequest("setwise", QUERY, (doc("a"), doc("b"), doc("c")))
@@ -135,12 +135,12 @@ class TestOracleScorer:
     def test_triplet_equal_latents_tie(self):
         latents = {("q1", "a"): 0.4, ("q1", "b"): 0.4}
         oracle = make_oracle(latents=latents)
-        logits = oracle.score(JudgeRequest("triplet", QUERY, (doc("a"), doc("b", 2))))
+        logits = oracle.score(JudgeRequest("triplet", QUERY, (doc("a"), doc("b"))))
         assert logits["A"] == logits["B"]
 
     def test_determinism_bit_identical(self):
         latents = {("q1", "a"): 0.9, ("q1", "b"): 0.2}
-        request = JudgeRequest("triplet", QUERY, (doc("a"), doc("b", 2)))
+        request = JudgeRequest("triplet", QUERY, (doc("a"), doc("b")))
         first = make_oracle(latents=latents, noise_sigma=0.8).score(request)
         second = make_oracle(latents=latents, noise_sigma=0.8).score(request)
         assert first == second
@@ -148,8 +148,8 @@ class TestOracleScorer:
     def test_swap_symmetry_is_exact_even_with_noise(self):
         latents = {("q1", "a"): 0.9, ("q1", "b"): 0.2}
         oracle = make_oracle(latents=latents, noise_sigma=1.5)
-        ab = oracle.score(JudgeRequest("triplet", QUERY, (doc("a"), doc("b", 2))))
-        ba = oracle.score(JudgeRequest("triplet", QUERY, (doc("b", 2), doc("a"))))
+        ab = oracle.score(JudgeRequest("triplet", QUERY, (doc("a"), doc("b"))))
+        ba = oracle.score(JudgeRequest("triplet", QUERY, (doc("b"), doc("a"))))
         assert ab["A"] == ba["B"] and ab["B"] == ba["A"]
 
     def test_self_pair_scores_half_even_with_noise(self):
@@ -164,7 +164,7 @@ class TestOracleScorer:
         for gap in gaps:
             latents = {("q1", "a"): 0.5 + gap / 2, ("q1", "b"): 0.5 - gap / 2}
             oracle = make_oracle(latents=latents)
-            logits = oracle.score(JudgeRequest("triplet", QUERY, (doc("a"), doc("b", 2))))
+            logits = oracle.score(JudgeRequest("triplet", QUERY, (doc("a"), doc("b"))))
             diffs.append(logits["A"] - logits["B"])
         assert all(b > a for a, b in zip(diffs, diffs[1:]))
 
@@ -179,8 +179,8 @@ class TestOracleScorer:
                 latents=latents,
             )
             cand = doc("cand")
-            lg_good = oracle.score(JudgeRequest("triplet", query, (cand, doc("good", 2))))
-            lg_bad = oracle.score(JudgeRequest("triplet", query, (cand, doc("bad", 3))))
+            lg_good = oracle.score(JudgeRequest("triplet", query, (cand, doc("good"))))
+            lg_bad = oracle.score(JudgeRequest("triplet", query, (cand, doc("bad"))))
             strong.append(lg_good["A"] - lg_good["B"])
             weak.append(lg_bad["A"] - lg_bad["B"])
         # a perfect reference (latent 1.0) gets sigma_eff = 0: exact logit diff
@@ -191,7 +191,7 @@ class TestOracleScorer:
     def test_setwise_order_invariance(self):
         latents = {("q1", "a"): 0.9, ("q1", "b"): 0.5, ("q1", "c"): 0.1}
         oracle = make_oracle(latents=latents, noise_sigma=0.7)
-        docs = (doc("a"), doc("b", 2), doc("c", 3))
+        docs = (doc("a"), doc("b"), doc("c"))
         forward = oracle.score(JudgeRequest("setwise", QUERY, docs))
         backward = oracle.score(JudgeRequest("setwise", QUERY, tuple(reversed(docs))))
         # same doc gets the same logit regardless of its slot letter
@@ -220,9 +220,9 @@ class TestOracleScorer:
         latents = {("q1", "a"): 0.5, ("q1", "b"): 0.4}
         oracle = make_oracle(latents=latents)
         oracle.score(JudgeRequest("pointwise", QUERY, (doc("a"),)))
-        oracle.score(JudgeRequest("triplet", QUERY, (doc("a"), doc("b", 2))))
-        oracle.score(JudgeRequest("duel", QUERY, (doc("a"), doc("b", 2))))
-        oracle.score(JudgeRequest("setwise", QUERY, (doc("a"), doc("b", 2))))
+        oracle.score(JudgeRequest("triplet", QUERY, (doc("a"), doc("b"))))
+        oracle.score(JudgeRequest("duel", QUERY, (doc("a"), doc("b"))))
+        oracle.score(JudgeRequest("setwise", QUERY, (doc("a"), doc("b"))))
         assert oracle.ledger.counts == {
             "pointwise": 1,
             "triplet": 1,
@@ -247,7 +247,7 @@ class TestOracleMemo:
         # the same doc ids under two queries, every kind and both orientations
         out = []
         for query in (Query("q1", "first"), Query("q2", "second")):
-            a, b, c = doc("a"), doc("b", 2), doc("c", 3)
+            a, b, c = doc("a"), doc("b"), doc("c")
             out += [
                 JudgeRequest("pointwise", query, (a,)),
                 JudgeRequest("triplet", query, (a, b)),
@@ -287,7 +287,7 @@ class TestOracleMemo:
         assert shared.ledger.total_calls == 8 * 400
 
     def test_mutating_an_answer_leaves_the_next_one_unchanged(self):
-        request = JudgeRequest("triplet", QUERY, (doc("a"), doc("b", 2)))
+        request = JudgeRequest("triplet", QUERY, (doc("a"), doc("b")))
         oracle = make_oracle(latents={("q1", "a"): 0.9, ("q1", "b"): 0.2}, noise_sigma=0.8)
         first = oracle.score(request)
         expected = dict(first)
@@ -296,7 +296,7 @@ class TestOracleMemo:
         assert oracle.score(request) == expected
 
     def test_repeated_requests_are_each_counted_in_full(self):
-        request = JudgeRequest("duel", QUERY, (doc("a", text="one"), doc("b", 2, text="three")))
+        request = JudgeRequest("duel", QUERY, (doc("a", text="one"), doc("b", text="three")))
         oracle = make_oracle(latents={("q1", "a"): 0.9, ("q1", "b"): 0.2})
         for _ in range(3):
             oracle.score(request)
@@ -389,7 +389,7 @@ class TestOracleLatentTable:
         oracle = make_oracle(latents={("q1", "a"): 0.5})
         missing = [
             JudgeRequest("pointwise", QUERY, (doc("unknown"),)),
-            JudgeRequest("triplet", QUERY, (doc("a"), doc("unknown", 2))),
+            JudgeRequest("triplet", QUERY, (doc("a"), doc("unknown"))),
             JudgeRequest("pointwise", QUERY, (doc("unknown"),)),
         ]
         for request in missing:
@@ -413,7 +413,7 @@ class TestScoreBatch:
         latents = {("q1", f"d{i}"): i / 10 for i in range(10)}
         oracle = make_oracle(latents=latents)
         requests = [
-            JudgeRequest("pointwise", QUERY, (doc(f"d{i}", i + 1),)) for i in range(10)
+            JudgeRequest("pointwise", QUERY, (doc(f"d{i}"),)) for i in range(10)
         ]
         results = oracle.score_batch(requests)
         assert len(results) == 10
@@ -429,7 +429,7 @@ class TestScoreBatch:
     def test_concatenation_statelessness(self):
         latents = {("q1", f"d{i}"): i / 8 for i in range(8)}
         requests = [
-            JudgeRequest("pointwise", QUERY, (doc(f"d{i}", i + 1),)) for i in range(8)
+            JudgeRequest("pointwise", QUERY, (doc(f"d{i}"),)) for i in range(8)
         ]
         whole = make_oracle(latents=latents).score_batch(requests)
         oracle = make_oracle(latents=latents)
@@ -441,7 +441,7 @@ class TestScoreBatch:
         oracle = make_oracle(latents=latents)
         requests = [
             JudgeRequest("pointwise", QUERY, (doc("good"),)),
-            JudgeRequest("pointwise", QUERY, (doc("missing", 2),)),
+            JudgeRequest("pointwise", QUERY, (doc("missing"),)),
         ]
         with pytest.raises(BatchScoringError) as exc:
             oracle.score_batch(requests)
@@ -472,7 +472,7 @@ class TestPrompts:
             setwise="Q: {query}\n{docs}",
         )
         texts, expected = SUBSTITUTIONS[kind]
-        docs = tuple(doc(f"d{i}", i + 1, text=text) for i, text in enumerate(texts))
+        docs = tuple(doc(f"d{i}", text=text) for i, text in enumerate(texts))
         assert build_prompt(JudgeRequest(kind, QUERY, docs), templates) == expected
 
     def test_missing_required_placeholder(self):
@@ -507,7 +507,7 @@ class TestPrompts:
         assert "x" * 4001 not in prompt
 
     def test_setwise_blocks_use_labels(self):
-        docs = (doc("a", text="ta"), doc("b", 2, text="tb"))
+        docs = (doc("a", text="ta"), doc("b", text="tb"))
         request = JudgeRequest("setwise", QUERY, docs)
         prompt = build_prompt(request, PromptTemplates.defaults())
         assert "Passage A: ta" in prompt and "Passage B: tb" in prompt
@@ -744,13 +744,16 @@ class TestLlmScorer:
         StubHandler.behaviors = [behave]
         scorer = llm_scorer(stub_server, batch_size=1)
         requests = [
-            JudgeRequest("pointwise", QUERY, (doc(f"d{i}", i + 1),)) for i in range(3)
+            JudgeRequest("pointwise", QUERY, (doc(f"d{i}"),)) for i in range(3)
         ]
         with pytest.raises(BatchScoringError) as exc:
             scorer.score_batch(requests)
         assert list(exc.value.errors) == [1]
         assert exc.value.results[0] is not None and exc.value.results[2] is not None
-        assert str(exc.value) == "scoring failed for: d1"
+        assert str(exc.value) == (
+            "scoring failed for: d1 "
+            "(DegenerateResponseError: response carries no first-position top_logprobs)"
+        )
 
     def test_api_key_env_missing(self, stub_server, monkeypatch):
         monkeypatch.delenv("STUB_KEY", raising=False)
@@ -1009,7 +1012,7 @@ class TestLlmTransport:
                     def work(worker):
                         requests = [
                             JudgeRequest(
-                                "pointwise", QUERY, (doc(f"d{i}", i + 1, f"text {worker} {i}"),)
+                                "pointwise", QUERY, (doc(f"d{i}", f"text {worker} {i}"),)
                             )
                             for i in range(12)
                         ]
@@ -1088,7 +1091,10 @@ class TestLlmTransport:
             result = rerank_through(server, paths, tmp_path / "out", strategy,
                                     *SMALL_RUN_FLAGS.get(strategy, ()))
         assert result.exit_code == 1
-        assert result.stderr == f"error: scoring failed for: {failed}\n"
+        assert result.stderr == (
+            f"error: scoring failed for: {failed} "
+            "(TransientBackendError: request failed after 4 attempt(s): HTTP 500)\n"
+        )
         assert server.injected == {500: 4}
 
     @pytest.mark.parametrize("close", [True, False])
@@ -1100,7 +1106,7 @@ class TestLlmTransport:
 
             scorer = LlmScorer(LlmBackendConfig(base_url=sys.argv[1], model="m", batch_size=2))
             requests = [
-                JudgeRequest("pointwise", Query("q", "x"), (DocCandidate(f"d{i}", f"t{i}", i + 1),))
+                JudgeRequest("pointwise", Query("q", "x"), (DocCandidate(f"d{i}", f"t{i}"),))
                 for i in range(4)
             ]
             scorer.score_batch(requests)

@@ -10,8 +10,8 @@ from refrank.datamodel import (
     DocCandidate,
     Query,
     ValidationError,
-    make_candidate_list,
 )
+from refrank.io import assemble_experiment
 from refrank._seeded import std_normal
 from refrank.scorer import JudgeRequest, OracleConfig, OracleScorer, Scorer
 from refrank.strategies import (
@@ -28,7 +28,7 @@ from refrank.strategies import (
     resolve_reference,
 )
 
-from synth import make_synth
+from synth import make_synth, write_experiment_files
 
 
 def fixture_list(n_docs=12, seed=3, rank_correlation=0.0):
@@ -134,6 +134,13 @@ class NoisyDuelJudge(Scorer):
         return [Scorer.score(self, request) for request in requests]
 
 
+class ConstantJudge(Scorer):
+    """Gives every request the same answer: logit 0.0 on every label."""
+
+    def _score_one(self, request):
+        return dict.fromkeys(request.labels, 0.0), 0
+
+
 def serial_bubblesort(candidates, scorer, k):
     """The serial sweep, one duel at a time: the final order and each pass's duels."""
     order = list(candidates.docs)
@@ -160,7 +167,7 @@ class TestBubblesortWaves:
         order, passes = serial_bubblesort(cl, NoisyDuelJudge(seed=k), k)
         judge = NoisyDuelJudge(seed=k)
         ranking = rank_pairwise_bubblesort(cl, judge, k=k)
-        rest = sorted(order[k:], key=lambda doc: doc.first_stage_rank)
+        rest = sorted(order[k:], key=cl.docs.index)
         assert ranking.doc_ids == tuple(doc.doc_id for doc in order[:k] + rest)
         # wave w holds step j of pass s for every j + 2s = w, in pass order
         waves = collections.defaultdict(list)
@@ -187,7 +194,12 @@ class TestNoiselessBehavior:
         scorer = oracle_for(latents)
         ranking = run(cl, scorer, len(cl))
         assert ranking.doc_ids == ideal_order(cl, latents)
-        assert ranking.strategy_tag == name
+
+    @pytest.mark.parametrize("name,run", ALL_STRATEGIES[:4])
+    def test_constant_judge_keeps_first_stage_order(self, name, run):
+        # every score ties, so the ranking is the candidate list's own order
+        cl, _ = fixture_list(9)
+        assert run(cl, ConstantJudge(), len(cl)).doc_ids == cl.doc_ids
 
     def test_all_strategies_agree(self):
         cl, latents = fixture_list(12, seed=11)
@@ -200,7 +212,7 @@ class TestNoiselessBehavior:
     def test_single_doc_list(self):
         cl, latents = fixture_list(1)
         ranking = rank_pointwise(cl, oracle_for(latents))
-        assert ranking.entries[0].rank == 1
+        assert ranking.doc_ids == cl.doc_ids
 
     def test_refrank_reference_choice_is_irrelevant_noiselessly(self):
         cl, latents = fixture_list(10, seed=2)
@@ -248,10 +260,14 @@ class TestProperties:
         assert sorted(ranking.doc_ids) == sorted(cl.doc_ids)
 
     @pytest.mark.parametrize("name,run", ALL_STRATEGIES)
-    def test_input_order_invariance(self, name, run):
+    def test_input_order_invariance(self, name, run, tmp_path):
+        # the run file's rank column, not its line order, gives first-stage order
         data = make_synth(1, 12, seed=31)
         cl = data.lists[0]
-        shuffled = make_candidate_list(cl.query, tuple(reversed(cl.docs)))
+        run_path, corpus_path, queries_path, _ = write_experiment_files(data, tmp_path)
+        lines = run_path.read_text().splitlines(keepends=True)
+        run_path.write_text("".join(reversed(lines)))
+        (shuffled,) = assemble_experiment(run_path, corpus_path, queries_path)
         baseline = run(cl, oracle_for(data.latents, noise_sigma=0.5), len(cl))
         again = run(shuffled, oracle_for(data.latents, noise_sigma=0.5), len(cl))
         assert baseline.doc_ids == again.doc_ids
@@ -328,8 +344,8 @@ class TestEnsembleConfig:
 class TestResolveReference:
     def test_fixed_index(self):
         cl, _ = fixture_list(10)
-        assert resolve_reference(cl, FixedIndex(1)).first_stage_rank == 1
-        assert resolve_reference(cl, FixedIndex(7)).first_stage_rank == 7
+        assert resolve_reference(cl, FixedIndex(1)) is cl.docs[0]
+        assert resolve_reference(cl, FixedIndex(7)) is cl.docs[6]
 
     def test_fixed_index_out_of_range(self):
         cl, _ = fixture_list(5)
@@ -354,10 +370,10 @@ class TestResolveReference:
         counts = {1: 0, 2: 0}
         for i in range(10_000):
             query = Query(f"q{i}", "t")
-            docs = [DocCandidate(f"q{i}_d{j}", "text", j + 1) for j in range(4)]
-            cl = make_candidate_list(query, docs)
+            docs = [DocCandidate(f"q{i}_d{j}", "text") for j in range(4)]
+            cl = CandidateList(query, docs)
             chosen = resolve_reference(cl, RandomTopK(2, seed=123))
-            counts[chosen.first_stage_rank] += 1
+            counts[cl.docs.index(chosen) + 1] += 1
         for rank in (1, 2):
             assert abs(counts[rank] / 10_000 - 0.5) < 0.05
 
@@ -424,4 +440,7 @@ class TestErrorTagging:
         with pytest.raises(ScoringError) as exc:
             rank(cl, oracle_for(broken))
         failed = ", ".join(f"{cl.docs[2].doc_id}|{cl.docs[r].doc_id}" for r in refs)
-        assert str(exc.value) == f"scoring failed for: {failed}"
+        missing = f"({cl.query.id}, {cl.docs[2].doc_id})"
+        assert str(exc.value) == (
+            f"scoring failed for: {failed} (ValidationError: no latent relevance for {missing})"
+        )
