@@ -10,14 +10,22 @@ the leading parts (``prefix``) and is then copied and fed the rest gives
 the digest of all the parts at once: ``prefixed_normal(prefix(a, b), c)``
 equals ``std_normal(a, b, c)`` bit for bit. A caller that draws many times
 under the same leading parts hashes them once.
+
+A normal draw reads its 16-byte digest as two big-endian 64-bit integers,
+unpacked in one step, maps each to a uniform in (0, 1) and applies
+Box-Muller. The float operations and their order are fixed: the values are
+pinned bit for bit by the tests and behind every golden run file.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
+import struct
+from math import cos, log, pi, sqrt
 
 _TWO64 = 2.0**64
+_TWO_PI = 2.0 * pi
+_TWO_WORDS = struct.Struct(">QQ").unpack  # a 16-byte digest as two big-endian uint64
 
 
 def _encode(parts: tuple[str, ...]) -> bytes:
@@ -48,11 +56,11 @@ def prefixed_normal(state, *parts: str) -> float:
     """
     hasher = state.copy()
     hasher.update(_encode(parts))
-    raw = hasher.digest()
+    high, low = _TWO_WORDS(hasher.digest())
     # Box-Muller over two uniforms in (0, 1)
-    u1 = (int.from_bytes(raw[:8], "big") + 0.5) / _TWO64
-    u2 = (int.from_bytes(raw[8:], "big") + 0.5) / _TWO64
-    return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+    u1 = (high + 0.5) / _TWO64
+    u2 = (low + 0.5) / _TWO64
+    return sqrt(-2.0 * log(u1)) * cos(_TWO_PI * u2)
 
 
 _EMPTY = prefix()

@@ -2,8 +2,9 @@
 
 Everything here is immutable after construction and free of I/O and scoring
 logic. The one exception is CallLedger, which accumulates judge-call counts
-behind a lock so concurrent workers can share a single instance; only its
-final totals are meaningful.
+so concurrent workers can share a single instance: each thread adds to a
+tally of its own without a lock, and a read takes the lock and sums the
+tallies. Only its final totals are meaningful.
 
 No rank is stored anywhere: a document's first-stage rank is its position
 in a CandidateList, and its new rank its position in a Ranking. Tied scores
@@ -197,53 +198,69 @@ class Qrels:
         return self._max_grade.get(query_id, 0)
 
 
+_KINDS = ("pointwise", "triplet", "duel", "setwise")
+_CHARS = "prompt_chars"  # the key of a tally's prompt-character count
+
+
 class CallLedger:
     """Counts judge calls by kind, their prompt characters, and retried attempts.
 
     A call counts once, when it succeeds; ``retries`` counts each attempt
     after a request's first, by kind, whether or not the request succeeds.
 
-    Increment-only and lock-protected: concurrent workers may share one
-    instance, and only the final totals are observable.
+    Increment-only, and concurrent workers may share one instance. A call
+    takes no lock: each thread adds to its own tally, a dict of the kinds
+    plus a prompt-character count that only that thread writes, registered
+    once under the lock. A read takes the lock and sums every tally,
+    including those of threads that have exited. Only the final totals are
+    observable.
     """
 
-    KINDS = ("pointwise", "triplet", "duel", "setwise")
+    KINDS = _KINDS
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._counts = dict.fromkeys(self.KINDS, 0)
-        self._prompt_chars = 0
+        self._local = threading.local()
+        self._tallies: list[dict[str, int]] = []
         self._retries: dict[str, int] = {}
 
-    def record(self, kind: str, prompt_chars: int = 0) -> None:
-        if kind not in self._counts:
-            raise ValidationError(f"unknown request kind {kind!r}")
+    def _register(self) -> dict[str, int]:
+        tally = dict.fromkeys((*_KINDS, _CHARS), 0)
         with self._lock:
-            self._counts[kind] += 1
-            self._prompt_chars += prompt_chars
+            self._tallies.append(tally)
+        self._local.tally = tally
+        return tally
+
+    def record(self, kind: str, prompt_chars: int = 0) -> None:
+        if kind not in _KINDS:
+            raise ValidationError(f"unknown request kind {kind!r}")
+        try:
+            tally = self._local.tally
+        except AttributeError:
+            tally = self._register()
+        tally[kind] += 1
+        tally[_CHARS] += prompt_chars
 
     def record_retry(self, kind: str) -> None:
         with self._lock:
             self._retries[kind] = self._retries.get(kind, 0) + 1
 
     def count(self, kind: str) -> int:
-        with self._lock:
-            return self._counts[kind]
+        return self.counts[kind]
 
     @property
     def counts(self) -> dict[str, int]:
         with self._lock:
-            return dict(self._counts)
+            return {kind: sum(tally[kind] for tally in self._tallies) for kind in _KINDS}
 
     @property
     def total_calls(self) -> int:
-        with self._lock:
-            return sum(self._counts.values())
+        return sum(self.counts.values())
 
     @property
     def prompt_chars(self) -> int:
         with self._lock:
-            return self._prompt_chars
+            return sum(tally[_CHARS] for tally in self._tallies)
 
     @property
     def retries(self) -> dict[str, int]:

@@ -94,10 +94,12 @@ def parse_run_file(
 ) -> dict[str, list[RunEntry]]:
     """Read a six-column run file into per-query entries sorted by rank.
 
-    A run file without entries is an error.
+    A run file without entries is an error, and so is a query that repeats
+    a doc or a rank: the ranks alone fix the first-stage order.
     """
     per_query: dict[str, list[RunEntry]] = {}
     seen: set[tuple[str, str]] = set()
+    rank_lines: dict[tuple[str, int], int] = {}
     for line_number, line in _lines(path, warnings):
         fields = line.split()
         if len(fields) != 6:
@@ -120,6 +122,11 @@ def parse_run_file(
                 path, line_number, f"duplicate (query, doc) pair ({query_id}, {doc_id})"
             )
         seen.add((query_id, doc_id))
+        first_line = rank_lines.setdefault((query_id, rank), line_number)
+        if first_line != line_number:
+            raise DuplicateEntryError(
+                path, line_number, f"query {query_id} repeats rank {rank} from line {first_line}"
+            )
         per_query.setdefault(query_id, []).append(RunEntry(doc_id, rank, score))
     if not per_query:
         raise ValidationError(f"run file {path} has no entries")

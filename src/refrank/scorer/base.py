@@ -26,10 +26,12 @@ from dataclasses import dataclass
 from ..datamodel import CallLedger, DocCandidate, HarnessError, Query, ValidationError
 
 SETWISE_MAX_GROUP = 26  # labels are single letters A..Z
+_LETTERS = tuple("ABCDEFGHIJKLMNOPQRSTUVWXYZ")
 
 
 def setwise_labels(size: int) -> tuple[str, ...]:
-    return tuple(chr(ord("A") + i) for i in range(size))
+    """The answer labels of a setwise group of 2..SETWISE_MAX_GROUP documents."""
+    return _LETTERS[:size]
 
 
 class ScoringError(HarnessError):

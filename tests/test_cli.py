@@ -541,12 +541,14 @@ class TestBench:
 
         data = make_synth(5, 100, seed=55)
 
+        # CPU time, not wall time: time the machine spends on other work
+        # during one sample would otherwise land on one strategy alone
         def seconds(run):
             scorer = OracleScorer(OracleConfig(seed=1), latents=data.latents)
-            started = time.perf_counter()
+            started = time.process_time()
             for cl in data.lists:
                 run(cl, scorer)
-            return time.perf_counter() - started
+            return time.process_time() - started
 
         # Samples alternate between the two strategies so that a change in
         # CPU speed during the test hits both medians alike.

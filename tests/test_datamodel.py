@@ -1,4 +1,5 @@
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -153,3 +154,22 @@ class TestCallLedger:
             t.join()
         assert ledger.count("triplet") == 8000
         assert ledger.prompt_chars == 8000
+
+    def test_tallies_of_exited_threads_still_count(self):
+        ledger = CallLedger()
+
+        def worker(index):
+            for _ in range(100):
+                ledger.record(CallLedger.KINDS[index % 4], prompt_chars=index)
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            list(pool.map(worker, range(8, 20)))
+        # every thread that recorded has exited, and the pool has shut down
+        assert ledger.counts == {"pointwise": 500, "triplet": 500, "duel": 500, "setwise": 500}
+        assert ledger.total_calls == 2000
+        assert ledger.prompt_chars == 100 * sum(range(20))

@@ -51,6 +51,12 @@ class TestParseRunFile:
         with pytest.raises(DuplicateEntryError):
             parse_run_file(path)
 
+    def test_repeated_rank_names_its_line(self, tmp_path):
+        path = tmp_path / "a.run"
+        path.write_text("q1 Q0 d2 1 5.0 bm25\nq2 Q0 d2 1 5.0 bm25\nq1 Q0 d1 1 9.0 bm25\n")
+        with pytest.raises(ParseError, match=r"a\.run:3: query q1 repeats rank 1 from line 1$"):
+            parse_run_file(path)
+
     @pytest.mark.parametrize(
         "line", ["q1 Q0 d3 x 14.2 t", "q1 Q0 d3 0 14.2 t", "q1 Q0 d3 1 abc t", "q1 Q0 d3 1 nan t"]
     )

@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 import textwrap
@@ -40,6 +41,7 @@ from refrank.scorer import (
     TransientBackendError,
     build_prompt,
     check_placeholders,
+    setwise_labels,
 )
 from synth import make_synth, write_experiment_files
 
@@ -83,6 +85,10 @@ class TestRequests:
     def test_setwise_labels(self):
         request = JudgeRequest("setwise", QUERY, (doc("a"), doc("b"), doc("c")))
         assert request.labels == ("A", "B", "C")
+
+    @pytest.mark.parametrize("size", range(2, 27))
+    def test_setwise_labels_are_the_first_letters(self, size):
+        assert setwise_labels(size) == tuple(chr(ord("A") + i) for i in range(size))
 
     @pytest.mark.parametrize(
         "answer",
@@ -327,6 +333,18 @@ class TestSeededDraws:
         parts = ("3", "bias", "ü", "文档")
         data = b"".join(part.encode("utf-8") + b"\x1f" for part in parts)
         assert stable_digest(*parts) == hashlib.blake2b(data, digest_size=16).digest()
+
+    def test_pinned_normals(self):
+        # 1,000 part tuples over kinds, query ids, doc ids, non-ASCII parts
+        # and prefix splits 0..3; the digest of both draws' IEEE-754 bytes
+        kinds = ("latent", "pointwise", "triplet", "duel", "setwise")
+        digest = hashlib.blake2b(digest_size=16)
+        for i in range(1000):
+            parts = (str(i % 7), kinds[i % 5], f"q{i % 13:04d}", f"d{i}", "ü文档"[: i % 4])
+            split = i % 4
+            for value in (std_normal(*parts), prefixed_normal(prefix(*parts[:split]), *parts[split:])):
+                digest.update(struct.pack(">d", value))
+        assert digest.hexdigest() == "d4d8982b1673ddf3e932b007e176bcb0"
 
     @pytest.mark.parametrize("split", range(6))
     def test_prefixed_normal_equals_std_normal(self, split):
