@@ -209,7 +209,8 @@ def parse_queries_tsv(path, warnings: ParseWarnings | None = None) -> list[Query
 
 
 def _check_token(value: str, what: str) -> str:
-    if not value or any(ch.isspace() for ch in value):
+    # "".split() is [], and any whitespace character splits the value
+    if value.split() != [value]:
         raise ValidationError(f"{what} {value!r} must be nonempty and whitespace-free")
     return value
 

@@ -18,10 +18,10 @@ increments the shared CallLedger exactly once with the request kind.
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from math import isfinite, nan
 
 from ..datamodel import CallLedger, DocCandidate, HarnessError, Query, ValidationError
 
@@ -89,7 +89,7 @@ KINDS: dict[str, tuple[int, int, tuple[str, ...] | None]] = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JudgeRequest:
     """One judgment: the query plus an ordered tuple of documents.
 
@@ -149,7 +149,7 @@ class Scorer(ABC):
     def score(self, request: JudgeRequest) -> dict[str, float]:
         logits, prompt_chars = self._score_one(request)
         for label in request.labels:
-            if not math.isfinite(logits.get(label, math.nan)):
+            if not isfinite(logits.get(label, nan)):
                 raise DegenerateResponseError(
                     f"backend produced no finite logit for label {label!r}", payload=logits
                 )
@@ -174,12 +174,13 @@ class Scorer(ABC):
         ``doc|doc`` ids, the first eight, then the first failure.
         """
         results: list[dict[str, float] | None] = []
+        append = results.append
         errors: dict[int, Exception] = {}
         for index, item in enumerate(items):
             try:
-                results.append(judge(item))
+                append(judge(item))
             except HarnessError as exc:
-                results.append(None)
+                append(None)
                 errors[index] = exc
         if errors:
             failed = ", ".join(

@@ -31,7 +31,8 @@ for a query whose grades are all zero), or seeded per-document uniform
 draws.
 
 Each scorer keeps one state for the query it is judging now, built when the
-query id changes and replaced in one assignment:
+query id changes and replaced in one assignment. A judgment looks it up
+once, by the request's query id, and passes it to the judge:
 
 - the memo, keyed by (kind, ordered doc ids). With the state's query id,
   that key holds every input a judgment reads (the seed, the config and the
@@ -42,7 +43,8 @@ query id changes and replaced in one assignment:
   computation that raises stores nothing.
 - one BLAKE2b state per draw kind (pointwise, bias, triplet, duel, setwise)
   that has absorbed (seed, kind, query id). A draw copies it and hashes
-  only its doc ids (a setwise draw: the group key and the doc id).
+  only its doc ids. A setwise judgment first extends a copy by its group
+  key, once, so each member's draw hashes only the member's doc id.
   BLAKE2b is streaming, so each draw equals std_normal(seed, kind,
   query id, ...) bit for bit; see _seeded.
 """
@@ -53,7 +55,7 @@ import functools
 from collections.abc import Mapping
 from dataclasses import dataclass
 
-from .._seeded import prefix, prefixed_normal, stable_digest, unit_uniform
+from .._seeded import extend, prefix, prefixed_normal, stable_digest, unit_uniform
 from ..datamodel import CallLedger, Qrels, ValidationError
 from .base import JudgeRequest, Scorer
 
@@ -164,9 +166,8 @@ class OracleScorer(Scorer):
             return self._qrels.grade(query_id, doc_id) / top if top > 0 else 0.0
         return unit_uniform(self._seed, "latent", query_id, doc_id)
 
-    def _pointwise(self, request: JudgeRequest) -> dict[str, float]:
+    def _pointwise(self, state: _QueryState, request: JudgeRequest) -> dict[str, float]:
         cfg = self.config
-        state = self._state_for(request.query.id)
         doc_id = request.docs[0].doc_id
         diff = 2.0 * state.latent[doc_id] - 1.0
         if cfg.bias_amplitude > 0.0:
@@ -175,8 +176,9 @@ class OracleScorer(Scorer):
             diff += cfg.noise_sigma * prefixed_normal(state.prefix["pointwise"], doc_id)
         return {"yes": 0.5 * diff, "no": -0.5 * diff}
 
-    def _duel(self, request: JudgeRequest, ref_noise_scale: float = 0.0) -> dict[str, float]:
-        state = self._state_for(request.query.id)
+    def _duel(
+        self, state: _QueryState, request: JudgeRequest, ref_noise_scale: float = 0.0
+    ) -> dict[str, float]:
         doc_a, doc_b = request.docs
         id_a, id_b = doc_a.doc_id, doc_b.doc_id
         g_a = state.latent[id_a]
@@ -189,21 +191,21 @@ class OracleScorer(Scorer):
             eps = signed * prefixed_normal(state.prefix[request.kind], lo, hi)
         return {"A": g_a + 0.5 * eps, "B": g_b - 0.5 * eps}
 
-    def _triplet(self, request: JudgeRequest) -> dict[str, float]:
-        return self._duel(request, self.config.ref_noise_scale)
+    def _triplet(self, state: _QueryState, request: JudgeRequest) -> dict[str, float]:
+        return self._duel(state, request, self.config.ref_noise_scale)
 
-    def _setwise(self, request: JudgeRequest) -> dict[str, float]:
+    def _setwise(self, state: _QueryState, request: JudgeRequest) -> dict[str, float]:
         sigma = self.config.noise_sigma
-        state = self._state_for(request.query.id)
-        draws = state.prefix["setwise"]
-        group_key = stable_digest(*sorted(d.doc_id for d in request.docs)).hex()
-        values: dict[str, float] = {}
-        for label, doc in zip(request.labels, request.docs):
-            logit = state.latent[doc.doc_id]
-            if sigma > 0.0:
-                logit += sigma * prefixed_normal(draws, group_key, doc.doc_id)
-            values[label] = logit
-        return values
+        latent = state.latent
+        docs = request.docs
+        if sigma == 0.0:
+            return {label: latent[doc.doc_id] for label, doc in zip(request.labels, docs)}
+        group_key = stable_digest(*sorted(doc.doc_id for doc in docs)).hex()
+        group = extend(state.prefix["setwise"], group_key)
+        return {
+            label: latent[doc.doc_id] + sigma * prefixed_normal(group, doc.doc_id)
+            for label, doc in zip(request.labels, docs)
+        }
 
     _JUDGES = {
         "pointwise": _pointwise,
@@ -213,15 +215,23 @@ class OracleScorer(Scorer):
     }
 
     def _score_one(self, request: JudgeRequest) -> tuple[dict[str, float], int]:
+        kind = request.kind
+        docs = request.docs
         chars = len(request.query.text)
-        parts = [request.kind]
-        for doc in request.docs:
-            chars += len(doc.text)
-            parts.append(doc.doc_id)
-        key = tuple(parts)
-        memo = self._state_for(request.query.id).memo
+        if len(docs) == 2:
+            doc_a, doc_b = docs
+            chars += len(doc_a.text) + len(doc_b.text)
+            key = (kind, doc_a.doc_id, doc_b.doc_id)
+        else:
+            parts = [kind]
+            for doc in docs:
+                chars += len(doc.text)
+                parts.append(doc.doc_id)
+            key = tuple(parts)
+        state = self._state_for(request.query.id)
+        memo = state.memo
         logits = memo.get(key)
         if logits is None:
-            logits = memo[key] = self._JUDGES[request.kind](self, request)
+            logits = memo[key] = self._JUDGES[kind](self, state, request)
         # a copy, so that a caller editing its answer cannot change a later one
-        return dict(logits), chars
+        return logits.copy(), chars

@@ -37,25 +37,21 @@ from .datamodel import (
 from .scorer.base import SETWISE_MAX_GROUP, JudgeRequest, Scorer
 
 
-def _two_way_softmax(first: float, second: float) -> float:
-    """exp(first) / (exp(first) + exp(second)), safe for large magnitudes."""
-    top = first if first >= second else second
-    e_first = math.exp(first - top)
-    e_second = math.exp(second - top)
-    return e_first / (e_first + e_second)
-
-
-def pointwise_score(s_yes: float, s_no: float) -> float:
-    """Relevance probability from the yes/no label logits."""
-    return _two_way_softmax(s_yes, s_no)
-
-
 def refrank_score(s_a: float, s_b: float) -> float:
     """Probability mass on the candidate slot (A) against the reference slot (B).
 
-    The candidate always occupies slot A and the reference slot B.
+    The two-way softmax exp(s_a) / (exp(s_a) + exp(s_b)), safe for large
+    magnitudes. The candidate always occupies slot A and the reference slot B.
     """
-    return _two_way_softmax(s_a, s_b)
+    top = s_a if s_a >= s_b else s_b
+    e_a = math.exp(s_a - top)
+    e_b = math.exp(s_b - top)
+    return e_a / (e_a + e_b)
+
+
+def pointwise_score(s_yes: float, s_no: float) -> float:
+    """Relevance probability from the yes/no label logits: the same softmax."""
+    return refrank_score(s_yes, s_no)
 
 
 @dataclass(frozen=True)

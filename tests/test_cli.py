@@ -177,9 +177,9 @@ class TestRerank:
         judges = OracleScorer._JUDGES
 
         def waiting(kind):
-            def judge(scorer, request):
+            def judge(*args):
                 time.sleep(0.002)
-                return judges[kind](scorer, request)
+                return judges[kind](*args)
 
             return judge
 
@@ -294,9 +294,9 @@ class TestAnalyze:
         judged = []
 
         def counted(kind):
-            def judge(scorer, request):
+            def judge(*args):
                 judged.append(kind)
-                return judges[kind](scorer, request)
+                return judges[kind](*args)
 
             return judge
 

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from refrank.io import (
     MissingFieldError,
     ParseError,
     ParseWarnings,
+    _check_token,
     assemble_experiment,
     parse_corpus_jsonl,
     parse_qrels,
@@ -217,6 +220,34 @@ class TestWriteRunFile:
         ranking = Ranking("q1", (RankEntry("d1", 1.0),))
         with pytest.raises(ValidationError):
             write_run_file([ranking], "bad tag", tmp_path / "out.run")
+
+    @pytest.mark.parametrize("space", ["\u2003", "\x1c", "\x85", "\u00a0"])
+    @pytest.mark.parametrize("field", ["tag", "query id", "doc id"])
+    def test_unicode_whitespace_rejected(self, tmp_path, space, field):
+        token = f"x{space}y"
+        tag = token if field == "tag" else "tag"
+        query_id = token if field == "query id" else "q1"
+        doc_id = token if field == "doc id" else "d1"
+        ranking = Ranking(query_id, (RankEntry(doc_id, 1.0),))
+        with pytest.raises(ValidationError, match=field):
+            write_run_file([ranking], tag, tmp_path / "out.run")
+
+    def test_non_ascii_tokens_accepted(self, tmp_path):
+        path = tmp_path / "out.run"
+        write_run_file([Ranking("é", (RankEntry("文档", 1.0),))], "文档", path)
+        assert path.read_text(encoding="utf-8") == "é Q0 文档 1 1.000000 文档\n"
+
+    def test_token_check_rejects_exactly_the_whitespace_characters(self):
+        for point in range(sys.maxunicode + 1):
+            ch = chr(point)
+            try:
+                _check_token(f"a{ch}b", "id")
+            except ValidationError:
+                assert ch.isspace(), hex(point)
+            else:
+                assert not ch.isspace(), hex(point)
+        with pytest.raises(ValidationError):
+            _check_token("", "id")
 
     def test_round_trip_preserves_triples(self, tmp_path):
         rng = np.random.default_rng(7)

@@ -401,6 +401,19 @@ class TestOracleDraws:
             for label, d in zip("ABCD", docs)
         }
 
+    def test_overlapping_setwise_groups_draw_under_their_own_keys(self):
+        # the groups share two members; a group prefix carried over from the
+        # first group would give the shared members the same draws twice
+        oracle = self.oracle(noise_sigma=0.5)
+        groups = [self.IDS[:3], self.IDS[1:], self.IDS[:3], ("b🙂", "é")]
+        for ids in groups:
+            logits = oracle.score(JudgeRequest("setwise", self.QUERY, tuple(map(doc, ids))))
+            group_key = stable_digest(*sorted(ids)).hex()
+            assert logits == {
+                label: self.g(doc_id) + 0.5 * self.draw("setwise", group_key, doc_id)
+                for label, doc_id in zip("ABCD", ids)
+            }
+
 
 class TestOracleLatentTable:
     def test_a_missing_latent_fails_every_call(self):
