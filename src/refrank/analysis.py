@@ -7,8 +7,15 @@ random anchor from the top k deliver (the prefix mean of the reference
 sweep)? And what does averaging scores over the top-m anchors buy (ensemble
 sweep, one cell per m)?
 
-Sweep cells are independent, but results are reduced in (query, cell) order
-so identical seeds and configs reproduce a SweepResult bit for bit.
+Each sweep builds a list's triplet request rows once, against its top
+depth_r or m_max anchors (strategies.anchor_rows), and derives every cell
+from them: reference cell r scores column r with weight 1.0, ensemble cell
+m scores the first m columns with weights 1/m. Each cell is still a full
+RefRank run, with one doc-major score_batch of its own, so a cell makes
+the same judge calls, in the same order, and gets the same ranking as
+rank_refrank_single(FixedIndex(r)) or rank_refrank_multiple(EnsembleConfig(m)).
+Cells are run, and results reduced, in (query, cell) order, so identical
+seeds and configs reproduce a SweepResult bit for bit.
 """
 
 from __future__ import annotations
@@ -19,12 +26,7 @@ from dataclasses import dataclass, field
 from .datamodel import CandidateList, Qrels, ValidationError
 from .eval import MetricConfig, ndcg_at_k
 from .scorer.base import Scorer
-from .strategies import (
-    EnsembleConfig,
-    FixedIndex,
-    rank_refrank_multiple,
-    rank_refrank_single,
-)
+from .strategies import anchor_rows, anchor_scores, weighted_ranking
 
 
 def minmax_normalize(values: Sequence[float]) -> list[float]:
@@ -83,12 +85,24 @@ def check_sweep_depth(lists: Sequence[CandidateList], depth: int, name: str) -> 
         raise ValidationError(f"{name}={depth} must be within 1..{shortest} (shortest list)")
 
 
-def _sweep(lists, qrels, cells, run_cell, metric, kind) -> SweepResult:
-    rows = tuple(
-        tuple(ndcg_at_k(run_cell(candidate_list, cell), qrels, metric) for cell in cells)
-        for candidate_list in lists
-    )
-    return SweepResult(kind, tuple(cells), tuple(cl.query.id for cl in lists), rows)
+def _sweep(lists, scorer, qrels, depth, cell_columns, metric, kind) -> SweepResult:
+    """Cells 1..depth; cell_columns(cell) gives a cell's (column slice, weights).
+
+    Each list's rows are built once, against its top depth anchors, and each
+    cell scores its columns of them in one batch.
+    """
+    cells = tuple(range(1, depth + 1))
+    columns = [cell_columns(cell) for cell in cells]
+    per_query = []
+    for candidate_list in lists:
+        rows = anchor_rows(candidate_list, candidate_list.docs[:depth])
+        values = []
+        for span, weights in columns:
+            scores = anchor_scores([row[span] for row in rows], scorer)
+            ranking = weighted_ranking(candidate_list, scores, weights)
+            values.append(ndcg_at_k(ranking, qrels, metric))
+        per_query.append(tuple(values))
+    return SweepResult(kind, cells, tuple(cl.query.id for cl in lists), tuple(per_query))
 
 
 def sweep_reference_quality(
@@ -100,11 +114,9 @@ def sweep_reference_quality(
 ) -> SweepResult:
     """Mean ranking quality when anchoring on first-stage rank r, r = 1..depth_r."""
     check_sweep_depth(lists, depth_r, "depth_r")
-
-    def run_cell(candidate_list, r):
-        return rank_refrank_single(candidate_list, scorer, FixedIndex(r))
-
-    return _sweep(lists, qrels, range(1, depth_r + 1), run_cell, metric, "reference")
+    return _sweep(
+        lists, scorer, qrels, depth_r, lambda r: (slice(r - 1, r), (1.0,)), metric, "reference"
+    )
 
 
 def sweep_topk_selection(sweep: SweepResult, k_max: int) -> list[float]:
@@ -131,11 +143,9 @@ def sweep_ensemble_size(
 ) -> SweepResult:
     """Mean ranking quality of the uniform top-m anchor ensemble, m = 1..m_max."""
     check_sweep_depth(lists, m_max, "m_max")
-
-    def run_cell(candidate_list, m):
-        return rank_refrank_multiple(candidate_list, scorer, EnsembleConfig(m))
-
-    return _sweep(lists, qrels, range(1, m_max + 1), run_cell, metric, "ensemble")
+    return _sweep(
+        lists, scorer, qrels, m_max, lambda m: (slice(0, m), (1.0 / m,) * m), metric, "ensemble"
+    )
 
 
 def write_topk_csv(values: Sequence[float], path) -> None:

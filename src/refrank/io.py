@@ -11,8 +11,8 @@ Formats handled:
 
 Parsers are pure functions of file contents; every failure is a structured
 error carrying the offending line number, and arbitrary bytes never crash
-them. Blank lines are skipped, and counted when a ParseWarnings sink is
-given.
+them. Every file must be UTF-8: a line that is not is a ParseError. Blank
+lines are skipped, and counted when a ParseWarnings sink is given.
 """
 
 from __future__ import annotations
@@ -79,10 +79,24 @@ class RunEntry(NamedTuple):
 
 
 def _lines(path, warnings: ParseWarnings | None):
-    """Yield (line number, line) for each non-blank line; count blank ones in warnings."""
-    with open(path, encoding="utf-8", errors="replace") as handle:
+    """Yield (line number, line) for each non-blank line; count blank ones in warnings.
+
+    A line that is not valid UTF-8 is a ParseError: replacing its bad bytes
+    would let two different ids read as one.
+    """
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
         for line_number, raw in enumerate(handle, start=1):
             line = raw.rstrip("\r\n")
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    # surrogateescape keeps each undecodable byte b as U+DC00 + b
+                    byte = ord(line[exc.start]) - 0xDC00
+                    raise ParseError(
+                        path, line_number,
+                        f"not valid UTF-8 (byte 0x{byte:02x} at column {exc.start + 1})",
+                    ) from None
             if line.strip():
                 yield line_number, line
             elif warnings is not None:

@@ -19,12 +19,22 @@ naming its doc ids. A document's first-stage rank is its position in
 candidates.docs. Score aggregation always walks the candidates in that
 order, so floating-point sums are reproducible and build_ranking, whose
 sort is stable, leaves tied scores in first-stage order.
+
+The two anchored strategies compose three steps: anchor_rows builds one
+row of triplet requests per candidate against the anchors, anchor_scores
+turns a set of rows into refrank_score values in one doc-major
+score_batch, and weighted_ranking sums each candidate's row with the
+anchor weights and ranks by the sums. The anchor sweeps in the analysis
+module build the rows once per list and run these same steps on columns of
+them, so each sweep cell is a full refrank-single or refrank-multiple run.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain
 
 from ._seeded import unit_uniform
 from .datamodel import (
@@ -128,32 +138,52 @@ class EnsembleConfig:
             raise ValidationError(f"weights must sum to 1, got {sum(weights)!r}")
 
 
-def _anchored(
-    candidates: CandidateList,
-    scorer: Scorer,
-    refs: tuple[DocCandidate, ...],
-    weights: tuple[float, ...],
-) -> Ranking:
-    """Score each candidate by its weighted sum of scores against the anchors.
+def anchor_rows(
+    candidates: CandidateList, refs: Sequence[DocCandidate]
+) -> list[tuple[JudgeRequest, ...]]:
+    """Anchored scoring, step a: one row of triplet requests per candidate.
 
-    One batch of len(refs) * n triplets, doc-major; each sum runs over the
-    anchors in the order given, and the candidates in first-stage order.
+    Row i pairs candidate i (first-stage order) with each anchor, in the
+    order given. Building the rows makes no judge call.
     """
     query = candidates.query
-    requests = [
-        JudgeRequest("triplet", query, (doc, ref))
-        for doc in candidates.docs
-        for ref in refs
+    columns = [
+        [JudgeRequest("triplet", query, (doc, ref)) for doc in candidates.docs] for ref in refs
     ]
-    results = iter(scorer.score_batch(requests))
+    return list(zip(*columns))
+
+
+def anchor_scores(
+    rows: Sequence[Sequence[JudgeRequest]], scorer: Scorer
+) -> list[float]:
+    """Anchored scoring, step b: the refrank_score of every request in rows.
+
+    One score_batch over the rows, doc-major; the scores come back in the
+    same flat doc-major order.
+    """
+    return [
+        refrank_score(logits["A"], logits["B"])
+        for logits in scorer.score_batch(list(chain.from_iterable(rows)))
+    ]
+
+
+def weighted_ranking(
+    candidates: CandidateList, scores: Sequence[float], weights: Sequence[float]
+) -> Ranking:
+    """Anchored scoring, step c: rank by each candidate's weighted score sum.
+
+    scores holds one row of len(weights) values per candidate, doc-major.
+    Each sum runs over the candidate's row in anchor order, and the
+    candidates in first-stage order, so the floats are reproducible.
+    """
+    values = iter(scores)
     scored = []
     for doc in candidates.docs:
         total = 0.0
         for weight in weights:
-            logits = next(results)
-            total += weight * refrank_score(logits["A"], logits["B"])
+            total += weight * next(values)
         scored.append((doc, total))
-    return build_ranking(query.id, scored)
+    return build_ranking(candidates.query.id, scored)
 
 
 def _positional(candidates: CandidateList, settled: list[DocCandidate]) -> Ranking:
@@ -195,8 +225,8 @@ def rank_refrank_single(
     self-pair 0.5, so the anchor's final rank rests on the tie-break. This
     is the one-anchor ensemble with weight 1.0.
     """
-    ref = resolve_reference(candidates, policy)
-    return _anchored(candidates, scorer, (ref,), (1.0,))
+    rows = anchor_rows(candidates, (resolve_reference(candidates, policy),))
+    return weighted_ranking(candidates, anchor_scores(rows, scorer), (1.0,))
 
 
 def rank_refrank_multiple(
@@ -212,8 +242,8 @@ def rank_refrank_multiple(
     n = len(candidates)
     if config.m > n:
         raise ValidationError(f"ensemble size m={config.m} exceeds list length {n}")
-    refs = candidates.docs[: config.m]
-    return _anchored(candidates, scorer, refs, config.weights)
+    rows = anchor_rows(candidates, candidates.docs[: config.m])
+    return weighted_ranking(candidates, anchor_scores(rows, scorer), config.weights)
 
 
 def rank_pairwise_allpairs(candidates: CandidateList, scorer: Scorer) -> Ranking:

@@ -12,8 +12,14 @@ from refrank.analysis import (
 )
 from refrank.datamodel import ValidationError
 from refrank.eval import MetricConfig, ndcg_at_k
-from refrank.scorer import OracleConfig, OracleScorer
-from refrank.strategies import FixedIndex, rank_refrank_single
+from refrank import strategies
+from refrank.scorer import JudgeRequest, OracleConfig, OracleScorer
+from refrank.strategies import (
+    EnsembleConfig,
+    FixedIndex,
+    rank_refrank_multiple,
+    rank_refrank_single,
+)
 
 from synth import make_synth
 
@@ -177,6 +183,51 @@ class TestEnsembleSweep:
         data = make_synth(2, 5, seed=12)
         with pytest.raises(ValidationError):
             sweep_ensemble_size(data.lists, oracle_for(data), data.qrels, m_max=6)
+
+
+class TestSweepCellsAreStrategyRuns:
+    """Each cell equals the strategy run it stands for, from rows built once per list."""
+
+    NOISY = dict(noise_sigma=0.5, ref_noise_scale=0.8)
+
+    @pytest.mark.parametrize("sweep, rank, config", [
+        (sweep_reference_quality, rank_refrank_single, FixedIndex),
+        (sweep_ensemble_size, rank_refrank_multiple, EnsembleConfig),
+    ], ids=["reference", "ensemble"])
+    def test_every_cell_is_bit_identical_to_the_strategy(self, sweep, rank, config):
+        data = make_synth(5, 12, seed=31, rank_correlation=0.4)
+        swept = sweep(data.lists, oracle_for(data, **self.NOISY), data.qrels, 6)
+        scorer = oracle_for(data, **self.NOISY)
+        expected = tuple(
+            tuple(ndcg_at_k(rank(cl, scorer, config(cell)), data.qrels) for cell in swept.cells)
+            for cl in data.lists
+        )
+        assert swept.cells == (1, 2, 3, 4, 5, 6)
+        assert len(set(swept.mean)) > 1  # the noise reaches the cells
+        assert [[value.hex() for value in row] for row in swept.per_query] == [
+            [value.hex() for value in row] for row in expected
+        ]
+
+    def test_rows_are_built_once_per_list_and_every_cell_is_still_judged(self, monkeypatch):
+        n_queries, n, depth = 3, 9, 4
+        data = make_synth(n_queries, n, seed=32)
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return JudgeRequest(*args)
+
+        monkeypatch.setattr(strategies, "JudgeRequest", counted)
+        for sweep, cell_calls in [
+            (sweep_reference_quality, depth),  # one anchor per cell
+            (sweep_ensemble_size, depth * (depth + 1) // 2),  # m anchors at cell m
+        ]:
+            built.clear()
+            scorer = oracle_for(data, **self.NOISY)
+            sweep(data.lists, scorer, data.qrels, depth)
+            assert len(built) == n_queries * n * depth, sweep.__name__
+            assert scorer.ledger.counts["triplet"] == n_queries * n * cell_calls, sweep.__name__
+            assert scorer.ledger.total_calls == n_queries * n * cell_calls, sweep.__name__
 
 
 class TestCsv:

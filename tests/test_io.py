@@ -83,6 +83,23 @@ class TestParseRunFile:
             parse_run_file(path)
 
 
+@pytest.mark.parametrize(
+    "parse, first_line, bad_line",
+    [
+        (parse_run_file, b"q1 Q0 d1 1 2.0 t", b"q1 Q0 d\xff1 2 1.0 t"),
+        (parse_qrels, b"q1 0 d1 1", b"q1 0 d\xff1 1"),
+        (parse_corpus_jsonl, b'{"id": "d1", "contents": "x"}', b'{"id": "d\xff1", "contents": "x"}'),
+        (parse_queries_tsv, b"q1\tfirst", b"q2\tsecond \xff"),
+    ],
+    ids=["run", "qrels", "corpus", "queries"],
+)
+def test_invalid_utf8_is_a_parse_error_naming_the_line(tmp_path, parse, first_line, bad_line):
+    path = tmp_path / "input"
+    path.write_bytes(first_line + b"\r\n" + bad_line + b"\n")
+    with pytest.raises(ParseError, match=r"input:2: not valid UTF-8 \(byte 0xff at column \d+\)$"):
+        parse(path)
+
+
 class TestParseQrels:
     def test_basic(self, tmp_path):
         path = tmp_path / "qrels.txt"
@@ -327,6 +344,16 @@ class TestAssembleExperiment:
             corpus_path.read_text().replace('"passage 2"', '"   "')
         )
         with pytest.raises(ValidationError, match=r"corpus\.jsonl: doc d2: text is empty"):
+            assemble_experiment(run_path, corpus_path, queries_path, depth=3)
+
+    def test_ids_that_differ_only_in_invalid_bytes_do_not_join(self, tmp_path):
+        # decoded with replacement, both ids would read as "d\ufffd1" and join
+        run_path, corpus_path, queries_path = self.write_inputs(tmp_path, n_docs=2)
+        run_path.write_bytes(run_path.read_bytes() + b"q1 Q0 d\xff1 3 1.0 bm25\n")
+        corpus_path.write_bytes(
+            corpus_path.read_bytes() + b'{"id":"d\xfe1","contents":"passage x"}\n'
+        )
+        with pytest.raises(ParseError, match=r"first\.run:3: not valid UTF-8 \(byte 0xff"):
             assemble_experiment(run_path, corpus_path, queries_path, depth=3)
 
     def test_blank_lines_counted_in_warnings(self, tmp_path):

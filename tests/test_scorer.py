@@ -1107,6 +1107,33 @@ class TestLlmTransport:
             outcomes[profile] = run_digest, report["total_calls"]
         assert all(outcome == outcomes["clean"] for outcome in outcomes.values()), outcomes
 
+    def test_analyze_under_faults_matches_the_clean_run(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli_module, "LlmBackendConfig", FAST_RETRIES)
+        n_queries, n, depth_r, m_max = 4, 6, 3, 3
+        run, corpus, queries, qrels = write_experiment_files(
+            make_synth(n_queries, n, seed=23), tmp_path / "data"
+        )
+        csvs = ("reference_sweep.csv", "topk_selection.csv", "ensemble_sweep.csv")
+        outcomes = {}
+        for profile, faults in {"clean": (), **FAULT_PROFILES}.items():
+            out = tmp_path / profile
+            with counting_stub(latency_s=0.0, faults=faults,
+                               faulty=lambda prompt: zlib.crc32(prompt) % 3 == 0) as server:
+                result = CliRunner().invoke(cli, [
+                    "analyze", "--run", str(run), "--corpus", str(corpus),
+                    "--queries", str(queries), "--qrels", str(qrels),
+                    "--ref-topk", str(depth_r), "--m", str(m_max), "--backend", "endpoint",
+                    "--endpoint-url", server.url, "--model", "m", "--out", str(out),
+                ], catch_exceptions=False)
+            assert result.exit_code == 0, (profile, result.output)
+            injected = sum(server.injected.values())
+            assert (injected > 0) == bool(faults), profile
+            digests = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest() for name in csvs)
+            outcomes[profile] = digests, server.requests - injected
+        # each cell is a full RefRank run: n calls per reference cell, m * n per ensemble cell
+        assert outcomes["clean"][1] == n_queries * n * (depth_r + m_max * (m_max + 1) // 2)
+        assert all(outcome == outcomes["clean"] for outcome in outcomes.values()), outcomes
+
     @pytest.mark.parametrize("strategy, failed", [
         ("pointwise", "q0001_d004"),
         ("pairwise-bubblesort", "q0001_d005|q0001_d004"),

@@ -300,6 +300,20 @@ class TestProperties:
         assert multi.doc_ids == single.doc_ids
         assert [e.score for e in multi.entries] == [e.score for e in single.entries]
 
+    def test_ensemble_score_is_the_weighted_sum_in_anchor_order(self):
+        cl, latents = fixture_list(12, seed=44)
+        config = EnsembleConfig(3, (0.5, 0.3, 0.2))
+        ranking = rank_refrank_multiple(cl, oracle_for(latents, noise_sigma=0.7), config)
+        judge = oracle_for(latents, noise_sigma=0.7)
+        expected = {}
+        for doc in cl.docs:
+            total = 0.0
+            for weight, ref in zip(config.weights, cl.docs[:3]):
+                logits = judge.score(JudgeRequest("triplet", cl.query, (doc, ref)))
+                total += weight * refrank_score(logits["A"], logits["B"])
+            expected[doc.doc_id] = total.hex()
+        assert {e.doc_id: e.score.hex() for e in ranking.entries} == expected
+
     def test_degenerate_weights_reduce_to_fixed_index_one(self):
         cl, latents = fixture_list(10, seed=43)
         config = EnsembleConfig(3, (1.0, 0.0, 0.0))
