@@ -16,6 +16,8 @@ the same judge calls, in the same order, and gets the same ranking as
 rank_refrank_single(FixedIndex(r)) or rank_refrank_multiple(EnsembleConfig(m)).
 Cells are run, and results reduced, in (query, cell) order, so identical
 seeds and configs reproduce a SweepResult bit for bit.
+A SweepResult holds the per-query rows and their mean; write_curve_csv
+writes each of the three curves and min-max normalizes it as it writes.
 """
 
 from __future__ import annotations
@@ -43,25 +45,21 @@ def minmax_normalize(values: Sequence[float]) -> list[float]:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Per-query metric matrix over sweep cells, plus aggregates.
+    """Per-query metric matrix over sweep cells, plus its mean.
 
-    ``per_query[i][j]`` is query i's metric at cell j. ``mean`` averages
-    each cell over queries in row order and ``normalized`` is its min-max
-    rescaling; both are derived from ``per_query`` at construction.
+    ``per_query[i][j]`` is query i's metric at cell j, queries in list
+    order. ``mean`` averages each cell over queries in row order; it is
+    derived from ``per_query`` at construction.
     """
 
     kind: str  # "reference" or "ensemble"
     cells: tuple[int, ...]
-    query_ids: tuple[str, ...]
     per_query: tuple[tuple[float, ...], ...]
     mean: tuple[float, ...] = field(init=False)
-    normalized: tuple[float, ...] = field(init=False)
 
     def __post_init__(self):
         if not self.per_query:
             raise ValidationError("a sweep result needs at least one query")
-        if len(self.per_query) != len(self.query_ids):
-            raise ValidationError("per_query rows must match query_ids")
         for row in self.per_query:
             if len(row) != len(self.cells):
                 raise ValidationError("per_query row length must match cells")
@@ -70,10 +68,6 @@ class SweepResult:
             for j in range(len(self.cells))
         )
         object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "normalized", tuple(minmax_normalize(mean)))
-
-    def to_csv(self, path) -> None:
-        _write_curve_csv(path, self.cells, self.mean, self.normalized)
 
 
 def check_sweep_depth(lists: Sequence[CandidateList], depth: int, name: str) -> None:
@@ -102,7 +96,7 @@ def _sweep(lists, scorer, qrels, depth, cell_columns, metric, kind) -> SweepResu
             ranking = weighted_ranking(candidate_list, scores, weights)
             values.append(ndcg_at_k(ranking, qrels, metric))
         per_query.append(tuple(values))
-    return SweepResult(kind, cells, tuple(cl.query.id for cl in lists), tuple(per_query))
+    return SweepResult(kind, cells, tuple(per_query))
 
 
 def sweep_reference_quality(
@@ -148,14 +142,10 @@ def sweep_ensemble_size(
     )
 
 
-def write_topk_csv(values: Sequence[float], path) -> None:
-    """CSV for the top-k selection curve, same 3-column shape as SweepResult."""
-    cells = range(1, len(values) + 1)
-    _write_curve_csv(path, cells, values, minmax_normalize(list(values)))
-
-
-def _write_curve_csv(path, cells, means, normalized) -> None:
+def write_curve_csv(values: Sequence[float], path) -> None:
+    """Write ``cell,mean,normalized`` rows for cells 1..len(values), floats as repr."""
+    normalized = minmax_normalize(values)
     with open(path, "w", encoding="utf-8") as out:
         out.write("cell,mean,normalized\n")
-        for cell, mean, norm in zip(cells, means, normalized):
+        for cell, (mean, norm) in enumerate(zip(values, normalized), start=1):
             out.write(f"{cell},{mean!r},{norm!r}\n")

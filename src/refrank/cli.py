@@ -35,7 +35,7 @@ from .analysis import (
     sweep_ensemble_size,
     sweep_reference_quality,
     sweep_topk_selection,
-    write_topk_csv,
+    write_curve_csv,
 )
 from .datamodel import CallLedger, HarnessError, Qrels
 from .eval import MetricConfig, evaluate_rankings, evaluate_run_map
@@ -302,7 +302,6 @@ def _concat(results: tuple[SweepResult, ...]) -> SweepResult:
     return SweepResult(
         results[0].kind,
         results[0].cells,
-        tuple(query_id for result in results for query_id in result.query_ids),
         tuple(row for result in results for row in result.per_query),
     )
 
@@ -412,9 +411,9 @@ def cmd_analyze(out_dir, force, **options):
             for cl in lists
         ]
     reference, ensemble = (_concat(results) for results in zip(*per_query))
-    reference.to_csv(_created(reference_csv))
-    write_topk_csv(sweep_topk_selection(reference, depth_r), topk_csv)
-    ensemble.to_csv(ensemble_csv)
+    write_curve_csv(reference.mean, _created(reference_csv))
+    write_curve_csv(sweep_topk_selection(reference, depth_r), topk_csv)
+    write_curve_csv(ensemble.mean, ensemble_csv)
     for path in (reference_csv, topk_csv, ensemble_csv):
         click.echo(f"wrote {path}")
 

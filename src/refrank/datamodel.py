@@ -1,10 +1,11 @@
 """Core domain types shared across the reranking harness.
 
 Everything here is immutable after construction and free of I/O and scoring
-logic. The one exception is CallLedger, which accumulates judge-call counts
-so concurrent workers can share a single instance: each thread adds to a
-tally of its own without a lock, and a read takes the lock and sums the
-tallies. Only its final totals are meaningful.
+logic. KINDS is the one table of judge request kinds, which the ledger,
+JudgeRequest and the prompt templates read. The one exception is CallLedger,
+which accumulates judge-call counts so concurrent workers can share a single
+instance: each thread adds to a tally of its own without a lock, and a read
+takes the lock and sums the tallies. Only its final totals are meaningful.
 
 No rank is stored anywhere: a document's first-stage rank is its position
 in a CandidateList, and its new rank its position in a Ranking. Tied scores
@@ -198,7 +199,16 @@ class Qrels:
         return self._max_grade.get(query_id, 0)
 
 
-_KINDS = ("pointwise", "triplet", "duel", "setwise")
+SETWISE_MAX_GROUP = 26  # labels are single letters A..Z
+
+# kind -> (fewest docs, most docs, fixed labels or None for one letter per doc,
+# the prompt placeholder each document slot fills; setwise's holds them all)
+KINDS: dict[str, tuple[int, int, tuple[str, ...] | None, tuple[str, ...]]] = {
+    "pointwise": (1, 1, ("yes", "no"), ("doc",)),
+    "triplet": (2, 2, ("A", "B"), ("doc", "ref")),
+    "duel": (2, 2, ("A", "B"), ("doc_i", "doc_j")),
+    "setwise": (2, SETWISE_MAX_GROUP, None, ("docs",)),
+}
 _CHARS = "prompt_chars"  # the key of a tally's prompt-character count
 
 
@@ -216,8 +226,6 @@ class CallLedger:
     observable.
     """
 
-    KINDS = _KINDS
-
     def __init__(self):
         self._lock = threading.Lock()
         self._local = threading.local()
@@ -225,14 +233,14 @@ class CallLedger:
         self._retries: dict[str, int] = {}
 
     def _register(self) -> dict[str, int]:
-        tally = dict.fromkeys((*_KINDS, _CHARS), 0)
+        tally = dict.fromkeys((*KINDS, _CHARS), 0)
         with self._lock:
             self._tallies.append(tally)
         self._local.tally = tally
         return tally
 
     def record(self, kind: str, prompt_chars: int = 0) -> None:
-        if kind not in _KINDS:
+        if kind not in KINDS:
             raise ValidationError(f"unknown request kind {kind!r}")
         try:
             tally = self._local.tally
@@ -251,7 +259,7 @@ class CallLedger:
     @property
     def counts(self) -> dict[str, int]:
         with self._lock:
-            return {kind: sum(tally[kind] for tally in self._tallies) for kind in _KINDS}
+            return {kind: sum(tally[kind] for tally in self._tallies) for kind in KINDS}
 
     @property
     def total_calls(self) -> int:

@@ -12,7 +12,7 @@ from .base import (
 )
 from .llm import LlmBackendConfig, LlmScorer
 from .oracle import OracleConfig, OracleScorer
-from .prompts import PromptTemplates, build_prompt, check_placeholders
+from .prompts import PromptTemplates, build_prompt
 
 __all__ = [
     "BatchScoringError",
@@ -28,6 +28,5 @@ __all__ = [
     "TemplateError",
     "TransientBackendError",
     "build_prompt",
-    "check_placeholders",
     "setwise_labels",
 ]

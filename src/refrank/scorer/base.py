@@ -2,7 +2,8 @@
 
 A scorer is a relevance judge. It takes a JudgeRequest, the query plus an
 ordered tuple of documents, and returns a dict from each answer label to its
-raw log-likelihood. The request kind fixes the documents and the labels:
+raw log-likelihood. The kind fixes the documents and the labels, as the
+table datamodel.KINDS gives them:
 
   pointwise  (doc,)          labels yes / no
   triplet    (doc, ref)      labels A (candidate) / B (reference)
@@ -23,9 +24,8 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from math import isfinite, nan
 
-from ..datamodel import CallLedger, DocCandidate, HarnessError, Query, ValidationError
+from ..datamodel import KINDS, CallLedger, DocCandidate, HarnessError, Query, ValidationError
 
-SETWISE_MAX_GROUP = 26  # labels are single letters A..Z
 _LETTERS = tuple("ABCDEFGHIJKLMNOPQRSTUVWXYZ")
 
 
@@ -80,15 +80,6 @@ class BatchScoringError(ScoringError):
         self.errors = dict(errors)
 
 
-# kind -> (fewest docs, most docs, fixed labels or None for one letter per doc)
-KINDS: dict[str, tuple[int, int, tuple[str, ...] | None]] = {
-    "pointwise": (1, 1, ("yes", "no")),
-    "triplet": (2, 2, ("A", "B")),
-    "duel": (2, 2, ("A", "B")),
-    "setwise": (2, SETWISE_MAX_GROUP, None),
-}
-
-
 @dataclass(frozen=True, slots=True)
 class JudgeRequest:
     """One judgment: the query plus an ordered tuple of documents.
@@ -109,7 +100,7 @@ class JudgeRequest:
         spec = KINDS.get(self.kind)
         if spec is None:
             raise ValidationError(f"unknown request kind {self.kind!r}")
-        low, high, _ = spec
+        low, high, _, _ = spec
         if not low <= len(docs) <= high:
             allowed = str(low) if low == high else f"{low}..{high}"
             raise ValidationError(

@@ -14,6 +14,8 @@ degenerate and never retried.
 
 Transport: the standard library's ``http.client``, so proxy environment
 variables and ``.netrc`` are not read. ``base_url`` is ``http(s)://host[:port]``.
+An API key must be printable ASCII without whitespace, or the scorer refuses
+to build: it is sent as a bearer token, and no HTTP header can carry more.
 A scorer owns ``batch_size`` keep-alive connections. Each HTTP exchange
 takes a free one and waits while none is, so at most ``batch_size`` requests
 are in flight per scorer, from any number of threads. A connection the
@@ -61,6 +63,7 @@ _TOP_LOGPROBS = 20
 _MAX_DOC_CHARS = 4000
 _TIMEOUT_S = 30.0
 _MAX_RETRIES = 3
+_PATH = "/v1/chat/completions"
 
 
 @dataclass(frozen=True)
@@ -73,7 +76,6 @@ class LlmBackendConfig:
     templates: PromptTemplates = field(default_factory=PromptTemplates.defaults)
     retry_backoff: float = 0.5
     batch_size: int = 4  # connections, so the most requests in flight at once
-    path: str = "/v1/chat/completions"
 
     def __post_init__(self):
         if not self.base_url:
@@ -97,6 +99,12 @@ class LlmScorer(Scorer):
             if not api_key:
                 raise ValidationError(
                     f"environment variable {config.api_key_env!r} is not set"
+                )
+            if not all("!" <= char <= "~" for char in api_key):
+                # The message names the variable, never the key, which would reach logs.
+                raise ValidationError(
+                    f"environment variable {config.api_key_env!r} holds whitespace or a "
+                    "character outside printable ASCII"
                 )
             self._headers["Authorization"] = f"Bearer {api_key}"
         self._pool = ThreadPoolExecutor(max_workers=config.batch_size)
@@ -178,7 +186,7 @@ class LlmScorer(Scorer):
                 # The server closed the idle connection (a keep-alive timeout):
                 # nothing was sent on it, so reopen it without a retry.
                 connection.close()
-            connection.request("POST", self.config.path, body, self._headers)
+            connection.request("POST", _PATH, body, self._headers)
             response = connection.getresponse()
             return response.status, response.getheader("Retry-After"), response.read()
         except (OSError, http.client.HTTPException):

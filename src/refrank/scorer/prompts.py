@@ -1,8 +1,8 @@
 """Prompt construction for LLM judges: templates, placeholders, truncation.
 
-Templates are plain text with str.format placeholders. SLOTS names the
-placeholder each document slot of a request kind fills; every template
-takes {query} as well:
+Templates are plain text with str.format placeholders. datamodel.KINDS
+names the placeholder each document slot of a request kind fills; every
+template takes {query} as well:
 
   pointwise  {query} {doc}
   triplet    {query} {doc} {ref}
@@ -11,7 +11,8 @@ takes {query} as well:
 
 PromptTemplates checks these placeholders when it is built, so a template
 that lacks one raises TemplateError when it is loaded, before any request
-is rendered. For setwise requests, {docs} expands to one lettered
+is rendered; a template file that is not UTF-8 raises HarnessError naming
+the byte offset. For setwise requests, {docs} expands to one lettered
 "Passage X: ..." block per group member, letters matching the request's
 labels. Document texts longer than the configured cap are cut at the cap
 and a truncation marker appended.
@@ -22,18 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
+from ..datamodel import KINDS, HarnessError
 from .base import JudgeRequest, TemplateError
 
 TRUNCATION_MARKER = " [...]"
-
-# kind -> the placeholder each document slot fills, in slot order. setwise
-# has one placeholder that holds every document as a lettered block.
-SLOTS = {
-    "pointwise": ("doc",),
-    "triplet": ("doc", "ref"),
-    "duel": ("doc_i", "doc_j"),
-    "setwise": ("docs",),
-}
 
 DEFAULT_TEMPLATES = {
     "pointwise": (
@@ -68,7 +61,7 @@ DEFAULT_TEMPLATES = {
 
 @dataclass(frozen=True)
 class PromptTemplates:
-    """One template string per request kind, checked by check_placeholders when built."""
+    """One template string per request kind, checked for the KINDS placeholders when built."""
 
     pointwise: str
     triplet: str
@@ -76,7 +69,12 @@ class PromptTemplates:
     setwise: str
 
     def __post_init__(self):
-        check_placeholders(self)
+        for kind, (_, _, _, slots) in KINDS.items():
+            template = getattr(self, kind)
+            for name in ("query", *slots):
+                placeholder = "{" + name + "}"
+                if placeholder not in template:
+                    raise TemplateError(placeholder, f"missing from the {kind} template")
 
     @classmethod
     def defaults(cls) -> "PromptTemplates":
@@ -87,21 +85,17 @@ class PromptTemplates:
         """Load ``<kind>.txt`` files; kinds without a file keep the default."""
         directory = Path(directory)
         values = dict(DEFAULT_TEMPLATES)
-        for kind in SLOTS:
+        for kind in KINDS:
             path = directory / f"{kind}.txt"
             if path.is_file():
-                values[kind] = path.read_text(encoding="utf-8")
+                try:
+                    values[kind] = path.read_text(encoding="utf-8")
+                except UnicodeDecodeError as exc:
+                    byte = exc.object[exc.start]
+                    raise HarnessError(
+                        f"{path}: not valid UTF-8 (byte 0x{byte:02x} at offset {exc.start})"
+                    ) from None
         return cls(**values)
-
-
-def check_placeholders(templates: PromptTemplates) -> None:
-    """Raise TemplateError naming the first required placeholder a template lacks."""
-    for kind, slots in SLOTS.items():
-        template = getattr(templates, kind)
-        for name in ("query", *slots):
-            placeholder = "{" + name + "}"
-            if placeholder not in template:
-                raise TemplateError(placeholder, f"missing from the {kind} template")
 
 
 def truncate_text(text: str, max_chars: int) -> str:
@@ -122,7 +116,7 @@ def build_prompt(
         blocks = [f"Passage {label}: {text}" for label, text in zip(request.labels, texts)]
         fields = {"docs": "\n\n".join(blocks)}
     else:
-        fields = dict(zip(SLOTS[kind], texts))
+        fields = dict(zip(KINDS[kind][3], texts))
     try:
         return getattr(templates, kind).format(query=request.query.text, **fields)
     except KeyError as exc:

@@ -38,13 +38,14 @@ from itertools import chain
 
 from ._seeded import unit_uniform
 from .datamodel import (
+    SETWISE_MAX_GROUP,
     CandidateList,
     DocCandidate,
     Ranking,
     ValidationError,
     build_ranking,
 )
-from .scorer.base import SETWISE_MAX_GROUP, JudgeRequest, Scorer
+from .scorer.base import JudgeRequest, Scorer
 
 
 def refrank_score(s_a: float, s_b: float) -> float:

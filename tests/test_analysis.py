@@ -8,7 +8,7 @@ from refrank.analysis import (
     sweep_ensemble_size,
     sweep_reference_quality,
     sweep_topk_selection,
-    write_topk_csv,
+    write_curve_csv,
 )
 from refrank.datamodel import ValidationError
 from refrank.eval import MetricConfig, ndcg_at_k
@@ -83,7 +83,6 @@ class TestReferenceSweep:
         sweep = sweep_reference_quality(data.lists, oracle_for(data), data.qrels, depth_r=6)
         assert len(sweep.per_query) == 4
         assert all(len(row) == 6 for row in sweep.per_query)
-        assert len(sweep.query_ids) == 4
 
     def test_determinism_bit_identical(self):
         data = make_synth(3, 10, seed=6)
@@ -122,7 +121,6 @@ class TestTopkSelection:
         sweep = SweepResult(
             kind="reference",
             cells=(1, 2),
-            query_ids=("q",),
             per_query=((0.8, 0.6),),
         )
         assert sweep_topk_selection(sweep, 2) == pytest.approx([0.8, 0.7])
@@ -140,7 +138,6 @@ class TestTopkSelection:
         sweep = SweepResult(
             kind="reference",
             cells=(1, 2, 3),
-            query_ids=("q",),
             per_query=((0.9, 0.5, 0.1),),
         )
         values = sweep_topk_selection(sweep, 3)
@@ -237,7 +234,7 @@ class TestCsv:
             data.lists, oracle_for(data, noise_sigma=0.3), data.qrels, depth_r=5
         )
         path = tmp_path / "sweep.csv"
-        sweep.to_csv(path)
+        write_curve_csv(sweep.mean, path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "cell,mean,normalized"
         assert len(lines) == 6
@@ -245,27 +242,26 @@ class TestCsv:
         cell, mean, normalized = lines[1].split(",")
         assert int(cell) == 1
         assert float(mean) == sweep.mean[0]
-        assert float(normalized) == sweep.normalized[0]
+        assert float(normalized) == minmax_normalize(sweep.mean)[0]
 
     def test_topk_csv(self, tmp_path):
         path = tmp_path / "topk.csv"
-        write_topk_csv([0.9, 0.8, 0.7], path)
+        write_curve_csv([0.9, 0.8, 0.7], path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "cell,mean,normalized"
         assert len(lines) == 4
 
     def test_aggregates_derive_from_rows(self):
-        sweep = SweepResult("ensemble", (1, 2), ("a", "b"), ((0.2, 0.9), (0.4, 0.5)))
+        sweep = SweepResult("ensemble", (1, 2), ((0.2, 0.9), (0.4, 0.5)))
         assert sweep.mean == ((0.2 + 0.4) / 2, (0.9 + 0.5) / 2)
-        assert sweep.normalized == (0.0, 1.0)
+        assert minmax_normalize(sweep.mean) == [0.0, 1.0]
 
     def test_result_validation(self):
         with pytest.raises(ValidationError):
             SweepResult(
                 kind="reference",
                 cells=(1, 2),
-                query_ids=("q",),
                 per_query=((0.5,),),  # wrong row width
             )
         with pytest.raises(ValidationError):
-            SweepResult(kind="reference", cells=(1,), query_ids=(), per_query=())  # no rows
+            SweepResult(kind="reference", cells=(1,), per_query=())  # no rows

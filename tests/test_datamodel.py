@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from refrank.datamodel import (
+    KINDS,
     CallLedger,
     CandidateList,
     DocCandidate,
@@ -160,7 +161,7 @@ class TestCallLedger:
 
         def worker(index):
             for _ in range(100):
-                ledger.record(CallLedger.KINDS[index % 4], prompt_chars=index)
+                ledger.record(list(KINDS)[index % 4], prompt_chars=index)
 
         threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
         for t in threads:

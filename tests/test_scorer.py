@@ -24,7 +24,7 @@ import refrank
 from refrank import cli as cli_module
 from refrank._seeded import prefix, prefixed_normal, stable_digest, std_normal, unit_uniform
 from refrank.cli import STRATEGIES, cli
-from refrank.datamodel import DocCandidate, Qrels, Query, ValidationError
+from refrank.datamodel import DocCandidate, HarnessError, Qrels, Query, ValidationError
 from refrank.scorer import llm
 from refrank.scorer import (
     BatchScoringError,
@@ -40,7 +40,6 @@ from refrank.scorer import (
     TemplateError,
     TransientBackendError,
     build_prompt,
-    check_placeholders,
     setwise_labels,
 )
 from synth import make_synth, write_experiment_files
@@ -544,7 +543,7 @@ class TestPrompts:
         assert "Passage A: ta" in prompt and "Passage B: tb" in prompt
 
     def test_defaults_pass_placeholder_check(self):
-        check_placeholders(PromptTemplates.defaults())
+        PromptTemplates.defaults()
 
     def test_from_dir_overrides_and_falls_back(self, tmp_path):
         (tmp_path / "triplet.txt").write_text("custom {query} {doc} {ref}")
@@ -558,6 +557,14 @@ class TestPrompts:
             PromptTemplates.from_dir(tmp_path)
         assert exc.value.placeholder == "{ref}"
 
+    def test_from_dir_names_a_file_that_is_not_utf8(self, tmp_path):
+        (tmp_path / "triplet.txt").write_bytes(b"caf\xe9 {query} {doc} {ref}")
+        with pytest.raises(HarnessError) as exc:
+            PromptTemplates.from_dir(tmp_path)
+        assert str(exc.value) == (
+            f"{tmp_path / 'triplet.txt'}: not valid UTF-8 (byte 0xe9 at offset 3)"
+        )
+
 
 class StubHandler(BaseHTTPRequestHandler):
     """Programmable chat-completions stub.
@@ -569,6 +576,7 @@ class StubHandler(BaseHTTPRequestHandler):
     behaviors: list = []  # list of callables(request_index) -> answer
     calls: list = []
     peers: list = []  # the client address of each request
+    authorizations: list = []  # the Authorization header of each request, or None
     close_after_answer = False  # close a keep-alive connection unannounced, as an idle timeout does
 
     def do_POST(self):
@@ -577,6 +585,7 @@ class StubHandler(BaseHTTPRequestHandler):
         index = len(StubHandler.calls)
         StubHandler.calls.append(body)
         StubHandler.peers.append(self.client_address)
+        StubHandler.authorizations.append(self.headers.get("Authorization"))
         behavior = StubHandler.behaviors[min(index, len(StubHandler.behaviors) - 1)]
         answer = behavior(index)
         if answer is None:
@@ -614,6 +623,7 @@ def stub_server():
     StubHandler.behaviors = [lambda i: (200, completion_payload([]))]
     StubHandler.calls = []
     StubHandler.peers = []
+    StubHandler.authorizations = []
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
     server.server_close()
@@ -790,6 +800,13 @@ class TestLlmScorer:
         monkeypatch.delenv("STUB_KEY", raising=False)
         with pytest.raises(ValidationError):
             llm_scorer(stub_server, api_key_env="STUB_KEY")
+
+    def test_api_key_is_sent_as_a_bearer_token(self, stub_server, monkeypatch):
+        monkeypatch.setenv("STUB_KEY", "sk-Ab_9.~!")
+        StubHandler.behaviors = [lambda i: (200, YES_NO)]
+        with llm_scorer(stub_server, api_key_env="STUB_KEY") as scorer:
+            scorer.score(PROBE_POINTWISE)
+        assert StubHandler.authorizations == ["Bearer sk-Ab_9.~!"]
 
     def test_config_rejects_template_missing_required_placeholder(self):
         with pytest.raises(TemplateError):
@@ -1154,6 +1171,44 @@ class TestLlmTransport:
             "(TransientBackendError: request failed after 4 attempt(s): HTTP 500)\n"
         )
         assert server.injected == {500: 4}
+
+    def test_template_file_that_is_not_utf8_fails_before_any_output_or_call(self, tmp_path):
+        paths = write_experiment_files(make_synth(2, 6, seed=23), tmp_path / "data")
+        templates = tmp_path / "templates"
+        templates.mkdir()
+        text = "Query: {query}\nA: {doc}\nB: {ref}\nWhich is more relevant, caf\u00e9?"
+        (templates / "triplet.txt").write_bytes(text.encode("latin-1"))
+        with counting_stub(latency_s=0.0) as server:
+            result = rerank_through(server, paths, tmp_path / "out", "refrank-single",
+                                    "--template-dir", str(templates))
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == (
+            f"error: {templates / 'triplet.txt'}: not valid UTF-8 "
+            f"(byte 0xe9 at offset {text.index(chr(0xe9))})\n"
+        )
+        assert not (tmp_path / "out").exists()
+        assert server.requests == 0
+
+    @pytest.mark.parametrize(
+        "key", ["sk-secret-4711\n", "sk-secret 4711", "sk-secret-4711\u00e9"],
+        ids=["trailing-newline", "inner-space", "non-ascii"],
+    )
+    def test_api_key_no_header_can_carry_fails_before_any_output_or_call(
+        self, tmp_path, monkeypatch, key
+    ):
+        monkeypatch.setenv("REFRANK_TEST_KEY", key)
+        paths = write_experiment_files(make_synth(2, 6, seed=23), tmp_path / "data")
+        with counting_stub(latency_s=0.0) as server:
+            result = rerank_through(server, paths, tmp_path / "out", "pointwise",
+                                    "--api-key-env", "REFRANK_TEST_KEY")
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        (line,) = result.stderr.splitlines()
+        assert line.startswith("error: environment variable 'REFRANK_TEST_KEY' ")
+        assert "secret" not in result.output and "4711" not in result.output
+        assert not (tmp_path / "out").exists()
+        assert server.requests == 0
 
     @pytest.mark.parametrize("close", [True, False])
     def test_close_leaves_no_socket_open(self, close):

@@ -314,6 +314,45 @@ class TestProperties:
             expected[doc.doc_id] = total.hex()
         assert {e.doc_id: e.score.hex() for e in ranking.entries} == expected
 
+    def test_default_ensemble_weights_are_one_over_m_and_summed_in_anchor_order(self):
+        for m in range(1, 11):
+            assert [w.hex() for w in EnsembleConfig(m).weights] == [(1.0 / m).hex()] * m
+        cl, latents = fixture_list(12, seed=47)
+        judge = oracle_for(latents, noise_sigma=0.7)
+        for m in range(1, 11):
+            ranking = rank_refrank_multiple(
+                cl, oracle_for(latents, noise_sigma=0.7), EnsembleConfig(m)
+            )
+            expected = {}
+            for doc in cl.docs:
+                total = 0.0
+                for ref in cl.docs[:m]:
+                    logits = judge.score(JudgeRequest("triplet", cl.query, (doc, ref)))
+                    total += (1.0 / m) * refrank_score(logits["A"], logits["B"])
+                expected[doc.doc_id] = total.hex()
+            assert {e.doc_id: e.score.hex() for e in ranking.entries} == expected, m
+
+    def test_allpairs_score_is_the_serial_sum_of_win_probabilities(self):
+        cl, latents = fixture_list(7, seed=46)
+        noisy = dict(noise_sigma=0.7, bias_amplitude=0.3)  # slot bias: p(i,j) != 1 - p(j,i)
+        ranking = rank_pairwise_allpairs(cl, oracle_for(latents, **noisy))
+        judge = oracle_for(latents, **noisy)
+        docs = cl.docs
+        n = len(docs)
+
+        def p(i, j):
+            logits = judge.score(JudgeRequest("duel", cl.query, (docs[i], docs[j])))
+            return refrank_score(logits["A"], logits["B"])
+
+        expected = {}
+        for i, doc in enumerate(docs):
+            total = 0.0
+            for j in range(n):
+                if j != i:
+                    total += p(i, j) + (1.0 - p(j, i))
+            expected[doc.doc_id] = (total / (2.0 * (n - 1))).hex()
+        assert {e.doc_id: e.score.hex() for e in ranking.entries} == expected
+
     def test_degenerate_weights_reduce_to_fixed_index_one(self):
         cl, latents = fixture_list(10, seed=43)
         config = EnsembleConfig(3, (1.0, 0.0, 0.0))
