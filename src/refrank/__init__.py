@@ -12,7 +12,6 @@ from .datamodel import (
     HarnessError,
     Qrels,
     Query,
-    RankEntry,
     Ranking,
     ValidationError,
     build_ranking,
@@ -26,7 +25,6 @@ __all__ = [
     "HarnessError",
     "Qrels",
     "Query",
-    "RankEntry",
     "Ranking",
     "ValidationError",
     "__version__",

@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 runtime error, 2 usage error. A strategy-only
 flag (--m, --weights, --ref-index, --ref-topk, --k, --children) that no
-named strategy reads is a usage error, and --concurrency is at least 1.
+named strategy reads is a usage error, and so is an endpoint-only flag
+(--endpoint-url, --model, --api-key-env, --template-dir) under the oracle
+backend; --concurrency is at least 1.
 Every rerank run writes a config snapshot into its report: the options the
 run read, the seed, and the package version. Re-running with the same
 configuration and seed reproduces the run file byte for byte under the
@@ -84,8 +86,9 @@ STRATEGIES = {
     ),
 }
 
-# The options that only some strategies read.
+# The options that only some strategies read, and those only the endpoint reads.
 _STRATEGY_ONLY = ("m", "weights", "ref_index", "ref_topk", "k", "children")
+_ENDPOINT_ONLY = ("endpoint_url", "model", "api_key_env", "template_dir")
 
 _EXISTING_FILE = click.Path(exists=True, dir_okay=False)
 
@@ -159,6 +162,20 @@ def _require_seed(seed: int | None, why: str) -> int:
     return seed
 
 
+def _refuse_given(names, reason: str) -> None:
+    """A usage error for the first of these options given on the command line."""
+    ctx = click.get_current_context()
+    for name in names:
+        if ctx.get_parameter_source(name) is not ParameterSource.DEFAULT:
+            raise click.UsageError(f"--{name.replace('_', '-')} {reason}")
+
+
+def _check_backend_flags(options: dict) -> None:
+    """An endpoint-only flag given on the command line is a usage error under the oracle."""
+    if options["backend"] == "oracle":
+        _refuse_given(_ENDPOINT_ONLY, "is not read by the oracle backend")
+
+
 def _build_scorer(options: dict, qrels: Qrels | None, ledger: CallLedger) -> Scorer:
     if options["backend"] == "oracle":
         seed = _require_seed(options["seed"], "with the oracle backend")
@@ -213,12 +230,10 @@ def _rankers(names: list[str], options: dict) -> dict:
     strategies reads is a usage error.
     """
     reads = set().union(*(_reads(name) for name in names))
-    ctx = click.get_current_context()
-    for option in _STRATEGY_ONLY:
-        if option not in reads and ctx.get_parameter_source(option) is not ParameterSource.DEFAULT:
-            raise click.UsageError(
-                f"--{option.replace('_', '-')} is not read by strategy {', '.join(names)}"
-            )
+    _refuse_given(
+        [option for option in _STRATEGY_ONLY if option not in reads],
+        f"is not read by strategy {', '.join(names)}",
+    )
     return {name: STRATEGIES[name](**options) for name in names}
 
 
@@ -330,6 +345,7 @@ def cli():
 @_runtime_errors
 def cmd_rerank(out_dir, force, **options):
     """Rerank candidates and write a run file plus an experiment report."""
+    _check_backend_flags(options)
     strategy = options["strategy"]
     ranker = _rankers([strategy], options)[strategy]
     lists, qrels = _load_inputs(options)
@@ -390,6 +406,7 @@ def cmd_analyze(out_dir, force, **options):
     judge call; the top-k selection curve is the prefix mean of the
     anchor-index curve.
     """
+    _check_backend_flags(options)
     lists, qrels = _load_inputs(options)
     with _build_scorer(options, qrels, CallLedger()) as scorer:
         ref_topk = options["ref_topk"]
@@ -467,6 +484,7 @@ def cmd_bench(**options):
     --strategy takes a comma-separated list of distinct names, e.g.
     pointwise,refrank-single.
     """
+    _check_backend_flags(options)
     names = [name.strip() for name in options["strategy"].split(",") if name.strip()]
     if not names or len(set(names)) < len(names):
         raise click.UsageError(f"--strategy {options['strategy']!r} must name distinct strategies")

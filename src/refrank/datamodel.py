@@ -8,8 +8,8 @@ instance: each thread adds to a tally of its own without a lock, and a read
 takes the lock and sums the tallies. Only its final totals are meaningful.
 
 No rank is stored anywhere: a document's first-stage rank is its position
-in a CandidateList, and its new rank its position in a Ranking. Tied scores
-keep first-stage order.
+in a CandidateList, and its new rank its position in a Ranking, whose doc
+ids and scores are two parallel tuples. Tied scores keep first-stage order.
 """
 
 from __future__ import annotations
@@ -102,48 +102,44 @@ class CandidateList:
 
 
 @dataclass(frozen=True)
-class RankEntry:
-    doc_id: str
-    score: float
-
-
-@dataclass(frozen=True)
 class Ranking:
-    """An ordered reranking result for one query.
+    """An ordered reranking result for one query: doc ids with one score each.
 
-    Entries run by score, non-increasing; an entry's rank is its position
-    from 1. Build through build_ranking, which sorts the scored pairs.
+    Scores run non-increasing, and a document's rank is its position from 1.
+    Build through build_ranking, which sorts the scored pairs.
     """
 
     query_id: str
-    entries: tuple[RankEntry, ...]
+    doc_ids: tuple[str, ...]
+    scores: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
+        object.__setattr__(self, "doc_ids", tuple(self.doc_ids))
+        object.__setattr__(self, "scores", tuple(self.scores))
         if not self.query_id:
             raise ValidationError("query_id must be nonempty")
-        if not self.entries:
+        if not self.doc_ids:
             raise ValidationError(f"ranking for {self.query_id!r} is empty")
+        if len(self.doc_ids) != len(self.scores):
+            raise ValidationError(
+                f"ranking for {self.query_id!r}: {len(self.doc_ids)} doc ids but "
+                f"{len(self.scores)} scores"
+            )
         seen: set[str] = set()
-        for entry in self.entries:
-            if not math.isfinite(entry.score):
+        for doc_id, score in zip(self.doc_ids, self.scores):
+            if not math.isfinite(score):
                 raise ValidationError(
-                    f"ranking for {self.query_id!r}: non-finite score for "
-                    f"{entry.doc_id!r}"
+                    f"ranking for {self.query_id!r}: non-finite score for {doc_id!r}"
                 )
-            if entry.doc_id in seen:
-                raise DuplicateDocError(entry.doc_id, context=f"ranking {self.query_id}")
-            seen.add(entry.doc_id)
-        for rank, (left, right) in enumerate(zip(self.entries, self.entries[1:]), start=1):
-            if left.score < right.score:
+            if doc_id in seen:
+                raise DuplicateDocError(doc_id, context=f"ranking {self.query_id}")
+            seen.add(doc_id)
+        for rank, (left, right) in enumerate(zip(self.scores, self.scores[1:]), start=1):
+            if left < right:
                 raise ValidationError(
                     f"ranking for {self.query_id!r}: scores increase between "
                     f"ranks {rank} and {rank + 1}"
                 )
-
-    @property
-    def doc_ids(self) -> tuple[str, ...]:
-        return tuple(entry.doc_id for entry in self.entries)
 
 
 def build_ranking(query_id: str, scored: Sequence[tuple[DocCandidate, float]]) -> Ranking:
@@ -154,7 +150,8 @@ def build_ranking(query_id: str, scored: Sequence[tuple[DocCandidate, float]]) -
     non-finite score.
     """
     ordered = sorted(scored, key=lambda pair: -pair[1])
-    return Ranking(query_id, tuple(RankEntry(doc.doc_id, score) for doc, score in ordered))
+    doc_ids = tuple(doc.doc_id for doc, _ in ordered)
+    return Ranking(query_id, doc_ids, tuple(score for _, score in ordered))
 
 
 def _as_grade(value) -> int:

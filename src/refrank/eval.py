@@ -1,4 +1,4 @@
-"""Ranking-quality metrics: NDCG@k per query and over a run."""
+"""Ranking-quality metrics: NDCG@k per query and over a run, from doc ids in rank order."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 from .datamodel import Qrels, Ranking, ValidationError
-from .io import RunEntry
 
 GAIN_MODES = ("exp", "linear")
 
@@ -120,16 +119,14 @@ def evaluate_rankings(
 
 
 def evaluate_run_map(
-    run: Mapping[str, Sequence[RunEntry]],
+    run: Mapping[str, Sequence[str]],
     qrels: Qrels,
     config: MetricConfig = MetricConfig(),
 ) -> EvalReport:
-    """Evaluate a parsed run file (entries already sorted by rank)."""
+    """Evaluate a parsed run file: each query's doc ids in rank order."""
     return _evaluate(
         run.items(),
-        lambda query_id, entries: ndcg_for_doc_ids(
-            query_id, [entry.doc_id for entry in entries], qrels, config
-        ),
+        lambda query_id, doc_ids: ndcg_for_doc_ids(query_id, doc_ids, qrels, config),
         config,
         qrels,
     )

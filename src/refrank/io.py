@@ -2,7 +2,9 @@
 
 Formats handled:
 
-  run file  ``<qid> Q0 <docid> <rank> <score> <tag>`` (whitespace separated)
+  run file  ``<qid> Q0 <docid> <rank> <score> <tag>`` (whitespace separated);
+            read back as each query's doc ids in rank order, each rank and
+            score checked, then dropped
   qrels     ``<qid> 0 <docid> <grade>``
   corpus    JSON Lines with keys "id" (a string or integer), "contents" (a
             string), optional "title" (a string or null); a passage is
@@ -21,7 +23,6 @@ import json
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .datamodel import (
     CandidateList,
@@ -72,12 +73,6 @@ class ParseWarnings:
     duplicate_qrel_pairs: int = 0
 
 
-class RunEntry(NamedTuple):
-    doc_id: str
-    rank: int
-    score: float
-
-
 def _lines(path, warnings: ParseWarnings | None):
     """Yield (line number, line) for each non-blank line; count blank ones in warnings.
 
@@ -103,15 +98,14 @@ def _lines(path, warnings: ParseWarnings | None):
                 warnings.blank_lines += 1
 
 
-def parse_run_file(
-    path, warnings: ParseWarnings | None = None
-) -> dict[str, list[RunEntry]]:
-    """Read a six-column run file into per-query entries sorted by rank.
+def parse_run_file(path, warnings: ParseWarnings | None = None) -> dict[str, list[str]]:
+    """Read a six-column run file into each query's doc ids in rank order.
 
     A run file without entries is an error, and so is a query that repeats
-    a doc or a rank: the ranks alone fix the first-stage order.
+    a doc or a rank: the ranks alone fix the first-stage order. Each score
+    must be a finite number, and is dropped once checked.
     """
-    per_query: dict[str, list[RunEntry]] = {}
+    per_query: dict[str, list[tuple[int, str]]] = {}
     seen: set[tuple[str, str]] = set()
     rank_lines: dict[tuple[str, int], int] = {}
     for line_number, line in _lines(path, warnings):
@@ -141,12 +135,13 @@ def parse_run_file(
             raise DuplicateEntryError(
                 path, line_number, f"query {query_id} repeats rank {rank} from line {first_line}"
             )
-        per_query.setdefault(query_id, []).append(RunEntry(doc_id, rank, score))
+        per_query.setdefault(query_id, []).append((rank, doc_id))
     if not per_query:
         raise ValidationError(f"run file {path} has no entries")
-    for entries in per_query.values():
-        entries.sort(key=lambda entry: entry.rank)
-    return per_query
+    return {
+        query_id: [doc_id for _, doc_id in sorted(ranked)]
+        for query_id, ranked in per_query.items()
+    }
 
 
 def parse_qrels(path, warnings: ParseWarnings | None = None) -> Qrels:
@@ -232,7 +227,7 @@ def _check_token(value: str, what: str) -> str:
 def write_run_file(rankings: Sequence[Ranking], tag: str, path) -> None:
     """Write rankings as six-column run lines, queries in input order.
 
-    Each line's rank is the entry's position in its ranking, from 1. Scores
+    Each line's rank is the doc's position in its ranking, from 1. Scores
     are serialized with six decimal places so golden files are stable across
     platforms; (query, doc, rank) round-trips exactly through parse_run_file.
     """
@@ -240,9 +235,9 @@ def write_run_file(rankings: Sequence[Ranking], tag: str, path) -> None:
     with open(path, "w", encoding="utf-8") as out:
         for ranking in rankings:
             query_id = _check_token(ranking.query_id, "query id")
-            for rank, entry in enumerate(ranking.entries, start=1):
-                doc_id = _check_token(entry.doc_id, "doc id")
-                out.write(f"{query_id} Q0 {doc_id} {rank} {entry.score:.6f} {tag}\n")
+            for rank, (doc_id, score) in enumerate(zip(ranking.doc_ids, ranking.scores), start=1):
+                _check_token(doc_id, "doc id")
+                out.write(f"{query_id} Q0 {doc_id} {rank} {score:.6f} {tag}\n")
 
 
 def assemble_experiment(
@@ -254,7 +249,7 @@ def assemble_experiment(
 ) -> list[CandidateList]:
     """Join a run file, corpus, and queries into per-query candidate lists.
 
-    Each query's run entries, sorted by rank, are truncated to ``depth`` and
+    Each query's doc ids, in rank order, are truncated to ``depth`` and
     kept in that order, so a document's first-stage rank is its position in
     the list; the run file's own rank values are not kept. Docs within the
     truncated pool must resolve in the corpus. Blank lines in all three
@@ -273,20 +268,17 @@ def assemble_experiment(
         raise HarnessError(
             "run queries missing from queries file: " + ", ".join(sorted(missing_queries))
         )
-    kept = {query_id: entries[:depth] for query_id, entries in run.items()}
+    kept = {query_id: doc_ids[:depth] for query_id, doc_ids in run.items()}
     missing_docs = {
-        entry.doc_id
-        for entries in kept.values()
-        for entry in entries
-        if entry.doc_id not in corpus
+        doc_id for doc_ids in kept.values() for doc_id in doc_ids if doc_id not in corpus
     }
     if missing_docs:
         raise MissingDocsError(sorted(missing_docs))
 
     lists: list[CandidateList] = []
-    for query_id, entries in kept.items():
+    for query_id, doc_ids in kept.items():
         try:
-            docs = tuple(DocCandidate(entry.doc_id, corpus[entry.doc_id]) for entry in entries)
+            docs = tuple(DocCandidate(doc_id, corpus[doc_id]) for doc_id in doc_ids)
         except ValidationError as exc:
             raise ValidationError(f"{corpus_path}: {exc}") from exc
         lists.append(CandidateList(queries[query_id], docs))

@@ -93,18 +93,14 @@ class JudgeRequest:
     docs: tuple[DocCandidate, ...]
 
     def __post_init__(self):
-        docs = self.docs
-        if type(docs) is not tuple:
-            docs = tuple(docs)
-            object.__setattr__(self, "docs", docs)
         spec = KINDS.get(self.kind)
         if spec is None:
             raise ValidationError(f"unknown request kind {self.kind!r}")
         low, high, _, _ = spec
-        if not low <= len(docs) <= high:
+        if not low <= len(self.docs) <= high:
             allowed = str(low) if low == high else f"{low}..{high}"
             raise ValidationError(
-                f"{self.kind} request takes {allowed} documents, got {len(docs)}"
+                f"{self.kind} request takes {allowed} documents, got {len(self.docs)}"
             )
 
     @property

@@ -11,11 +11,12 @@ template takes {query} as well:
 
 PromptTemplates checks these placeholders when it is built, so a template
 that lacks one raises TemplateError when it is loaded, before any request
-is rendered; a template file that is not UTF-8 raises HarnessError naming
-the byte offset. For setwise requests, {docs} expands to one lettered
-"Passage X: ..." block per group member, letters matching the request's
-labels. Document texts longer than the configured cap are cut at the cap
-and a truncation marker appended.
+is rendered. A HarnessError names a template file that is not UTF-8 (with
+the byte offset), a .txt file in the template directory not named
+<kind>.txt, and a template directory that holds no <kind>.txt. For setwise
+requests, {docs} expands to one lettered "Passage X: ..." block per group
+member, letters matching the request's labels. Document texts longer than
+the configured cap are cut at the cap and a truncation marker appended.
 """
 
 from __future__ import annotations
@@ -82,19 +83,28 @@ class PromptTemplates:
 
     @classmethod
     def from_dir(cls, directory) -> "PromptTemplates":
-        """Load ``<kind>.txt`` files; kinds without a file keep the default."""
+        """Load ``<kind>.txt`` files; kinds without a file keep the default.
+
+        A ``.txt`` file with any other name, or a directory without a
+        ``<kind>.txt``, is a HarnessError: loading it would change nothing.
+        """
         directory = Path(directory)
+        kinds = {f"{kind}.txt": kind for kind in KINDS}
+        expected = "expected one of " + ", ".join(kinds)
+        paths = sorted(path for path in directory.glob("*.txt") if path.is_file())
+        if not paths:
+            raise HarnessError(f"{directory}: no template file; {expected}")
         values = dict(DEFAULT_TEMPLATES)
-        for kind in KINDS:
-            path = directory / f"{kind}.txt"
-            if path.is_file():
-                try:
-                    values[kind] = path.read_text(encoding="utf-8")
-                except UnicodeDecodeError as exc:
-                    byte = exc.object[exc.start]
-                    raise HarnessError(
-                        f"{path}: not valid UTF-8 (byte 0x{byte:02x} at offset {exc.start})"
-                    ) from None
+        for path in paths:
+            if path.name not in kinds:
+                raise HarnessError(f"{path}: not a template name; {expected}")
+            try:
+                values[kinds[path.name]] = path.read_text(encoding="utf-8")
+            except UnicodeDecodeError as exc:
+                byte = exc.object[exc.start]
+                raise HarnessError(
+                    f"{path}: not valid UTF-8 (byte 0x{byte:02x} at offset {exc.start})"
+                ) from None
         return cls(**values)
 
 

@@ -258,6 +258,8 @@ def test_empty_run_file_is_runtime_error(fixture_files, tmp_path, monkeypatch, c
                     "--model", "m", "--template-dir", "templates"], 1),
         ("rerank", ["--strategy", "refrank-multiple", "--m", "2", "--weights", "nan,1",
                     "--seed", "1"], 1),
+        ("rerank", ["--strategy", "refrank-multiple", "--m", "2", "--weights", "a,b",
+                    "--seed", "1"], 2),
         ("analyze", ["--m", "20", "--seed", "7"], 1),
         ("analyze", ["--m", "0", "--seed", "7"], 1),
         ("analyze", ["--ref-topk", "0", "--seed", "7"], 1),
@@ -268,6 +270,7 @@ def test_empty_run_file_is_runtime_error(fixture_files, tmp_path, monkeypatch, c
         ("rerank", ["--strategy", "setwise-heapsort", "--children", "1", "--seed", "7"], 1),
     ],
     ids=["rerank-no-seed", "analyze-no-endpoint-url", "template-without-ref", "nan-weight",
+         "weights-not-floats",
          "analyze-m-past-list", "analyze-m-zero", "analyze-ref-topk-zero", "rerank-m-past-list",
          "rerank-ref-index-past-list", "rerank-k-zero", "rerank-k-past-list",
          "rerank-children-one"],
@@ -282,6 +285,28 @@ def test_failed_setup_creates_no_out_dir(fixture_files, tmp_path, monkeypatch, c
         cli, [command, *input_args(paths), "--qrels", str(paths[3]), "--out", "out", *extra]
     )
     assert result.exit_code == exit_code, result.output
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["rerank", "analyze", "bench"])
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--endpoint-url", "http://127.0.0.1:9"), ("--model", "gpt"), ("--api-key-env", "NOPE"),
+     ("--template-dir", "templates")],
+)
+def test_endpoint_flags_under_the_oracle_are_usage_errors(fixture_files, tmp_path, monkeypatch,
+                                                          command, flag, value):
+    data, paths = fixture_files
+    (tmp_path / "templates").mkdir()
+    monkeypatch.chdir(tmp_path)
+    out = [] if command == "bench" else ["--out", "out"]
+    result = CliRunner().invoke(
+        cli, [command, *input_args(paths), "--qrels", str(paths[3]), "--seed", "1", *out,
+              flag, value]
+    )
+    assert result.exit_code == 2, result.output
+    assert f"{flag} is not read by the oracle backend" in result.output
+    assert "calls/query" not in result.output
     assert not (tmp_path / "out").exists()
 
 

@@ -12,7 +12,6 @@ from refrank.datamodel import (
     DuplicateDocError,
     Qrels,
     Query,
-    RankEntry,
     Ranking,
     ValidationError,
     build_ranking,
@@ -81,14 +80,17 @@ class TestBuildRanking:
 
 class TestRankingValidation:
     def test_scores_must_not_increase(self):
-        entries = (RankEntry("a", 0.1), RankEntry("b", 0.5))
         with pytest.raises(ValidationError, match="between ranks 1 and 2"):
-            Ranking("q", entries)
+            Ranking("q", ("a", "b"), (0.1, 0.5))
 
     def test_duplicate_doc(self):
-        entries = (RankEntry("a", 1.0), RankEntry("a", 0.5))
         with pytest.raises(DuplicateDocError):
-            Ranking("q", entries)
+            Ranking("q", ("a", "a"), (1.0, 0.5))
+
+    @pytest.mark.parametrize("scores", [(1.0,), (1.0, 0.5, 0.2)])
+    def test_one_score_per_doc(self, scores):
+        with pytest.raises(ValidationError, match="2 doc ids but"):
+            Ranking("q", ("a", "b"), scores)
 
 
 class TestQrels:
@@ -103,8 +105,9 @@ class TestQrels:
             Qrels({"q1": {"d1": -1}})
 
     def test_non_integer_grade_rejected(self):
-        with pytest.raises(ValidationError):
-            Qrels({"q1": {"d1": 1.5}})
+        for grade in (1.5, "two", None):
+            with pytest.raises(ValidationError, match="is not an integer"):
+                Qrels({"q1": {"d1": grade}})
 
     def test_max_grade(self):
         qrels = Qrels({"q1": {"a": 1, "b": 3}})

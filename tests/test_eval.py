@@ -6,7 +6,6 @@ import pytest
 from refrank.datamodel import (
     DocCandidate,
     Qrels,
-    RankEntry,
     Ranking,
     ValidationError,
     build_ranking,
@@ -19,13 +18,11 @@ from refrank.eval import (
     ndcg_at_k,
     ndcg_for_doc_ids,
 )
-from refrank.io import RunEntry
 
 
 def ranking_of(doc_ids, query_id="q1"):
     n = len(doc_ids)
-    entries = tuple(RankEntry(doc_id, float(n - i)) for i, doc_id in enumerate(doc_ids))
-    return Ranking(query_id, entries)
+    return Ranking(query_id, doc_ids, [float(n - i) for i in range(n)])
 
 
 def brute_force_ndcg(doc_ids, judged, k, gain):
@@ -158,7 +155,7 @@ class TestEvaluateRankings:
 
     def test_run_map_matches_ranking_path(self):
         qrels = Qrels({"q1": {"d1": 2, "d2": 1}})
-        run = {"q1": [RunEntry("d2", 1, 9.0), RunEntry("d1", 2, 8.0)]}
+        run = {"q1": ["d2", "d1"]}
         from_map = evaluate_run_map(run, qrels)
         from_ranking = evaluate_rankings([ranking_of(["d2", "d1"])], qrels)
         assert from_map.per_query == from_ranking.per_query

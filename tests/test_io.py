@@ -8,7 +8,6 @@ from refrank.datamodel import (
     DocCandidate,
     HarnessError,
     Ranking,
-    RankEntry,
     ValidationError,
     build_ranking,
 )
@@ -33,13 +32,13 @@ class TestParseRunFile:
         path = tmp_path / "a.run"
         path.write_text("q1 Q0 d3 1 14.2 bm25\n")
         run = parse_run_file(path)
-        assert run == {"q1": [("d3", 1, 14.2)]}
+        assert run == {"q1": ["d3"]}
 
     def test_sorted_by_rank(self, tmp_path):
         path = tmp_path / "a.run"
         path.write_text("q1 Q0 d2 2 1.0 t\nq1 Q0 d1 1 2.0 t\n")
         run = parse_run_file(path)
-        assert [e.doc_id for e in run["q1"]] == ["d1", "d2"]
+        assert run["q1"] == ["d1", "d2"]
 
     def test_five_fields_is_error_with_line_number(self, tmp_path):
         path = tmp_path / "a.run"
@@ -129,6 +128,13 @@ class TestParseQrels:
         with pytest.raises(ParseError):
             parse_qrels(path)
 
+    @pytest.mark.parametrize("line", ["q1 0 d3", "q1 0 d3 1 extra"])
+    def test_wrong_field_count_names_its_line(self, tmp_path, line):
+        path = tmp_path / "qrels.txt"
+        path.write_text("q1 0 d1 1\n" + line + "\n")
+        with pytest.raises(ParseError, match=r"qrels\.txt:2: expected 4 fields"):
+            parse_qrels(path)
+
 
 class TestParseCorpus:
     def test_basic(self, tmp_path):
@@ -173,6 +179,9 @@ class TestParseCorpus:
         '{"id":null,"contents":"a"}',
         '{"id":1.5,"contents":"a"}',
         '{"id":["d1"],"contents":"a"}',
+        '{"id":"","contents":"a"}',
+        '["d1","a"]',
+        '"d1"',
     ])
     def test_field_of_wrong_type_names_its_line(self, tmp_path, line):
         path = tmp_path / "c.jsonl"
@@ -200,6 +209,12 @@ class TestParseQueries:
         with pytest.raises(ParseError):
             parse_queries_tsv(path)
 
+    def test_duplicate_query_id(self, tmp_path):
+        path = tmp_path / "q.tsv"
+        path.write_text("q1\tfirst\nq1\tsecond\n")
+        with pytest.raises(DuplicateEntryError, match=r"q\.tsv:2: duplicate query id 'q1'"):
+            parse_queries_tsv(path)
+
     def test_empty_text_is_validation_error(self, tmp_path):
         path = tmp_path / "q.tsv"
         path.write_text("q1\t \n")
@@ -223,7 +238,7 @@ class TestParseQueries:
 
 class TestWriteRunFile:
     def test_exact_format(self, tmp_path):
-        ranking = Ranking("q1", (RankEntry("d2", 0.9), RankEntry("d5", 0.1)))
+        ranking = Ranking("q1", ("d2", "d5"), (0.9, 0.1))
         path = tmp_path / "out.run"
         write_run_file([ranking], "tag", path)
         assert path.read_text() == "q1 Q0 d2 1 0.900000 tag\nq1 Q0 d5 2 0.100000 tag\n"
@@ -234,7 +249,7 @@ class TestWriteRunFile:
         assert path.read_text() == ""
 
     def test_whitespace_tag_rejected(self, tmp_path):
-        ranking = Ranking("q1", (RankEntry("d1", 1.0),))
+        ranking = Ranking("q1", ("d1",), (1.0,))
         with pytest.raises(ValidationError):
             write_run_file([ranking], "bad tag", tmp_path / "out.run")
 
@@ -245,13 +260,13 @@ class TestWriteRunFile:
         tag = token if field == "tag" else "tag"
         query_id = token if field == "query id" else "q1"
         doc_id = token if field == "doc id" else "d1"
-        ranking = Ranking(query_id, (RankEntry(doc_id, 1.0),))
+        ranking = Ranking(query_id, (doc_id,), (1.0,))
         with pytest.raises(ValidationError, match=field):
             write_run_file([ranking], tag, tmp_path / "out.run")
 
     def test_non_ascii_tokens_accepted(self, tmp_path):
         path = tmp_path / "out.run"
-        write_run_file([Ranking("é", (RankEntry("文档", 1.0),))], "文档", path)
+        write_run_file([Ranking("é", ("文档",), (1.0,))], "文档", path)
         assert path.read_text(encoding="utf-8") == "é Q0 文档 1 1.000000 文档\n"
 
     def test_token_check_rejects_exactly_the_whitespace_characters(self):
@@ -279,12 +294,10 @@ class TestWriteRunFile:
         parsed = parse_run_file(path)
         assert list(parsed) == [r.query_id for r in rankings]
         for ranking in rankings:
-            got = [(e.doc_id, e.rank) for e in parsed[ranking.query_id]]
-            want = [(doc_id, rank) for rank, doc_id in enumerate(ranking.doc_ids, start=1)]
-            assert got == want
-            # scores survive at the serialized 6-decimal precision
-            for parsed_entry, entry in zip(parsed[ranking.query_id], ranking.entries):
-                assert parsed_entry.score == float(f"{entry.score:.6f}")
+            assert parsed[ranking.query_id] == list(ranking.doc_ids)
+        # scores survive at the serialized 6-decimal precision
+        written = [float(line.split()[4]) for line in path.read_text().splitlines()]
+        assert written == [float(f"{s:.6f}") for r in rankings for s in r.scores]
 
 
 class TestAssembleExperiment:
@@ -318,6 +331,11 @@ class TestAssembleExperiment:
         with pytest.raises(MissingDocsError) as exc:
             assemble_experiment(run_path, corpus_path, queries_path, depth=10)
         assert exc.value.missing == ["d99"]
+
+    def test_missing_docs_message_names_the_first_ten(self):
+        missing = [f"d{i:02d}" for i in range(12)]
+        message = str(MissingDocsError(reversed(missing)))
+        assert message == f"12 run doc(s) missing from corpus: {', '.join(missing[:10])}, ..."
 
     def test_truncation_happens_before_coverage_check(self, tmp_path):
         run_path, corpus_path, queries_path = self.write_inputs(

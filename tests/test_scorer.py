@@ -237,8 +237,9 @@ class TestOracleScorer:
         assert oracle.ledger.prompt_chars > 0
 
     def test_invalid_config(self):
-        with pytest.raises(ValidationError):
-            OracleConfig(seed=0, noise_sigma=-1)
+        for field in ("noise_sigma", "bias_amplitude", "ref_noise_scale"):
+            with pytest.raises(ValidationError, match=f"{field} must be >= 0"):
+                OracleConfig(seed=0, **{field: -1})
 
 
 class TestOracleMemo:
@@ -526,6 +527,16 @@ class TestPrompts:
             build_prompt(JudgeRequest("pointwise", QUERY, (doc("p"),)), templates)
         assert exc.value.placeholder == "{mystery}"
 
+    def test_lone_brace_is_a_malformed_template(self):
+        templates = PromptTemplates(
+            pointwise="Q: {query} D: {doc} {",
+            triplet=PromptTemplates.defaults().triplet,
+            duel=PromptTemplates.defaults().duel,
+            setwise=PromptTemplates.defaults().setwise,
+        )
+        with pytest.raises(TemplateError, match="malformed template"):
+            build_prompt(JudgeRequest("pointwise", QUERY, (doc("p"),)), templates)
+
     def test_truncation_marker(self):
         long_doc = doc("d", text="x" * 10_000)
         prompt = build_prompt(
@@ -563,6 +574,25 @@ class TestPrompts:
             PromptTemplates.from_dir(tmp_path)
         assert str(exc.value) == (
             f"{tmp_path / 'triplet.txt'}: not valid UTF-8 (byte 0xe9 at offset 3)"
+        )
+
+    @pytest.mark.parametrize(
+        "names, named",
+        [(["triplets.txt"], "triplets.txt"), (["triplet.txt", "Duel.txt"], "Duel.txt"),
+         ([], ""), (["triplet.md"], "")],
+        ids=["misnamed", "one-misnamed", "empty", "no-txt"],
+    )
+    def test_from_dir_refuses_a_directory_that_would_change_nothing(
+        self, tmp_path, names, named
+    ):
+        for name in names:
+            (tmp_path / name).write_text("custom {query} {doc} {ref}")
+        with pytest.raises(HarnessError) as exc:
+            PromptTemplates.from_dir(tmp_path)
+        message = str(exc.value)
+        assert message.startswith(f"{tmp_path / named}: ")
+        assert message.endswith(
+            "; expected one of pointwise.txt, triplet.txt, duel.txt, setwise.txt"
         )
 
 
@@ -618,7 +648,7 @@ def completion_payload(top):
 @pytest.fixture
 def stub_server():
     server = ThreadingHTTPServer(("127.0.0.1", 0), StubHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
     thread.start()
     StubHandler.behaviors = [lambda i: (200, completion_payload([]))]
     StubHandler.calls = []
@@ -736,6 +766,22 @@ class TestLlmScorer:
         with pytest.raises(DegenerateResponseError):
             llm_scorer(stub_server).score(PROBE_POINTWISE)
 
+    @pytest.mark.parametrize(
+        "top, message",
+        [
+            ([], "empty top_logprobs list"),
+            ([{"token": "yes"}], "malformed top_logprobs entry"),
+            ([{"logprob": -0.1}], "malformed top_logprobs entry"),
+            ([{"token": "yes", "logprob": "high"}], "malformed top_logprobs entry"),
+            (["yes"], "malformed top_logprobs entry"),
+        ],
+    )
+    def test_empty_or_malformed_top_logprobs_is_degenerate(self, stub_server, top, message):
+        StubHandler.behaviors = [lambda i: (200, completion_payload(top))]
+        with pytest.raises(DegenerateResponseError, match=message):
+            llm_scorer(stub_server).score(PROBE_POINTWISE)
+        assert len(StubHandler.calls) == 1
+
     def test_retry_then_success(self, stub_server):
         top = [{"token": "yes", "logprob": -0.3}, {"token": "no", "logprob": -1.3}]
         StubHandler.behaviors = [
@@ -817,6 +863,11 @@ class TestLlmScorer:
                 setwise=PromptTemplates.defaults().setwise,
             )
             LlmBackendConfig(base_url="http://x", model="m", templates=broken)
+
+    @pytest.mark.parametrize("field, value", [("base_url", ""), ("model", ""), ("batch_size", 0)])
+    def test_config_rejects_empty_url_or_model_and_zero_batch_size(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            LlmBackendConfig(**{"base_url": "http://x", "model": "m", field: value})
 
 
 # Name suffixes of the threads socketserver runs the stub on (Python 3.10+).

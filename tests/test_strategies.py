@@ -106,6 +106,13 @@ class TestCallCounts:
         assert scorer.ledger.count("setwise") == 0
         assert ranking.doc_ids == cl.doc_ids
 
+    def test_allpairs_single_doc_zero_calls(self):
+        cl, latents = fixture_list(1)
+        scorer = oracle_for(latents)
+        ranking = rank_pairwise_allpairs(cl, scorer)
+        assert scorer.ledger.total_calls == 0
+        assert ranking.doc_ids == cl.doc_ids
+
 
 class NoisyDuelJudge(Scorer):
     """Seeded duel judge that is not swap-symmetric, recording how it is called.
@@ -271,7 +278,7 @@ class TestProperties:
         baseline = run(cl, oracle_for(data.latents, noise_sigma=0.5), len(cl))
         again = run(shuffled, oracle_for(data.latents, noise_sigma=0.5), len(cl))
         assert baseline.doc_ids == again.doc_ids
-        assert [e.score for e in baseline.entries] == [e.score for e in again.entries]
+        assert baseline.scores == again.scores
 
     def test_refrank_symmetry_sums_to_one(self):
         rng = np.random.default_rng(17)
@@ -298,7 +305,7 @@ class TestProperties:
         multi = rank_refrank_multiple(cl, scorer_multi, EnsembleConfig(1))
         single = rank_refrank_single(cl, scorer_single, FixedIndex(1))
         assert multi.doc_ids == single.doc_ids
-        assert [e.score for e in multi.entries] == [e.score for e in single.entries]
+        assert multi.scores == single.scores
 
     def test_ensemble_score_is_the_weighted_sum_in_anchor_order(self):
         cl, latents = fixture_list(12, seed=44)
@@ -312,7 +319,7 @@ class TestProperties:
                 logits = judge.score(JudgeRequest("triplet", cl.query, (doc, ref)))
                 total += weight * refrank_score(logits["A"], logits["B"])
             expected[doc.doc_id] = total.hex()
-        assert {e.doc_id: e.score.hex() for e in ranking.entries} == expected
+        assert {d: s.hex() for d, s in zip(ranking.doc_ids, ranking.scores)} == expected
 
     def test_default_ensemble_weights_are_one_over_m_and_summed_in_anchor_order(self):
         for m in range(1, 11):
@@ -330,7 +337,7 @@ class TestProperties:
                     logits = judge.score(JudgeRequest("triplet", cl.query, (doc, ref)))
                     total += (1.0 / m) * refrank_score(logits["A"], logits["B"])
                 expected[doc.doc_id] = total.hex()
-            assert {e.doc_id: e.score.hex() for e in ranking.entries} == expected, m
+            assert {d: s.hex() for d, s in zip(ranking.doc_ids, ranking.scores)} == expected, m
 
     def test_allpairs_score_is_the_serial_sum_of_win_probabilities(self):
         cl, latents = fixture_list(7, seed=46)
@@ -351,7 +358,7 @@ class TestProperties:
                 if j != i:
                     total += p(i, j) + (1.0 - p(j, i))
             expected[doc.doc_id] = (total / (2.0 * (n - 1))).hex()
-        assert {e.doc_id: e.score.hex() for e in ranking.entries} == expected
+        assert {d: s.hex() for d, s in zip(ranking.doc_ids, ranking.scores)} == expected
 
     def test_degenerate_weights_reduce_to_fixed_index_one(self):
         cl, latents = fixture_list(10, seed=43)
@@ -363,7 +370,7 @@ class TestProperties:
     def test_allpairs_two_docs_scores_sum_to_one(self):
         cl, latents = fixture_list(2, seed=45)
         ranking = rank_pairwise_allpairs(cl, oracle_for(latents, noise_sigma=0.5))
-        total = sum(e.score for e in ranking.entries)
+        total = sum(ranking.scores)
         assert total == pytest.approx(1.0, abs=1e-12)
 
 
@@ -371,6 +378,10 @@ class TestEnsembleConfig:
     def test_uniform_default(self):
         config = EnsembleConfig(4)
         assert config.weights == (0.25, 0.25, 0.25, 0.25)
+
+    def test_m_must_be_positive(self):
+        with pytest.raises(ValidationError, match="m must be >= 1"):
+            EnsembleConfig(0)
 
     def test_weights_must_match_m(self):
         with pytest.raises(ValidationError):
@@ -454,7 +465,7 @@ class TestSetwiseValidation:
     def test_c_at_label_limit_ranks(self):
         cl, latents = fixture_list(30)
         ranking = rank_setwise_heapsort(cl, oracle_for(latents), c=25, k=3)
-        assert len(ranking.entries) == 30
+        assert len(ranking.doc_ids) == 30
 
     def test_k_bounds(self):
         cl, latents = fixture_list(5)
