@@ -3,9 +3,9 @@
 The sweeps answer three questions about anchor choice. How does ranking
 quality move as the anchor comes from deeper in the first-stage order
 (reference sweep, one cell per index r)? What quality should a uniform
-random anchor from the top k deliver (the prefix mean of the reference
-sweep)? And what does averaging scores over the top-m anchors buy (ensemble
-sweep, one cell per m)?
+random anchor from the top k deliver (the top-k curve: the prefix mean of
+the reference sweep, one value per reference cell)? And what does averaging
+scores over the top-m anchors buy (ensemble sweep, one cell per m)?
 
 Each sweep builds a list's triplet request rows once, against its top
 depth_r or m_max anchors (strategies.anchor_rows), and derives every cell
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .datamodel import CandidateList, Qrels, ValidationError
 from .eval import MetricConfig, ndcg_at_k
@@ -113,19 +114,13 @@ def sweep_reference_quality(
     )
 
 
-def sweep_topk_selection(sweep: SweepResult, k_max: int) -> list[float]:
+def sweep_topk_selection(sweep: SweepResult) -> list[float]:
     """Expected quality of a uniform random anchor from the top k: prefix means.
 
-    value[k-1] is the mean of the reference sweep's first k cells.
+    value[k-1] is the mean of the reference sweep's first k cells, for every
+    k from 1 to the sweep's last cell.
     """
-    if not 1 <= k_max <= len(sweep.cells):
-        raise ValidationError(f"k_max={k_max} must be within 1..{len(sweep.cells)}")
-    out: list[float] = []
-    running = 0.0
-    for k in range(1, k_max + 1):
-        running += sweep.mean[k - 1]
-        out.append(running / k)
-    return out
+    return [total / k for k, total in enumerate(accumulate(sweep.mean), start=1)]
 
 
 def sweep_ensemble_size(

@@ -4,7 +4,10 @@ Exit codes: 0 success, 1 runtime error, 2 usage error. A strategy-only
 flag (--m, --weights, --ref-index, --ref-topk, --k, --children) that no
 named strategy reads is a usage error, and so is an endpoint-only flag
 (--endpoint-url, --model, --api-key-env, --template-dir) under the oracle
-backend; --concurrency is at least 1.
+backend; --concurrency is at least 1. The oracle needs --seed, the endpoint
+--endpoint-url and --model. Every usage error is raised before any input is
+read, a setting out of range for any list before the first judge call, and
+any refusal before bench prints a line.
 Every rerank run writes a config snapshot into its report: the options the
 run read, the seed, and the package version. Re-running with the same
 configuration and seed reproduces the run file byte for byte under the
@@ -170,20 +173,20 @@ def _refuse_given(names, reason: str) -> None:
             raise click.UsageError(f"--{name.replace('_', '-')} {reason}")
 
 
-def _check_backend_flags(options: dict) -> None:
-    """An endpoint-only flag given on the command line is a usage error under the oracle."""
+def _check_backend(options: dict) -> None:
+    """Every usage error of the chosen backend, raised before any input is read."""
     if options["backend"] == "oracle":
         _refuse_given(_ENDPOINT_ONLY, "is not read by the oracle backend")
+        _require_seed(options["seed"], "with the oracle backend")
+    elif not options["endpoint_url"] or not options["model"]:
+        raise click.UsageError(
+            "--endpoint-url and --model are required with the endpoint backend"
+        )
 
 
 def _build_scorer(options: dict, qrels: Qrels | None, ledger: CallLedger) -> Scorer:
     if options["backend"] == "oracle":
-        seed = _require_seed(options["seed"], "with the oracle backend")
-        return OracleScorer(OracleConfig(seed=seed), qrels=qrels, ledger=ledger)
-    if not options["endpoint_url"] or not options["model"]:
-        raise click.UsageError(
-            "--endpoint-url and --model are required with the endpoint backend"
-        )
+        return OracleScorer(OracleConfig(seed=options["seed"]), qrels=qrels, ledger=ledger)
     template_dir = options["template_dir"]
     templates = (
         PromptTemplates.from_dir(template_dir) if template_dir else PromptTemplates.defaults()
@@ -259,6 +262,18 @@ def _warn_skipped(warnings: ParseWarnings) -> None:
             f"{warnings.duplicate_qrel_pairs} repeated qrel pair(s) in the inputs",
             err=True,
         )
+
+
+def _try_rankers(rankers, lists) -> None:
+    """Rank the shortest list with each ranker on a throwaway oracle.
+
+    Every strategy limit bounds the list length from above, so a setting
+    that some list cannot take raises its strategy's own error here, before
+    any real judge call.
+    """
+    shortest = min(lists, key=len)
+    for ranker in rankers:
+        ranker(shortest, OracleScorer(OracleConfig(seed=0)))
 
 
 def _warn_over_budget(names: list[str], m: int, lists) -> None:
@@ -345,10 +360,11 @@ def cli():
 @_runtime_errors
 def cmd_rerank(out_dir, force, **options):
     """Rerank candidates and write a run file plus an experiment report."""
-    _check_backend_flags(options)
+    _check_backend(options)
     strategy = options["strategy"]
     ranker = _rankers([strategy], options)[strategy]
     lists, qrels = _load_inputs(options)
+    _try_rankers([ranker], lists)
     _warn_over_budget([strategy], options["m"], lists)
     ledger = CallLedger()
     with _build_scorer(options, qrels, ledger) as scorer:
@@ -406,7 +422,7 @@ def cmd_analyze(out_dir, force, **options):
     judge call; the top-k selection curve is the prefix mean of the
     anchor-index curve.
     """
-    _check_backend_flags(options)
+    _check_backend(options)
     lists, qrels = _load_inputs(options)
     with _build_scorer(options, qrels, CallLedger()) as scorer:
         ref_topk = options["ref_topk"]
@@ -429,7 +445,7 @@ def cmd_analyze(out_dir, force, **options):
         ]
     reference, ensemble = (_concat(results) for results in zip(*per_query))
     write_curve_csv(reference.mean, _created(reference_csv))
-    write_curve_csv(sweep_topk_selection(reference, depth_r), topk_csv)
+    write_curve_csv(sweep_topk_selection(reference), topk_csv)
     write_curve_csv(ensemble.mean, ensemble_csv)
     for path in (reference_csv, topk_csv, ensemble_csv):
         click.echo(f"wrote {path}")
@@ -484,17 +500,17 @@ def cmd_bench(**options):
     --strategy takes a comma-separated list of distinct names, e.g.
     pointwise,refrank-single.
     """
-    _check_backend_flags(options)
     names = [name.strip() for name in options["strategy"].split(",") if name.strip()]
     if not names or len(set(names)) < len(names):
         raise click.UsageError(f"--strategy {options['strategy']!r} must name distinct strategies")
+    _check_backend(options)
     rankers = _rankers(names, options)
     lists, qrels = _load_inputs(options)
+    _try_rankers(rankers.values(), lists)
     _warn_over_budget(names, options["m"], lists)
     header = (f"{'strategy':<20} {'calls/query':<28} {'total':>8} {'s/query':>10} "
               f"{'wall s/query':>13}")
-    click.echo(header)
-    click.echo("-" * len(header))
+    lines = [header, "-" * len(header)]  # printed with the first row
     for name, ranker in rankers.items():
         ledger = CallLedger()
         with _build_scorer(options, qrels, ledger) as scorer:
@@ -502,10 +518,12 @@ def cmd_bench(**options):
         per_kind = " ".join(
             f"{kind}={count / len(lists):g}" for kind, count in ledger.counts.items() if count
         ) or "none"
-        click.echo(
+        lines.append(
             f"{name:<20} {per_kind:<28} {ledger.total_calls:>8} "
             f"{sum(seconds.values()) / len(lists):>10.4f} {wall / len(lists):>13.4f}"
         )
+        click.echo("\n".join(lines))
+        lines.clear()
 
 
 def main():

@@ -11,10 +11,12 @@ Formats handled:
             title + " " + contents when the title is non-empty
   queries   TSV ``<qid>\\t<text>``
 
-Parsers are pure functions of file contents; every failure is a structured
-error carrying the offending line number, and arbitrary bytes never crash
-them. Every file must be UTF-8: a line that is not is a ParseError. Blank
-lines are skipped, and counted when a ParseWarnings sink is given.
+Parsers are pure functions of file contents, and arbitrary bytes never
+crash them. A line that fails to parse, repeats a unique key or lacks a
+required field is a ParseError naming the path and line number: one error
+type for every bad line. Every file must be UTF-8: a line that is not is a
+ParseError too. Blank lines are skipped, and counted when a ParseWarnings
+sink is given.
 """
 
 from __future__ import annotations
@@ -42,14 +44,6 @@ class ParseError(HarnessError):
         self.path = str(path)
         self.line_number = line_number
         super().__init__(f"{path}:{line_number}: {message}")
-
-
-class DuplicateEntryError(ParseError):
-    """A key that must be unique within a file appeared twice."""
-
-
-class MissingFieldError(ParseError):
-    """A required JSON key is absent."""
 
 
 class MissingDocsError(HarnessError):
@@ -126,13 +120,13 @@ def parse_run_file(path, warnings: ParseWarnings | None = None) -> dict[str, lis
         if not math.isfinite(score):
             raise ParseError(path, line_number, f"score {score_text!r} is not finite")
         if (query_id, doc_id) in seen:
-            raise DuplicateEntryError(
+            raise ParseError(
                 path, line_number, f"duplicate (query, doc) pair ({query_id}, {doc_id})"
             )
         seen.add((query_id, doc_id))
         first_line = rank_lines.setdefault((query_id, rank), line_number)
         if first_line != line_number:
-            raise DuplicateEntryError(
+            raise ParseError(
                 path, line_number, f"query {query_id} repeats rank {rank} from line {first_line}"
             )
         per_query.setdefault(query_id, []).append((rank, doc_id))
@@ -181,7 +175,7 @@ def parse_corpus_jsonl(path, warnings: ParseWarnings | None = None) -> dict[str,
             raise ParseError(path, line_number, "expected a JSON object")
         for key in ("id", "contents"):
             if key not in obj:
-                raise MissingFieldError(path, line_number, f"missing {key!r} key")
+                raise ParseError(path, line_number, f"missing {key!r} key")
         doc_id, contents, title = obj["id"], obj["contents"], obj.get("title")
         if isinstance(doc_id, bool) or not isinstance(doc_id, (str, int)):
             raise ParseError(path, line_number, "'id' must be a string or an integer")
@@ -193,7 +187,7 @@ def parse_corpus_jsonl(path, warnings: ParseWarnings | None = None) -> dict[str,
         if not doc_id:
             raise ParseError(path, line_number, "empty doc id")
         if doc_id in records:
-            raise DuplicateEntryError(path, line_number, f"duplicate doc id {doc_id!r}")
+            raise ParseError(path, line_number, f"duplicate doc id {doc_id!r}")
         records[doc_id] = f"{title} {contents}" if title else contents
     return records
 
@@ -207,7 +201,7 @@ def parse_queries_tsv(path, warnings: ParseWarnings | None = None) -> list[Query
             raise ParseError(path, line_number, "expected <qid><TAB><text>")
         query_id, text = line.split("\t", 1)
         if query_id in seen:
-            raise DuplicateEntryError(path, line_number, f"duplicate query id {query_id!r}")
+            raise ParseError(path, line_number, f"duplicate query id {query_id!r}")
         try:
             query = Query(query_id, text)
         except ValidationError as exc:

@@ -68,6 +68,13 @@ def make_synth(
     return SynthData(lists=lists, qrels=Qrels(grades), latents=latents)
 
 
+def shortest_last(data: SynthData, n_docs: int) -> SynthData:
+    """The same data with the last query's list cut to its first n_docs docs."""
+    last = data.lists[-1]
+    lists = [*data.lists[:-1], CandidateList(last.query, last.docs[:n_docs])]
+    return SynthData(lists=lists, qrels=data.qrels, latents=data.latents)
+
+
 def write_experiment_files(data: SynthData, directory, tag: str = "bm25"):
     """Materialize a SynthData as run/corpus/queries/qrels files for CLI tests."""
     directory.mkdir(parents=True, exist_ok=True)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from refrank.datamodel import CallLedger, DocCandidate, Query, build_ranking
+from refrank.datamodel import DocCandidate, build_ranking
 from refrank.eval import MetricConfig, evaluate_run_map, ndcg_at_k
 from refrank.io import parse_qrels, parse_run_file, write_run_file
 from refrank.scorer import JudgeRequest, OracleConfig, OracleScorer
@@ -214,7 +214,7 @@ def test_criterion_09_prefix_mean_exactness():
     data = make_synth(20, 15, seed=17)
     scorer = oracle_for(data, noise_sigma=0.7)
     sweep = sweep_reference_quality(data.lists, scorer, data.qrels, depth_r=12)
-    values = sweep_topk_selection(sweep, 12)
+    values = sweep_topk_selection(sweep)
     worst = 0.0
     for k in range(1, 13):
         expected = float(np.sum(sweep.mean[:k]) / k)

@@ -11,7 +11,7 @@ from refrank.analysis import (
     write_curve_csv,
 )
 from refrank.datamodel import ValidationError
-from refrank.eval import MetricConfig, ndcg_at_k
+from refrank.eval import ndcg_at_k
 from refrank import strategies
 from refrank.scorer import JudgeRequest, OracleConfig, OracleScorer
 from refrank.strategies import (
@@ -114,7 +114,7 @@ class TestTopkSelection:
         sweep = sweep_reference_quality(
             data.lists, oracle_for(data, noise_sigma=0.4), data.qrels, depth_r=4
         )
-        values = sweep_topk_selection(sweep, 4)
+        values = sweep_topk_selection(sweep)
         assert values[0] == sweep.mean[0]
 
     def test_arithmetic(self):
@@ -123,14 +123,14 @@ class TestTopkSelection:
             cells=(1, 2),
             per_query=((0.8, 0.6),),
         )
-        assert sweep_topk_selection(sweep, 2) == pytest.approx([0.8, 0.7])
+        assert sweep_topk_selection(sweep) == pytest.approx([0.8, 0.7])
 
     def test_exact_prefix_means(self):
         data = make_synth(5, 10, seed=8)
         sweep = sweep_reference_quality(
             data.lists, oracle_for(data, noise_sigma=0.6), data.qrels, depth_r=8
         )
-        values = sweep_topk_selection(sweep, 8)
+        values = sweep_topk_selection(sweep)
         expected = np.cumsum(sweep.mean) / np.arange(1, 9)
         assert values == pytest.approx(list(expected), abs=1e-12)
 
@@ -140,14 +140,8 @@ class TestTopkSelection:
             cells=(1, 2, 3),
             per_query=((0.9, 0.5, 0.1),),
         )
-        values = sweep_topk_selection(sweep, 3)
+        values = sweep_topk_selection(sweep)
         assert all(a >= b for a, b in zip(values, values[1:]))
-
-    def test_bounds(self):
-        data = make_synth(1, 6, seed=9)
-        sweep = sweep_reference_quality(data.lists, oracle_for(data), data.qrels, depth_r=3)
-        with pytest.raises(ValidationError):
-            sweep_topk_selection(sweep, 4)
 
 
 class TestEnsembleSweep:

@@ -9,7 +9,7 @@ from refrank.cli import cli
 from refrank.datamodel import CallLedger
 from refrank.scorer import OracleScorer
 
-from synth import make_synth, write_experiment_files
+from synth import make_synth, shortest_last, write_experiment_files
 
 
 @pytest.fixture
@@ -20,6 +20,20 @@ def fixture_files(tmp_path):
 
 def invoke(args):
     return CliRunner().invoke(cli, args, catch_exceptions=False)
+
+
+@pytest.fixture
+def ledgers(monkeypatch):
+    """Every CallLedger the commands make, in order of creation."""
+    made = []
+
+    class KeptLedger(CallLedger):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    monkeypatch.setattr(cli_module, "CallLedger", KeptLedger)
+    return made
 
 
 def input_args(paths):
@@ -148,16 +162,6 @@ class TestRerank:
             report.pop("wall_seconds")
         assert report_a == report_b
 
-    def test_refuses_overwrite_without_force(self, fixture_files, tmp_path):
-        data, paths = fixture_files
-        out = tmp_path / "out"
-        assert invoke(rerank_args(paths, out)).exit_code == 0
-        denied = CliRunner().invoke(cli, rerank_args(paths, out))
-        assert denied.exit_code == 1
-        assert "--force" in denied.output
-        forced = invoke(rerank_args(paths, out, extra=["--force"]))
-        assert forced.exit_code == 0
-
     def test_concurrency_preserves_output(self, fixture_files, tmp_path):
         data, paths = fixture_files
         serial, parallel = tmp_path / "serial", tmp_path / "parallel"
@@ -226,6 +230,36 @@ class TestRerank:
         args[args.index("--run") + 1] = str(tmp_path / "nope.run")
         result = CliRunner().invoke(cli, args)
         assert result.exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "command, extra, output",
+    [
+        ("rerank", ["--strategy", "pointwise"], "pointwise.run"),
+        ("analyze", ["--ref-topk", "3", "--m", "2"], "reference_sweep.csv"),
+        ("eval", [], "eval.json"),
+    ],
+    ids=["rerank", "analyze", "eval"],
+)
+def test_refuses_overwrite_without_force(fixture_files, tmp_path, ledgers, command, extra,
+                                         output):
+    data, paths = fixture_files
+    inputs = ["--run", str(paths[0])] if command == "eval" else [*input_args(paths), "--seed", "7"]
+    args = [command, *inputs, "--qrels", str(paths[3]), "--out", str(tmp_path / "out"), *extra]
+    existing = tmp_path / "out" / output
+    assert invoke(args).exit_code == 0
+    written = existing.read_bytes()
+    existing.write_bytes(b"kept\n")
+    calls_before = sum(ledger.total_calls for ledger in ledgers)
+
+    denied = CliRunner().invoke(cli, args)
+    assert denied.exit_code == 1
+    assert denied.stderr == f"error: refusing to overwrite {existing} (pass --force)\n"
+    assert existing.read_bytes() == b"kept\n"
+    assert sum(ledger.total_calls for ledger in ledgers) == calls_before
+
+    assert invoke([*args, "--force"]).exit_code == 0
+    assert existing.read_bytes() == written
 
 
 @pytest.mark.parametrize(
@@ -307,6 +341,68 @@ def test_endpoint_flags_under_the_oracle_are_usage_errors(fixture_files, tmp_pat
     assert result.exit_code == 2, result.output
     assert f"{flag} is not read by the oracle backend" in result.output
     assert "calls/query" not in result.output
+    assert not (tmp_path / "out").exists()
+
+
+def test_backend_usage_error_comes_before_any_input_is_read(fixture_files, tmp_path):
+    data, paths = fixture_files
+    paths[0].write_text("not a run line\n")
+    out = tmp_path / "out"
+    result = CliRunner().invoke(cli, ["rerank", *input_args(paths), "--out", str(out)])
+    assert result.exit_code == 2
+    assert "--seed is required with the oracle backend" in result.output
+    assert not out.exists()
+
+
+def test_bench_prints_nothing_before_a_backend_usage_error(fixture_files):
+    data, paths = fixture_files
+    result = CliRunner().invoke(cli, ["bench", *input_args(paths), "--strategy", "pointwise"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "--seed is required with the oracle backend" in result.stderr
+
+
+# Settings that a 4-doc list cannot take, and the message of the strategy or
+# sweep that refuses them.
+TOO_LONG_FOR_4 = {
+    "ref-index": ("refrank-single", ["--ref-index", "6"],
+                  "reference index 6 exceeds list length 4"),
+    "ref-topk": ("refrank-single", ["--ref-topk", "6"], "reference top-k 6 exceeds list length 4"),
+    "m": ("refrank-multiple", ["--m", "5"], "ensemble size m=5 exceeds list length 4"),
+    "bubblesort-k": ("pairwise-bubblesort", ["--k", "10"],
+                     "bubble passes k=10 must be within 1..4"),
+    "heapsort-k": ("setwise-heapsort", ["--k", "10"], "extraction count k=10 must be within 1..4"),
+}
+
+
+@pytest.mark.parametrize(
+    "command, strategy, flags, message",
+    [pytest.param(command, *case, id=f"{command}-{name}")
+     for command in ("rerank", "bench") for name, case in TOO_LONG_FOR_4.items()]
+    + [pytest.param("analyze", None, ["--ref-topk", "6"],
+                    "--ref-topk=6 must be within 1..4 (shortest list)", id="analyze-ref-topk"),
+       pytest.param("analyze", None, ["--m", "5"], "--m=5 must be within 1..4 (shortest list)",
+                    id="analyze-m")],
+)
+def test_a_setting_the_last_and_shortest_list_cannot_take_makes_no_judge_call(
+    tmp_path, monkeypatch, ledgers, command, strategy, flags, message
+):
+    # lists of 12, 12 and 4 docs: the refusal must not wait for the third
+    data = shortest_last(make_synth(3, 12, seed=17, rank_correlation=0.4), 4)
+    paths = write_experiment_files(data, tmp_path / "data")
+    monkeypatch.chdir(tmp_path)
+    args = [command, *input_args(paths), "--qrels", str(paths[3]), "--seed", "1", *flags]
+    if command == "rerank":
+        args += ["--strategy", strategy, "--out", "out"]
+    elif command == "bench":
+        args += ["--strategy", f"pointwise,{strategy}"]
+    else:
+        args += ["--out", "out"]
+    result = CliRunner().invoke(cli, args)
+    assert result.exit_code == 1, result.output
+    assert result.stdout == ""
+    assert result.stderr == f"error: {message}\n"
+    assert sum(ledger.total_calls for ledger in ledgers) == 0
     assert not (tmp_path / "out").exists()
 
 

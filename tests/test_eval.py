@@ -3,13 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from refrank.datamodel import (
-    DocCandidate,
-    Qrels,
-    Ranking,
-    ValidationError,
-    build_ranking,
-)
+from refrank.datamodel import Qrels, Ranking, ValidationError
 from refrank.eval import (
     MetricConfig,
     evaluate_rankings,

@@ -1,4 +1,4 @@
-"""Every module-level import in the package is read, or re-exported through __all__.
+"""Every module-level import in the package and its tests is read or listed in __all__.
 
 A static check with the standard library's ast: a name bound by an import
 at module level (``from __future__`` aside) must appear as a loaded name
@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "refrank"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "refrank"
 MODULES = sorted(PACKAGE.rglob("*.py"))
 
 
@@ -62,7 +63,10 @@ def unused_imports(source: str) -> list[str]:
     ]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda path: str(path.relative_to(PACKAGE)))
+@pytest.mark.parametrize(
+    "path", MODULES + sorted(TESTS.glob("*.py")),
+    ids=lambda path: str(path.relative_to(PACKAGE if PACKAGE in path.parents else TESTS.parent)),
+)
 def test_every_module_level_import_is_read_or_exported(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

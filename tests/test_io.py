@@ -12,9 +12,7 @@ from refrank.datamodel import (
     build_ranking,
 )
 from refrank.io import (
-    DuplicateEntryError,
     MissingDocsError,
-    MissingFieldError,
     ParseError,
     ParseWarnings,
     _check_token,
@@ -50,7 +48,7 @@ class TestParseRunFile:
     def test_duplicate_query_doc_pair(self, tmp_path):
         path = tmp_path / "a.run"
         path.write_text("q1 Q0 d3 1 14.2 t\nq1 Q0 d3 2 13.0 t\n")
-        with pytest.raises(DuplicateEntryError):
+        with pytest.raises(ParseError, match=r"a\.run:2: duplicate \(query, doc\) pair \(q1, d3\)"):
             parse_run_file(path)
 
     def test_repeated_rank_names_its_line(self, tmp_path):
@@ -145,13 +143,13 @@ class TestParseCorpus:
     def test_duplicate_id(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text('{"id":"d1","contents":"a"}\n{"id":"d1","contents":"b"}\n')
-        with pytest.raises(DuplicateEntryError):
+        with pytest.raises(ParseError, match=r"c\.jsonl:2: duplicate doc id 'd1'$"):
             parse_corpus_jsonl(path)
 
     def test_missing_contents(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text('{"id":"d1"}\n')
-        with pytest.raises(MissingFieldError):
+        with pytest.raises(ParseError, match=r"c\.jsonl:1: missing 'contents' key$"):
             parse_corpus_jsonl(path)
 
     def test_invalid_json_has_line_number(self, tmp_path):
@@ -212,7 +210,7 @@ class TestParseQueries:
     def test_duplicate_query_id(self, tmp_path):
         path = tmp_path / "q.tsv"
         path.write_text("q1\tfirst\nq1\tsecond\n")
-        with pytest.raises(DuplicateEntryError, match=r"q\.tsv:2: duplicate query id 'q1'"):
+        with pytest.raises(ParseError, match=r"q\.tsv:2: duplicate query id 'q1'"):
             parse_queries_tsv(path)
 
     def test_empty_text_is_validation_error(self, tmp_path):

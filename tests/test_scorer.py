@@ -42,7 +42,7 @@ from refrank.scorer import (
     build_prompt,
     setwise_labels,
 )
-from synth import make_synth, write_experiment_files
+from synth import make_synth, shortest_last, write_experiment_files
 
 QUERY = Query("q1", "what is x")
 
@@ -1258,6 +1258,20 @@ class TestLlmTransport:
         (line,) = result.stderr.splitlines()
         assert line.startswith("error: environment variable 'REFRANK_TEST_KEY' ")
         assert "secret" not in result.output and "4711" not in result.output
+        assert not (tmp_path / "out").exists()
+        assert server.requests == 0
+
+    def test_a_setting_the_last_and_shortest_list_cannot_take_sends_no_request(self, tmp_path):
+        # lists of 12, 12 and 4 docs: --k 10 fits the first two, so a run
+        # that checked each list as it reached it would pay for both
+        data = shortest_last(make_synth(3, 12, seed=17), 4)
+        paths = write_experiment_files(data, tmp_path / "data")
+        with counting_stub(latency_s=0.0) as server:
+            result = rerank_through(server, paths, tmp_path / "out", "pairwise-bubblesort",
+                                    "--k", "10")
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == "error: bubble passes k=10 must be within 1..4\n"
         assert not (tmp_path / "out").exists()
         assert server.requests == 0
 

@@ -1,11 +1,9 @@
 import collections
-import math
 
 import numpy as np
 import pytest
 
 from refrank.datamodel import (
-    CallLedger,
     CandidateList,
     DocCandidate,
     Query,
