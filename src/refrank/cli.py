@@ -21,6 +21,7 @@ any judge call.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import inspect
 import json
@@ -264,16 +265,29 @@ def _warn_skipped(warnings: ParseWarnings) -> None:
         )
 
 
-def _try_rankers(rankers, lists) -> None:
-    """Rank the shortest list with each ranker on a throwaway oracle.
+class _FirstCall(Exception):
+    """A ranker reached its first judge call, so its settings passed."""
 
-    Every strategy limit bounds the list length from above, so a setting
-    that some list cannot take raises its strategy's own error here, before
-    any real judge call.
+
+class _NoJudge:
+    """A stand-in scorer that stops a ranker at its first call, before any judgment."""
+
+    def score_batch(self, requests):
+        raise _FirstCall
+
+
+def _try_rankers(rankers, lists) -> None:
+    """Start each ranker on the shortest list and stop it at its first judge call.
+
+    Every strategy checks its settings before its first judge call, and
+    every limit bounds the list length from above, so a setting that some
+    list cannot take raises its strategy's own error here, and nothing is
+    judged.
     """
     shortest = min(lists, key=len)
     for ranker in rankers:
-        ranker(shortest, OracleScorer(OracleConfig(seed=0)))
+        with contextlib.suppress(_FirstCall):
+            ranker(shortest, _NoJudge())
 
 
 def _warn_over_budget(names: list[str], m: int, lists) -> None:

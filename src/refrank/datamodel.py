@@ -10,14 +10,21 @@ takes the lock and sums the tallies. Only its final totals are meaningful.
 No rank is stored anywhere: a document's first-stage rank is its position
 in a CandidateList, and its new rank its position in a Ranking, whose doc
 ids and scores are two parallel tuples. Tied scores keep first-stage order.
+A Ranking checks that its scores are finite and non-increasing and its doc
+ids unique in one C-level pass each, and walks the pairs only when a check
+fails, to name the first offender.
+
+Qrels sorts each query's grades into ideal order once, at construction;
+the maximum grade is the first of them, and NDCG's ideal DCG reads them.
 """
 
 from __future__ import annotations
 
-import math
 import threading
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from math import isfinite
+from operator import ge, itemgetter
 
 
 class HarnessError(Exception):
@@ -125,21 +132,25 @@ class Ranking:
                 f"ranking for {self.query_id!r}: {len(self.doc_ids)} doc ids but "
                 f"{len(self.scores)} scores"
             )
-        seen: set[str] = set()
-        for doc_id, score in zip(self.doc_ids, self.scores):
-            if not math.isfinite(score):
-                raise ValidationError(
-                    f"ranking for {self.query_id!r}: non-finite score for {doc_id!r}"
-                )
-            if doc_id in seen:
-                raise DuplicateDocError(doc_id, context=f"ranking {self.query_id}")
-            seen.add(doc_id)
-        for rank, (left, right) in enumerate(zip(self.scores, self.scores[1:]), start=1):
-            if left < right:
-                raise ValidationError(
-                    f"ranking for {self.query_id!r}: scores increase between "
-                    f"ranks {rank} and {rank + 1}"
-                )
+        doc_ids, scores = self.doc_ids, self.scores
+        # each check is one C-level pass; a loop runs only to name the first offender
+        if not all(map(isfinite, scores)) or len(set(doc_ids)) != len(doc_ids):
+            seen: set[str] = set()
+            for doc_id, score in zip(doc_ids, scores):
+                if not isfinite(score):
+                    raise ValidationError(
+                        f"ranking for {self.query_id!r}: non-finite score for {doc_id!r}"
+                    )
+                if doc_id in seen:
+                    raise DuplicateDocError(doc_id, context=f"ranking {self.query_id}")
+                seen.add(doc_id)
+        if not all(map(ge, scores, scores[1:])):
+            for rank, (left, right) in enumerate(zip(scores, scores[1:]), start=1):
+                if left < right:
+                    raise ValidationError(
+                        f"ranking for {self.query_id!r}: scores increase between "
+                        f"ranks {rank} and {rank + 1}"
+                    )
 
 
 def build_ranking(query_id: str, scored: Sequence[tuple[DocCandidate, float]]) -> Ranking:
@@ -149,7 +160,7 @@ def build_ranking(query_id: str, scored: Sequence[tuple[DocCandidate, float]]) -
     every strategy gives them in first-stage order. Ranking rejects a
     non-finite score.
     """
-    ordered = sorted(scored, key=lambda pair: -pair[1])
+    ordered = sorted(scored, key=itemgetter(1), reverse=True)
     doc_ids = tuple(doc.doc_id for doc, _ in ordered)
     return Ranking(query_id, doc_ids, tuple(score for _, score in ordered))
 
@@ -170,7 +181,8 @@ class Qrels:
     """Graded relevance judgments keyed by (query_id, doc_id).
 
     Absent pairs mean grade 0. Treat instances as read-only after
-    construction: each query's maximum grade is computed there, once.
+    construction: each query's grades are sorted there, once, into the
+    ideal order that the maximum grade and the ideal DCG read.
     """
 
     def __init__(self, grades: Mapping[str, Mapping[str, int]] | None = None):
@@ -181,8 +193,9 @@ class Qrels:
                     doc_id: _as_grade(grade) for doc_id, grade in docs.items()
                 }
         self._by_query = by_query
-        self._max_grade = {
-            query_id: max(judged.values()) for query_id, judged in by_query.items() if judged
+        self._ideal = {
+            query_id: tuple(sorted(judged.values(), reverse=True))
+            for query_id, judged in by_query.items()
         }
 
     def grade(self, query_id: str, doc_id: str) -> int:
@@ -192,8 +205,13 @@ class Qrels:
         """All judged docs for a query; treat the mapping as read-only."""
         return self._by_query.get(query_id, {})
 
+    def ideal_grades(self, query_id: str) -> tuple[int, ...]:
+        """A query's judged grades, highest first; empty for an unjudged query."""
+        return self._ideal.get(query_id, ())
+
     def max_grade(self, query_id: str) -> int:
-        return self._max_grade.get(query_id, 0)
+        ideal = self._ideal.get(query_id)
+        return ideal[0] if ideal else 0
 
 
 SETWISE_MAX_GROUP = 26  # labels are single letters A..Z

@@ -1,4 +1,8 @@
-"""Ranking-quality metrics: NDCG@k per query and over a run, from doc ids in rank order."""
+"""Ranking-quality metrics: NDCG@k per query and over a run, from doc ids in rank order.
+
+The ideal DCG reads each query's grades in the ideal order that Qrels
+sorted once at construction, so a call sorts nothing.
+"""
 
 from __future__ import annotations
 
@@ -57,8 +61,7 @@ def ndcg_for_doc_ids(
     judged = qrels.judged(query_id)
     if not judged:
         return 0.0
-    ideal = sorted(judged.values(), reverse=True)
-    idcg = _dcg(ideal, config.k, config.gain)
+    idcg = _dcg(qrels.ideal_grades(query_id), config.k, config.gain)
     if idcg <= 0.0:
         return 0.0
     grades = [judged.get(doc_id, 0) for doc_id in doc_ids]

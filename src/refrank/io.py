@@ -205,7 +205,7 @@ def parse_queries_tsv(path, warnings: ParseWarnings | None = None) -> list[Query
         try:
             query = Query(query_id, text)
         except ValidationError as exc:
-            raise ValidationError(f"{path}:{line_number}: {exc}") from exc
+            raise ParseError(path, line_number, str(exc)) from exc
         seen.add(query_id)
         queries.append(query)
     return queries

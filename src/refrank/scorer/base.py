@@ -92,20 +92,29 @@ class JudgeRequest:
     query: Query
     docs: tuple[DocCandidate, ...]
 
-    def __post_init__(self):
-        spec = KINDS.get(self.kind)
+    # written by hand, to check and set in one frame: a request is built per
+    # judgment, and the generated __init__ would call __post_init__ as well
+    def __init__(self, kind: str, query: Query, docs: tuple[DocCandidate, ...]):
+        spec = KINDS.get(kind)
         if spec is None:
-            raise ValidationError(f"unknown request kind {self.kind!r}")
+            raise ValidationError(f"unknown request kind {kind!r}")
         low, high, _, _ = spec
-        if not low <= len(self.docs) <= high:
+        if not low <= len(docs) <= high:
             allowed = str(low) if low == high else f"{low}..{high}"
-            raise ValidationError(
-                f"{self.kind} request takes {allowed} documents, got {len(self.docs)}"
-            )
+            raise ValidationError(f"{kind} request takes {allowed} documents, got {len(docs)}")
+        _set_kind(self, kind)
+        _set_query(self, query)
+        _set_docs(self, docs)
 
     @property
     def labels(self) -> tuple[str, ...]:
         return KINDS[self.kind][2] or setwise_labels(len(self.docs))
+
+
+# the slots' own setters, which a frozen class's __setattr__ does not reach
+_set_kind, _set_query, _set_docs = (
+    JudgeRequest.__dict__[name].__set__ for name in ("kind", "query", "docs")
+)
 
 
 class Scorer(ABC):

@@ -31,8 +31,8 @@ for a query whose grades are all zero), or seeded per-document uniform
 draws.
 
 Each scorer keeps one state for the query it is judging now, built when the
-query id changes and replaced in one assignment. A judgment looks it up
-once, by the request's query id, and passes it to the judge:
+query id changes and replaced in one assignment. A judgment reads it once,
+checks its query id against the request's, and passes it to the judge:
 
 - the memo, keyed by (kind, ordered doc ids). With the state's query id,
   that key holds every input a judgment reads (the seed, the config and the
@@ -41,12 +41,15 @@ once, by the request's query id, and passes it to the judge:
   character count, which is computed on every call.
 - the latent table, doc id -> g, computing each value on first use. A
   computation that raises stores nothing.
+- the draw-key table, doc id -> the bytes a draw hashes for it (its UTF-8
+  followed by 0x1f), also filled on first use, so a doc id is encoded once
+  per query however often it is drawn under.
 - one BLAKE2b state per draw kind (pointwise, bias, triplet, duel, setwise)
   that has absorbed (seed, kind, query id). A draw copies it and hashes
-  only its doc ids. A setwise judgment first extends a copy by its group
-  key, once, so each member's draw hashes only the member's doc id.
-  BLAKE2b is streaming, so each draw equals std_normal(seed, kind,
-  query id, ...) bit for bit; see _seeded.
+  only its doc ids' keys, through _seeded.normal_from. A setwise judgment
+  first extends a copy by its group key, once, so each member's draw
+  hashes only the member's key. BLAKE2b is streaming, so each draw equals
+  std_normal(seed, kind, query id, ...) bit for bit; see _seeded.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ import functools
 from collections.abc import Mapping
 from dataclasses import dataclass
 
-from .._seeded import extend, prefix, prefixed_normal, stable_digest, unit_uniform
+from .._seeded import encode, extend, normal_from, prefix, stable_digest, unit_uniform
 from ..datamodel import CallLedger, Qrels, ValidationError
 from .base import JudgeRequest, Scorer
 
@@ -86,8 +89,8 @@ class OracleConfig:
 _DRAWS = ("pointwise", "bias", "triplet", "duel", "setwise")
 
 
-class _Latents(dict):
-    """doc id -> latent g for one query, each computed on first use.
+class _Table(dict):
+    """doc id -> a value for one query, each computed on first use.
 
     A computation that raises stores nothing, so a missing latent fails on
     every call, not only on the first.
@@ -105,14 +108,15 @@ class _Latents(dict):
 
 
 class _QueryState:
-    """The memo, latent table and draw prefixes of one query; see the module docstring."""
+    """The memo, latents, draw keys and draw prefixes of one query; see the module docstring."""
 
-    __slots__ = ("query_id", "memo", "latent", "prefix")
+    __slots__ = ("query_id", "memo", "latent", "key", "prefix")
 
     def __init__(self, query_id: str, seed: str, latent):
         self.query_id = query_id
         self.memo: dict[tuple[str, ...], dict[str, float]] = {}
-        self.latent = _Latents(functools.partial(latent, query_id))
+        self.latent = _Table(functools.partial(latent, query_id))
+        self.key = _Table(encode)
         self.prefix = {kind: prefix(seed, kind, query_id) for kind in _DRAWS}
 
 
@@ -140,14 +144,6 @@ class OracleScorer(Scorer):
         # any id will do: its state is built as the first query's would be
         self._state = _QueryState("", self._seed, self.latent)
 
-    def _state_for(self, query_id: str) -> _QueryState:
-        state = self._state
-        if state.query_id != query_id:
-            # replaced in one assignment, so that concurrent callers never
-            # see one query's state under another query's id
-            state = self._state = _QueryState(query_id, self._seed, self.latent)
-        return state
-
     def latent(self, query_id: str, doc_id: str) -> float:
         """Latent relevance g of one document, computed afresh.
 
@@ -171,9 +167,9 @@ class OracleScorer(Scorer):
         doc_id = request.docs[0].doc_id
         diff = 2.0 * state.latent[doc_id] - 1.0
         if cfg.bias_amplitude > 0.0:
-            diff += cfg.bias_amplitude * prefixed_normal(state.prefix["bias"], doc_id)
+            diff += cfg.bias_amplitude * normal_from(state.prefix["bias"], state.key[doc_id])
         if cfg.noise_sigma > 0.0:
-            diff += cfg.noise_sigma * prefixed_normal(state.prefix["pointwise"], doc_id)
+            diff += cfg.noise_sigma * normal_from(state.prefix["pointwise"], state.key[doc_id])
         return {"yes": 0.5 * diff, "no": -0.5 * diff}
 
     def _duel(
@@ -188,7 +184,8 @@ class OracleScorer(Scorer):
         # keyed by the unordered pair, signed by orientation: swap-exact
         if sigma > 0.0 and id_a != id_b:
             lo, hi, signed = (id_a, id_b, sigma) if id_a < id_b else (id_b, id_a, -sigma)
-            eps = signed * prefixed_normal(state.prefix[request.kind], lo, hi)
+            key = state.key
+            eps = signed * normal_from(state.prefix[request.kind], key[lo] + key[hi])
         return {"A": g_a + 0.5 * eps, "B": g_b - 0.5 * eps}
 
     def _triplet(self, state: _QueryState, request: JudgeRequest) -> dict[str, float]:
@@ -202,8 +199,9 @@ class OracleScorer(Scorer):
             return {label: latent[doc.doc_id] for label, doc in zip(request.labels, docs)}
         group_key = stable_digest(*sorted(doc.doc_id for doc in docs)).hex()
         group = extend(state.prefix["setwise"], group_key)
+        key = state.key
         return {
-            label: latent[doc.doc_id] + sigma * prefixed_normal(group, doc.doc_id)
+            label: latent[doc.doc_id] + sigma * normal_from(group, key[doc.doc_id])
             for label, doc in zip(request.labels, docs)
         }
 
@@ -228,7 +226,11 @@ class OracleScorer(Scorer):
                 chars += len(doc.text)
                 parts.append(doc.doc_id)
             key = tuple(parts)
-        state = self._state_for(request.query.id)
+        state = self._state
+        if state.query_id != request.query.id:
+            # replaced in one assignment, so that concurrent callers never
+            # see one query's state under another query's id
+            state = self._state = _QueryState(request.query.id, self._seed, self.latent)
         memo = state.memo
         logits = memo.get(key)
         if logits is None:

@@ -7,7 +7,7 @@ from click.testing import CliRunner
 from refrank import cli as cli_module
 from refrank.cli import cli
 from refrank.datamodel import CallLedger
-from refrank.scorer import OracleScorer
+from refrank.scorer import OracleScorer, Scorer
 
 from synth import make_synth, shortest_last, write_experiment_files
 
@@ -406,8 +406,24 @@ def test_a_setting_the_last_and_shortest_list_cannot_take_makes_no_judge_call(
     assert not (tmp_path / "out").exists()
 
 
+def test_trying_every_strategy_on_the_shortest_list_judges_nothing(monkeypatch):
+    # on a 100-doc list pairwise-allpairs alone would judge n(n-1) = 9,900 pairs
+    scored = []
+    score = Scorer.score
+
+    def counted(self, request):
+        scored.append(request.kind)
+        return score(self, request)
+
+    monkeypatch.setattr(Scorer, "score", counted)
+    options = dict(m=5, weights=None, ref_index=1, ref_topk=None, seed=1, k=10, children=3)
+    rankers = [make(**options) for make in cli_module.STRATEGIES.values()]
+    cli_module._try_rankers(rankers, make_synth(2, 100, seed=3).lists)
+    assert scored == []
+
+
 class TestAnalyze:
-    def test_sweeps_share_each_querys_judgments(self, tmp_path, monkeypatch):
+    def test_sweeps_share_each_querys_judgments(self, tmp_path, monkeypatch, ledgers):
         # 8 queries x 100 docs, anchors 1..5 in both sweeps: 500 distinct
         # (doc, anchor) judgments per query behind 2,000 counted calls
         paths = write_experiment_files(make_synth(8, 100, 3), tmp_path / "data")
@@ -421,15 +437,7 @@ class TestAnalyze:
 
             return judge
 
-        ledgers = []
-
-        class KeptLedger(CallLedger):
-            def __init__(self):
-                super().__init__()
-                ledgers.append(self)
-
         monkeypatch.setattr(OracleScorer, "_JUDGES", {kind: counted(kind) for kind in judges})
-        monkeypatch.setattr(cli_module, "CallLedger", KeptLedger)
         result = invoke(["analyze", *input_args(paths), "--qrels", str(paths[3]),
                          "--out", str(tmp_path / "out"), "--ref-topk", "5", "--m", "5",
                          "--seed", "1"])

@@ -1,3 +1,4 @@
+import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -55,6 +56,11 @@ class TestBuildRanking:
         scored = [(doc("late"), 0.5), (doc("top"), 0.9), (doc("early"), 0.5)]
         assert build_ranking("q", scored).doc_ids == ("top", "late", "early")
         assert build_ranking("q", scored[::-1]).doc_ids == ("top", "early", "late")
+        # 0.0 == -0.0, so the zeros tie: each keeps its sign and its place
+        scores = {"a": 0.0, "b": -0.0, "c": 1.0, "d": -0.0, "e": 0.0, "f": -1.0, "g": 1.0}
+        ranking = build_ranking("q", [(doc(doc_id), score) for doc_id, score in scores.items()])
+        assert ranking.doc_ids == ("c", "g", "a", "b", "d", "e", "f")
+        assert [math.copysign(1.0, score) for score in ranking.scores] == [1, 1, 1, -1, -1, 1, -1]
 
     def test_nonfinite_score_rejected(self):
         with pytest.raises(ValidationError):
@@ -87,6 +93,23 @@ class TestRankingValidation:
         with pytest.raises(DuplicateDocError):
             Ranking("q", ("a", "a"), (1.0, 0.5))
 
+    @pytest.mark.parametrize("doc_ids, scores, error, message", [
+        (("a", "b", "a", "c"), (3.0, 2.0, 1.0, math.nan), DuplicateDocError,
+         "duplicate doc_id 'a' (ranking q)"),
+        (("a", "b", "c", "b"), (3.0, math.inf, 1.0, 0.5), ValidationError,
+         "ranking for 'q': non-finite score for 'b'"),
+        (("a", "b", "c", "d"), (3.0, 1.0, 2.0, 4.0), ValidationError,
+         "ranking for 'q': scores increase between ranks 2 and 3"),
+        (("a", "b", "c", "b"), (1.0, 2.0, 3.0, 0.0), DuplicateDocError,
+         "duplicate doc_id 'b' (ranking q)"),
+    ], ids=["duplicate-then-nonfinite", "nonfinite-then-duplicate", "increasing",
+            "duplicate-beats-increasing"])
+    def test_the_first_offender_is_named(self, doc_ids, scores, error, message):
+        with pytest.raises(ValidationError) as exc:
+            Ranking("q", doc_ids, scores)
+        assert type(exc.value) is error
+        assert str(exc.value) == message
+
     @pytest.mark.parametrize("scores", [(1.0,), (1.0, 0.5, 0.2)])
     def test_one_score_per_doc(self, scores):
         with pytest.raises(ValidationError, match="2 doc ids but"):
@@ -110,9 +133,11 @@ class TestQrels:
                 Qrels({"q1": {"d1": grade}})
 
     def test_max_grade(self):
-        qrels = Qrels({"q1": {"a": 1, "b": 3}})
+        qrels = Qrels({"q1": {"a": 1, "b": 3}, "zeros": {"a": 0, "b": 0}, "empty": {}})
         assert qrels.max_grade("q1") == 3
         assert qrels.max_grade("missing") == 0
+        assert qrels.max_grade("zeros") == 0
+        assert qrels.max_grade("empty") == 0
 
 
 class TestCallLedger:

@@ -62,6 +62,11 @@ class TestNdcg:
         qrels = Qrels({"q1": {"d1": 0, "d2": 0}})
         assert ndcg_at_k(ranking_of(["d1", "d2"]), qrels) == 0.0
 
+    def test_grades_judged_out_of_order_and_an_empty_query(self):
+        qrels = Qrels({"q1": {"d2": 1, "d1": 3, "d3": 0}, "empty": {}})
+        assert ndcg_for_doc_ids("q1", ["d2", "d1", "d3"], qrels) == 0.7098097413968655
+        assert ndcg_for_doc_ids("empty", ["d1", "d2"], qrels) == 0.0
+
     def test_idcg_counts_unretrieved_judged_docs(self):
         # judged doc "missing" never retrieved: ideal includes it, so a
         # perfect-on-retrieved ranking still scores below 1

@@ -213,11 +213,12 @@ class TestParseQueries:
         with pytest.raises(ParseError, match=r"q\.tsv:2: duplicate query id 'q1'"):
             parse_queries_tsv(path)
 
-    def test_empty_text_is_validation_error(self, tmp_path):
+    def test_blank_text_is_a_parse_error_naming_its_line(self, tmp_path):
         path = tmp_path / "q.tsv"
-        path.write_text("q1\t \n")
-        with pytest.raises(ValidationError):
+        path.write_text("q0\tfine\nq1\t \n")
+        with pytest.raises(ParseError, match=r"q\.tsv:2: query 'q1': text is empty$") as exc:
             parse_queries_tsv(path)
+        assert (exc.value.path, exc.value.line_number) == (str(path), 2)
 
     def test_blank_line_skipped_and_counted(self, tmp_path):
         path = tmp_path / "q.tsv"

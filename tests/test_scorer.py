@@ -22,7 +22,15 @@ from click.testing import CliRunner
 
 import refrank
 from refrank import cli as cli_module
-from refrank._seeded import prefix, prefixed_normal, stable_digest, std_normal, unit_uniform
+from refrank._seeded import (
+    encode,
+    normal_from,
+    prefix,
+    prefixed_normal,
+    stable_digest,
+    std_normal,
+    unit_uniform,
+)
 from refrank.cli import STRATEGIES, cli
 from refrank.datamodel import DocCandidate, HarnessError, Qrels, Query, ValidationError
 from refrank.scorer import llm
@@ -80,6 +88,29 @@ class TestRequests:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValidationError):
             JudgeRequest("quartet", QUERY, (doc("a"), doc("b")))
+
+    @pytest.mark.parametrize("kind, count, message", [
+        ("quartet", 2, "unknown request kind 'quartet'"),
+        ("pointwise", 0, "pointwise request takes 1 documents, got 0"),
+        ("pointwise", 2, "pointwise request takes 1 documents, got 2"),
+        ("triplet", 1, "triplet request takes 2 documents, got 1"),
+        ("triplet", 3, "triplet request takes 2 documents, got 3"),
+        ("duel", 0, "duel request takes 2 documents, got 0"),
+        ("duel", 3, "duel request takes 2 documents, got 3"),
+        ("setwise", 1, "setwise request takes 2..26 documents, got 1"),
+        ("setwise", 27, "setwise request takes 2..26 documents, got 27"),
+    ])
+    def test_refusal_messages(self, kind, count, message):
+        with pytest.raises(ValidationError) as exc:
+            JudgeRequest(kind, QUERY, tuple(doc(f"d{i}") for i in range(count)))
+        assert str(exc.value) == message
+
+    def test_a_request_is_frozen_and_slotted(self):
+        request = JudgeRequest(kind="duel", query=QUERY, docs=(doc("a"), doc("b")))
+        assert request == JudgeRequest("duel", QUERY, (doc("a"), doc("b")))
+        assert not hasattr(request, "__dict__")
+        with pytest.raises(AttributeError):
+            request.kind = "triplet"
 
     def test_setwise_labels(self):
         request = JudgeRequest("setwise", QUERY, (doc("a"), doc("b"), doc("c")))
@@ -353,6 +384,7 @@ class TestSeededDraws:
         assert prefixed_normal(state, *parts[split:]) == std_normal(*parts)
         # the prefix is copied, not consumed
         assert prefixed_normal(state, *parts[split:]) == std_normal(*parts)
+        assert normal_from(state, encode(*parts[split:])) == std_normal(*parts)
 
 
 class TestOracleDraws:
@@ -401,6 +433,23 @@ class TestOracleDraws:
             for label, d in zip("ABCD", docs)
         }
 
+    def test_pinned_judgments(self):
+        # one judgment of each kind under noise, bias and reference noise,
+        # each value pinned bit for bit
+        oracle = self.oracle(noise_sigma=0.5, bias_amplitude=0.3, ref_noise_scale=0.8)
+        requests = {"pointwise": ("é",), "triplet": ("文档", "a"), "duel": ("b🙂", "a"),
+                    "setwise": self.IDS}
+        assert {
+            kind: oracle.score(JudgeRequest(kind, self.QUERY, tuple(map(doc, ids))))
+            for kind, ids in requests.items()
+        } == {
+            "pointwise": {"yes": 0.19476061362422165, "no": -0.19476061362422165},
+            "triplet": {"A": 0.7688581293554791, "B": 0.7811418706445209},
+            "duel": {"A": 0.1487502906458804, "B": 0.8512497093541196},
+            "setwise": {"A": 1.1066635672365297, "B": -0.18567803647380376,
+                        "C": 0.276998961434369, "D": 0.03146903531868217},
+        }
+
     def test_overlapping_setwise_groups_draw_under_their_own_keys(self):
         # the groups share two members; a group prefix carried over from the
         # first group would give the shared members the same draws twice
@@ -434,7 +483,7 @@ class TestOracleLatentTable:
         ids = ("a", "é", "文档")
         for doc_id in ids:
             oracle.score(JudgeRequest("pointwise", QUERY, (doc(doc_id),)))
-        assert oracle._state_for("q1").latent == {
+        assert oracle._state.latent == {
             doc_id: unit_uniform("7", "latent", "q1", doc_id) for doc_id in ids
         }
 
