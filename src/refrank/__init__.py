@@ -8,7 +8,6 @@ from .datamodel import (
     CallLedger,
     CandidateList,
     DocCandidate,
-    DuplicateDocError,
     HarnessError,
     Qrels,
     Query,
@@ -21,7 +20,6 @@ __all__ = [
     "CallLedger",
     "CandidateList",
     "DocCandidate",
-    "DuplicateDocError",
     "HarnessError",
     "Qrels",
     "Query",

@@ -7,7 +7,9 @@ named strategy reads is a usage error, and so is an endpoint-only flag
 backend; --concurrency is at least 1. The oracle needs --seed, the endpoint
 --endpoint-url and --model. Every usage error is raised before any input is
 read, a setting out of range for any list before the first judge call, and
-any refusal before bench prints a line.
+any refusal before bench prints a line. rerank and bench find such a
+setting by starting each strategy on the shortest list with a stand-in
+judge that stops it at its first call, so nothing is judged.
 Every rerank run writes a config snapshot into its report: the options the
 run read, the seed, and the package version. Re-running with the same
 configuration and seed reproduces the run file byte for byte under the

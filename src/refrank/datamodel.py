@@ -35,17 +35,6 @@ class ValidationError(HarnessError):
     """A domain invariant was violated."""
 
 
-class DuplicateDocError(ValidationError):
-    """The same doc_id appeared twice where uniqueness is required."""
-
-    def __init__(self, doc_id: str, context: str = ""):
-        self.doc_id = doc_id
-        message = f"duplicate doc_id {doc_id!r}"
-        if context:
-            message += f" ({context})"
-        super().__init__(message)
-
-
 @dataclass(frozen=True)
 class Query:
     """A search query: stable identifier plus verbatim text."""
@@ -97,15 +86,13 @@ class CandidateList:
         seen: set[str] = set()
         for doc in self.docs:
             if doc.doc_id in seen:
-                raise DuplicateDocError(doc.doc_id, context=f"query {self.query.id}")
+                raise ValidationError(
+                    f"duplicate doc_id {doc.doc_id!r} (query {self.query.id})"
+                )
             seen.add(doc.doc_id)
 
     def __len__(self) -> int:
         return len(self.docs)
-
-    @property
-    def doc_ids(self) -> tuple[str, ...]:
-        return tuple(doc.doc_id for doc in self.docs)
 
 
 @dataclass(frozen=True)
@@ -142,7 +129,9 @@ class Ranking:
                         f"ranking for {self.query_id!r}: non-finite score for {doc_id!r}"
                     )
                 if doc_id in seen:
-                    raise DuplicateDocError(doc_id, context=f"ranking {self.query_id}")
+                    raise ValidationError(
+                        f"duplicate doc_id {doc_id!r} (ranking {self.query_id})"
+                    )
                 seen.add(doc_id)
         if not all(map(ge, scores, scores[1:])):
             for rank, (left, right) in enumerate(zip(scores, scores[1:]), start=1):

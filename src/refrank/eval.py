@@ -75,13 +75,6 @@ def ndcg_at_k(
     return ndcg_for_doc_ids(ranking.query_id, ranking.doc_ids, qrels, config)
 
 
-def mean_metric(per_query: Mapping[str, float]) -> float:
-    """Arithmetic mean of per-query metric values."""
-    if not per_query:
-        raise ValidationError("cannot average a metric over zero queries")
-    return sum(per_query.values()) / len(per_query)
-
-
 @dataclass
 class EvalReport:
     """Per-query metric values plus the mean over judged queries.
@@ -106,7 +99,7 @@ def _evaluate(rows, ndcg, config: MetricConfig, qrels: Qrels) -> EvalReport:
             per_query[query_id] = ndcg(query_id, ranked)
         else:
             unjudged += 1
-    mean = mean_metric(per_query) if per_query else 0.0
+    mean = sum(per_query.values()) / len(per_query) if per_query else 0.0
     return EvalReport(config.name, per_query, mean, len(per_query), unjudged)
 
 

@@ -46,19 +46,6 @@ class ParseError(HarnessError):
         super().__init__(f"{path}:{line_number}: {message}")
 
 
-class MissingDocsError(HarnessError):
-    """Run docs could not be resolved in the corpus."""
-
-    def __init__(self, missing: Sequence[str]):
-        self.missing = sorted(missing)
-        preview = ", ".join(self.missing[:10])
-        if len(self.missing) > 10:
-            preview += ", ..."
-        super().__init__(
-            f"{len(self.missing)} run doc(s) missing from corpus: {preview}"
-        )
-
-
 @dataclass
 class ParseWarnings:
     """Counts of tolerated oddities seen while parsing."""
@@ -263,11 +250,12 @@ def assemble_experiment(
             "run queries missing from queries file: " + ", ".join(sorted(missing_queries))
         )
     kept = {query_id: doc_ids[:depth] for query_id, doc_ids in run.items()}
-    missing_docs = {
+    missing_docs = sorted({
         doc_id for doc_ids in kept.values() for doc_id in doc_ids if doc_id not in corpus
-    }
+    })
     if missing_docs:
-        raise MissingDocsError(sorted(missing_docs))
+        preview = ", ".join(missing_docs[:10]) + (", ..." if len(missing_docs) > 10 else "")
+        raise HarnessError(f"{len(missing_docs)} run doc(s) missing from corpus: {preview}")
 
     lists: list[CandidateList] = []
     for query_id, doc_ids in kept.items():

@@ -75,6 +75,13 @@ class FixedIndex:
         if self.r < 1:
             raise ValidationError(f"reference index must be >= 1, got {self.r}")
 
+    def pick(self, candidates: CandidateList) -> DocCandidate:
+        """The anchor for this query: the document at rank r."""
+        n = len(candidates)
+        if self.r > n:
+            raise ValidationError(f"reference index {self.r} exceeds list length {n}")
+        return candidates.docs[self.r - 1]
+
 
 @dataclass(frozen=True)
 class RandomTopK:
@@ -91,24 +98,13 @@ class RandomTopK:
         if self.k < 1:
             raise ValidationError(f"top-k must be >= 1, got {self.k}")
 
-
-RefPolicy = FixedIndex | RandomTopK
-
-
-def resolve_reference(candidates: CandidateList, policy: RefPolicy) -> DocCandidate:
-    """Pick the anchor document a policy names for this query."""
-    n = len(candidates)
-    if isinstance(policy, FixedIndex):
-        if policy.r > n:
-            raise ValidationError(
-                f"reference index {policy.r} exceeds list length {n}"
-            )
-        return candidates.docs[policy.r - 1]
-    if policy.k > n:
-        raise ValidationError(f"reference top-k {policy.k} exceeds list length {n}")
-    u = unit_uniform(str(policy.seed), "reference-pick", candidates.query.id)
-    rank = 1 + min(int(u * policy.k), policy.k - 1)
-    return candidates.docs[rank - 1]
+    def pick(self, candidates: CandidateList) -> DocCandidate:
+        """The anchor for this query: the document at a drawn rank in 1..k."""
+        n = len(candidates)
+        if self.k > n:
+            raise ValidationError(f"reference top-k {self.k} exceeds list length {n}")
+        u = unit_uniform(str(self.seed), "reference-pick", candidates.query.id)
+        return candidates.docs[min(int(u * self.k), self.k - 1)]
 
 
 @dataclass(frozen=True)
@@ -217,16 +213,16 @@ def rank_pointwise(candidates: CandidateList, scorer: Scorer) -> Ranking:
 def rank_refrank_single(
     candidates: CandidateList,
     scorer: Scorer,
-    policy: RefPolicy = FixedIndex(1),
+    policy: FixedIndex | RandomTopK = FixedIndex(1),
 ) -> Ranking:
-    """Score every document against one anchor; exactly n triplet calls.
+    """Score every document against the anchor policy.pick names; n triplet calls.
 
     The anchor is scored too (its triplet pairs it with itself), keeping the
     call count at n with no special-cased score; a symmetric judge gives the
     self-pair 0.5, so the anchor's final rank rests on the tie-break. This
     is the one-anchor ensemble with weight 1.0.
     """
-    rows = anchor_rows(candidates, (resolve_reference(candidates, policy),))
+    rows = anchor_rows(candidates, (policy.pick(candidates),))
     return weighted_ranking(candidates, anchor_scores(rows, scorer), (1.0,))
 
 

@@ -10,7 +10,6 @@ from refrank.datamodel import (
     CallLedger,
     CandidateList,
     DocCandidate,
-    DuplicateDocError,
     Qrels,
     Query,
     Ranking,
@@ -37,9 +36,8 @@ class TestQuery:
 class TestCandidateList:
     def test_duplicate_doc_id(self):
         docs = [doc("d7"), doc("d7")]
-        with pytest.raises(DuplicateDocError) as exc:
-            CandidateList(Query("q", "t"), docs)
-        assert exc.value.doc_id == "d7"
+        with pytest.raises(ValidationError, match=r"^duplicate doc_id 'd7' \(query q1\)$"):
+            CandidateList(Query("q1", "t"), docs)
 
     def test_empty(self):
         with pytest.raises(ValidationError):
@@ -90,24 +88,24 @@ class TestRankingValidation:
             Ranking("q", ("a", "b"), (0.1, 0.5))
 
     def test_duplicate_doc(self):
-        with pytest.raises(DuplicateDocError):
-            Ranking("q", ("a", "a"), (1.0, 0.5))
+        with pytest.raises(ValidationError, match=r"^duplicate doc_id 'a' \(ranking q1\)$"):
+            build_ranking("q1", [(doc("a"), 1.0), (doc("a"), 0.5)])
 
-    @pytest.mark.parametrize("doc_ids, scores, error, message", [
-        (("a", "b", "a", "c"), (3.0, 2.0, 1.0, math.nan), DuplicateDocError,
+    @pytest.mark.parametrize("doc_ids, scores, message", [
+        (("a", "b", "a", "c"), (3.0, 2.0, 1.0, math.nan),
          "duplicate doc_id 'a' (ranking q)"),
-        (("a", "b", "c", "b"), (3.0, math.inf, 1.0, 0.5), ValidationError,
+        (("a", "b", "c", "b"), (3.0, math.inf, 1.0, 0.5),
          "ranking for 'q': non-finite score for 'b'"),
-        (("a", "b", "c", "d"), (3.0, 1.0, 2.0, 4.0), ValidationError,
+        (("a", "b", "c", "d"), (3.0, 1.0, 2.0, 4.0),
          "ranking for 'q': scores increase between ranks 2 and 3"),
-        (("a", "b", "c", "b"), (1.0, 2.0, 3.0, 0.0), DuplicateDocError,
+        (("a", "b", "c", "b"), (1.0, 2.0, 3.0, 0.0),
          "duplicate doc_id 'b' (ranking q)"),
     ], ids=["duplicate-then-nonfinite", "nonfinite-then-duplicate", "increasing",
             "duplicate-beats-increasing"])
-    def test_the_first_offender_is_named(self, doc_ids, scores, error, message):
+    def test_the_first_offender_is_named(self, doc_ids, scores, message):
         with pytest.raises(ValidationError) as exc:
             Ranking("q", doc_ids, scores)
-        assert type(exc.value) is error
+        assert type(exc.value) is ValidationError
         assert str(exc.value) == message
 
     @pytest.mark.parametrize("scores", [(1.0,), (1.0, 0.5, 0.2)])

@@ -8,7 +8,6 @@ from refrank.eval import (
     MetricConfig,
     evaluate_rankings,
     evaluate_run_map,
-    mean_metric,
     ndcg_at_k,
     ndcg_for_doc_ids,
 )
@@ -126,15 +125,18 @@ class TestNdcg:
 
 
 class TestMeanMetric:
+    """The report's mean is the arithmetic mean over judged queries."""
+
     def test_mean(self):
-        assert mean_metric({"q1": 1.0, "q2": 0.0}) == 0.5
+        qrels = Qrels({"q1": {"a": 1}, "q2": {"b": 1}})
+        report = evaluate_run_map({"q1": ["a"], "q2": ["c"]}, qrels)
+        assert report.per_query == {"q1": 1.0, "q2": 0.0}
+        assert report.mean == 0.5
 
     def test_single(self):
-        assert mean_metric({"q1": 0.7}) == 0.7
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            mean_metric({})
+        qrels = Qrels({"q1": {"a": 1, "b": 2}})
+        report = evaluate_run_map({"q1": ["a", "b"]}, qrels)
+        assert report.mean == report.per_query["q1"] == ndcg_for_doc_ids("q1", ["a", "b"], qrels)
 
 
 class TestEvaluateRankings:

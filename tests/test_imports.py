@@ -1,11 +1,15 @@
-"""Every module-level import in the package and its tests is read or listed in __all__.
+"""Every module-level import in the package and its tests is read or listed in
+__all__, and every exception class the package defines is raised in it.
 
-A static check with the standard library's ast: a name bound by an import
+Static checks with the standard library's ast. A name bound by an import
 at module level (``from __future__`` aside) must appear as a loaded name
-somewhere in its module, or be listed in the module's ``__all__``.
+somewhere in its module, or be listed in the module's ``__all__``. A class
+that derives, directly or through other package classes, from a built-in
+exception must be named by some ``raise`` statement in the package.
 """
 
 import ast
+import builtins
 from pathlib import Path
 
 import pytest
@@ -87,3 +91,53 @@ def test_the_check_sees_an_unused_import():
 
 def test_the_package_has_modules_to_check():
     assert PACKAGE / "cli.py" in MODULES and PACKAGE / "scorer" / "llm.py" in MODULES
+
+
+def _is_builtin_exception(name: str) -> bool:
+    value = getattr(builtins, name, None)
+    return isinstance(value, type) and issubclass(value, BaseException)
+
+
+def exceptions_never_raised(sources) -> list[str]:
+    """Exception classes defined in the sources that no raise statement names."""
+    bases: dict[str, list[str]] = {}
+    raised: set[str] = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = [base.id for base in node.bases if isinstance(base, ast.Name)]
+            elif isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    exceptions: set[str] = set()
+    grew = True
+    while grew:
+        found = {
+            name for name, names in bases.items()
+            if any(base in exceptions or _is_builtin_exception(base) for base in names)
+        }
+        grew = found != exceptions
+        exceptions = found
+    return sorted(exceptions - raised)
+
+
+def test_every_exception_class_is_raised():
+    assert exceptions_never_raised(path.read_text(encoding="utf-8") for path in MODULES) == []
+
+
+def test_the_check_sees_an_exception_never_raised():
+    source = (
+        "class BaseError(Exception): pass\n"
+        "class UnusedError(BaseError): pass\n"
+        "class UsedError(BaseError): pass\n"
+        "class Bare(ValueError): pass\n"
+        "class Plain: pass\n"
+        "def f():\n"
+        "    raise BaseError('x')\n"
+        "def g():\n"
+        "    raise Bare from None\n"
+        "def h():\n"
+        "    raise UsedError()\n"
+    )
+    assert exceptions_never_raised([source]) == ["UnusedError"]

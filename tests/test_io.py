@@ -12,7 +12,6 @@ from refrank.datamodel import (
     build_ranking,
 )
 from refrank.io import (
-    MissingDocsError,
     ParseError,
     ParseWarnings,
     _check_token,
@@ -321,27 +320,35 @@ class TestAssembleExperiment:
         run_path, corpus_path, queries_path = self.write_inputs(tmp_path, n_docs=5)
         lists = assemble_experiment(run_path, corpus_path, queries_path, depth=3)
         assert len(lists) == 1
-        assert lists[0].doc_ids == ("d1", "d2", "d3")
+        assert [doc.doc_id for doc in lists[0].docs] == ["d1", "d2", "d3"]
 
     def test_missing_doc_in_corpus(self, tmp_path):
         run_path, corpus_path, queries_path = self.write_inputs(
             tmp_path, n_docs=3, extra_run_doc="d99"
         )
-        with pytest.raises(MissingDocsError) as exc:
+        with pytest.raises(HarnessError, match=r"^1 run doc\(s\) missing from corpus: d99$"):
             assemble_experiment(run_path, corpus_path, queries_path, depth=10)
-        assert exc.value.missing == ["d99"]
 
-    def test_missing_docs_message_names_the_first_ten(self):
-        missing = [f"d{i:02d}" for i in range(12)]
-        message = str(MissingDocsError(reversed(missing)))
-        assert message == f"12 run doc(s) missing from corpus: {', '.join(missing[:10])}, ..."
+    def test_missing_docs_message_names_the_first_ten(self, tmp_path):
+        # twelve ids the corpus lacks, given in reverse: the message sorts them
+        missing = [f"x{i:02d}" for i in range(12)]
+        run_path, corpus_path, queries_path = self.write_inputs(tmp_path, n_docs=3)
+        with open(run_path, "a") as handle:
+            for rank, doc_id in enumerate(reversed(missing), start=4):
+                handle.write(f"q1 Q0 {doc_id} {rank} 0.5 bm25\n")
+        with pytest.raises(HarnessError) as exc:
+            assemble_experiment(run_path, corpus_path, queries_path, depth=20)
+        assert str(exc.value) == (
+            "12 run doc(s) missing from corpus: "
+            "x00, x01, x02, x03, x04, x05, x06, x07, x08, x09, ..."
+        )
 
     def test_truncation_happens_before_coverage_check(self, tmp_path):
         run_path, corpus_path, queries_path = self.write_inputs(
             tmp_path, n_docs=3, extra_run_doc="d99"
         )
         lists = assemble_experiment(run_path, corpus_path, queries_path, depth=3)
-        assert lists[0].doc_ids == ("d1", "d2", "d3")
+        assert [doc.doc_id for doc in lists[0].docs] == ["d1", "d2", "d3"]
 
     def test_depth_zero_rejected(self, tmp_path):
         run_path, corpus_path, queries_path = self.write_inputs(tmp_path)

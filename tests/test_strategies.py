@@ -23,7 +23,6 @@ from refrank.strategies import (
     rank_refrank_single,
     rank_setwise_heapsort,
     refrank_score,
-    resolve_reference,
 )
 
 from synth import make_synth, write_experiment_files
@@ -36,6 +35,10 @@ def fixture_list(n_docs=12, seed=3, rank_correlation=0.0):
 
 def oracle_for(latents, seed=5, **kwargs):
     return OracleScorer(OracleConfig(seed=seed, **kwargs), latents=latents)
+
+
+def first_stage_ids(cl: CandidateList) -> tuple[str, ...]:
+    return tuple(doc.doc_id for doc in cl.docs)
 
 
 def ideal_order(cl: CandidateList, latents) -> tuple[str, ...]:
@@ -102,14 +105,14 @@ class TestCallCounts:
         scorer = oracle_for(latents)
         ranking = rank_setwise_heapsort(cl, scorer, c=3, k=1)
         assert scorer.ledger.count("setwise") == 0
-        assert ranking.doc_ids == cl.doc_ids
+        assert ranking.doc_ids == first_stage_ids(cl)
 
     def test_allpairs_single_doc_zero_calls(self):
         cl, latents = fixture_list(1)
         scorer = oracle_for(latents)
         ranking = rank_pairwise_allpairs(cl, scorer)
         assert scorer.ledger.total_calls == 0
-        assert ranking.doc_ids == cl.doc_ids
+        assert ranking.doc_ids == first_stage_ids(cl)
 
 
 class NoisyDuelJudge(Scorer):
@@ -204,7 +207,7 @@ class TestNoiselessBehavior:
     def test_constant_judge_keeps_first_stage_order(self, name, run):
         # every score ties, so the ranking is the candidate list's own order
         cl, _ = fixture_list(9)
-        assert run(cl, ConstantJudge(), len(cl)).doc_ids == cl.doc_ids
+        assert run(cl, ConstantJudge(), len(cl)).doc_ids == first_stage_ids(cl)
 
     def test_all_strategies_agree(self):
         cl, latents = fixture_list(12, seed=11)
@@ -217,7 +220,7 @@ class TestNoiselessBehavior:
     def test_single_doc_list(self):
         cl, latents = fixture_list(1)
         ranking = rank_pointwise(cl, oracle_for(latents))
-        assert ranking.doc_ids == cl.doc_ids
+        assert ranking.doc_ids == first_stage_ids(cl)
 
     def test_refrank_reference_choice_is_irrelevant_noiselessly(self):
         cl, latents = fixture_list(10, seed=2)
@@ -262,7 +265,7 @@ class TestProperties:
         cl, latents = fixture_list(13, seed=21)
         scorer = oracle_for(latents, noise_sigma=0.6)
         ranking = run(cl, scorer, len(cl))
-        assert sorted(ranking.doc_ids) == sorted(cl.doc_ids)
+        assert sorted(ranking.doc_ids) == sorted(first_stage_ids(cl))
 
     @pytest.mark.parametrize("name,run", ALL_STRATEGIES)
     def test_input_order_invariance(self, name, run, tmp_path):
@@ -404,38 +407,57 @@ class TestEnsembleConfig:
 
 
 class TestResolveReference:
+    """Each policy resolves a query's anchor itself, through pick."""
+
     def test_fixed_index(self):
         cl, _ = fixture_list(10)
-        assert resolve_reference(cl, FixedIndex(1)) is cl.docs[0]
-        assert resolve_reference(cl, FixedIndex(7)) is cl.docs[6]
+        assert FixedIndex(1).pick(cl) is cl.docs[0]
+        assert FixedIndex(7).pick(cl) is cl.docs[6]
 
     def test_fixed_index_out_of_range(self):
         cl, _ = fixture_list(5)
-        with pytest.raises(ValidationError):
-            resolve_reference(cl, FixedIndex(6))
+        with pytest.raises(ValidationError, match=r"^reference index 6 exceeds list length 5$"):
+            FixedIndex(6).pick(cl)
 
     def test_random_topk_deterministic_per_query(self):
         cl, _ = fixture_list(10)
-        first = resolve_reference(cl, RandomTopK(2, seed=7))
-        second = resolve_reference(cl, RandomTopK(2, seed=7))
+        first = RandomTopK(2, seed=7).pick(cl)
+        second = RandomTopK(2, seed=7).pick(cl)
         assert first.doc_id == second.doc_id
 
     def test_random_topk_out_of_range(self):
         cl, _ = fixture_list(5)
-        with pytest.raises(ValidationError):
-            resolve_reference(cl, RandomTopK(6, seed=0))
+        with pytest.raises(ValidationError, match=r"^reference top-k 6 exceeds list length 5$"):
+            RandomTopK(6, seed=0).pick(cl)
+
+    @pytest.mark.parametrize("policy, query_id, expected", [
+        (FixedIndex(1), "q1", "a"),
+        (FixedIndex(4), "q2", "d"),
+        (FixedIndex(6), "q7", "f"),
+        (RandomTopK(1, seed=5), "q1", "a"),
+        (RandomTopK(2, seed=0), "q1", "b"),
+        (RandomTopK(3, seed=0), "q1", "c"),
+        (RandomTopK(6, seed=7), "q1", "f"),
+        (RandomTopK(5, seed=1), "q2", "a"),
+        (RandomTopK(6, seed=7), "q7", "d"),
+        (RandomTopK(4, seed=123), "1048585", "a"),
+        (RandomTopK(5, seed=1), "query-42", "e"),
+    ], ids=str)
+    def test_pinned_anchor(self, policy, query_id, expected):
+        # literal ids: a change to RandomTopK's draw key or rank mapping moves them
+        cl = CandidateList(Query(query_id, "t"), [DocCandidate(d, "text") for d in "abcdef"])
+        assert policy.pick(cl).doc_id == expected
 
     def test_random_topk_frequencies_near_uniform(self):
         # chi-square style check over 10,000 seeded queries: each of the top-2
         # ranks should be drawn with frequency 0.5 +/- 0.05
-        data = make_synth(1, 4, seed=1)
         counts = {1: 0, 2: 0}
+        policy = RandomTopK(2, seed=123)
         for i in range(10_000):
             query = Query(f"q{i}", "t")
             docs = [DocCandidate(f"q{i}_d{j}", "text") for j in range(4)]
             cl = CandidateList(query, docs)
-            chosen = resolve_reference(cl, RandomTopK(2, seed=123))
-            counts[cl.docs.index(chosen) + 1] += 1
+            counts[cl.docs.index(policy.pick(cl)) + 1] += 1
         for rank in (1, 2):
             assert abs(counts[rank] / 10_000 - 0.5) < 0.05
 
