@@ -7,13 +7,15 @@ random anchor from the top k deliver (the top-k curve: the prefix mean of
 the reference sweep, one value per reference cell)? And what does averaging
 scores over the top-m anchors buy (ensemble sweep, one cell per m)?
 
-Each sweep builds a list's triplet request rows once, against its top
-depth_r or m_max anchors (strategies.anchor_rows), and derives every cell
-from them: reference cell r scores column r with weight 1.0, ensemble cell
-m scores the first m columns with weights 1/m. Each cell is still a full
-RefRank run, with one doc-major score_batch of its own, so a cell makes
-the same judge calls, in the same order, and gets the same ranking as
-rank_refrank_single(FixedIndex(r)) or rank_refrank_multiple(EnsembleConfig(m)).
+sweep_anchors runs both sweeps in one pass over the lists. Each list's
+triplet request rows are built once, against its top max(depth) anchors
+(strategies.anchor_rows), and all of its cells run before the next list's,
+so the oracle still remembers that query's judgments when a later cell
+makes them again. Reference cell r scores column r with weight 1.0,
+ensemble cell m the first m columns with weights 1/m. Each cell is still a
+full RefRank run, with one doc-major score_batch of its own, so a cell
+makes the same judge calls, in the same order, and gets the same ranking
+as rank_refrank_single(FixedIndex(r)) or rank_refrank_multiple(EnsembleConfig(m)).
 Cells are run, and results reduced, in (query, cell) order, so identical
 seeds and configs reproduce a SweepResult bit for bit.
 A SweepResult holds the per-query rows and their mean; write_curve_csv
@@ -80,24 +82,31 @@ def check_sweep_depth(lists: Sequence[CandidateList], depth: int, name: str) -> 
         raise ValidationError(f"{name}={depth} must be within 1..{shortest} (shortest list)")
 
 
-def _sweep(lists, scorer, qrels, depth, cell_columns, metric, kind) -> SweepResult:
-    """Cells 1..depth; cell_columns(cell) gives a cell's (column slice, weights).
+# Each sweep kind's cell -> (column slice, weights) of the anchor rows.
+_CELLS = {
+    "reference": lambda r: (slice(r - 1, r), (1.0,)),
+    "ensemble": lambda m: (slice(0, m), (1.0 / m,) * m),
+}
 
-    Each list's rows are built once, against its top depth anchors, and each
-    cell scores its columns of them in one batch.
-    """
-    cells = tuple(range(1, depth + 1))
-    columns = [cell_columns(cell) for cell in cells]
-    per_query = []
+
+def _sweep(lists, scorer, qrels, sweeps, metric) -> list[SweepResult]:
+    """One SweepResult per (kind, depth) in sweeps, cells 1..depth, in one pass over the lists."""
+    plans = [[_CELLS[kind](cell) for cell in range(1, depth + 1)] for kind, depth in sweeps]
+    deepest = max(depth for _, depth in sweeps)
+    per_query = [[] for _ in sweeps]
     for candidate_list in lists:
-        rows = anchor_rows(candidate_list, candidate_list.docs[:depth])
-        values = []
-        for span, weights in columns:
-            scores = anchor_scores([row[span] for row in rows], scorer)
-            ranking = weighted_ranking(candidate_list, scores, weights)
-            values.append(ndcg_at_k(ranking, qrels, metric))
-        per_query.append(tuple(values))
-    return SweepResult(kind, cells, tuple(per_query))
+        rows = anchor_rows(candidate_list, candidate_list.docs[:deepest])
+        for plan, sweep_rows in zip(plans, per_query):
+            values = []
+            for span, weights in plan:
+                scores = anchor_scores([row[span] for row in rows], scorer)
+                ranking = weighted_ranking(candidate_list, scores, weights)
+                values.append(ndcg_at_k(ranking, qrels, metric))
+            sweep_rows.append(tuple(values))
+    return [
+        SweepResult(kind, tuple(range(1, depth + 1)), tuple(rows))
+        for (kind, depth), rows in zip(sweeps, per_query)
+    ]
 
 
 def sweep_reference_quality(
@@ -109,9 +118,7 @@ def sweep_reference_quality(
 ) -> SweepResult:
     """Mean ranking quality when anchoring on first-stage rank r, r = 1..depth_r."""
     check_sweep_depth(lists, depth_r, "depth_r")
-    return _sweep(
-        lists, scorer, qrels, depth_r, lambda r: (slice(r - 1, r), (1.0,)), metric, "reference"
-    )
+    return _sweep(lists, scorer, qrels, [("reference", depth_r)], metric)[0]
 
 
 def sweep_topk_selection(sweep: SweepResult) -> list[float]:
@@ -132,9 +139,22 @@ def sweep_ensemble_size(
 ) -> SweepResult:
     """Mean ranking quality of the uniform top-m anchor ensemble, m = 1..m_max."""
     check_sweep_depth(lists, m_max, "m_max")
-    return _sweep(
-        lists, scorer, qrels, m_max, lambda m: (slice(0, m), (1.0 / m,) * m), metric, "ensemble"
-    )
+    return _sweep(lists, scorer, qrels, [("ensemble", m_max)], metric)[0]
+
+
+def sweep_anchors(
+    lists: Sequence[CandidateList],
+    scorer: Scorer,
+    qrels: Qrels,
+    depth_r: int,
+    m_max: int,
+    metric: MetricConfig = MetricConfig(),
+) -> tuple[SweepResult, SweepResult]:
+    """Both sweeps, to depth_r and m_max, in one pass: each list's rows are built once."""
+    check_sweep_depth(lists, depth_r, "depth_r")
+    check_sweep_depth(lists, m_max, "m_max")
+    sweeps = [("reference", depth_r), ("ensemble", m_max)]
+    return tuple(_sweep(lists, scorer, qrels, sweeps, metric))
 
 
 def write_curve_csv(values: Sequence[float], path) -> None:

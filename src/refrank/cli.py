@@ -6,8 +6,9 @@ named strategy reads is a usage error, and so is an endpoint-only flag
 (--endpoint-url, --model, --api-key-env, --template-dir) under the oracle
 backend; --concurrency is at least 1. The oracle needs --seed, the endpoint
 --endpoint-url and --model. Every usage error is raised before any input is
-read, a setting out of range for any list before the first judge call, and
-any refusal before bench prints a line. rerank and bench find such a
+read, and so is a bad --template-dir, which is loaded once per command; a
+setting out of range for any list is refused before the first judge call,
+and any refusal before bench prints a line. rerank and bench find such a
 setting by starting each strategy on the shortest list with a stand-in
 judge that stops it at its first call, so nothing is judged.
 Every rerank run writes a config snapshot into its report: the options the
@@ -37,16 +38,9 @@ import click
 from click.core import ParameterSource
 
 from . import __version__
-from .analysis import (
-    SweepResult,
-    check_sweep_depth,
-    sweep_ensemble_size,
-    sweep_reference_quality,
-    sweep_topk_selection,
-    write_curve_csv,
-)
-from .datamodel import CallLedger, HarnessError, Qrels
-from .eval import MetricConfig, evaluate_rankings, evaluate_run_map
+from .analysis import check_sweep_depth, sweep_anchors, sweep_topk_selection, write_curve_csv
+from .datamodel import CallLedger, HarnessError
+from .eval import GAIN_MODES, MetricConfig, evaluate_rankings, evaluate_run_map
 from .io import (
     ParseWarnings,
     assemble_experiment,
@@ -176,31 +170,29 @@ def _refuse_given(names, reason: str) -> None:
             raise click.UsageError(f"--{name.replace('_', '-')} {reason}")
 
 
-def _check_backend(options: dict) -> None:
-    """Every usage error of the chosen backend, raised before any input is read."""
+def _scorer_factory(options: dict):
+    """A (qrels, ledger) -> Scorer maker for the chosen backend.
+
+    Raises the backend's usage errors, and loads --template-dir, before any input is read.
+    """
     if options["backend"] == "oracle":
         _refuse_given(_ENDPOINT_ONLY, "is not read by the oracle backend")
-        _require_seed(options["seed"], "with the oracle backend")
-    elif not options["endpoint_url"] or not options["model"]:
+        oracle = OracleConfig(seed=_require_seed(options["seed"], "with the oracle backend"))
+        return lambda qrels, ledger: OracleScorer(oracle, qrels=qrels, ledger=ledger)
+    if not options["endpoint_url"] or not options["model"]:
         raise click.UsageError(
             "--endpoint-url and --model are required with the endpoint backend"
         )
-
-
-def _build_scorer(options: dict, qrels: Qrels | None, ledger: CallLedger) -> Scorer:
-    if options["backend"] == "oracle":
-        return OracleScorer(OracleConfig(seed=options["seed"]), qrels=qrels, ledger=ledger)
     template_dir = options["template_dir"]
-    templates = (
-        PromptTemplates.from_dir(template_dir) if template_dir else PromptTemplates.defaults()
-    )
-    config = LlmBackendConfig(
+    endpoint = LlmBackendConfig(
         base_url=options["endpoint_url"],
         model=options["model"],
         api_key_env=options["api_key_env"] or "",
-        templates=templates,
+        templates=(
+            PromptTemplates.from_dir(template_dir) if template_dir else PromptTemplates.defaults()
+        ),
     )
-    return LlmScorer(config, ledger=ledger)
+    return lambda qrels, ledger: LlmScorer(endpoint, ledger=ledger)
 
 
 def _parse_weights(text: str | None) -> tuple[float, ...]:
@@ -343,15 +335,6 @@ def _created(path: Path) -> Path:
     return path
 
 
-def _concat(results: tuple[SweepResult, ...]) -> SweepResult:
-    """One sweep over every query, from per-query sweeps of the same cells."""
-    return SweepResult(
-        results[0].kind,
-        results[0].cells,
-        tuple(row for result in results for row in result.per_query),
-    )
-
-
 def _write_json(path: Path, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as out:
         json.dump(payload, out, indent=2, sort_keys=True)
@@ -370,20 +353,20 @@ def cli():
 @_backend_options
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), required=True,
               help="Output directory for the run file and report.")
-@click.option("--gain", type=click.Choice(["exp", "linear"]), default="exp",
+@click.option("--gain", type=click.Choice(GAIN_MODES), default="exp",
               show_default=True, help="NDCG gain convention for the report.")
 @click.option("--force", is_flag=True, help="Overwrite existing outputs.")
 @_runtime_errors
 def cmd_rerank(out_dir, force, **options):
     """Rerank candidates and write a run file plus an experiment report."""
-    _check_backend(options)
     strategy = options["strategy"]
     ranker = _rankers([strategy], options)[strategy]
+    make_scorer = _scorer_factory(options)
     lists, qrels = _load_inputs(options)
     _try_rankers([ranker], lists)
     _warn_over_budget([strategy], options["m"], lists)
     ledger = CallLedger()
-    with _build_scorer(options, qrels, ledger) as scorer:
+    with make_scorer(qrels, ledger) as scorer:
         run_out, report_out = _outputs(out_dir, force, f"{strategy}.run", f"{strategy}.report.json")
         rankings, seconds, wall = _run_all(lists, ranker, scorer, options["concurrency"])
     write_run_file(rankings, strategy, _created(run_out))
@@ -426,7 +409,7 @@ def cmd_rerank(out_dir, force, **options):
 @_backend_options
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), required=True,
               help="Output directory for sweep CSVs.")
-@click.option("--gain", type=click.Choice(["exp", "linear"]), default="exp",
+@click.option("--gain", type=click.Choice(GAIN_MODES), default="exp",
               show_default=True, help="NDCG gain convention.")
 @click.option("--force", is_flag=True, help="Overwrite existing outputs.")
 @_runtime_errors
@@ -438,28 +421,19 @@ def cmd_analyze(out_dir, force, **options):
     judge call; the top-k selection curve is the prefix mean of the
     anchor-index curve.
     """
-    _check_backend(options)
+    make_scorer = _scorer_factory(options)
     lists, qrels = _load_inputs(options)
-    with _build_scorer(options, qrels, CallLedger()) as scorer:
+    with make_scorer(qrels, CallLedger()) as scorer:
         ref_topk = options["ref_topk"]
-        depth_r = ref_topk if ref_topk is not None else min(10, min(len(cl) for cl in lists))
+        depth_r = ref_topk if ref_topk is not None else min(10, *map(len, lists))
         check_sweep_depth(lists, depth_r, "--ref-topk")
         check_sweep_depth(lists, options["m"], "--m")
         reference_csv, topk_csv, ensemble_csv = _outputs(
             out_dir, force, "reference_sweep.csv", "topk_selection.csv", "ensemble_sweep.csv"
         )
-        metric = MetricConfig(gain=options["gain"])
-
-        # Both sweeps run one query at a time, so the judgments they share are
-        # made while the oracle still remembers that query's judgments.
-        per_query = [
-            (
-                sweep_reference_quality([cl], scorer, qrels, depth_r, metric),
-                sweep_ensemble_size([cl], scorer, qrels, options["m"], metric),
-            )
-            for cl in lists
-        ]
-    reference, ensemble = (_concat(results) for results in zip(*per_query))
+        reference, ensemble = sweep_anchors(
+            lists, scorer, qrels, depth_r, options["m"], MetricConfig(gain=options["gain"])
+        )
     write_curve_csv(reference.mean, _created(reference_csv))
     write_curve_csv(sweep_topk_selection(reference), topk_csv)
     write_curve_csv(ensemble.mean, ensemble_csv)
@@ -474,7 +448,7 @@ def cmd_analyze(out_dir, force, **options):
               help="Relevance judgments.")
 @click.option("--k", "top_k", type=int, default=10, show_default=True,
               help="NDCG cutoff.")
-@click.option("--gain", type=click.Choice(["exp", "linear"]), default="exp",
+@click.option("--gain", type=click.Choice(GAIN_MODES), default="exp",
               show_default=True, help="NDCG gain convention.")
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), default=None,
               help="Optional directory for eval.json.")
@@ -519,8 +493,8 @@ def cmd_bench(**options):
     names = [name.strip() for name in options["strategy"].split(",") if name.strip()]
     if not names or len(set(names)) < len(names):
         raise click.UsageError(f"--strategy {options['strategy']!r} must name distinct strategies")
-    _check_backend(options)
     rankers = _rankers(names, options)
+    make_scorer = _scorer_factory(options)
     lists, qrels = _load_inputs(options)
     _try_rankers(rankers.values(), lists)
     _warn_over_budget(names, options["m"], lists)
@@ -529,7 +503,7 @@ def cmd_bench(**options):
     lines = [header, "-" * len(header)]  # printed with the first row
     for name, ranker in rankers.items():
         ledger = CallLedger()
-        with _build_scorer(options, qrels, ledger) as scorer:
+        with make_scorer(qrels, ledger) as scorer:
             _, seconds, wall = _run_all(lists, ranker, scorer, options["concurrency"])
         per_kind = " ".join(
             f"{kind}={count / len(lists):g}" for kind, count in ledger.counts.items() if count

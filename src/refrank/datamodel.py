@@ -257,9 +257,6 @@ class CallLedger:
         with self._lock:
             self._retries[kind] = self._retries.get(kind, 0) + 1
 
-    def count(self, kind: str) -> int:
-        return self.counts[kind]
-
     @property
     def counts(self) -> dict[str, int]:
         with self._lock:

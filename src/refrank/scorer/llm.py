@@ -84,6 +84,8 @@ class LlmBackendConfig:
             raise ValidationError("model must be nonempty")
         if self.batch_size < 1:
             raise ValidationError("batch_size must be >= 1")
+        if not 0 <= self.retry_backoff < math.inf:
+            raise ValidationError("retry_backoff must be >= 0 and finite")
 
 
 class LlmScorer(Scorer):

@@ -55,6 +55,7 @@ checks its query id against the request's, and passes it to the judge:
 from __future__ import annotations
 
 import functools
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -73,16 +74,10 @@ class OracleConfig:
     ref_noise_scale: float = 0.0
 
     def __post_init__(self):
-        if self.noise_sigma < 0:
-            raise ValidationError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
-        if self.bias_amplitude < 0:
-            raise ValidationError(
-                f"bias_amplitude must be >= 0, got {self.bias_amplitude}"
-            )
-        if self.ref_noise_scale < 0:
-            raise ValidationError(
-                f"ref_noise_scale must be >= 0, got {self.ref_noise_scale}"
-            )
+        for name in ("noise_sigma", "bias_amplitude", "ref_noise_scale"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:  # a NaN knob would act as 0
+                raise ValidationError(f"{name} must be >= 0 and finite, got {value}")
 
 
 # the draw kinds, each hashed under its own (seed, kind, query id) prefix

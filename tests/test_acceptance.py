@@ -70,7 +70,7 @@ def test_criterion_01_call_complexity_exact():
     for name, (kind, run, want) in expected.items():
         scorer = oracle_for(data)
         run(scorer)
-        observed[name] = scorer.ledger.count(kind)
+        observed[name] = scorer.ledger.counts[kind]
         assert observed[name] == want, f"{name}: {observed[name]} != {want}"
         assert scorer.ledger.total_calls == want  # no stray calls of other kinds
     _pass(1, f"exact ledger counts at n=100: {observed}")

@@ -5,6 +5,7 @@ from scipy import stats
 from refrank.analysis import (
     SweepResult,
     minmax_normalize,
+    sweep_anchors,
     sweep_ensemble_size,
     sweep_reference_quality,
     sweep_topk_selection,
@@ -219,6 +220,49 @@ class TestSweepCellsAreStrategyRuns:
             assert len(built) == n_queries * n * depth, sweep.__name__
             assert scorer.ledger.counts["triplet"] == n_queries * n * cell_calls, sweep.__name__
             assert scorer.ledger.total_calls == n_queries * n * cell_calls, sweep.__name__
+
+    def test_both_sweeps_in_one_pass_equal_the_separate_sweeps(self):
+        data = make_synth(5, 12, seed=33, rank_correlation=0.4)
+        together = sweep_anchors(data.lists, oracle_for(data, **self.NOISY), data.qrels, 6, 4)
+        apart = (
+            sweep_reference_quality(data.lists, oracle_for(data, **self.NOISY), data.qrels, 6),
+            sweep_ensemble_size(data.lists, oracle_for(data, **self.NOISY), data.qrels, 4),
+        )
+
+        def hexed(result):
+            return result.kind, result.cells, [[v.hex() for v in row] for row in result.per_query]
+
+        assert len(set(together[0].mean)) > 1  # the noise reaches the cells
+        assert [hexed(result) for result in together] == [hexed(result) for result in apart]
+
+    @pytest.mark.parametrize("depth_r, m_max", [(4, 2), (2, 4), (3, 3)])
+    def test_both_sweeps_build_each_lists_rows_once_and_judge_list_by_list(
+        self, monkeypatch, depth_r, m_max
+    ):
+        n_queries, n = 3, 9
+        data = make_synth(n_queries, n, seed=32)
+        built, judged = [], []
+
+        def counted(*args):
+            built.append(args)
+            return JudgeRequest(*args)
+
+        monkeypatch.setattr(strategies, "JudgeRequest", counted)
+        scorer = oracle_for(data, **self.NOISY)
+        score_batch = scorer.score_batch
+
+        def recorded(requests):
+            judged.extend(request.query.id for request in requests)
+            return score_batch(requests)
+
+        monkeypatch.setattr(scorer, "score_batch", recorded)
+        sweep_anchors(data.lists, scorer, data.qrels, depth_r, m_max)
+        assert len(built) == n_queries * n * max(depth_r, m_max)
+        calls = n_queries * n * (depth_r + m_max * (m_max + 1) // 2)
+        assert scorer.ledger.counts["triplet"] == scorer.ledger.total_calls == calls
+        # every request for list i is judged before any for list i + 1
+        assert judged == sorted(judged, key=[cl.query.id for cl in data.lists].index)
+        assert len(judged) == calls
 
 
 class TestCsv:

@@ -354,6 +354,25 @@ def test_backend_usage_error_comes_before_any_input_is_read(fixture_files, tmp_p
     assert not out.exists()
 
 
+def test_bad_template_dir_is_refused_before_any_input_is_read(fixture_files, tmp_path):
+    data, paths = fixture_files
+    paths[0].write_text("not a run line\n")
+    templates = tmp_path / "templates"
+    templates.mkdir()
+    (templates / "triplets.txt").write_text("{query} {doc} {ref}")
+    out = tmp_path / "out"
+    result = CliRunner().invoke(cli, [
+        "rerank", *input_args(paths), "--out", str(out), "--backend", "endpoint",
+        "--endpoint-url", "http://127.0.0.1:9", "--model", "m", "--template-dir", str(templates),
+    ])
+    assert result.exit_code == 1
+    assert result.stderr == (
+        f"error: {templates / 'triplets.txt'}: not a template name; "
+        "expected one of pointwise.txt, triplet.txt, duel.txt, setwise.txt\n"
+    )
+    assert not out.exists()
+
+
 def test_bench_prints_nothing_before_a_backend_usage_error(fixture_files):
     data, paths = fixture_files
     result = CliRunner().invoke(cli, ["bench", *input_args(paths), "--strategy", "pointwise"])

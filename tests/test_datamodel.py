@@ -144,7 +144,6 @@ class TestCallLedger:
         ledger.record("pointwise", prompt_chars=10)
         ledger.record("pointwise", prompt_chars=5)
         ledger.record("duel")
-        assert ledger.count("pointwise") == 2
         assert ledger.counts == {"pointwise": 2, "triplet": 0, "duel": 1, "setwise": 0}
         assert ledger.total_calls == 3
         assert ledger.prompt_chars == 15
@@ -158,7 +157,7 @@ class TestCallLedger:
         read = []
         with ledger._lock:
             reader = threading.Thread(
-                target=lambda: read.append((ledger.count("duel"), ledger.prompt_chars))
+                target=lambda: read.append((ledger.counts["duel"], ledger.prompt_chars))
             )
             reader.start()
             reader.join(timeout=0.1)
@@ -179,7 +178,7 @@ class TestCallLedger:
             t.start()
         for t in threads:
             t.join()
-        assert ledger.count("triplet") == 8000
+        assert ledger.counts["triplet"] == 8000
         assert ledger.prompt_chars == 8000
 
     def test_tallies_of_exited_threads_still_count(self):

@@ -5,11 +5,15 @@ Static checks with the standard library's ast. A name bound by an import
 at module level (``from __future__`` aside) must appear as a loaded name
 somewhere in its module, or be listed in the module's ``__all__``. A class
 that derives, directly or through other package classes, from a built-in
-exception must be named by some ``raise`` statement in the package.
+exception must be named by some ``raise`` statement in the package. And
+importing refrank.cli loads no third-party module but click.
 """
 
 import ast
 import builtins
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -87,6 +91,22 @@ def test_the_check_sees_an_unused_import():
         "print(pi, xml.dom)\n"
     )
     assert unused_imports(source) == ["line 2: os", "line 3: js", "line 5: tau"]
+
+
+def test_the_cli_loads_no_module_outside_the_standard_library_but_click():
+    # a fresh interpreter, so that modules earlier tests imported hide none
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import refrank.cli\n"
+        "loaded = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+        "print(*sorted(loaded - set(sys.stdlib_module_names)))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)}, check=True,
+    )
+    assert done.stdout.split() == ["click", "refrank"]
 
 
 def test_the_package_has_modules_to_check():

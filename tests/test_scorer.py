@@ -269,8 +269,9 @@ class TestOracleScorer:
 
     def test_invalid_config(self):
         for field in ("noise_sigma", "bias_amplitude", "ref_noise_scale"):
-            with pytest.raises(ValidationError, match=f"{field} must be >= 0"):
-                OracleConfig(seed=0, **{field: -1})
+            for value in (-1, math.nan, math.inf):
+                with pytest.raises(ValidationError, match=f"{field} must be >= 0"):
+                    OracleConfig(seed=0, **{field: value})
 
 
 class TestOracleMemo:
@@ -497,7 +498,7 @@ class TestScoreBatch:
         ]
         results = oracle.score_batch(requests)
         assert len(results) == 10
-        assert oracle.ledger.count("pointwise") == 10
+        assert oracle.ledger.counts["pointwise"] == 10
         singles = [make_oracle(latents=latents).score(r) for r in requests]
         assert results == singles
 
@@ -730,7 +731,7 @@ class TestLlmScorer:
         logits = scorer.score(PROBE_TRIPLET)
         assert logits["A"] == pytest.approx(-0.2)
         assert logits["B"] == pytest.approx(-1.7)
-        assert scorer.ledger.count("triplet") == 1
+        assert scorer.ledger.counts["triplet"] == 1
 
     def test_leading_space_variant_takes_max(self, stub_server):
         top = [
@@ -913,7 +914,10 @@ class TestLlmScorer:
             )
             LlmBackendConfig(base_url="http://x", model="m", templates=broken)
 
-    @pytest.mark.parametrize("field, value", [("base_url", ""), ("model", ""), ("batch_size", 0)])
+    @pytest.mark.parametrize("field, value", [
+        ("base_url", ""), ("model", ""), ("batch_size", 0),
+        ("retry_backoff", math.nan), ("retry_backoff", math.inf), ("retry_backoff", -0.5),
+    ])
     def test_config_rejects_empty_url_or_model_and_zero_batch_size(self, field, value):
         with pytest.raises(ValidationError, match=field):
             LlmBackendConfig(**{"base_url": "http://x", "model": "m", field: value})
@@ -1289,6 +1293,30 @@ class TestLlmTransport:
         )
         assert not (tmp_path / "out").exists()
         assert server.requests == 0
+
+    def test_bench_loads_the_template_dir_once_for_all_its_strategies(self, tmp_path, monkeypatch):
+        loaded = []
+        from_dir = PromptTemplates.from_dir
+
+        def counted(directory):
+            loaded.append(directory)
+            return from_dir(directory)
+
+        monkeypatch.setattr(PromptTemplates, "from_dir", counted)
+        data = make_synth(2, 6, seed=23)
+        run, corpus, queries, _ = write_experiment_files(data, tmp_path / "data")
+        templates = tmp_path / "templates"
+        templates.mkdir()
+        (templates / "triplet.txt").write_text("Query: {query}\nA: {doc}\nB: {ref}\nWhich?")
+        with counting_stub(latency_s=0.0) as server:
+            result = CliRunner().invoke(cli, [
+                "bench", "--run", str(run), "--corpus", str(corpus), "--queries", str(queries),
+                "--strategy", "pointwise,refrank-single", "--backend", "endpoint",
+                "--endpoint-url", server.url, "--model", "m", "--template-dir", str(templates),
+            ], catch_exceptions=False)
+        assert result.exit_code == 0, result.output
+        assert loaded == [str(templates)]
+        assert server.requests == 2 * 2 * 6  # both strategies judged every candidate once
 
     @pytest.mark.parametrize(
         "key", ["sk-secret-4711\n", "sk-secret 4711", "sk-secret-4711\u00e9"],

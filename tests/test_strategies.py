@@ -73,38 +73,38 @@ class TestCallCounts:
         cl, latents = fixture_list(20)
         scorer = oracle_for(latents)
         rank_refrank_single(cl, scorer)
-        assert scorer.ledger.count("triplet") == 20
+        assert scorer.ledger.counts["triplet"] == 20
 
     def test_refrank_multiple_mn_calls(self):
         cl, latents = fixture_list(20)
         scorer = oracle_for(latents)
         rank_refrank_multiple(cl, scorer, EnsembleConfig(4))
-        assert scorer.ledger.count("triplet") == 80
+        assert scorer.ledger.counts["triplet"] == 80
 
     def test_allpairs_n_times_n_minus_1(self):
         cl, latents = fixture_list(10)
         scorer = oracle_for(latents)
         rank_pairwise_allpairs(cl, scorer)
-        assert scorer.ledger.count("duel") == 90
+        assert scorer.ledger.counts["duel"] == 90
 
     @pytest.mark.parametrize("n,k", [(10, 3), (10, 10), (15, 1)])
     def test_bubblesort_closed_form(self, n, k):
         cl, latents = fixture_list(n)
         scorer = oracle_for(latents, noise_sigma=0.4)
         rank_pairwise_bubblesort(cl, scorer, k=k)
-        assert scorer.ledger.count("duel") == k * (n - 1) - k * (k - 1) // 2
+        assert scorer.ledger.counts["duel"] == k * (n - 1) - k * (k - 1) // 2
 
     def test_heapsort_count_is_exposed_and_positive(self):
         cl, latents = fixture_list(20)
         scorer = oracle_for(latents)
         rank_setwise_heapsort(cl, scorer, c=3, k=5)
-        assert scorer.ledger.count("setwise") > 0
+        assert scorer.ledger.counts["setwise"] > 0
 
     def test_heapsort_single_doc_zero_calls(self):
         cl, latents = fixture_list(1)
         scorer = oracle_for(latents)
         ranking = rank_setwise_heapsort(cl, scorer, c=3, k=1)
-        assert scorer.ledger.count("setwise") == 0
+        assert scorer.ledger.counts["setwise"] == 0
         assert ranking.doc_ids == first_stage_ids(cl)
 
     def test_allpairs_single_doc_zero_calls(self):
@@ -192,7 +192,7 @@ class TestBubblesortWaves:
         assert len(judge.batches) == max(0, n + min(k, n - 1) - 2)  # none when n = 1
         assert all(1 <= len(batch) <= k for batch in judge.batches)
         assert judge.direct == 0
-        assert judge.ledger.count("duel") == k * (n - 1) - k * (k - 1) // 2
+        assert judge.ledger.counts["duel"] == k * (n - 1) - k * (k - 1) // 2
 
 
 class TestNoiselessBehavior:
