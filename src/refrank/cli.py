@@ -6,7 +6,8 @@ named strategy reads is a usage error, and so is an endpoint-only flag
 (--endpoint-url, --model, --api-key-env, --template-dir) under the oracle
 backend; --concurrency is at least 1. The oracle needs --seed, the endpoint
 --endpoint-url and --model. Every usage error is raised before any input is
-read, and so is a bad --template-dir, which is loaded once per command; a
+read and before any refused setting, and a bad --template-dir, which is
+loaded once per command, is refused before any input is read too; a
 setting out of range for any list is refused before the first judge call,
 and any refusal before bench prints a line. rerank and bench find such a
 setting by starting each strategy on the shortest list with a stand-in
@@ -221,18 +222,29 @@ def _reads(name: str) -> set[str]:
     return set(inspect.signature(factory).parameters)
 
 
-def _rankers(names: list[str], options: dict) -> dict:
-    """The ranker each named strategy's table entry builds from the options.
+def _setup(names: list[str], options: dict):
+    """The ranker each named strategy's table entry builds, and the scorer maker.
 
     A strategy-only flag given on the command line that none of the named
-    strategies reads is a usage error.
+    strategies reads is a usage error. The first refused setting or template
+    is raised only once every build has run, so any usage error comes first.
     """
     reads = set().union(*(_reads(name) for name in names))
     _refuse_given(
         [option for option in _STRATEGY_ONLY if option not in reads],
         f"is not read by strategy {', '.join(names)}",
     )
-    return {name: STRATEGIES[name](**options) for name in names}
+    builds = [functools.partial(STRATEGIES[name], **options) for name in names]
+    built, refused = [], None
+    for build in [*builds, functools.partial(_scorer_factory, options)]:
+        try:
+            built.append(build())
+        except HarnessError as exc:
+            refused = refused or exc
+    if refused:
+        raise refused
+    *rankers, make_scorer = built
+    return dict(zip(names, rankers)), make_scorer
 
 
 def _load_inputs(options: dict):
@@ -265,6 +277,8 @@ class _FirstCall(Exception):
 
 class _NoJudge:
     """A stand-in scorer that stops a ranker at its first call, before any judgment."""
+
+    max_in_flight = None
 
     def score_batch(self, requests):
         raise _FirstCall
@@ -360,8 +374,8 @@ def cli():
 def cmd_rerank(out_dir, force, **options):
     """Rerank candidates and write a run file plus an experiment report."""
     strategy = options["strategy"]
-    ranker = _rankers([strategy], options)[strategy]
-    make_scorer = _scorer_factory(options)
+    rankers, make_scorer = _setup([strategy], options)
+    ranker = rankers[strategy]
     lists, qrels = _load_inputs(options)
     _try_rankers([ranker], lists)
     _warn_over_budget([strategy], options["m"], lists)
@@ -493,8 +507,7 @@ def cmd_bench(**options):
     names = [name.strip() for name in options["strategy"].split(",") if name.strip()]
     if not names or len(set(names)) < len(names):
         raise click.UsageError(f"--strategy {options['strategy']!r} must name distinct strategies")
-    rankers = _rankers(names, options)
-    make_scorer = _scorer_factory(options)
+    rankers, make_scorer = _setup(names, options)
     lists, qrels = _load_inputs(options)
     _try_rankers(rankers.values(), lists)
     _warn_over_budget(names, options["m"], lists)

@@ -1,11 +1,12 @@
 """Ranking-quality metrics: NDCG@k per query and over a run, from doc ids in rank order.
 
-The ideal DCG reads each query's grades in the ideal order that Qrels
-sorted once at construction, so a call sorts nothing.
+The ideal DCG is computed once per (ideal grades[:k], gain), from the
+grades Qrels sorted into ideal order at construction, so a call sorts nothing.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
@@ -46,6 +47,12 @@ def _dcg(grades: Sequence[int], k: int, gain: str) -> float:
     return total
 
 
+@functools.lru_cache(maxsize=4096)
+def _ideal_dcg(ideal: tuple[int, ...], gain: str) -> float:
+    """The ideal DCG of a query's ideal grades, already cut to the cutoff k."""
+    return _dcg(ideal, len(ideal), gain)
+
+
 def ndcg_for_doc_ids(
     query_id: str,
     doc_ids: Sequence[str],
@@ -61,7 +68,7 @@ def ndcg_for_doc_ids(
     judged = qrels.judged(query_id)
     if not judged:
         return 0.0
-    idcg = _dcg(qrels.ideal_grades(query_id), config.k, config.gain)
+    idcg = _ideal_dcg(qrels.ideal_grades(query_id)[: config.k], config.gain)
     if idcg <= 0.0:
         return 0.0
     grades = [judged.get(doc_id, 0) for doc_id in doc_ids]

@@ -123,8 +123,11 @@ class Scorer(ABC):
     Implementations must be safe to call from multiple threads; ``score``
     rejects an answer without one finite logit per request label.
     ``score_batch`` results are positionally aligned with the requests
-    regardless of completion order.
+    regardless of completion order. ``max_in_flight`` is the most requests
+    the judge runs at once, None for no limit; bubblesort sizes batches to it.
     """
+
+    max_in_flight: int | None = None
 
     def __init__(self, ledger: CallLedger | None = None):
         self.ledger = ledger if ledger is not None else CallLedger()

@@ -40,6 +40,7 @@ import math
 import os
 import queue
 import random
+import select
 import selectors
 import time
 from collections.abc import Sequence
@@ -109,6 +110,7 @@ class LlmScorer(Scorer):
                     "character outside printable ASCII"
                 )
             self._headers["Authorization"] = f"Bearer {api_key}"
+        self.max_in_flight = config.batch_size
         self._pool = ThreadPoolExecutor(max_workers=config.batch_size)
         self._connections = tuple(
             connection_type(host, port, timeout=_TIMEOUT_S) for _ in range(config.batch_size)
@@ -277,6 +279,10 @@ def _endpoint(base_url: str) -> tuple[type[http.client.HTTPConnection], str, int
 
 def _readable(sock) -> bool:
     """Whether an idle socket has input: end of stream, or bytes no request asked for."""
+    if hasattr(select, "poll"):  # opens no descriptor; a selector opens one per call
+        poller = select.poll()
+        poller.register(sock, select.POLLIN)
+        return bool(poller.poll(0))
     with selectors.DefaultSelector() as selector:
         selector.register(sock, selectors.EVENT_READ)
         return bool(selector.select(0))

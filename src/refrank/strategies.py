@@ -11,10 +11,10 @@ whose doc_ids are a permutation of the input. Judge-call counts are exact:
     setwise-heapsort     data-dependent; the ledger reports it exactly
 
 Batchable strategies (pointwise, refrank, allpairs) issue all their
-requests in one score_batch call. Bubblesort sends one batch per wave of
-duels whose inputs are settled. Only heapsort depends on each earlier
-outcome; it sends its set comparisons one per batch. Every strategy reaches
-the judge through score_batch, so a failed request raises BatchScoringError
+requests in one score_batch call. Bubblesort sends batches of at most the
+scorer's max_in_flight duels whose inputs are settled. Only heapsort
+depends on each earlier outcome; it sends its set comparisons one per batch.
+Every strategy reaches the judge through score_batch, so a failed request raises BatchScoringError
 naming its doc ids. A document's first-stage rank is its position in
 candidates.docs. Score aggregation always walks the candidates in that
 order, so floating-point sums are reproducible and build_ranking, whose
@@ -31,6 +31,7 @@ them, so each sweep cell is a full refrank-single or refrank-multiple run.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -277,6 +278,30 @@ def rank_pairwise_allpairs(candidates: CandidateList, scorer: Scorer) -> Ranking
     return build_ranking(query.id, scored)
 
 
+@functools.lru_cache(maxsize=256)
+def _bubble_schedule(n: int, k: int, limit: int | None) -> tuple[tuple[int, ...], ...]:
+    """Bubblesort's batches, each the positions i of its duels (i, i+1) in pass order.
+
+    Pass s duels at i = n-2 down to s; nxt[s] is where it duels next. It may
+    duel at i once pass s-1 has left positions i-1 and i (nxt[s-1] < i-1),
+    so a batch's duels touch disjoint positions, and every earlier duel of
+    the serial sweep that touches i or i+1 is in an earlier batch. With no
+    limit, batch w is the wave (n-2-i) + 2s = w: n + min(k, n-1) - 2 batches.
+    Past it, the passes furthest behind their wave (least 2s - nxt[s]) go first.
+    """
+    passes = min(k, n - 1)
+    nxt = [n - 2] * passes
+    batches = []
+    while passes and nxt[-1] >= passes - 1:  # the last pass finishes last
+        ready = [s for s in range(passes) if nxt[s] >= s and (s == 0 or nxt[s - 1] < nxt[s] - 1)]
+        if limit is not None and len(ready) > limit:
+            ready = sorted(sorted(ready, key=lambda s: 2 * s - nxt[s])[:limit])
+        batches.append(tuple(nxt[s] for s in ready))
+        for s in ready:
+            nxt[s] -= 1
+    return tuple(batches)
+
+
 def rank_pairwise_bubblesort(
     candidates: CandidateList, scorer: Scorer, k: int = 10
 ) -> Ranking:
@@ -287,24 +312,15 @@ def rank_pairwise_bubblesort(
     (probability above 0.5 judged from slot A). Docs beyond the settled
     top-k fall back to first-stage order. Exactly k(n-1) - k(k-1)/2 calls.
 
-    The passes run in wavefronts, one score_batch per wave: pass s duels
-    positions (i, i+1) at wave (n-2-i) + 2s, two waves behind pass s-1.
-    The duels of one wave touch disjoint positions, and every earlier duel
-    of the serial sweep that touches i or i+1 falls in an earlier wave, so
-    each duel sees the same pair and the outcome equals the serial sweep's.
-    That is n + min(k, n-1) - 2 batches of at most k duels each, none at n = 1.
+    The passes overlap, one score_batch per batch of _bubble_schedule at
+    the scorer's max_in_flight, and the outcome equals the serial sweep's.
     """
     n = len(candidates)
     if not 1 <= k <= n:
         raise ValidationError(f"bubble passes k={k} must be within 1..{n}")
     query = candidates.query
     order = list(candidates.docs)
-    for wave in range(n + k - 2):
-        # this wave holds pass s's duel at i = t + 2s, for each s with s <= i <= n-2
-        t = n - 2 - wave
-        positions = range(t + 2 * max(0, -t), t + 2 * min(k - 1, wave // 2) + 1, 2)
-        if not positions:
-            continue
+    for positions in _bubble_schedule(n, k, scorer.max_in_flight):
         results = scorer.score_batch(
             [JudgeRequest("duel", query, (order[i + 1], order[i])) for i in positions]
         )

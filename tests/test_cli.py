@@ -381,6 +381,34 @@ def test_bench_prints_nothing_before_a_backend_usage_error(fixture_files):
     assert "--seed is required with the oracle backend" in result.stderr
 
 
+@pytest.mark.parametrize(
+    "command, extra, message",
+    [
+        ("rerank", ["--ref-index", "0"], "--seed is required with the oracle backend"),
+        ("bench", ["--ref-index", "0"], "--seed is required with the oracle backend"),
+        ("bench", ["--strategy", "refrank-single,refrank-multiple", "--ref-index", "0",
+                   "--weights", "a,b", "--seed", "1"], "--weights 'a,b' is not a comma-separated"),
+        ("rerank", ["--strategy", "pointwise", "--k", "3", "--backend", "endpoint",
+                    "--endpoint-url", "http://127.0.0.1:9", "--model", "m",
+                    "--template-dir", "templates"], "--k is not read by strategy pointwise"),
+    ],
+    ids=["rerank-no-seed", "bench-no-seed", "bench-later-strategy", "unread-flag-bad-templates"],
+)
+def test_a_usage_error_wins_over_a_refused_setting_or_template(
+    fixture_files, tmp_path, monkeypatch, command, extra, message
+):
+    data, paths = fixture_files
+    (tmp_path / "templates").mkdir()
+    (tmp_path / "templates" / "triplets.txt").write_text("{query} {doc} {ref}")
+    monkeypatch.chdir(tmp_path)
+    out = [] if command == "bench" else ["--out", "out"]
+    result = CliRunner().invoke(cli, [command, *input_args(paths), *out, *extra])
+    assert result.exit_code == 2, result.output
+    assert message in result.stderr
+    assert result.stdout == ""
+    assert not (tmp_path / "out").exists()
+
+
 # Settings that a 4-doc list cannot take, and the message of the strategy or
 # sweep that refuses them.
 TOO_LONG_FOR_4 = {

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from refrank.datamodel import Qrels, Ranking, ValidationError
+from refrank import eval as eval_module
 from refrank.eval import (
     MetricConfig,
     evaluate_rankings,
@@ -122,6 +123,33 @@ class TestNdcg:
             MetricConfig(k=0)
         with pytest.raises(ValidationError):
             MetricConfig(gain="sqrt")
+
+
+class TestIdealDcgOnce:
+    @pytest.mark.parametrize("gain", ["exp", "linear"])
+    @pytest.mark.parametrize("k", [1, 5, 10, 50])
+    def test_bit_identical_to_a_direct_dcg(self, k, gain):
+        rng = np.random.default_rng(k)
+        judged = {
+            f"q{q}": {f"d{d}": int(rng.integers(0, 4)) for d in range(int(rng.integers(1, 40)))}
+            for q in range(8)
+        }
+        qrels = Qrels(judged)
+        config = MetricConfig(k=k, gain=gain)
+        for query_id, grades in judged.items():
+            doc_ids = [f"d{d}" for d in rng.permutation(60)]
+            ideal = eval_module._dcg(sorted(grades.values(), reverse=True), k, gain)
+            actual = eval_module._dcg([grades.get(d, 0) for d in doc_ids], k, gain)
+            expected = actual / ideal if ideal > 0 else 0.0
+            assert ndcg_for_doc_ids(query_id, doc_ids, qrels, config).hex() == expected.hex()
+
+    def test_n_calls_on_one_query_compute_the_ideal_once(self):
+        qrels = Qrels({"q1": {"d1": 3, "d2": 1, "d3": 2}})
+        eval_module._ideal_dcg.cache_clear()
+        for _ in range(20):
+            ndcg_for_doc_ids("q1", ["d2", "d1", "d3"], qrels)
+        info = eval_module._ideal_dcg.cache_info()
+        assert (info.misses, info.hits) == (1, 19)
 
 
 class TestMeanMetric:

@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import os
+import socket
 import struct
 import subprocess
 import sys
@@ -50,6 +51,7 @@ from refrank.scorer import (
     build_prompt,
     setwise_labels,
 )
+from refrank.strategies import rank_pairwise_bubblesort
 from synth import make_synth, shortest_last, write_experiment_files
 
 QUERY = Query("q1", "what is x")
@@ -1121,6 +1123,38 @@ class TestLlmTransport:
         assert len(StubHandler.calls) == 3
         assert len(set(StubHandler.peers)) == 3  # one connection per request
         assert scorer.ledger.retries == {}
+
+    def test_readable_tells_an_idle_socket_from_input_and_a_closed_peer(self):
+        ours, peer = socket.socketpair()
+        with ours, peer:
+            assert not llm._readable(ours)
+            peer.sendall(b"x")  # bytes no request asked for
+            assert llm._readable(ours)
+            ours.recv(1)
+            assert not llm._readable(ours)
+            peer.close()
+            assert llm._readable(ours)
+
+    def test_bubblesort_fills_each_round_trip_at_the_in_flight_limit(self):
+        candidates = make_synth(1, 10, seed=29).lists[0]
+        outcomes = {}
+        for batch_size in (2, 4):
+            with counting_stub(latency_s=0.002) as server:
+                with llm_scorer(server.url, batch_size=batch_size) as scorer:
+                    sizes = []
+                    score_batch = scorer.score_batch
+
+                    def counted(requests):
+                        sizes.append(len(requests))
+                        return score_batch(requests)
+
+                    scorer.score_batch = counted
+                    ranking = rank_pairwise_bubblesort(candidates, scorer, k=3)
+            assert max(sizes) <= batch_size and server.inflight_max <= batch_size
+            assert sum(sizes) == server.requests == 3 * 9 - 3
+            outcomes[batch_size] = ranking.doc_ids, len(sizes)
+        assert outcomes[2][0] == outcomes[4][0]
+        assert (outcomes[2][1], outcomes[4][1]) == (14, 11)
 
     @pytest.mark.parametrize(
         "base_url",

@@ -16,6 +16,7 @@ from refrank.strategies import (
     EnsembleConfig,
     FixedIndex,
     RandomTopK,
+    _bubble_schedule,
     rank_pairwise_allpairs,
     rank_pairwise_bubblesort,
     rank_pointwise,
@@ -121,11 +122,13 @@ class NoisyDuelJudge(Scorer):
     Slot A's logit is a draw keyed by the ordered pair, so (a, b) and (b, a)
     are judged independently. ``batches`` lists each score_batch call's
     (lower, upper) doc id pairs; ``direct`` counts score calls made outside one.
+    ``max_in_flight`` is the in-flight limit it reports, None for none.
     """
 
-    def __init__(self, seed=0):
+    def __init__(self, seed=0, max_in_flight=None):
         super().__init__()
         self.seed = str(seed)
+        self.max_in_flight = max_in_flight
         self.batches = []
         self.direct = 0
 
@@ -193,6 +196,42 @@ class TestBubblesortWaves:
         assert all(1 <= len(batch) <= k for batch in judge.batches)
         assert judge.direct == 0
         assert judge.ledger.counts["duel"] == k * (n - 1) - k * (k - 1) // 2
+
+
+class TestBubblesortInFlight:
+    @pytest.mark.parametrize("limit", [1, 2, 3])
+    @pytest.mark.parametrize("n,k", BUBBLE_SHAPES)
+    def test_limited_batches_replay_the_serial_sweep(self, n, k, limit):
+        cl, _ = fixture_list(n, seed=n)
+        order, passes = serial_bubblesort(cl, NoisyDuelJudge(seed=k), k)
+        judge = NoisyDuelJudge(seed=k, max_in_flight=limit)
+        ranking = rank_pairwise_bubblesort(cl, judge, k=k)
+        rest = sorted(order[k:], key=cl.docs.index)
+        assert ranking.doc_ids == tuple(doc.doc_id for doc in order[:k] + rest)
+        # the judge is not swap-symmetric, so each duel must meet the serial sweep's pair
+        duels = [duel for batch in judge.batches for duel in batch]
+        assert collections.Counter(duels) == collections.Counter(
+            duel for pass_duels in passes for duel in pass_duels
+        )
+        for batch in judge.batches:
+            assert 1 <= len(batch) <= limit
+            assert len({doc_id for duel in batch for doc_id in duel}) == 2 * len(batch)
+        assert judge.direct == 0
+        assert judge.ledger.counts["duel"] == k * (n - 1) - k * (k - 1) // 2
+        if limit >= k:
+            unlimited = NoisyDuelJudge(seed=k)
+            rank_pairwise_bubblesort(cl, unlimited, k=k)
+            assert judge.batches == unlimited.batches
+
+    @pytest.mark.parametrize(
+        "n,k,limit,batches,wave_trips",
+        [(10, 3, 2, 14, 16), (10, 10, 2, 25, 27), (20, 3, 2, 29, 36), (100, 10, 4, 241, 288)],
+    )
+    def test_batch_counts_against_waiting_for_each_wave(self, n, k, limit, batches, wave_trips):
+        assert len(_bubble_schedule(n, k, limit)) == batches
+        # sending each wave in slices of at most limit duels takes wave_trips round trips
+        waves = _bubble_schedule(n, k, None)
+        assert sum(-(-len(wave) // limit) for wave in waves) == wave_trips
 
 
 class TestNoiselessBehavior:
