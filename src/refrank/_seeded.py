@@ -7,16 +7,15 @@ these so that call order, batching, and threading can never change outcomes.
 A draw hashes its parts as one byte string: each part's UTF-8 bytes
 followed by 0x1f. Hashing is streaming, so a hash state that has absorbed
 the leading parts (``prefix``) and is then copied and fed the rest gives
-the digest of all the parts at once: ``prefixed_normal(prefix(a, b), c)``
-equals ``std_normal(a, b, c)`` bit for bit. A caller that draws many times
-under the same leading parts hashes them once; ``extend`` adds parts to a
-copy of such a state.
+the digest of all the parts at once. A caller that draws many times under
+the same leading parts hashes them once; ``extend`` adds parts to a copy of
+such a state.
 
 Every normal draw goes through ``normal_from(state, data)``, which takes
 the trailing parts already as the bytes ``encode`` gives for them, so
-``normal_from(prefix(a, b), encode(c))`` is ``std_normal(a, b, c)`` too.
-A caller that draws under the same trailing part many times, as the
-oracle does with each doc id, encodes it once.
+``normal_from(prefix(a, b), encode(c))`` equals ``std_normal(a, b, c)``
+bit for bit. A caller that draws under the same trailing part many times,
+as the oracle does with each doc id, encodes it once.
 
 A normal draw reads its 16-byte digest as two big-endian 64-bit integers,
 unpacked in one step, maps each to a uniform in (0, 1) and applies
@@ -78,14 +77,9 @@ def normal_from(state, data: bytes) -> float:
     return sqrt(-2.0 * log(u1)) * cos(_TWO_PI * u2)
 
 
-def prefixed_normal(state, *parts: str) -> float:
-    """std_normal of the parts ``state`` absorbed followed by ``parts``."""
-    return normal_from(state, encode(*parts))
-
-
 _EMPTY = prefix()
 
 
 def std_normal(*parts: str) -> float:
     """Deterministic standard normal draw (Box-Muller over two uniforms)."""
-    return prefixed_normal(_EMPTY, *parts)
+    return normal_from(_EMPTY, encode(*parts))

@@ -20,7 +20,7 @@ repeated qrel pairs are skipped with one warning on stderr; rerank and bench
 also warn there when refrank-multiple's --m exceeds floor(log2 n). An output
 directory is created only when the first output is written, so a run that
 fails before then leaves none behind; existing outputs are refused before
-any judge call.
+any judge call; eval refuses eval.json before it reads or prints anything.
 """
 
 from __future__ import annotations
@@ -223,11 +223,12 @@ def _reads(name: str) -> set[str]:
 
 
 def _setup(names: list[str], options: dict):
-    """The ranker each named strategy's table entry builds, and the scorer maker.
+    """(rankers by name, scorer maker, lists, qrels): rerank's and bench's preamble.
 
     A strategy-only flag given on the command line that none of the named
     strategies reads is a usage error. The first refused setting or template
-    is raised only once every build has run, so any usage error comes first.
+    is raised only once every build has run, so any usage error comes first;
+    then the inputs are read, and each ranker is tried on the shortest list.
     """
     reads = set().union(*(_reads(name) for name in names))
     _refuse_given(
@@ -244,7 +245,10 @@ def _setup(names: list[str], options: dict):
     if refused:
         raise refused
     *rankers, make_scorer = built
-    return dict(zip(names, rankers)), make_scorer
+    lists, qrels = _load_inputs(options)
+    _try_rankers(rankers, lists)
+    _warn_over_budget(names, options["m"], lists)
+    return dict(zip(names, rankers)), make_scorer, lists, qrels
 
 
 def _load_inputs(options: dict):
@@ -374,15 +378,11 @@ def cli():
 def cmd_rerank(out_dir, force, **options):
     """Rerank candidates and write a run file plus an experiment report."""
     strategy = options["strategy"]
-    rankers, make_scorer = _setup([strategy], options)
-    ranker = rankers[strategy]
-    lists, qrels = _load_inputs(options)
-    _try_rankers([ranker], lists)
-    _warn_over_budget([strategy], options["m"], lists)
+    rankers, make_scorer, lists, qrels = _setup([strategy], options)
     ledger = CallLedger()
     with make_scorer(qrels, ledger) as scorer:
         run_out, report_out = _outputs(out_dir, force, f"{strategy}.run", f"{strategy}.report.json")
-        rankings, seconds, wall = _run_all(lists, ranker, scorer, options["concurrency"])
+        rankings, seconds, wall = _run_all(lists, rankers[strategy], scorer, options["concurrency"])
     write_run_file(rankings, strategy, _created(run_out))
 
     if qrels is None:
@@ -470,11 +470,12 @@ def cmd_analyze(out_dir, force, **options):
 @_runtime_errors
 def cmd_eval(run_path, qrels_path, top_k, gain, out_dir, force):
     """Score a run file against qrels: per-query and mean NDCG@k."""
+    metric = MetricConfig(k=top_k, gain=gain)
+    eval_json = _outputs(out_dir, force, "eval.json")[0] if out_dir else None
     warnings = ParseWarnings()
     run = parse_run_file(run_path, warnings)
     qrels = parse_qrels(qrels_path, warnings)
     _warn_skipped(warnings)
-    metric = MetricConfig(k=top_k, gain=gain)
     report = evaluate_run_map(run, qrels, metric)
     for query_id, value in report.per_query.items():
         click.echo(f"{query_id}\t{report.metric}\t{value:.6f}")
@@ -487,8 +488,7 @@ def cmd_eval(run_path, qrels_path, top_k, gain, out_dir, force):
             "and were excluded from the mean",
             err=True,
         )
-    if out_dir:
-        (eval_json,) = _outputs(out_dir, force, "eval.json")
+    if eval_json:
         _write_json(_created(eval_json), {**asdict(report), "gain": gain})
         click.echo(f"wrote {eval_json}")
 
@@ -507,10 +507,7 @@ def cmd_bench(**options):
     names = [name.strip() for name in options["strategy"].split(",") if name.strip()]
     if not names or len(set(names)) < len(names):
         raise click.UsageError(f"--strategy {options['strategy']!r} must name distinct strategies")
-    rankers, make_scorer = _setup(names, options)
-    lists, qrels = _load_inputs(options)
-    _try_rankers(rankers.values(), lists)
-    _warn_over_budget(names, options["m"], lists)
+    rankers, make_scorer, lists, qrels = _setup(names, options)
     header = (f"{'strategy':<20} {'calls/query':<28} {'total':>8} {'s/query':>10} "
               f"{'wall s/query':>13}")
     lines = [header, "-" * len(header)]  # printed with the first row

@@ -2,10 +2,12 @@
 
 Everything here is immutable after construction and free of I/O and scoring
 logic. KINDS is the one table of judge request kinds, which the ledger,
-JudgeRequest and the prompt templates read. The one exception is CallLedger,
-which accumulates judge-call counts so concurrent workers can share a single
-instance: each thread adds to a tally of its own without a lock, and a read
-takes the lock and sums the tallies. Only its final totals are meaningful.
+JudgeRequest and the prompt templates read; SETWISE_ALPHABET beside it
+holds the setwise labels, and its length is the largest group. The one
+exception is CallLedger, which accumulates judge-call counts so concurrent
+workers can share a single instance: each thread adds to a tally of its
+own without a lock, and a read takes the lock and sums the tallies. Only
+its final totals are meaningful.
 
 No rank is stored anywhere: a document's first-stage rank is its position
 in a CandidateList, and its new rank its position in a Ranking, whose doc
@@ -203,7 +205,8 @@ class Qrels:
         return ideal[0] if ideal else 0
 
 
-SETWISE_MAX_GROUP = 26  # labels are single letters A..Z
+SETWISE_ALPHABET = tuple("ABCDEFGHIJKLMNOPQRSTUVWXYZ")  # a setwise group's labels, in order
+SETWISE_MAX_GROUP = len(SETWISE_ALPHABET)
 
 # kind -> (fewest docs, most docs, fixed labels or None for one letter per doc,
 # the prompt placeholder each document slot fills; setwise's holds them all)

@@ -8,7 +8,6 @@ from .base import (
     ScoringError,
     TemplateError,
     TransientBackendError,
-    setwise_labels,
 )
 from .llm import LlmBackendConfig, LlmScorer
 from .oracle import OracleConfig, OracleScorer
@@ -28,5 +27,4 @@ __all__ = [
     "TemplateError",
     "TransientBackendError",
     "build_prompt",
-    "setwise_labels",
 ]

@@ -3,7 +3,7 @@
 A scorer is a relevance judge. It takes a JudgeRequest, the query plus an
 ordered tuple of documents, and returns a dict from each answer label to its
 raw log-likelihood. The kind fixes the documents and the labels, as the
-table datamodel.KINDS gives them:
+table datamodel.KINDS gives them, and datamodel.SETWISE_ALPHABET for setwise:
 
   pointwise  (doc,)          labels yes / no
   triplet    (doc, ref)      labels A (candidate) / B (reference)
@@ -24,14 +24,15 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from math import isfinite, nan
 
-from ..datamodel import KINDS, CallLedger, DocCandidate, HarnessError, Query, ValidationError
-
-_LETTERS = tuple("ABCDEFGHIJKLMNOPQRSTUVWXYZ")
-
-
-def setwise_labels(size: int) -> tuple[str, ...]:
-    """The answer labels of a setwise group of 2..SETWISE_MAX_GROUP documents."""
-    return _LETTERS[:size]
+from ..datamodel import (
+    KINDS,
+    SETWISE_ALPHABET,
+    CallLedger,
+    DocCandidate,
+    HarnessError,
+    Query,
+    ValidationError,
+)
 
 
 class ScoringError(HarnessError):
@@ -108,7 +109,7 @@ class JudgeRequest:
 
     @property
     def labels(self) -> tuple[str, ...]:
-        return KINDS[self.kind][2] or setwise_labels(len(self.docs))
+        return KINDS[self.kind][2] or SETWISE_ALPHABET[: len(self.docs)]
 
 
 # the slots' own setters, which a frozen class's __setattr__ does not reach

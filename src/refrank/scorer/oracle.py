@@ -167,14 +167,14 @@ class OracleScorer(Scorer):
             diff += cfg.noise_sigma * normal_from(state.prefix["pointwise"], state.key[doc_id])
         return {"yes": 0.5 * diff, "no": -0.5 * diff}
 
-    def _duel(
-        self, state: _QueryState, request: JudgeRequest, ref_noise_scale: float = 0.0
-    ) -> dict[str, float]:
+    def _duel(self, state: _QueryState, request: JudgeRequest) -> dict[str, float]:
         doc_a, doc_b = request.docs
         id_a, id_b = doc_a.doc_id, doc_b.doc_id
         g_a = state.latent[id_a]
         g_b = state.latent[id_b]
-        sigma = self.config.noise_sigma + ref_noise_scale * (1.0 - g_b)
+        sigma = self.config.noise_sigma
+        if request.kind == "triplet":
+            sigma += self.config.ref_noise_scale * (1.0 - g_b)
         eps = 0.0
         # keyed by the unordered pair, signed by orientation: swap-exact
         if sigma > 0.0 and id_a != id_b:
@@ -182,9 +182,6 @@ class OracleScorer(Scorer):
             key = state.key
             eps = signed * normal_from(state.prefix[request.kind], key[lo] + key[hi])
         return {"A": g_a + 0.5 * eps, "B": g_b - 0.5 * eps}
-
-    def _triplet(self, state: _QueryState, request: JudgeRequest) -> dict[str, float]:
-        return self._duel(state, request, self.config.ref_noise_scale)
 
     def _setwise(self, state: _QueryState, request: JudgeRequest) -> dict[str, float]:
         sigma = self.config.noise_sigma
@@ -202,7 +199,7 @@ class OracleScorer(Scorer):
 
     _JUDGES = {
         "pointwise": _pointwise,
-        "triplet": _triplet,
+        "triplet": _duel,
         "duel": _duel,
         "setwise": _setwise,
     }

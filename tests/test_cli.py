@@ -639,6 +639,29 @@ class TestEval:
         assert "mean\tndcg@10\t0.000000" in result.output
         assert "warning" in result.output
 
+    def test_existing_json_is_refused_before_anything_is_printed(self, fixture_files, tmp_path):
+        _, (run, _, _, qrels) = fixture_files
+        existing = tmp_path / "out" / "eval.json"
+        existing.parent.mkdir()
+        existing.write_bytes(b"kept\n")
+        result = CliRunner().invoke(
+            cli, ["eval", "--run", str(run), "--qrels", str(qrels), "--out", str(existing.parent)]
+        )
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == f"error: refusing to overwrite {existing} (pass --force)\n"
+        assert existing.read_bytes() == b"kept\n"
+
+    def test_a_bad_k_is_refused_before_the_run_file_is_read(self, fixture_files, tmp_path):
+        _, (_, _, _, qrels) = fixture_files
+        run = tmp_path / "broken.run"
+        run.write_text("not a run line\n")
+        result = CliRunner().invoke(
+            cli, ["eval", "--run", str(run), "--qrels", str(qrels), "--k", "0"]
+        )
+        assert result.exit_code == 1
+        assert result.stderr == "error: metric cutoff k must be >= 1, got 0\n"
+
 
 class TestBench:
     def test_reports_call_counts(self, fixture_files, tmp_path):

@@ -1,12 +1,16 @@
 """Every module-level import in the package and its tests is read or listed in
-__all__, and every exception class the package defines is raised in it.
+__all__, every exception class the package defines is raised in it, and
+every private helper it defines is read in it.
 
 Static checks with the standard library's ast. A name bound by an import
 at module level (``from __future__`` aside) must appear as a loaded name
 somewhere in its module, or be listed in the module's ``__all__``. A class
 that derives, directly or through other package classes, from a built-in
-exception must be named by some ``raise`` statement in the package. And
-importing refrank.cli loads no third-party module but click.
+exception must be named by some ``raise`` statement in the package. A private
+function or class, or a private module-level name (one leading underscore,
+dunders aside), must be read somewhere in the package: as a loaded name,
+an attribute, or an imported name. And importing refrank.cli loads no
+third-party module but click.
 """
 
 import ast
@@ -161,3 +165,58 @@ def test_the_check_sees_an_exception_never_raised():
         "    raise UsedError()\n"
     )
     assert exceptions_never_raised([source]) == ["UnusedError"]
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _private_definitions(tree):
+    """Private functions and classes at any depth, and private module-level names."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+    for node in _module_level(tree.body):
+        targets = node.targets if isinstance(node, ast.Assign) else (
+            [node.target] if isinstance(node, ast.AnnAssign) else []
+        )
+        for target in targets:
+            yield from (name.id for name in ast.walk(target) if isinstance(name, ast.Name))
+
+
+def unread_private_names(sources) -> list[str]:
+    """Private helpers the sources define that none of them reads."""
+    defined: set[str] = set()
+    read: set[str] = set()
+    for source in sources:
+        tree = ast.parse(source)
+        defined.update(name for name in _private_definitions(tree) if _is_private(name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    return sorted(defined - read)
+
+
+def test_every_private_helper_is_read():
+    assert unread_private_names(path.read_text(encoding="utf-8") for path in MODULES) == []
+
+
+def test_the_check_sees_a_private_helper_never_read():
+    sources = [
+        "_TABLE = {}\n"
+        "_UNREAD, (_PAIR, public) = 1, (2, 3)\n"
+        "class _Used: pass\n"
+        "def _helper(): return _Used\n"
+        "def _orphan(): pass\n"
+        "def __dunder__(): pass\n"
+        "class Public:\n"
+        "    def _method(self): return self._attr\n"
+        "    def _unused_method(self): pass\n",
+        "from .one import _TABLE\n"
+        "print(_helper(), Public()._method(), _PAIR)\n",
+    ]
+    assert unread_private_names(sources) == ["_UNREAD", "_orphan", "_unused_method"]

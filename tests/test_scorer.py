@@ -27,7 +27,6 @@ from refrank._seeded import (
     encode,
     normal_from,
     prefix,
-    prefixed_normal,
     stable_digest,
     std_normal,
     unit_uniform,
@@ -49,7 +48,6 @@ from refrank.scorer import (
     TemplateError,
     TransientBackendError,
     build_prompt,
-    setwise_labels,
 )
 from refrank.strategies import rank_pairwise_bubblesort
 from synth import make_synth, shortest_last, write_experiment_files
@@ -120,7 +118,8 @@ class TestRequests:
 
     @pytest.mark.parametrize("size", range(2, 27))
     def test_setwise_labels_are_the_first_letters(self, size):
-        assert setwise_labels(size) == tuple(chr(ord("A") + i) for i in range(size))
+        request = JudgeRequest("setwise", QUERY, tuple(doc(f"d{i}") for i in range(size)))
+        assert request.labels == tuple(chr(ord("A") + i) for i in range(size))
 
     @pytest.mark.parametrize(
         "answer",
@@ -376,7 +375,9 @@ class TestSeededDraws:
         for i in range(1000):
             parts = (str(i % 7), kinds[i % 5], f"q{i % 13:04d}", f"d{i}", "ü文档"[: i % 4])
             split = i % 4
-            for value in (std_normal(*parts), prefixed_normal(prefix(*parts[:split]), *parts[split:])):
+            for value in (
+                std_normal(*parts), normal_from(prefix(*parts[:split]), encode(*parts[split:]))
+            ):
                 digest.update(struct.pack(">d", value))
         assert digest.hexdigest() == "d4d8982b1673ddf3e932b007e176bcb0"
 
@@ -384,9 +385,8 @@ class TestSeededDraws:
     def test_prefixed_normal_equals_std_normal(self, split):
         parts = ("7", "setwise", "q1", "group", "文档")
         state = prefix(*parts[:split])
-        assert prefixed_normal(state, *parts[split:]) == std_normal(*parts)
+        assert normal_from(state, encode(*parts[split:])) == std_normal(*parts)
         # the prefix is copied, not consumed
-        assert prefixed_normal(state, *parts[split:]) == std_normal(*parts)
         assert normal_from(state, encode(*parts[split:])) == std_normal(*parts)
 
 
@@ -937,20 +937,25 @@ class CountingStub(ThreadingHTTPServer):
     digest, so a run through the stub is a function of its prompts. The
     first attempts of each prompt that faulty selects get the answers in
     faults instead, one per attempt: an HTTP status with Retry-After: 0, or
-    None to drop the connection without an answer. Each request also
-    samples the client's live threads: those started since the stub was
-    made, plus the thread that made it, less the stub's own.
+    None to drop the connection without an answer. With close_after set,
+    the stub closes each connection unannounced once it has answered that
+    many requests on it, as a keep-alive timeout does, and counts these
+    closes. Each request also samples the client's live threads: those
+    started since the stub was made, plus the thread that made it, less
+    the stub's own.
     """
 
     daemon_threads = True
 
-    def __init__(self, latency_s, faults=(), faulty=lambda prompt: zlib.crc32(prompt) % 4 == 0):
+    def __init__(self, latency_s, faults=(), faulty=lambda prompt: zlib.crc32(prompt) % 4 == 0,
+                 close_after=None):
         super().__init__(("127.0.0.1", 0), CountingHandler)
         self.latency_s = latency_s
         self.faults = faults
         self.faulty = faulty
+        self.close_after = close_after
         self.lock = threading.Lock()
-        self.requests = self.inflight = self.inflight_max = 0
+        self.requests = self.inflight = self.inflight_max = self.closes = 0
         self.attempts = collections.Counter()  # by prompt
         self.injected = collections.Counter()  # by fault
         self.ports = set()  # the client port of every connection
@@ -972,6 +977,7 @@ class CountingHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     disable_nagle_algorithm = True  # else delayed ACKs stall each serial call
     TOKENS = ("A", "B", "C", "D", "yes", "no")
+    answered = 0  # the answers on this handler's connection
 
     def do_POST(self):
         server = self.server
@@ -1009,6 +1015,11 @@ class CountingHandler(BaseHTTPRequestHandler):
             self.send_header("Retry-After", "0")
         self.end_headers()
         self.wfile.write(data)
+        self.answered += 1
+        if self.answered == server.close_after:
+            self.close_connection = True
+            with server.lock:
+                server.closes += 1
 
     def log_message(self, *args):  # silence
         pass
@@ -1261,6 +1272,31 @@ class TestLlmTransport:
             run_digest = hashlib.sha256((out / f"{strategy}.run").read_bytes()).hexdigest()
             outcomes[profile] = run_digest, report["total_calls"]
         assert all(outcome == outcomes["clean"] for outcome in outcomes.values()), outcomes
+
+    @pytest.mark.parametrize("concurrency", ["1", "4"])
+    @pytest.mark.parametrize("strategy", list(STRATEGIES))
+    def test_rerank_over_connections_closed_while_idle_matches_the_clean_run(
+        self, tmp_path, monkeypatch, strategy, concurrency
+    ):
+        monkeypatch.setattr(cli_module, "LlmBackendConfig", FAST_RETRIES)
+        paths = write_experiment_files(make_synth(4, 6, seed=23), tmp_path / "data")
+        outcomes = {}
+        for profile, close_after in {"clean": None, "idle-close": 3}.items():
+            out = tmp_path / profile
+            with counting_stub(latency_s=0.0, close_after=close_after) as server:
+                result = rerank_through(server, paths, out, strategy, "--concurrency", concurrency,
+                                        *SMALL_RUN_FLAGS.get(strategy, ()))
+            assert result.exit_code == 0, (profile, result.output)
+            report = json.loads((out / f"{strategy}.report.json").read_text())
+            # a close races the client's next request on that connection: seen
+            # first, the connection reopens without a retry; else that request
+            # fails once and is retried, on a new connection either way
+            assert sum(report["retries"].values()) <= server.closes, profile
+            assert len(server.ports) <= LlmBackendConfig.batch_size + server.closes, profile
+            run_digest = hashlib.sha256((out / f"{strategy}.run").read_bytes()).hexdigest()
+            outcomes[profile] = run_digest, report["total_calls"]
+        assert server.closes >= 1
+        assert outcomes["idle-close"] == outcomes["clean"], outcomes
 
     def test_analyze_under_faults_matches_the_clean_run(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli_module, "LlmBackendConfig", FAST_RETRIES)
