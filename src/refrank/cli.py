@@ -400,6 +400,7 @@ def cmd_rerank(out_dir, force, **options):
         "total_calls": ledger.total_calls,
         "prompt_chars": ledger.prompt_chars,
         "retries": ledger.retries,
+        "latency_ms": ledger.latency_ms,
         "query_seconds": seconds,
         "total_seconds": sum(seconds.values()),
         "wall_seconds": wall,

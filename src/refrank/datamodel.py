@@ -23,9 +23,11 @@ the maximum grade is the first of them, and NDCG's ideal DCG reads them.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from math import isfinite
+from itertools import accumulate
+from math import ceil, isfinite, log2
 from operator import ge, itemgetter
 
 
@@ -217,13 +219,21 @@ KINDS: dict[str, tuple[int, int, tuple[str, ...] | None, tuple[str, ...]]] = {
     "setwise": (2, SETWISE_MAX_GROUP, None, ("docs",)),
 }
 _CHARS = "prompt_chars"  # the key of a tally's prompt-character count
+# Latency buckets: bucket i counts latencies up to _LATENCY_FLOOR_MS * 2**(i / 8),
+# an eighth of an octave each, so a bucket's bound is at most 9% above any
+# latency in it. The last bound, about 42 s, is past the endpoint's timeout.
+_LATENCY_FLOOR_MS = 0.01
+_BUCKETS_PER_OCTAVE = 8
+_LATENCY_BUCKETS = 22 * _BUCKETS_PER_OCTAVE
 
 
 class CallLedger:
-    """Counts judge calls by kind, their prompt characters, and retried attempts.
+    """Counts judge calls by kind, their prompt characters, retried attempts and latencies.
 
     A call counts once, when it succeeds; ``retries`` counts each attempt
     after a request's first, by kind, whether or not the request succeeds.
+    ``record_latency`` puts one timed attempt in a fixed-bucket histogram of
+    its kind, under the lock; ``latency_ms`` reads p50, p95 and max from it.
 
     Increment-only, and concurrent workers may share one instance. A call
     takes no lock: each thread adds to its own tally, a dict of the kinds
@@ -238,6 +248,8 @@ class CallLedger:
         self._local = threading.local()
         self._tallies: list[dict[str, int]] = []
         self._retries: dict[str, int] = {}
+        self._latency: dict[str, list[int]] = {}  # kind -> count per bucket
+        self._latency_max: dict[str, float] = {}  # kind -> slowest, in ms
 
     def _register(self) -> dict[str, int]:
         tally = dict.fromkeys((*KINDS, _CHARS), 0)
@@ -260,6 +272,19 @@ class CallLedger:
         with self._lock:
             self._retries[kind] = self._retries.get(kind, 0) + 1
 
+    def record_latency(self, kind: str, seconds: float) -> None:
+        ms = seconds * 1e3
+        bucket = 0
+        if ms > _LATENCY_FLOOR_MS:
+            bucket = min(
+                ceil(_BUCKETS_PER_OCTAVE * log2(ms / _LATENCY_FLOOR_MS)), _LATENCY_BUCKETS - 1
+            )
+        with self._lock:
+            if kind not in self._latency:
+                self._latency[kind] = [0] * _LATENCY_BUCKETS
+            self._latency[kind][bucket] += 1
+            self._latency_max[kind] = max(self._latency_max.get(kind, 0.0), ms)
+
     @property
     def counts(self) -> dict[str, int]:
         with self._lock:
@@ -279,3 +304,25 @@ class CallLedger:
         """Retried attempts per kind, for the kinds that had any."""
         with self._lock:
             return dict(self._retries)
+
+    @property
+    def latency_ms(self) -> dict[str, dict[str, float]]:
+        """p50, p95 and max latency in ms, for each kind with a timed attempt.
+
+        A percentile reads as the bound of the bucket that holds it, capped
+        at the max, so it lies at most 9% above the exact value.
+        """
+        with self._lock:
+            timed = {
+                kind: (list(accumulate(self._latency[kind])), self._latency_max[kind])
+                for kind in KINDS if kind in self._latency
+            }
+        summary = {}
+        for kind, (cumulative, slowest) in timed.items():
+            quantiles = {}
+            for name, share in (("p50", 0.5), ("p95", 0.95)):
+                bucket = bisect_left(cumulative, ceil(share * cumulative[-1]))
+                bound = _LATENCY_FLOOR_MS * 2 ** (bucket / _BUCKETS_PER_OCTAVE)
+                quantiles[name] = round(min(bound, slowest), 3)
+            summary[kind] = {**quantiles, "max": round(slowest, 3)}
+        return summary

@@ -12,14 +12,14 @@ table datamodel.KINDS gives them, and datamodel.SETWISE_ALPHABET for setwise:
 
 Scorer.score checks every answer once: a label that is missing or not
 finite raises DegenerateResponseError, so code downstream of it takes the
-values as they are. Normalization of logits into scores lives in the
+values as they are. The endpoint judge, which overrides score, makes the
+same check as it parses each response. Normalization of logits into scores lives in the
 strategies module; scorers return raw values. Every successful call
 increments the shared CallLedger exactly once with the request kind.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from math import isfinite, nan
@@ -118,7 +118,7 @@ _set_kind, _set_query, _set_docs = (
 )
 
 
-class Scorer(ABC):
+class Scorer:
     """Uniform interface over relevance judges.
 
     Implementations must be safe to call from multiple threads; ``score``
@@ -142,9 +142,13 @@ class Scorer(ABC):
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    @abstractmethod
     def _score_one(self, request: JudgeRequest) -> tuple[dict[str, float], int]:
-        """Return (label -> logit, prompt character count) for one request."""
+        """Return (label -> logit, prompt character count) for one request.
+
+        ``score`` calls it; a scorer that overrides ``score`` and
+        ``score_batch`` need not define it.
+        """
+        raise NotImplementedError
 
     def score(self, request: JudgeRequest) -> dict[str, float]:
         logits, prompt_chars = self._score_one(request)
@@ -163,25 +167,26 @@ class Scorer(ABC):
         per-index errors and every successful result; the ledger still
         counts each successful request exactly once.
         """
-        return self._collect(requests, self.score, requests)
-
-    @staticmethod
-    def _collect(requests, judge, items) -> list[dict[str, float]]:
-        """Apply judge to each item, one per request, in order.
-
-        Raises BatchScoringError carrying every success and every failure
-        when any item fails; its message names the failed requests as
-        ``doc|doc`` ids, the first eight, then the first failure.
-        """
         results: list[dict[str, float] | None] = []
         append = results.append
         errors: dict[int, Exception] = {}
-        for index, item in enumerate(items):
+        score = self.score
+        for index, request in enumerate(requests):
             try:
-                append(judge(item))
+                append(score(request))
             except HarnessError as exc:
                 append(None)
                 errors[index] = exc
+        return self._batch_result(requests, results, errors)
+
+    @staticmethod
+    def _batch_result(requests, results, errors: Mapping[int, Exception]) -> list[dict[str, float]]:
+        """The results, or BatchScoringError when any request failed.
+
+        The error carries every success and every failure; its message names
+        the failed requests as ``doc|doc`` ids, the first eight by index,
+        then the first failure.
+        """
         if errors:
             failed = ", ".join(
                 "|".join(doc.doc_id for doc in requests[index].docs) for index in list(errors)[:8]

@@ -16,24 +16,33 @@ Transport: the standard library's ``http.client``, so proxy environment
 variables and ``.netrc`` are not read. ``base_url`` is ``http(s)://host[:port]``.
 An API key must be printable ASCII without whitespace, or the scorer refuses
 to build: it is sent as a bearer token, and no HTTP header can carry more.
-A scorer owns ``batch_size`` keep-alive connections. Each HTTP exchange
-takes a free one and waits while none is, so at most ``batch_size`` requests
-are in flight per scorer, from any number of threads. A connection the
-server closed while it was idle is reopened before the next request, without
-counting a retry. One worker pool of ``batch_size`` threads serves every
-``score_batch``. ``close()`` stops the pool and closes the connections;
-after it, calls raise ``ScoringError`` and open nothing.
+A scorer owns ``batch_size`` keep-alive connections, shared by every
+thread that calls it, and starts no thread of its own. ``score_batch`` runs
+on the calling thread: it sends each request on a free connection, taking
+as many as are free, so at most ``batch_size`` requests are in flight per
+scorer, and waits in one ``poll`` (a selector where ``select.poll`` is
+missing) for whichever response comes first. A response is read whole, and
+its connection goes straight back for the next request. ``score`` runs the
+same loop on one request. A connection the server closed while it was idle
+is reopened before the next request, without counting a retry. An
+interrupt (Ctrl-C) closes the connections in flight and ends the call at
+once. ``close()`` closes the connections; after it, calls raise
+``ScoringError`` and open nothing.
 
-Transient failures (a dropped or reset connection, a timeout, HTTP 429,
-500, 502, 503 or 504) are retried up to 3 times. Before retry n the scorer
-sleeps, holding no connection, a uniform draw from [0, retry_backoff *
+Transient failures (a dropped or reset connection, no response within the
+30 s timeout from the request's send, HTTP 429, 500, 502, 503 or 504) are
+retried up to 3 times. Before retry n the request waits, holding neither a
+connection nor a thread, a uniform draw from [0, retry_backoff *
 2**(n-1)] (full jitter); after a 429 or 503 whose ``Retry-After`` gives
 seconds, at least that long, capped at the 30 s timeout. Results never
-depend on the draw. The ledger counts each retried attempt by request kind.
+depend on the draw. The ledger counts each retried attempt by request kind,
+and times each attempt that got a response, from send to its last byte.
 """
 
 from __future__ import annotations
 
+import collections
+import heapq
 import http.client
 import json
 import math
@@ -44,11 +53,10 @@ import select
 import selectors
 import time
 from collections.abc import Sequence
-from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from urllib.parse import urlsplit
 
-from ..datamodel import CallLedger, ValidationError
+from ..datamodel import CallLedger, HarnessError, ValidationError
 from .base import (
     DegenerateResponseError,
     JudgeRequest,
@@ -111,7 +119,6 @@ class LlmScorer(Scorer):
                 )
             self._headers["Authorization"] = f"Bearer {api_key}"
         self.max_in_flight = config.batch_size
-        self._pool = ThreadPoolExecutor(max_workers=config.batch_size)
         self._connections = tuple(
             connection_type(host, port, timeout=_TIMEOUT_S) for _ in range(config.batch_size)
         )
@@ -123,13 +130,27 @@ class LlmScorer(Scorer):
         self._closed = False
 
     def close(self) -> None:
-        """Stop the worker pool and close every connection; later calls raise ScoringError."""
+        """Close every connection; later calls raise ScoringError."""
         self._closed = True
-        self._pool.shutdown()
         for connection in self._connections:
             connection.close()
 
-    def _score_one(self, request: JudgeRequest) -> tuple[dict[str, float], int]:
+    def score(self, request: JudgeRequest) -> dict[str, float]:
+        results, errors = self._judge((request,))
+        if errors:
+            raise errors[0]
+        return results[0]
+
+    def score_batch(self, requests: Sequence[JudgeRequest]) -> list[dict[str, float]]:
+        """Score on the calling thread, at most ``batch_size`` in flight; order preserved.
+
+        Returns or raises only once every request has finished, so none is
+        left recording into the ledger after the caller has moved on.
+        """
+        return self._batch_result(requests, *self._judge(requests))
+
+    def _body(self, request: JudgeRequest) -> tuple[bytes, int]:
+        """The POST body for a request, and its prompt's character count."""
         prompt = build_prompt(request, self.config.templates, _MAX_DOC_CHARS)
         payload = {
             "model": self.config.model,
@@ -139,67 +160,147 @@ class LlmScorer(Scorer):
             "logprobs": True,
             "top_logprobs": _TOP_LOGPROBS,
         }
-        data = self._post_with_retries(request.kind, json.dumps(payload).encode())
-        return self._extract_logits(request, data), len(prompt)
+        return json.dumps(payload).encode(), len(prompt)
 
-    def _post_with_retries(self, kind: str, body: bytes) -> dict:
-        attempts = _MAX_RETRIES + 1
-        last_failure = "no attempt made"
-        retry_after = 0.0
-        for attempt in range(attempts):
-            if attempt:
-                self.ledger.record_retry(kind)
-                backoff = random.uniform(0.0, self.config.retry_backoff * 2 ** (attempt - 1))
-                time.sleep(max(backoff, min(retry_after, _TIMEOUT_S)))
-                retry_after = 0.0
-            try:
-                status, retry_after_header, data = self._exchange(body)
-            except (OSError, http.client.HTTPException) as exc:
-                last_failure = f"{type(exc).__name__}: {exc}"
-                continue
-            if status in RETRYABLE_STATUS:
-                last_failure = f"HTTP {status}"
-                if status in _RETRY_AFTER_STATUS:
-                    retry_after = _retry_after_seconds(retry_after_header)
-                continue
-            text = data.decode("utf-8", "replace")
-            if status != 200:
-                raise ScoringError(f"endpoint returned HTTP {status}: {text[:200]}")
-            try:
-                return json.loads(text)
-            except ValueError:
-                raise DegenerateResponseError(
-                    "response body is not JSON", payload=text[:500]
-                ) from None
-        raise TransientBackendError(
-            f"request failed after {attempts} attempt(s): {last_failure}"
-        )
+    def _judge(self, requests: Sequence[JudgeRequest]):
+        """Run every request to its end on this thread: (results, errors by index).
 
-    def _exchange(self, body: bytes) -> tuple[int, str | None, bytes]:
-        """POST body on a free connection: (status, Retry-After, whole body).
-
-        Waits while every connection is taken. The body is read in full, so
-        the connection can carry the next request. A connection that fails
-        is closed, and reopens on its next request.
+        Each attempt takes a free connection, waiting for one only while none
+        of this batch's requests is in flight, and sends on it. One poll then
+        waits for whichever response comes first, for the next deadline, or
+        for the next retry to fall due. A response is read whole, so its
+        connection goes back to the free queue at once. A failed attempt
+        waits out its backoff in a heap, holding no connection. On any
+        exception, a ``KeyboardInterrupt`` included, the connections taken
+        and not yet freed are closed and freed, and nothing is left recording
+        into the ledger.
         """
-        connection = self._free.get()
-        try:
-            if self._closed:
-                raise ScoringError("scorer is closed")
-            if connection.sock is not None and _readable(connection.sock):
-                # The server closed the idle connection (a keep-alive timeout):
-                # nothing was sent on it, so reopen it without a retry.
-                connection.close()
-            connection.request("POST", _PATH, body, self._headers)
-            response = connection.getresponse()
-            return response.status, response.getheader("Retry-After"), response.read()
-        except (OSError, http.client.HTTPException):
-            connection.close()
-            raise
-        finally:
-            self._free.put(connection)
+        if self._closed:
+            raise ScoringError("scorer is closed")
+        results: list[dict[str, float] | None] = [None] * len(requests)
+        errors: dict[int, Exception] = {}
+        bodies: list[tuple[bytes, int]] = []
+        for index, request in enumerate(requests):
+            try:
+                bodies.append(self._body(request))
+            except HarnessError as exc:
+                bodies.append((b"", 0))
+                errors[index] = exc
+        attempts = [0] * len(requests)
+        ready = collections.deque(index for index in range(len(requests)) if index not in errors)
+        backoff: list[tuple[float, int]] = []  # (due, index), a heap
+        in_flight: dict[int, tuple[http.client.HTTPConnection, int, float]] = {}  # by socket fd
+        held: set[http.client.HTTPConnection] = set()  # taken from the free queue, not put back
+        free = self._free
 
-    def _extract_logits(self, request: JudgeRequest, data: dict) -> dict[str, float]:
+        def release(connection: http.client.HTTPConnection, close: bool = False) -> None:
+            if close:  # a failed exchange leaves the stream unusable; it reopens on its next request
+                connection.close()
+            held.discard(connection)
+            free.put(connection)
+
+        def failed(index: int, failure: str, retry_after: float = 0.0) -> None:
+            """Schedule a transient failure's retry; after the last retry, raise."""
+            if attempts[index] == _MAX_RETRIES:
+                raise TransientBackendError(
+                    f"request failed after {_MAX_RETRIES + 1} attempt(s): {failure}"
+                )
+            attempts[index] += 1
+            self.ledger.record_retry(requests[index].kind)
+            pause = random.uniform(0.0, self.config.retry_backoff * 2 ** (attempts[index] - 1))
+            due = time.monotonic() + max(pause, min(retry_after, _TIMEOUT_S))
+            heapq.heappush(backoff, (due, index))
+
+        def send(index: int, connection: http.client.HTTPConnection) -> None:
+            if self._closed:
+                release(connection)
+                raise ScoringError("scorer is closed")
+            try:
+                if connection.sock is not None and _readable(connection.sock):
+                    # The server closed the idle connection (a keep-alive
+                    # timeout): nothing was sent on it, so reopen it without
+                    # a retry.
+                    connection.close()
+                started = time.monotonic()
+                connection.request("POST", _PATH, bodies[index][0], self._headers)
+            except (OSError, http.client.HTTPException) as exc:
+                release(connection, close=True)
+                failed(index, f"{type(exc).__name__}: {exc}")
+                return
+            in_flight[connection.sock.fileno()] = connection, index, started
+
+        def receive(connection: http.client.HTTPConnection, index: int, started: float) -> None:
+            request = requests[index]
+            try:
+                response = connection.getresponse()
+                status, data = response.status, response.read()
+            except (OSError, http.client.HTTPException) as exc:
+                release(connection, close=True)
+                failed(index, f"{type(exc).__name__}: {exc}")
+                return
+            release(connection)
+            self.ledger.record_latency(request.kind, time.monotonic() - started)
+            if status in RETRYABLE_STATUS:
+                retry_after = 0.0
+                if status in _RETRY_AFTER_STATUS:
+                    retry_after = _retry_after_seconds(response.getheader("Retry-After"))
+                failed(index, f"HTTP {status}", retry_after)
+                return
+            results[index] = self._extract_logits(request, status, data)
+            self.ledger.record(request.kind, bodies[index][1])
+
+        try:
+            while ready or backoff or in_flight:
+                now = time.monotonic()
+                while backoff and backoff[0][0] <= now:
+                    ready.append(heapq.heappop(backoff)[1])
+                while ready:
+                    try:
+                        connection = free.get(block=not in_flight)
+                    except queue.Empty:
+                        break
+                    held.add(connection)
+                    index = ready.popleft()
+                    try:
+                        send(index, connection)
+                    except HarnessError as exc:
+                        errors[index] = exc
+                if not in_flight:  # nor is any request ready: each one sent has failed
+                    if backoff:
+                        time.sleep(max(0.0, backoff[0][0] - time.monotonic()))
+                    continue
+                wake = min(started for _, _, started in in_flight.values()) + _TIMEOUT_S
+                if backoff:
+                    wake = min(wake, backoff[0][0])
+                for fd in _ready(in_flight, max(0.0, wake - time.monotonic())):
+                    connection, index, started = in_flight.pop(fd)
+                    try:
+                        receive(connection, index, started)
+                    except HarnessError as exc:
+                        errors[index] = exc
+                now = time.monotonic()
+                for fd, (connection, index, started) in list(in_flight.items()):
+                    if now - started >= _TIMEOUT_S:
+                        del in_flight[fd]
+                        release(connection, close=True)
+                        try:
+                            failed(index, "TimeoutError: timed out")
+                        except HarnessError as exc:
+                            errors[index] = exc
+        finally:  # holds any only when an exception, say an interrupt, cut an exchange short
+            for connection in held:
+                connection.close()
+                free.put(connection)
+        return results, dict(sorted(errors.items()))
+
+    def _extract_logits(self, request: JudgeRequest, status: int, body: bytes) -> dict[str, float]:
+        text = body.decode("utf-8", "replace")
+        if status != 200:
+            raise ScoringError(f"endpoint returned HTTP {status}: {text[:200]}")
+        try:
+            data = json.loads(text)
+        except ValueError:
+            raise DegenerateResponseError("response body is not JSON", payload=text[:500]) from None
         try:
             top = data["choices"][0]["logprobs"]["content"][0]["top_logprobs"]
         except (KeyError, IndexError, TypeError):
@@ -225,12 +326,12 @@ class LlmScorer(Scorer):
         for label in request.labels:
             present = [logprob for token, logprob in entries if token in (label, " " + label)]
             if present:
-                # A label listed only with non-finite values keeps one of
-                # them, so that Scorer.score rejects the answer.
-                values[label] = max(
-                    (logprob for logprob in present if math.isfinite(logprob)),
-                    default=present[0],
-                )
+                best = max((logprob for logprob in present if math.isfinite(logprob)), default=None)
+                if best is None:
+                    raise DegenerateResponseError(
+                        f"backend produced no finite logit for label {label!r}", payload=data
+                    )
+                values[label] = best
                 found_any = True
             else:
                 values[label] = floor
@@ -241,18 +342,6 @@ class LlmScorer(Scorer):
                 payload=data,
             )
         return values
-
-    def score_batch(self, requests_seq: Sequence[JudgeRequest]) -> list[dict[str, float]]:
-        """Score on the scorer's worker pool; order preserved.
-
-        Returns or raises only once every request has finished, so none is
-        left recording into the ledger after the caller has moved on.
-        """
-        if self._closed:
-            raise ScoringError("scorer is closed")
-        futures = [self._pool.submit(self.score, request) for request in requests_seq]
-        wait(futures)
-        return self._collect(requests_seq, Future.result, futures)
 
 
 def _endpoint(base_url: str) -> tuple[type[http.client.HTTPConnection], str, int | None]:
@@ -277,15 +366,22 @@ def _endpoint(base_url: str) -> tuple[type[http.client.HTTPConnection], str, int
     return http.client.HTTPConnection, parts.hostname, port
 
 
-def _readable(sock) -> bool:
-    """Whether an idle socket has input: end of stream, or bytes no request asked for."""
+def _ready(fds, timeout: float) -> list[int]:
+    """The descriptors among fds that have input, waiting up to timeout seconds for one."""
     if hasattr(select, "poll"):  # opens no descriptor; a selector opens one per call
         poller = select.poll()
-        poller.register(sock, select.POLLIN)
-        return bool(poller.poll(0))
+        for fd in fds:
+            poller.register(fd, select.POLLIN)
+        return [fd for fd, _ in poller.poll(timeout * 1000)]
     with selectors.DefaultSelector() as selector:
-        selector.register(sock, selectors.EVENT_READ)
-        return bool(selector.select(0))
+        for fd in fds:
+            selector.register(fd, selectors.EVENT_READ)
+        return [key.fd for key, _ in selector.select(timeout)]
+
+
+def _readable(sock) -> bool:
+    """Whether an idle socket has input: end of stream, or bytes no request asked for."""
+    return bool(_ready((sock.fileno(),), 0))
 
 
 def _retry_after_seconds(value: str | None) -> float:

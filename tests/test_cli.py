@@ -72,6 +72,7 @@ class TestRerank:
         assert report["calls"]["triplet"] == 3 * 12
         assert report["metric"] == "ndcg@10"
         assert report["mean"] == 1.0  # noiseless oracle on judged fixture
+        assert report["latency_ms"] == {}  # the oracle times no attempt
         assert report["config"]["seed"] == 7
         # the snapshot holds the strategy options refrank-single reads, no others
         assert report["config"]["ref_index"] == 1

@@ -181,6 +181,20 @@ class TestCallLedger:
         assert ledger.counts["triplet"] == 8000
         assert ledger.prompt_chars == 8000
 
+    def test_latency_percentiles_lie_within_a_bucket_above_the_exact_value(self):
+        ledger = CallLedger()
+        for ms in range(1, 101):
+            ledger.record_latency("duel", ms / 1e3)
+        ledger.record_latency("setwise", 0.0)
+        summary = ledger.latency_ms
+        assert list(summary) == ["duel", "setwise"]
+        duel = summary["duel"]
+        assert 50 <= duel["p50"] <= 50 * 2 ** (1 / 8)
+        assert 95 <= duel["p95"] <= 95 * 2 ** (1 / 8)
+        assert duel["max"] == 100.0
+        assert summary["setwise"] == {"p50": 0.0, "p95": 0.0, "max": 0.0}
+        assert CallLedger().latency_ms == {}
+
     def test_tallies_of_exited_threads_still_count(self):
         ledger = CallLedger()
 

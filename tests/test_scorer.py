@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import os
+import signal
 import socket
 import struct
 import subprocess
@@ -936,8 +937,9 @@ class CountingStub(ThreadingHTTPServer):
     every kind, with log-probabilities drawn from the prompt's SHA-256
     digest, so a run through the stub is a function of its prompts. The
     first attempts of each prompt that faulty selects get the answers in
-    faults instead, one per attempt: an HTTP status with Retry-After: 0, or
-    None to drop the connection without an answer. With close_after set,
+    faults instead, one per attempt: an HTTP status with Retry-After:
+    retry_after, or None to drop the connection without an answer.
+    ``arrivals`` lists the prompt of each request in the order they came. With close_after set,
     the stub closes each connection unannounced once it has answered that
     many requests on it, as a keep-alive timeout does, and counts these
     closes. Each request also samples the client's live threads: those
@@ -948,10 +950,12 @@ class CountingStub(ThreadingHTTPServer):
     daemon_threads = True
 
     def __init__(self, latency_s, faults=(), faulty=lambda prompt: zlib.crc32(prompt) % 4 == 0,
-                 close_after=None):
+                 close_after=None, retry_after="0"):
         super().__init__(("127.0.0.1", 0), CountingHandler)
         self.latency_s = latency_s
         self.faults = faults
+        self.retry_after = retry_after
+        self.arrivals = []
         self.faulty = faulty
         self.close_after = close_after
         self.lock = threading.Lock()
@@ -985,6 +989,7 @@ class CountingHandler(BaseHTTPRequestHandler):
         prompt = body["messages"][0]["content"].encode()
         with server.lock:
             server.requests += 1
+            server.arrivals.append(prompt)
             server.inflight += 1
             server.inflight_max = max(server.inflight_max, server.inflight)
             server.ports.add(self.client_address[1])
@@ -1012,7 +1017,7 @@ class CountingHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
         if status != 200:
-            self.send_header("Retry-After", "0")
+            self.send_header("Retry-After", server.retry_after)
         self.end_headers()
         self.wfile.write(data)
         self.answered += 1
@@ -1058,6 +1063,21 @@ SMALL_RUN_FLAGS = {
 FAST_RETRIES = functools.partial(LlmBackendConfig, retry_backoff=0.001)
 
 
+class FakeClock:
+    """Stands in for the llm module's ``time``: ``sleep`` records each pause and moves the clock on."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.sleeps = []
+
+    def monotonic(self):
+        return self.now
+
+    def sleep(self, seconds):
+        self.sleeps.append(seconds)
+        self.now += seconds
+
+
 YES_NO = completion_payload([{"token": "yes", "logprob": -0.3}, {"token": "no", "logprob": -1.3}])
 
 
@@ -1075,8 +1095,9 @@ class TestLlmTransport:
     def test_retry_after_sets_the_least_sleep(
         self, stub_server, monkeypatch, retry_after, low, high
     ):
-        sleeps = []
-        monkeypatch.setattr(llm.time, "sleep", sleeps.append)
+        clock = FakeClock()
+        monkeypatch.setattr(llm, "time", clock)
+        sleeps = clock.sleeps
         StubHandler.behaviors = [
             lambda i: (429, {"error": "slow down"}, {"Retry-After": retry_after}),
             lambda i: (200, YES_NO),
@@ -1087,8 +1108,9 @@ class TestLlmTransport:
         assert scorer.ledger.retries == {"pointwise": 1}
 
     def test_5xx_burst_then_success_with_jittered_backoff(self, stub_server, monkeypatch):
-        sleeps = []
-        monkeypatch.setattr(llm.time, "sleep", sleeps.append)
+        clock = FakeClock()
+        monkeypatch.setattr(llm, "time", clock)
+        sleeps = clock.sleeps
         StubHandler.behaviors = [
             lambda i: (500, {"error": "boom"}),
             lambda i: (502, {"error": "bad gateway"}),
@@ -1234,6 +1256,91 @@ class TestLlmTransport:
         assert server.inflight_max <= 3
         assert len(server.ports) <= 3  # the scorer's connections, whichever thread calls
 
+    def test_a_batch_runs_on_the_calling_thread(self):
+        requests = [JudgeRequest("pointwise", QUERY, (doc(f"d{i}", f"text {i}"),)) for i in range(20)]
+        with counting_stub(latency_s=0.005) as server:
+            with llm_scorer(server.url, batch_size=4) as scorer:
+                scorer.score_batch(requests)
+        assert server.requests == scorer.ledger.total_calls == 20
+        assert 1 < server.inflight_max <= 4
+        assert server.threads_max == 1
+
+    def test_a_backoff_holds_no_connection(self):
+        # The first request gets a 429 that asks for 0.5 s. Over two
+        # connections at 0.2 s an answer, the other five are answered by
+        # 0.6 s, before the retry goes out at 0.7 s. A backoff that held a
+        # connection, or a thread that sends on one, would leave the last of
+        # them waiting until 0.8 s, after the retry.
+        requests = [JudgeRequest("pointwise", QUERY, (doc(f"d{i}", f"text {i}"),)) for i in range(6)]
+        with counting_stub(latency_s=0.2, faults=(429,), faulty=lambda prompt: b"text 0" in prompt,
+                           retry_after="0.5") as server:
+            with llm_scorer(server.url, batch_size=2) as scorer:
+                scorer.score_batch(requests)
+        order = [int(prompt.split(b"text ")[1][0:1]) for prompt in server.arrivals]
+        assert sorted(order[:-1]) == [0, 1, 2, 3, 4, 5] and order[-1] == 0, order
+        assert server.inflight_max == 2
+        assert scorer.ledger.retries == {"pointwise": 1}
+        assert scorer.ledger.total_calls == 6
+
+    def test_latency_report_reads_the_stubs_latency(self, tmp_path):
+        paths = write_experiment_files(make_synth(2, 6, seed=23), tmp_path / "data")
+        with counting_stub(latency_s=0.05) as server:
+            result = rerank_through(server, paths, tmp_path / "out", "pointwise")
+        assert result.exit_code == 0, result.output
+        report = json.loads((tmp_path / "out" / "pointwise.report.json").read_text())
+        (kind, latency), = report["latency_ms"].items()
+        assert kind == "pointwise"
+        assert 50 <= latency["p50"] <= latency["p95"] <= latency["max"]
+        assert latency["p50"] <= 50 * 2 ** (1 / 8) + 10  # one bucket, and the client's own time
+
+    def test_an_interrupt_in_the_wait_closes_and_frees_the_connections_in_flight(
+        self, monkeypatch
+    ):
+        requests = [JudgeRequest("pointwise", QUERY, (doc(f"d{i}", f"text {i}"),)) for i in range(3)]
+
+        def interrupted(fds, timeout):
+            raise KeyboardInterrupt
+
+        with counting_stub(latency_s=0.05) as server:
+            with llm_scorer(server.url, batch_size=2) as scorer:
+                with monkeypatch.context() as patch:
+                    patch.setattr(llm, "_ready", interrupted)
+                    with pytest.raises(KeyboardInterrupt):
+                        scorer.score_batch(requests)
+                assert scorer._free.qsize() == 2
+                assert all(connection.sock is None for connection in scorer._connections)
+                assert scorer.ledger.total_calls == 0
+                assert scorer.score_batch(requests)  # the scorer still works
+        assert scorer.ledger.total_calls == 3
+
+    def test_ctrl_c_stops_an_endpoint_run_at_once(self, tmp_path):
+        run, corpus, queries, _ = write_experiment_files(make_synth(2, 6, seed=23), tmp_path / "data")
+        src = str(Path(refrank.__file__).resolve().parent.parent)
+        with counting_stub(latency_s=5.0) as server:
+            process = subprocess.Popen(
+                [sys.executable, "-m", "refrank", "rerank", "--run", str(run), "--corpus",
+                 str(corpus), "--queries", str(queries), "--strategy", "pointwise",
+                 "--backend", "endpoint", "--endpoint-url", server.url, "--model", "m",
+                 "--out", str(tmp_path / "out")],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                env={**os.environ, "PYTHONPATH": src},
+            )
+            try:
+                started = time.monotonic()
+                while server.inflight == 0 and time.monotonic() < started + 30:
+                    time.sleep(0.01)
+                time.sleep(max(0.0, started + 1.0 - time.monotonic()))
+                assert server.inflight > 0  # requests are in flight, with 4 s to go
+                process.send_signal(signal.SIGINT)
+                signalled = time.monotonic()
+                _, stderr = process.communicate(timeout=30)
+                waited = time.monotonic() - signalled
+            finally:
+                process.kill()
+                process.communicate()
+        assert process.returncode != 0, stderr
+        assert waited < 1.5, stderr
+
     def test_closed_scorer_raises_and_opens_nothing(self):
         with counting_stub(latency_s=0.0) as server:
             scorer = llm_scorer(server.url, batch_size=2)
@@ -1267,8 +1374,8 @@ class TestLlmTransport:
             assert sum(report["retries"].values()) == injected, profile
             # a dropped connection is reopened, on a new port
             assert len(server.ports) <= LlmBackendConfig.batch_size + server.injected[None], profile
-            # the scorer's pool, the rerank workers and the caller
-            assert server.threads_max <= LlmBackendConfig.batch_size + int(concurrency) + 1, profile
+            # the rerank workers and the caller: the scorer starts no thread
+            assert server.threads_max <= int(concurrency) + 1, profile
             run_digest = hashlib.sha256((out / f"{strategy}.run").read_bytes()).hexdigest()
             outcomes[profile] = run_digest, report["total_calls"]
         assert all(outcome == outcomes["clean"] for outcome in outcomes.values()), outcomes
