@@ -31,7 +31,7 @@ from itertools import accumulate
 from .datamodel import CandidateList, Qrels, ValidationError
 from .eval import MetricConfig, ndcg_at_k
 from .scorer.base import Scorer
-from .strategies import anchor_rows, anchor_scores, weighted_ranking
+from .strategies import EnsembleConfig, anchor_rows, anchor_scores, weighted_ranking
 
 
 def minmax_normalize(values: Sequence[float]) -> list[float]:
@@ -85,7 +85,7 @@ def check_sweep_depth(lists: Sequence[CandidateList], depth: int, name: str) -> 
 # Each sweep kind's cell -> (column slice, weights) of the anchor rows.
 _CELLS = {
     "reference": lambda r: (slice(r - 1, r), (1.0,)),
-    "ensemble": lambda m: (slice(0, m), (1.0 / m,) * m),
+    "ensemble": lambda m: (slice(0, m), EnsembleConfig(m).weights),
 }
 
 

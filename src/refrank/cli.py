@@ -12,6 +12,9 @@ setting out of range for any list is refused before the first judge call,
 and any refusal before bench prints a line. rerank and bench find such a
 setting by starting each strategy on the shortest list with a stand-in
 judge that stops it at its first call, so nothing is judged.
+rerank and bench rank the queries on a pool of --concurrency threads. A
+failed query or Ctrl-C starts no queued query, and the judge, closed on
+the way out, ends the queries still running at once.
 Every rerank run writes a config snapshot into its report: the options the
 run read, the seed, and the package version. Re-running with the same
 configuration and seed reproduces the run file byte for byte under the
@@ -30,8 +33,9 @@ import functools
 import inspect
 import json
 import sys
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import asdict
 from pathlib import Path
 
@@ -312,24 +316,40 @@ def _warn_over_budget(names: list[str], m: int, lists) -> None:
 
 
 def _run_all(lists, ranker, scorer: Scorer, concurrency: int):
-    """Rank every list with the scorer.
+    """Rank every list with the scorer, on a pool of concurrency threads.
 
     Returns the rankings, each query's seconds and the wall seconds of the
     whole run. Queries overlap at a concurrency above 1, so their seconds
-    can add up to more than the wall time.
+    can add up to more than the wall time. The first query to fail, or an
+    interrupt, raises at once and starts no queued query. It does not wait
+    for the queries still running: closing the scorer, as the caller's
+    ``with`` does on the way out, ends them.
     """
 
+    failed = threading.Event()
+
     def run_one(candidate_list):
+        # A worker may take a queued query before the failure reaches this
+        # thread and the queue is cancelled; skip it. Its None is never read.
+        if failed.is_set():
+            return None
         started = time.perf_counter()
-        ranking = ranker(candidate_list, scorer)
+        try:
+            ranking = ranker(candidate_list, scorer)
+        except BaseException:
+            failed.set()
+            raise
         return ranking, time.perf_counter() - started
 
     started = time.perf_counter()
-    if concurrency == 1:
-        timed = [run_one(cl) for cl in lists]
-    else:
-        with ThreadPoolExecutor(max_workers=concurrency) as pool:
-            timed = list(pool.map(run_one, lists))
+    pool = ThreadPoolExecutor(max_workers=concurrency)
+    try:
+        futures = [pool.submit(run_one, cl) for cl in lists]
+        for future in as_completed(futures):
+            future.result()  # raises the first failure, while other queries may still run
+    finally:
+        pool.shutdown(wait=False, cancel_futures=True)
+    timed = [future.result() for future in futures]
     wall = time.perf_counter() - started
     seconds = {cl.query.id: elapsed for cl, (_, elapsed) in zip(lists, timed)}
     return [ranking for ranking, _ in timed], seconds, wall

@@ -26,8 +26,12 @@ its connection goes straight back for the next request. ``score`` runs the
 same loop on one request. A connection the server closed while it was idle
 is reopened before the next request, without counting a retry. An
 interrupt (Ctrl-C) closes the connections in flight and ends the call at
-once. ``close()`` closes the connections; after it, calls raise
-``ScoringError`` and open nothing.
+once. ``close()`` closes the connections and ends every wait on them, in
+any thread: it shuts each open socket down, which wakes the poll or read
+of the call holding it, and that call's requests fail with
+``ScoringError``, with no retry and no further request. A call whose
+requests all wait out a backoff ends when the backoff does. After it,
+calls raise ``ScoringError`` and open nothing.
 
 Transient failures (a dropped or reset connection, no response within the
 30 s timeout from the request's send, HTTP 429, 500, 502, 503 or 504) are
@@ -42,6 +46,7 @@ and times each attempt that got a response, from send to its last byte.
 from __future__ import annotations
 
 import collections
+import contextlib
 import heapq
 import http.client
 import json
@@ -51,6 +56,7 @@ import queue
 import random
 import select
 import selectors
+import socket
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -130,10 +136,26 @@ class LlmScorer(Scorer):
         self._closed = False
 
     def close(self) -> None:
-        """Close every connection; later calls raise ScoringError."""
+        """Close every connection and end every wait on one; later calls raise ScoringError.
+
+        Every open socket is shut down first, which wakes a poll or a read
+        that another thread has on it. A connection that a call holds is
+        closed and freed by that call, which ends at once; the free ones
+        are closed here.
+        """
         self._closed = True
         for connection in self._connections:
+            sock = connection.sock
+            if sock is not None:
+                with contextlib.suppress(OSError):  # the peer may have closed it already
+                    sock.shutdown(socket.SHUT_RDWR)
+        taken = []
+        with contextlib.suppress(queue.Empty):
+            while True:
+                taken.append(self._free.get_nowait())
+        for connection in taken:
             connection.close()
+            self._free.put(connection)
 
     def score(self, request: JudgeRequest) -> dict[str, float]:
         results, errors = self._judge((request,))
@@ -200,7 +222,9 @@ class LlmScorer(Scorer):
             free.put(connection)
 
         def failed(index: int, failure: str, retry_after: float = 0.0) -> None:
-            """Schedule a transient failure's retry; after the last retry, raise."""
+            """Schedule a transient failure's retry; after the last retry, or once closed, raise."""
+            if self._closed:
+                raise ScoringError("scorer is closed")
             if attempts[index] == _MAX_RETRIES:
                 raise TransientBackendError(
                     f"request failed after {_MAX_RETRIES + 1} attempt(s): {failure}"
@@ -212,9 +236,6 @@ class LlmScorer(Scorer):
             heapq.heappush(backoff, (due, index))
 
         def send(index: int, connection: http.client.HTTPConnection) -> None:
-            if self._closed:
-                release(connection)
-                raise ScoringError("scorer is closed")
             try:
                 if connection.sock is not None and _readable(connection.sock):
                     # The server closed the idle connection (a keep-alive
@@ -222,6 +243,13 @@ class LlmScorer(Scorer):
                     # a retry.
                     connection.close()
                 started = time.monotonic()
+                if connection.sock is None and not self._closed:
+                    connection.connect()
+                # Read with the socket open: close() sets the flag before it
+                # shuts every open socket down, so no request outlives it.
+                if self._closed:
+                    release(connection, close=True)
+                    raise ScoringError("scorer is closed")
                 connection.request("POST", _PATH, bodies[index][0], self._headers)
             except (OSError, http.client.HTTPException) as exc:
                 release(connection, close=True)
@@ -252,7 +280,7 @@ class LlmScorer(Scorer):
         try:
             while ready or backoff or in_flight:
                 now = time.monotonic()
-                while backoff and backoff[0][0] <= now:
+                while backoff and (backoff[0][0] <= now or self._closed):
                     ready.append(heapq.heappop(backoff)[1])
                 while ready:
                     try:

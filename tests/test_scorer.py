@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import os
+import re
 import signal
 import socket
 import struct
@@ -976,6 +977,11 @@ class CountingStub(ThreadingHTTPServer):
     def url(self):
         return f"http://127.0.0.1:{self.server_port}"
 
+    def handle_error(self, request, client_address):
+        # a client that closed its scorer leaves the stub's answer nowhere to go
+        if not isinstance(sys.exc_info()[1], (BrokenPipeError, ConnectionResetError)):
+            super().handle_error(request, client_address)
+
 
 class CountingHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
@@ -985,7 +991,12 @@ class CountingHandler(BaseHTTPRequestHandler):
 
     def do_POST(self):
         server = self.server
-        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        length = int(self.headers["Content-Length"])
+        raw = self.rfile.read(length)
+        if len(raw) < length:  # the client shut the connection down as it sent
+            self.close_connection = True
+            return
+        body = json.loads(raw)
         prompt = body["messages"][0]["content"].encode()
         with server.lock:
             server.requests += 1
@@ -1050,6 +1061,33 @@ def rerank_through(server, paths, out, strategy, *extra):
         "--strategy", strategy, *extra, "--backend", "endpoint", "--endpoint-url", server.url,
         "--model", "m", "--out", str(out),
     ], catch_exceptions=False)
+
+
+def close_while_waiting(scorer, requests, waiting):
+    """Close the scorer once waiting() holds while another thread waits in score_batch.
+
+    Returns what that call raised and the seconds from the close to its end.
+    """
+    outcome = []
+
+    def wait():
+        try:
+            scorer.score_batch(requests)
+        except Exception as exc:
+            outcome.append(exc)
+
+    waiter = threading.Thread(target=wait)
+    waiter.start()
+    started = time.monotonic()
+    while not waiting() and time.monotonic() < started + 10:
+        time.sleep(0.01)
+    assert waiting()
+    scorer.close()
+    closed = time.monotonic()
+    waiter.join(timeout=30)
+    assert not waiter.is_alive()
+    (error,) = outcome
+    return error, time.monotonic() - closed
 
 
 # Faults each prompt's first attempts may get; each costs one retry.
@@ -1313,13 +1351,15 @@ class TestLlmTransport:
                 assert scorer.score_batch(requests)  # the scorer still works
         assert scorer.ledger.total_calls == 3
 
-    def test_ctrl_c_stops_an_endpoint_run_at_once(self, tmp_path):
-        run, corpus, queries, _ = write_experiment_files(make_synth(2, 6, seed=23), tmp_path / "data")
+    @pytest.mark.parametrize("concurrency", ["1", "2", "4"])
+    def test_ctrl_c_stops_an_endpoint_run_at_once(self, tmp_path, concurrency):
+        run, corpus, queries, _ = write_experiment_files(make_synth(8, 6, seed=23), tmp_path / "data")
         src = str(Path(refrank.__file__).resolve().parent.parent)
         with counting_stub(latency_s=5.0) as server:
             process = subprocess.Popen(
                 [sys.executable, "-m", "refrank", "rerank", "--run", str(run), "--corpus",
                  str(corpus), "--queries", str(queries), "--strategy", "pointwise",
+                 "--concurrency", concurrency,
                  "--backend", "endpoint", "--endpoint-url", server.url, "--model", "m",
                  "--out", str(tmp_path / "out")],
                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
@@ -1331,15 +1371,71 @@ class TestLlmTransport:
                     time.sleep(0.01)
                 time.sleep(max(0.0, started + 1.0 - time.monotonic()))
                 assert server.inflight > 0  # requests are in flight, with 4 s to go
+                sent = server.requests
                 process.send_signal(signal.SIGINT)
                 signalled = time.monotonic()
-                _, stderr = process.communicate(timeout=30)
+                _, stderr = process.communicate(timeout=60)
                 waited = time.monotonic() - signalled
             finally:
                 process.kill()
                 process.communicate()
         assert process.returncode != 0, stderr
         assert waited < 1.5, stderr
+        assert server.requests == sent  # no query and no request started after the signal
+
+    @pytest.mark.parametrize("concurrency", [2, 4])
+    def test_a_failed_query_starts_no_queued_query(self, tmp_path, concurrency):
+        paths = write_experiment_files(make_synth(8, 6, seed=23), tmp_path / "data")
+        with counting_stub(latency_s=0.05, faults=(400,), faulty=lambda prompt: True) as server:
+            result = rerank_through(server, paths, tmp_path / "out", "pointwise",
+                                    "--concurrency", str(concurrency))
+        assert result.exit_code == 1, result.output
+        assert "HTTP 400" in result.output
+        # at most the queries running when the first one failed; the other queries never start
+        assert server.requests <= concurrency * 6, server.requests
+
+    def test_a_query_failing_beside_a_running_one_ends_it_and_starts_no_queued_query(
+        self, tmp_path
+    ):
+        # q0001 fails in its first round trip, while q0000, listed first, has
+        # about six more of bubblesort's to go
+        paths = write_experiment_files(make_synth(8, 6, seed=23), tmp_path / "data")
+        with counting_stub(latency_s=0.1, faults=(400,),
+                           faulty=lambda prompt: b"q0001" in prompt) as server:
+            result = rerank_through(server, paths, tmp_path / "out", "pairwise-bubblesort",
+                                    "--k", "3", "--concurrency", "2")
+        assert result.exit_code == 1, result.output
+        assert "q0001_d" in result.output
+        queries = [set(re.findall(rb"q\d{4}", prompt)) for prompt in server.arrivals]
+        assert set().union(*queries) == {b"q0000", b"q0001"}
+        assert queries.count({b"q0000"}) < 3 * 5 - 3  # q0000 ended before its last duel
+
+    def test_close_ends_a_wait_in_another_thread_at_once(self):
+        requests = [JudgeRequest("pointwise", QUERY, (doc(f"d{i}", f"text {i}"),)) for i in range(3)]
+        with counting_stub(latency_s=5.0) as server:
+            scorer = llm_scorer(server.url, batch_size=2)
+            # the third request waits for a connection
+            error, ended = close_while_waiting(scorer, requests, lambda: server.inflight == 2)
+            assert server.requests == 2  # nothing sent after the close, and no retry
+        assert isinstance(error, ScoringError) and "scorer is closed" in str(error), error
+        assert ended < 0.5
+        assert scorer.ledger.retries == {} and scorer.ledger.total_calls == 0
+        assert scorer._free.qsize() == 2
+        assert all(connection.sock is None for connection in scorer._connections)
+
+    def test_close_ends_a_backoff_beside_a_request_in_flight(self, stub_server):
+        StubHandler.behaviors = [  # by arrival: a quick 429, then slow answers
+            lambda i: (429, {"error": "slow down"}, {"Retry-After": "10"}),
+            lambda i: (time.sleep(2), (200, YES_NO))[1],
+        ]
+        requests = [JudgeRequest("pointwise", QUERY, (doc(f"d{i}", f"text {i}"),)) for i in range(2)]
+        scorer = llm_scorer(stub_server, batch_size=2)
+        error, ended = close_while_waiting(scorer, requests, lambda: scorer.ledger.retries)
+        assert isinstance(error, ScoringError) and "scorer is closed" in str(error), error
+        assert ended < 0.5  # not when the retry falls due, 10 s on
+        assert len(StubHandler.calls) == 2
+        assert scorer._free.qsize() == 2
+        assert all(connection.sock is None for connection in scorer._connections)
 
     def test_closed_scorer_raises_and_opens_nothing(self):
         with counting_stub(latency_s=0.0) as server:
