@@ -24,14 +24,12 @@ scorer, and waits in one ``poll`` (a selector where ``select.poll`` is
 missing) for whichever response comes first. A response is read whole, and
 its connection goes straight back for the next request. ``score`` runs the
 same loop on one request. A connection the server closed while it was idle
-is reopened before the next request, without counting a retry. An
-interrupt (Ctrl-C) closes the connections in flight and ends the call at
-once. ``close()`` closes the connections and ends every wait on them, in
-any thread: it shuts each open socket down, which wakes the poll or read
-of the call holding it, and that call's requests fail with
-``ScoringError``, with no retry and no further request. A call whose
-requests all wait out a backoff ends when the backoff does. After it,
-calls raise ``ScoringError`` and open nothing.
+is reopened before the next request, without counting a retry. An interrupt
+(Ctrl-C) closes the connections in flight and ends the call at once.
+``close()`` closes the connections and ends every wait, in any thread: it
+shuts each open socket down, waking the poll or read on it, and wakes a
+call waiting out a backoff. Their requests fail with ``ScoringError``, with
+no retry and no further request; later calls raise it and open nothing.
 
 Transient failures (a dropped or reset connection, no response within the
 30 s timeout from the request's send, HTTP 429, 500, 502, 503 or 504) are
@@ -57,6 +55,7 @@ import random
 import select
 import selectors
 import socket
+import threading
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -133,17 +132,17 @@ class LlmScorer(Scorer):
         self._free = queue.LifoQueue()
         for connection in self._connections:
             self._free.put(connection)
-        self._closed = False
+        self._closed = threading.Event()
 
     def close(self) -> None:
-        """Close every connection and end every wait on one; later calls raise ScoringError.
+        """Close every connection and end every wait; later calls raise ScoringError.
 
         Every open socket is shut down first, which wakes a poll or a read
         that another thread has on it. A connection that a call holds is
         closed and freed by that call, which ends at once; the free ones
         are closed here.
         """
-        self._closed = True
+        self._closed.set()
         for connection in self._connections:
             sock = connection.sock
             if sock is not None:
@@ -192,24 +191,18 @@ class LlmScorer(Scorer):
         waits for whichever response comes first, for the next deadline, or
         for the next retry to fall due. A response is read whole, so its
         connection goes back to the free queue at once. A failed attempt
-        waits out its backoff in a heap, holding no connection. On any
-        exception, a ``KeyboardInterrupt`` included, the connections taken
-        and not yet freed are closed and freed, and nothing is left recording
-        into the ledger.
+        waits out its backoff in a heap, holding no connection, and on the
+        close event while nothing is in flight. On any exception, a
+        ``KeyboardInterrupt`` included, the connections taken and not yet
+        freed are closed and freed, and nothing is left recording into the ledger.
         """
-        if self._closed:
+        if self._closed.is_set():
             raise ScoringError("scorer is closed")
         results: list[dict[str, float] | None] = [None] * len(requests)
         errors: dict[int, Exception] = {}
-        bodies: list[tuple[bytes, int]] = []
-        for index, request in enumerate(requests):
-            try:
-                bodies.append(self._body(request))
-            except HarnessError as exc:
-                bodies.append((b"", 0))
-                errors[index] = exc
+        bodies = [self._body(request) for request in requests]
         attempts = [0] * len(requests)
-        ready = collections.deque(index for index in range(len(requests)) if index not in errors)
+        ready = collections.deque(range(len(requests)))
         backoff: list[tuple[float, int]] = []  # (due, index), a heap
         in_flight: dict[int, tuple[http.client.HTTPConnection, int, float]] = {}  # by socket fd
         held: set[http.client.HTTPConnection] = set()  # taken from the free queue, not put back
@@ -223,7 +216,7 @@ class LlmScorer(Scorer):
 
         def failed(index: int, failure: str, retry_after: float = 0.0) -> None:
             """Schedule a transient failure's retry; after the last retry, or once closed, raise."""
-            if self._closed:
+            if self._closed.is_set():
                 raise ScoringError("scorer is closed")
             if attempts[index] == _MAX_RETRIES:
                 raise TransientBackendError(
@@ -243,11 +236,11 @@ class LlmScorer(Scorer):
                     # a retry.
                     connection.close()
                 started = time.monotonic()
-                if connection.sock is None and not self._closed:
+                if connection.sock is None and not self._closed.is_set():
                     connection.connect()
                 # Read with the socket open: close() sets the flag before it
                 # shuts every open socket down, so no request outlives it.
-                if self._closed:
+                if self._closed.is_set():
                     release(connection, close=True)
                     raise ScoringError("scorer is closed")
                 connection.request("POST", _PATH, bodies[index][0], self._headers)
@@ -280,7 +273,7 @@ class LlmScorer(Scorer):
         try:
             while ready or backoff or in_flight:
                 now = time.monotonic()
-                while backoff and (backoff[0][0] <= now or self._closed):
+                while backoff and (backoff[0][0] <= now or self._closed.is_set()):
                     ready.append(heapq.heappop(backoff)[1])
                 while ready:
                     try:
@@ -295,7 +288,7 @@ class LlmScorer(Scorer):
                         errors[index] = exc
                 if not in_flight:  # nor is any request ready: each one sent has failed
                     if backoff:
-                        time.sleep(max(0.0, backoff[0][0] - time.monotonic()))
+                        self._closed.wait(max(0.0, backoff[0][0] - time.monotonic()))
                     continue
                 wake = min(started for _, _, started in in_flight.values()) + _TIMEOUT_S
                 if backoff:

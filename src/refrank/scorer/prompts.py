@@ -1,28 +1,29 @@
 """Prompt construction for LLM judges: templates, placeholders, truncation.
 
-Templates are plain text with str.format placeholders. datamodel.KINDS
-names the placeholder each document slot of a request kind fills; every
-template takes {query} as well:
+Templates are plain text with bare ``{name}`` str.format placeholders;
+``{{`` and ``}}`` are literal braces. datamodel.KINDS names the placeholder
+each document slot of a request kind fills; every template takes {query}:
 
   pointwise  {query} {doc}
   triplet    {query} {doc} {ref}
   duel       {query} {doc_i} {doc_j}
   setwise    {query} {docs}
 
-PromptTemplates checks these placeholders when it is built, so a template
-that lacks one raises TemplateError when it is loaded, before any request
-is rendered. A HarnessError names a template file that is not UTF-8 (with
-the byte offset), a .txt file in the template directory not named
-<kind>.txt, and a template directory that holds no <kind>.txt. For setwise
-requests, {docs} expands to one lettered "Passage X: ..." block per group
-member, letters matching the request's labels. Document texts longer than
-the configured cap are cut at the cap and a truncation marker appended.
+PromptTemplates checks each template when it is built, so rendering cannot
+fail. TemplateError names the first fault in template order: a placeholder
+the kind lacks or does not take, one with a conversion or format spec, or a
+lone brace. from_dir raises HarnessError for a template file that is not
+UTF-8 and a directory that would change nothing. For setwise requests,
+{docs} expands to one lettered "Passage X: ..." block per group member,
+letters matching the request's labels. Document texts longer than the
+configured cap are cut at the cap and a truncation marker appended.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from string import Formatter
 
 from ..datamodel import KINDS, HarnessError
 from .base import JudgeRequest, TemplateError
@@ -71,11 +72,21 @@ class PromptTemplates:
 
     def __post_init__(self):
         for kind, (_, _, _, slots) in KINDS.items():
-            template = getattr(self, kind)
-            for name in ("query", *slots):
-                placeholder = "{" + name + "}"
-                if placeholder not in template:
-                    raise TemplateError(placeholder, f"missing from the {kind} template")
+            names, found = ("query", *slots), set()
+            try:
+                for _, name, spec, conversion in Formatter().parse(getattr(self, kind)):
+                    if name is not None and name not in names:
+                        raise TemplateError("{" + name + "}", "not a known placeholder")
+                    if conversion or spec:
+                        written = "{" + name + (f"!{conversion}" if conversion else "")
+                        written += (f":{spec}" if spec else "") + "}"
+                        raise TemplateError(written, "takes no conversion or format spec")
+                    found.add(name)
+            except ValueError as exc:
+                raise TemplateError(kind, f"malformed template: {exc}") from None
+            for name in names:
+                if name not in found:
+                    raise TemplateError("{" + name + "}", f"missing from the {kind} template")
 
     @classmethod
     def defaults(cls) -> "PromptTemplates":
@@ -127,9 +138,4 @@ def build_prompt(
         fields = {"docs": "\n\n".join(blocks)}
     else:
         fields = dict(zip(KINDS[kind][3], texts))
-    try:
-        return getattr(templates, kind).format(query=request.query.text, **fields)
-    except KeyError as exc:
-        raise TemplateError("{" + str(exc.args[0]) + "}", "not a known placeholder") from None
-    except (IndexError, ValueError) as exc:
-        raise TemplateError(kind, f"malformed template: {exc}") from None
+    return getattr(templates, kind).format(query=request.query.text, **fields)

@@ -355,22 +355,37 @@ def test_backend_usage_error_comes_before_any_input_is_read(fixture_files, tmp_p
     assert not out.exists()
 
 
-def test_bad_template_dir_is_refused_before_any_input_is_read(fixture_files, tmp_path):
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        ("triplets.txt", "{query} {doc} {ref}",
+         "{path}: not a template name; "
+         "expected one of pointwise.txt, triplet.txt, duel.txt, setwise.txt"),
+        ("triplet.txt", "{query} {doc} {{ref}}",
+         "template problem with placeholder {ref}: missing from the triplet template"),
+        ("triplet.txt", "{query} {doc} {ref} {nope}",
+         "template problem with placeholder {nope}: not a known placeholder"),
+        ("triplet.txt", "{query} {doc} {ref} {",
+         "template problem with placeholder triplet: "
+         "malformed template: Single '{' encountered in format string"),
+    ],
+    ids=["misnamed", "escaped-ref", "unknown", "lone-brace"],
+)
+def test_bad_template_dir_is_refused_before_any_input_is_read(
+    fixture_files, tmp_path, name, text, message
+):
     data, paths = fixture_files
     paths[0].write_text("not a run line\n")
     templates = tmp_path / "templates"
     templates.mkdir()
-    (templates / "triplets.txt").write_text("{query} {doc} {ref}")
+    (templates / name).write_text(text)
     out = tmp_path / "out"
     result = CliRunner().invoke(cli, [
         "rerank", *input_args(paths), "--out", str(out), "--backend", "endpoint",
         "--endpoint-url", "http://127.0.0.1:9", "--model", "m", "--template-dir", str(templates),
     ])
     assert result.exit_code == 1
-    assert result.stderr == (
-        f"error: {templates / 'triplets.txt'}: not a template name; "
-        "expected one of pointwise.txt, triplet.txt, duel.txt, setwise.txt\n"
-    )
+    assert result.stderr == "error: " + message.replace("{path}", str(templates / name)) + "\n"
     assert not out.exists()
 
 

@@ -9,8 +9,9 @@ that derives, directly or through other package classes, from a built-in
 exception must be named by some ``raise`` statement in the package. A private
 function or class, or a private module-level name (one leading underscore,
 dunders aside), must be read somewhere in the package: as a loaded name,
-an attribute, or an imported name. And importing refrank.cli loads no
-third-party module but click.
+an attribute, or an imported name. No module calls ``time.sleep``, so
+every wait in the package is one that closing its scorer can end. And
+importing refrank.cli loads no third-party module but click.
 """
 
 import ast
@@ -220,3 +221,35 @@ def test_the_check_sees_a_private_helper_never_read():
         "print(_helper(), Public()._method(), _PAIR)\n",
     ]
     assert unread_private_names(sources) == ["_UNREAD", "_orphan", "_unused_method"]
+
+
+def sleep_calls(source: str) -> list[str]:
+    """Lines that name ``time.sleep``, or import ``sleep`` from ``time``."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "time":
+            lines.update(node.lineno for alias in node.names if alias.name == "sleep")
+        elif (
+            isinstance(node, ast.Attribute) and node.attr == "sleep"
+            and isinstance(node.value, ast.Name) and node.value.id == "time"
+        ):
+            lines.add(node.lineno)
+    return [f"line {line}" for line in sorted(lines)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: str(path.relative_to(PACKAGE)))
+def test_no_module_calls_time_sleep(path):
+    assert sleep_calls(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_sees_a_sleep():
+    source = (
+        "import time\n"
+        "from time import monotonic, sleep\n"
+        "time.monotonic()\n"
+        "def wait(event):\n"
+        "    event.wait(1)\n"
+        "    time.sleep(0.5)\n"
+        "pause = time.sleep\n"
+    )
+    assert sleep_calls(source) == ["line 2", "line 6", "line 7"]

@@ -51,6 +51,7 @@ from refrank.scorer import (
     TransientBackendError,
     build_prompt,
 )
+from refrank.scorer.prompts import DEFAULT_TEMPLATES
 from refrank.strategies import rank_pairwise_bubblesort
 from synth import make_synth, shortest_last, write_experiment_files
 
@@ -571,25 +572,48 @@ class TestPrompts:
         assert exc.value.placeholder == "{ref}"
 
     def test_unknown_placeholder(self):
-        templates = PromptTemplates(
-            pointwise="Q: {query} D: {doc} X: {mystery}",
-            triplet=PromptTemplates.defaults().triplet,
-            duel=PromptTemplates.defaults().duel,
-            setwise=PromptTemplates.defaults().setwise,
-        )
         with pytest.raises(TemplateError) as exc:
-            build_prompt(JudgeRequest("pointwise", QUERY, (doc("p"),)), templates)
+            PromptTemplates(
+                pointwise="Q: {query} D: {doc} X: {mystery}",
+                triplet=PromptTemplates.defaults().triplet,
+                duel=PromptTemplates.defaults().duel,
+                setwise=PromptTemplates.defaults().setwise,
+            )
         assert exc.value.placeholder == "{mystery}"
 
     def test_lone_brace_is_a_malformed_template(self):
-        templates = PromptTemplates(
-            pointwise="Q: {query} D: {doc} {",
-            triplet=PromptTemplates.defaults().triplet,
-            duel=PromptTemplates.defaults().duel,
-            setwise=PromptTemplates.defaults().setwise,
-        )
         with pytest.raises(TemplateError, match="malformed template"):
-            build_prompt(JudgeRequest("pointwise", QUERY, (doc("p"),)), templates)
+            PromptTemplates(
+                pointwise="Q: {query} D: {doc} {",
+                triplet=PromptTemplates.defaults().triplet,
+                duel=PromptTemplates.defaults().duel,
+                setwise=PromptTemplates.defaults().setwise,
+            )
+
+    @pytest.mark.parametrize(
+        "triplet, placeholder, detail",
+        [
+            ("{query} {doc} {{ref}}", "{ref}", "missing from the triplet template"),
+            ("{query} {doc!r} {ref}", "{doc!r}", "takes no conversion or format spec"),
+            ("{query} {doc:>9} {ref}", "{doc:>9}", "takes no conversion or format spec"),
+            ("{query} {doc!s:^5} {ref}", "{doc!s:^5}", "takes no conversion or format spec"),
+            ("{query} {ref.x} {doc}", "{ref.x}", "not a known placeholder"),
+            ("{query} {} {doc} {ref}", "{}", "not a known placeholder"),
+            ("{query} {zeta} {alpha} {doc}", "{zeta}", "not a known placeholder"),
+            ("{nope} {query} {doc} {", "{nope}", "not a known placeholder"),
+            ("{query} } {nope}", "triplet",
+             "malformed template: Single '}' encountered in format string"),
+        ],
+        ids=["escaped", "conversion", "format-spec", "both", "attribute", "positional",
+             "first-unknown", "unknown-before-brace", "brace-before-unknown"],
+    )
+    def test_the_first_fault_in_template_order_is_refused_at_load(
+        self, triplet, placeholder, detail
+    ):
+        with pytest.raises(TemplateError) as exc:
+            PromptTemplates(**{**DEFAULT_TEMPLATES, "triplet": triplet})
+        assert exc.value.placeholder == placeholder
+        assert str(exc.value) == f"template problem with placeholder {placeholder}: {detail}"
 
     def test_truncation_marker(self):
         long_doc = doc("d", text="x" * 10_000)
@@ -1102,7 +1126,10 @@ FAST_RETRIES = functools.partial(LlmBackendConfig, retry_backoff=0.001)
 
 
 class FakeClock:
-    """Stands in for the llm module's ``time``: ``sleep`` records each pause and moves the clock on."""
+    """Stands in for the llm module's ``time`` and a scorer's close event, never set.
+
+    ``wait`` records each pause and moves the clock on.
+    """
 
     def __init__(self):
         self.now = 0.0
@@ -1111,9 +1138,13 @@ class FakeClock:
     def monotonic(self):
         return self.now
 
-    def sleep(self, seconds):
+    def is_set(self):
+        return False
+
+    def wait(self, seconds):
         self.sleeps.append(seconds)
         self.now += seconds
+        return False
 
 
 YES_NO = completion_payload([{"token": "yes", "logprob": -0.3}, {"token": "no", "logprob": -1.3}])
@@ -1141,6 +1172,7 @@ class TestLlmTransport:
             lambda i: (200, YES_NO),
         ]
         scorer = llm_scorer(stub_server)
+        scorer._closed = clock
         assert scorer.score(PROBE_POINTWISE)["yes"] == pytest.approx(-0.3)
         assert len(sleeps) == 1 and low <= sleeps[0] <= high
         assert scorer.ledger.retries == {"pointwise": 1}
@@ -1156,6 +1188,7 @@ class TestLlmTransport:
             lambda i: (200, YES_NO),
         ]
         scorer = llm_scorer(stub_server)
+        scorer._closed = clock
         assert scorer.score(PROBE_POINTWISE)["no"] == pytest.approx(-1.3)
         assert len(sleeps) == 3
         assert all(0.0 <= pause <= 0.01 * 2**n for n, pause in enumerate(sleeps))
@@ -1436,6 +1469,38 @@ class TestLlmTransport:
         assert len(StubHandler.calls) == 2
         assert scorer._free.qsize() == 2
         assert all(connection.sock is None for connection in scorer._connections)
+
+    def test_close_ends_a_call_whose_only_request_waits_out_a_backoff(self, stub_server):
+        StubHandler.behaviors = [lambda i: (429, {"error": "slow down"}, {"Retry-After": "3"})]
+        scorer = llm_scorer(stub_server)
+        error, ended = close_while_waiting(scorer, [PROBE_POINTWISE], lambda: scorer.ledger.retries)
+        assert isinstance(error, ScoringError) and "scorer is closed" in str(error), error
+        assert ended < 0.5  # not when the retry falls due, 3 s on
+        assert len(StubHandler.calls) == 1
+        assert scorer._free.qsize() == 4
+        assert all(connection.sock is None for connection in scorer._connections)
+
+    def test_a_request_past_its_deadline_is_retried_then_fails(self, monkeypatch):
+        monkeypatch.setattr(llm, "_TIMEOUT_S", 0.3)
+        with counting_stub(latency_s=2.0) as server:
+            scorer = llm_scorer(server.url)
+            with pytest.raises(TransientBackendError) as exc:
+                scorer.score(PROBE_POINTWISE)
+        assert str(exc.value) == "request failed after 4 attempt(s): TimeoutError: timed out"
+        assert scorer.ledger.retries == {"pointwise": 3} and scorer.ledger.total_calls == 0
+        assert scorer._free.qsize() == 4
+        assert all(connection.sock is None for connection in scorer._connections)
+
+    def test_a_waiting_batch_burns_no_cpu(self):
+        requests = [JudgeRequest("pointwise", QUERY, (doc(f"d{i}", f"text {i}"),)) for i in range(6)]
+        with counting_stub(latency_s=0.3) as server:
+            scorer = llm_scorer(server.url, batch_size=2)
+            started, cpu = time.monotonic(), time.thread_time()
+            scorer.score_batch(requests)
+            wall, cpu = time.monotonic() - started, time.thread_time() - cpu
+            scorer.close()
+        assert wall >= 0.9  # three round trips of two
+        assert cpu < 0.1, cpu
 
     def test_closed_scorer_raises_and_opens_nothing(self):
         with counting_stub(latency_s=0.0) as server:
