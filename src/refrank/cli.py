@@ -6,10 +6,11 @@ named strategy reads is a usage error, and so is an endpoint-only flag
 (--endpoint-url, --model, --api-key-env, --template-dir) under the oracle
 backend; --concurrency is at least 1. The oracle needs --seed, the endpoint
 --endpoint-url and --model. Every usage error is raised before any input is
-read and before any refused setting, and a bad --template-dir, which is
-loaded once per command, is refused before any input is read too; a
-setting out of range for any list is refused before the first judge call,
-and any refusal before bench prints a line. rerank and bench find such a
+read and before any refused setting. A bad --template-dir, which is
+loaded once per command, a bad --endpoint-url and an unset or malformed
+--api-key-env key are refused before any input is read too; a setting
+out of range for any list is refused before the first judge call, and
+any refusal before bench prints a line. rerank and bench find such a
 setting by starting each strategy on the shortest list with a stand-in
 judge that stops it at its first call, so nothing is judged.
 rerank and bench rank the queries on a pool of --concurrency threads. A

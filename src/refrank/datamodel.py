@@ -4,7 +4,7 @@ Everything here is immutable after construction and free of I/O and scoring
 logic. KINDS is the one table of judge request kinds, which the ledger,
 JudgeRequest and the prompt templates read; SETWISE_ALPHABET beside it
 holds the setwise labels, and its length is the largest group. The one
-exception is CallLedger, which accumulates judge-call counts so concurrent
+exception is CallLedger, which adds up judge-call counts so concurrent
 workers can share a single instance: each thread adds to a tally of its
 own without a lock, and a read takes the lock and sums the tallies. Only
 its final totals are meaningful.
@@ -23,11 +23,10 @@ the maximum grade is the first of them, and NDCG's ideal DCG reads them.
 from __future__ import annotations
 
 import threading
-from bisect import bisect_left
+from array import array
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from itertools import accumulate
-from math import ceil, isfinite, log2
+from math import ceil, isfinite
 from operator import ge, itemgetter
 
 
@@ -219,12 +218,6 @@ KINDS: dict[str, tuple[int, int, tuple[str, ...] | None, tuple[str, ...]]] = {
     "setwise": (2, SETWISE_MAX_GROUP, None, ("docs",)),
 }
 _CHARS = "prompt_chars"  # the key of a tally's prompt-character count
-# Latency buckets: bucket i counts latencies up to _LATENCY_FLOOR_MS * 2**(i / 8),
-# an eighth of an octave each, so a bucket's bound is at most 9% above any
-# latency in it. The last bound, about 42 s, is past the endpoint's timeout.
-_LATENCY_FLOOR_MS = 0.01
-_BUCKETS_PER_OCTAVE = 8
-_LATENCY_BUCKETS = 22 * _BUCKETS_PER_OCTAVE
 
 
 class CallLedger:
@@ -232,8 +225,9 @@ class CallLedger:
 
     A call counts once, when it succeeds; ``retries`` counts each attempt
     after a request's first, by kind, whether or not the request succeeds.
-    ``record_latency`` puts one timed attempt in a fixed-bucket histogram of
-    its kind, under the lock; ``latency_ms`` reads p50, p95 and max from it.
+    ``record_latency`` appends one timed attempt's milliseconds to its kind's
+    array, under the lock, 8 bytes an attempt; ``latency_ms`` sorts a copy
+    and reads the exact p50, p95 and max from it.
 
     Increment-only, and concurrent workers may share one instance. A call
     takes no lock: each thread adds to its own tally, a dict of the kinds
@@ -248,8 +242,7 @@ class CallLedger:
         self._local = threading.local()
         self._tallies: list[dict[str, int]] = []
         self._retries: dict[str, int] = {}
-        self._latency: dict[str, list[int]] = {}  # kind -> count per bucket
-        self._latency_max: dict[str, float] = {}  # kind -> slowest, in ms
+        self._latency: dict[str, array] = {}  # kind -> each timed attempt, in ms
 
     def _register(self) -> dict[str, int]:
         tally = dict.fromkeys((*KINDS, _CHARS), 0)
@@ -273,17 +266,8 @@ class CallLedger:
             self._retries[kind] = self._retries.get(kind, 0) + 1
 
     def record_latency(self, kind: str, seconds: float) -> None:
-        ms = seconds * 1e3
-        bucket = 0
-        if ms > _LATENCY_FLOOR_MS:
-            bucket = min(
-                ceil(_BUCKETS_PER_OCTAVE * log2(ms / _LATENCY_FLOOR_MS)), _LATENCY_BUCKETS - 1
-            )
         with self._lock:
-            if kind not in self._latency:
-                self._latency[kind] = [0] * _LATENCY_BUCKETS
-            self._latency[kind][bucket] += 1
-            self._latency_max[kind] = max(self._latency_max.get(kind, 0.0), ms)
+            self._latency.setdefault(kind, array("d")).append(seconds * 1e3)
 
     @property
     def counts(self) -> dict[str, int]:
@@ -309,20 +293,15 @@ class CallLedger:
     def latency_ms(self) -> dict[str, dict[str, float]]:
         """p50, p95 and max latency in ms, for each kind with a timed attempt.
 
-        A percentile reads as the bound of the bucket that holds it, capped
-        at the max, so it lies at most 9% above the exact value.
+        Each is a nearest rank: the ceil(share * n)-th fastest of the kind's
+        n attempts, the max at share 1.
         """
         with self._lock:
-            timed = {
-                kind: (list(accumulate(self._latency[kind])), self._latency_max[kind])
-                for kind in KINDS if kind in self._latency
+            timed = {kind: sorted(self._latency[kind]) for kind in KINDS if kind in self._latency}
+        return {
+            kind: {
+                name: round(ms[ceil(share * len(ms)) - 1], 3)
+                for name, share in (("p50", 0.5), ("p95", 0.95), ("max", 1.0))
             }
-        summary = {}
-        for kind, (cumulative, slowest) in timed.items():
-            quantiles = {}
-            for name, share in (("p50", 0.5), ("p95", 0.95)):
-                bucket = bisect_left(cumulative, ceil(share * cumulative[-1]))
-                bound = _LATENCY_FLOOR_MS * 2 ** (bucket / _BUCKETS_PER_OCTAVE)
-                quantiles[name] = round(min(bound, slowest), 3)
-            summary[kind] = {**quantiles, "max": round(slowest, 3)}
-        return summary
+            for kind, ms in timed.items()
+        }

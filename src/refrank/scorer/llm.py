@@ -14,8 +14,10 @@ degenerate and never retried.
 
 Transport: the standard library's ``http.client``, so proxy environment
 variables and ``.netrc`` are not read. ``base_url`` is ``http(s)://host[:port]``.
-An API key must be printable ASCII without whitespace, or the scorer refuses
+An API key must be printable ASCII without whitespace, or the config refuses
 to build: it is sent as a bearer token, and no HTTP header can carry more.
+The config also refuses a bad ``base_url``, so the CLI, which builds it
+first, reports either before it reads any input.
 A scorer owns ``batch_size`` keep-alive connections, shared by every
 thread that calls it, and starts no thread of its own. ``score_batch`` runs
 on the calling thread: it sends each request on a free connection, taking
@@ -92,14 +94,14 @@ class LlmBackendConfig:
     batch_size: int = 4  # connections, so the most requests in flight at once
 
     def __post_init__(self):
-        if not self.base_url:
-            raise ValidationError("base_url must be nonempty")
+        _endpoint(self.base_url)
         if not self.model:
             raise ValidationError("model must be nonempty")
         if self.batch_size < 1:
             raise ValidationError("batch_size must be >= 1")
         if not 0 <= self.retry_backoff < math.inf:
             raise ValidationError("retry_backoff must be >= 0 and finite")
+        _headers(self.api_key_env)
 
 
 class LlmScorer(Scorer):
@@ -109,20 +111,7 @@ class LlmScorer(Scorer):
         super().__init__(ledger)
         self.config = config
         connection_type, host, port = _endpoint(config.base_url)
-        self._headers = {"Content-Type": "application/json"}
-        if config.api_key_env:
-            api_key = os.environ.get(config.api_key_env, "")
-            if not api_key:
-                raise ValidationError(
-                    f"environment variable {config.api_key_env!r} is not set"
-                )
-            if not all("!" <= char <= "~" for char in api_key):
-                # The message names the variable, never the key, which would reach logs.
-                raise ValidationError(
-                    f"environment variable {config.api_key_env!r} holds whitespace or a "
-                    "character outside printable ASCII"
-                )
-            self._headers["Authorization"] = f"Bearer {api_key}"
+        self._headers = _headers(config.api_key_env)
         self.max_in_flight = config.batch_size
         self._connections = tuple(
             connection_type(host, port, timeout=_TIMEOUT_S) for _ in range(config.batch_size)
@@ -385,6 +374,23 @@ def _endpoint(base_url: str) -> tuple[type[http.client.HTTPConnection], str, int
     if parts.scheme == "https":
         return http.client.HTTPSConnection, parts.hostname, port
     return http.client.HTTPConnection, parts.hostname, port
+
+
+def _headers(api_key_env: str) -> dict[str, str]:
+    """The request headers, with the key in api_key_env as a bearer token when it is named."""
+    headers = {"Content-Type": "application/json"}
+    if api_key_env:
+        api_key = os.environ.get(api_key_env, "")
+        if not api_key:
+            raise ValidationError(f"environment variable {api_key_env!r} is not set")
+        if not all("!" <= char <= "~" for char in api_key):
+            # The message names the variable, never the key, which would reach logs.
+            raise ValidationError(
+                f"environment variable {api_key_env!r} holds whitespace or a "
+                "character outside printable ASCII"
+            )
+        headers["Authorization"] = f"Bearer {api_key}"
+    return headers
 
 
 def _ready(fds, timeout: float) -> list[int]:

@@ -4,6 +4,7 @@ from scipy import stats
 
 from refrank.analysis import (
     SweepResult,
+    check_sweep_depth,
     minmax_normalize,
     sweep_anchors,
     sweep_ensemble_size,
@@ -175,6 +176,13 @@ class TestEnsembleSweep:
         data = make_synth(2, 5, seed=12)
         with pytest.raises(ValidationError):
             sweep_ensemble_size(data.lists, oracle_for(data), data.qrels, m_max=6)
+
+    def test_no_lists_to_sweep(self):
+        data = make_synth(1, 5, seed=12)
+        with pytest.raises(ValidationError, match="^no candidate lists to sweep$"):
+            check_sweep_depth([], 1, "depth_r")
+        with pytest.raises(ValidationError, match="^no candidate lists to sweep$"):
+            sweep_anchors([], oracle_for(data), data.qrels, 1, 1)
 
 
 class TestSweepCellsAreStrategyRuns:

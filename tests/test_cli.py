@@ -389,6 +389,44 @@ def test_bad_template_dir_is_refused_before_any_input_is_read(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "url, key, message",
+    [
+        ("ftp://x", None, "base_url must be http(s)://host[:port], got 'ftp://x'"),
+        ("http://127.0.0.1:9", "", "environment variable 'REFRANK_TEST_KEY' is not set"),
+        ("http://127.0.0.1:9", "a b",
+         "environment variable 'REFRANK_TEST_KEY' holds whitespace or a character "
+         "outside printable ASCII"),
+    ],
+    ids=["bad-url", "unset-key", "key-with-space"],
+)
+@pytest.mark.parametrize("command", ["rerank", "bench", "analyze"])
+def test_a_bad_endpoint_setting_is_refused_before_any_input_is_read(
+    fixture_files, tmp_path, monkeypatch, command, url, key, message
+):
+    data, paths = fixture_files
+    run, corpus, queries, qrels = paths
+    run.write_text("not a run line\n")
+    qrels.write_text("not a qrels line\n")
+    monkeypatch.delenv("REFRANK_TEST_KEY", raising=False)
+    key_args = []
+    if key is not None:
+        key_args = ["--api-key-env", "REFRANK_TEST_KEY"]
+        if key:
+            monkeypatch.setenv("REFRANK_TEST_KEY", key)
+    out = tmp_path / "out"
+    out_args = [] if command == "bench" else ["--out", str(out)]
+    qrels_args = ["--qrels", str(qrels)] if command == "analyze" else []
+    result = CliRunner().invoke(cli, [
+        command, *input_args(paths), *qrels_args, *out_args, "--backend", "endpoint",
+        "--endpoint-url", url, "--model", "m", *key_args,
+    ])
+    assert result.exit_code == 1, result.output
+    assert result.stderr == f"error: {message}\n"
+    assert result.stdout == ""
+    assert not out.exists()
+
+
 def test_bench_prints_nothing_before_a_backend_usage_error(fixture_files):
     data, paths = fixture_files
     result = CliRunner().invoke(cli, ["bench", *input_args(paths), "--strategy", "pointwise"])
@@ -407,8 +445,15 @@ def test_bench_prints_nothing_before_a_backend_usage_error(fixture_files):
         ("rerank", ["--strategy", "pointwise", "--k", "3", "--backend", "endpoint",
                     "--endpoint-url", "http://127.0.0.1:9", "--model", "m",
                     "--template-dir", "templates"], "--k is not read by strategy pointwise"),
+        ("rerank", ["--strategy", "pointwise", "--k", "3", "--backend", "endpoint",
+                    "--endpoint-url", "ftp://x", "--model", "m"],
+         "--k is not read by strategy pointwise"),
+        ("bench", ["--strategy", "pointwise", "--k", "3", "--backend", "endpoint",
+                   "--endpoint-url", "http://127.0.0.1:9", "--model", "m",
+                   "--api-key-env", "REFRANK_UNSET_KEY"], "--k is not read by strategy pointwise"),
     ],
-    ids=["rerank-no-seed", "bench-no-seed", "bench-later-strategy", "unread-flag-bad-templates"],
+    ids=["rerank-no-seed", "bench-no-seed", "bench-later-strategy", "unread-flag-bad-templates",
+         "unread-flag-bad-url", "unread-flag-unset-key"],
 )
 def test_a_usage_error_wins_over_a_refused_setting_or_template(
     fixture_files, tmp_path, monkeypatch, command, extra, message
@@ -707,6 +752,14 @@ class TestBench:
             summed, wall = map(float, line.split()[-2:])
             # one query at a time: the wall time holds every query's time
             assert summed <= wall
+
+    def test_a_strategy_making_no_judge_call_reads_none(self, fixture_files):
+        data, paths = fixture_files
+        result = invoke(["bench", *input_args(paths), "--depth", "1",
+                         "--strategy", "pairwise-allpairs,pointwise", "--seed", "1"])
+        assert result.exit_code == 0, result.output
+        rows = [line.split()[:3] for line in result.output.splitlines()[2:]]
+        assert rows == [["pairwise-allpairs", "none", "0"], ["pointwise", "pointwise=1", "3"]]
 
     def test_flag_no_named_strategy_reads_is_usage_error(self, fixture_files):
         data, paths = fixture_files

@@ -1,4 +1,6 @@
 import math
+import random
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -42,6 +44,10 @@ class TestCandidateList:
     def test_empty(self):
         with pytest.raises(ValidationError):
             CandidateList(Query("q", "t"), [])
+
+    def test_empty_doc_id(self):
+        with pytest.raises(ValidationError, match="^doc_id must be nonempty$"):
+            DocCandidate("", "some passage text")
 
 
 class TestBuildRanking:
@@ -107,6 +113,12 @@ class TestRankingValidation:
             Ranking("q", doc_ids, scores)
         assert type(exc.value) is ValidationError
         assert str(exc.value) == message
+
+    def test_empty_query_id_or_docs(self):
+        with pytest.raises(ValidationError, match="^query_id must be nonempty$"):
+            Ranking("", ("a",), (1.0,))
+        with pytest.raises(ValidationError, match="^ranking for 'q' is empty$"):
+            Ranking("q", (), ())
 
     @pytest.mark.parametrize("scores", [(1.0,), (1.0, 0.5, 0.2)])
     def test_one_score_per_doc(self, scores):
@@ -181,19 +193,44 @@ class TestCallLedger:
         assert ledger.counts["triplet"] == 8000
         assert ledger.prompt_chars == 8000
 
-    def test_latency_percentiles_lie_within_a_bucket_above_the_exact_value(self):
+    def test_latency_percentiles_are_exact_nearest_rank_values(self):
         ledger = CallLedger()
         for ms in range(1, 101):
             ledger.record_latency("duel", ms / 1e3)
         ledger.record_latency("setwise", 0.0)
         summary = ledger.latency_ms
         assert list(summary) == ["duel", "setwise"]
-        duel = summary["duel"]
-        assert 50 <= duel["p50"] <= 50 * 2 ** (1 / 8)
-        assert 95 <= duel["p95"] <= 95 * 2 ** (1 / 8)
-        assert duel["max"] == 100.0
+        assert summary["duel"] == {"p50": 50.0, "p95": 95.0, "max": 100.0}
         assert summary["setwise"] == {"p50": 0.0, "p95": 0.0, "max": 0.0}
         assert CallLedger().latency_ms == {}
+
+    def test_latencies_from_two_threads_read_in_kind_order(self):
+        ledger = CallLedger()
+        attempts = [ms / 1e3 for ms in range(1, 101)]
+        random.Random(7).shuffle(attempts)
+
+        def worker(share):
+            for seconds in share:
+                ledger.record_latency("duel", seconds)
+
+        threads = [threading.Thread(target=worker, args=(attempts[i::2],)) for i in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, so a lost append would show
+        try:
+            for t in threads:
+                t.start()
+            for ms in (30, 1, 2):
+                ledger.record_latency("pointwise", ms / 1e3)
+            for t in threads:
+                t.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert ledger.latency_ms == {
+            "pointwise": {"p50": 2.0, "p95": 30.0, "max": 30.0},
+            "duel": {"p50": 50.0, "p95": 95.0, "max": 100.0},
+        }
+        assert list(ledger.latency_ms) == ["pointwise", "duel"]
 
     def test_tallies_of_exited_threads_still_count(self):
         ledger = CallLedger()

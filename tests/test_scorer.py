@@ -15,6 +15,7 @@ import sys
 import textwrap
 import threading
 import time
+import types
 import zlib
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -506,6 +507,10 @@ class TestScoreBatch:
         assert oracle.ledger.counts["pointwise"] == 10
         singles = [make_oracle(latents=latents).score(r) for r in requests]
         assert results == singles
+
+    def test_a_scorer_without_a_judge_raises(self):
+        with pytest.raises(NotImplementedError):
+            Scorer().score(PROBE_POINTWISE)
 
     def test_empty_batch(self):
         oracle = make_oracle(latents={})
@@ -1150,6 +1155,14 @@ class FakeClock:
 YES_NO = completion_payload([{"token": "yes", "logprob": -0.3}, {"token": "no", "logprob": -1.3}])
 
 
+@pytest.fixture(params=["poll", "selector"])
+def wait_path(request, monkeypatch):
+    """Each of llm._ready's waits: select.poll, and the selector where poll is missing."""
+    if request.param == "selector":
+        monkeypatch.setattr(llm, "select", types.SimpleNamespace())
+    return request.param
+
+
 class TestLlmTransport:
     @pytest.mark.parametrize(
         "retry_after, low, high",
@@ -1216,7 +1229,9 @@ class TestLlmTransport:
         assert retried != first  # a new connection after the drop
         assert reused == retried  # which is kept alive for the next call
 
-    def test_connection_closed_while_idle_reopens_without_a_retry(self, stub_server, monkeypatch):
+    def test_connection_closed_while_idle_reopens_without_a_retry(
+        self, stub_server, monkeypatch, wait_path
+    ):
         monkeypatch.setattr(StubHandler, "protocol_version", "HTTP/1.1")
         monkeypatch.setattr(StubHandler, "close_after_answer", True)
         StubHandler.behaviors = [lambda i: (200, YES_NO)]
@@ -1228,7 +1243,7 @@ class TestLlmTransport:
         assert len(set(StubHandler.peers)) == 3  # one connection per request
         assert scorer.ledger.retries == {}
 
-    def test_readable_tells_an_idle_socket_from_input_and_a_closed_peer(self):
+    def test_readable_tells_an_idle_socket_from_input_and_a_closed_peer(self, wait_path):
         ours, peer = socket.socketpair()
         with ours, peer:
             assert not llm._readable(ours)
@@ -1238,6 +1253,18 @@ class TestLlmTransport:
             assert not llm._readable(ours)
             peer.close()
             assert llm._readable(ours)
+
+    def test_a_batch_waits_alike_in_poll_and_in_a_selector(self, monkeypatch):
+        requests = [JudgeRequest("pointwise", QUERY, (doc(f"d{i}"),)) for i in range(6)]
+        logits = {}
+        for path in ("poll", "selector"):
+            if path == "selector":
+                monkeypatch.setattr(llm, "select", types.SimpleNamespace())
+            with counting_stub(latency_s=0.01) as server:
+                with llm_scorer(server.url, batch_size=2) as scorer:
+                    logits[path] = scorer.score_batch(requests)
+            assert server.requests == 6 and server.inflight_max <= 2
+        assert logits["selector"] == logits["poll"]
 
     def test_bubblesort_fills_each_round_trip_at_the_in_flight_limit(self):
         candidates = make_synth(1, 10, seed=29).lists[0]
