@@ -12,8 +12,11 @@ list, with no finite log-probability, in which no label token appears at
 all, or in which a label's token appears with no finite log-probability, is
 degenerate and never retried.
 
-Transport: the standard library's ``http.client``, so proxy environment
-variables and ``.netrc`` are not read. ``base_url`` is ``http(s)://host[:port]``.
+Transport: raw sockets speaking HTTP/1.1, so proxy environment variables
+and ``.netrc`` are not read. ``base_url`` is ``http(s)://host[:port]``; an
+https endpoint's certificate is verified against the default trust store,
+which honours ``SSL_CERT_FILE``, and ``ssl`` is loaded only when the first
+https connection opens.
 An API key must be printable ASCII without whitespace, or the config refuses
 to build: it is sent as a bearer token, and no HTTP header can carry more.
 The config also refuses a bad ``base_url``, so the CLI, which builds it
@@ -23,18 +26,23 @@ thread that calls it, and starts no thread of its own. ``score_batch`` runs
 on the calling thread: it sends each request on a free connection, taking
 as many as are free, so at most ``batch_size`` requests are in flight per
 scorer, and waits in one ``poll`` (a selector where ``select.poll`` is
-missing) for whichever response comes first. A response is read whole, and
-its connection goes straight back for the next request. ``score`` runs the
-same loop on one request. A connection the server closed while it was idle
-is reopened before the next request, without counting a retry. An interrupt
-(Ctrl-C) closes the connections in flight and ends the call at once.
-``close()`` closes the connections and ends every wait, in any thread: it
-shuts each open socket down, waking the poll or read on it, and wakes a
-call waiting out a backoff. Their requests fail with ``ScoringError``, with
-no retry and no further request; later calls raise it and open nothing.
+missing) for whichever socket has input. It reads what has arrived without
+blocking, so a slow answer holds up no other. Once a response is whole
+(framed by ``Content-Length``, chunked coding or the end of the stream,
+after any 1xx interim response), its connection goes straight back for the
+next request, or is closed when the server said it would close. ``score``
+runs the same loop on one request. A connection the server closed while it
+was idle is reopened before the next request, without counting a retry. An
+interrupt (Ctrl-C) closes the connections in flight and ends the call at
+once. ``close()`` closes the connections and ends every wait, in any
+thread: it shuts each open socket down, waking the poll, send or TLS
+handshake on it, and wakes a call waiting out a backoff. Their requests fail with
+``ScoringError``, with no retry and no further request; later calls raise
+it and open nothing.
 
-Transient failures (a dropped or reset connection, no response within the
-30 s timeout from the request's send, HTTP 429, 500, 502, 503 or 504) are
+Transient failures (a dropped or reset connection, a malformed or cut-short
+response, no whole response within the 30 s timeout from the request's
+send, checked on every pass of the loop, HTTP 429, 500, 502, 503 or 504) are
 retried up to 3 times. Before retry n the request waits, holding neither a
 connection nor a thread, a uniform draw from [0, retry_backoff *
 2**(n-1)] (full jitter); after a 429 or 503 whose ``Retry-After`` gives
@@ -48,12 +56,12 @@ from __future__ import annotations
 import collections
 import contextlib
 import heapq
-import http.client
 import json
 import math
 import os
 import queue
 import random
+import re
 import select
 import selectors
 import socket
@@ -80,6 +88,53 @@ _MAX_DOC_CHARS = 4000
 _TIMEOUT_S = 30.0
 _MAX_RETRIES = 3
 _PATH = "/v1/chat/completions"
+_READ_SIZE = 65536
+_MAX_HEAD = 65536  # bytes of status line and headers
+_HEAD_END = re.compile(rb"\r?\n\r?\n")
+
+
+class BadResponseError(Exception):
+    """What a server sent is not a whole HTTP/1.x response: a transient failure, retried."""
+
+
+class _Connection:
+    """A keep-alive connection: its socket, None while closed, and the answer's bytes so far.
+
+    ``not_yet`` are the errors a read of its socket raises when no byte, or
+    no whole TLS record, has arrived.
+    """
+
+    __slots__ = ("sock", "buffer", "not_yet")
+
+    def __init__(self):
+        self.sock = None
+        self.buffer = bytearray()
+        self.not_yet: tuple[type[OSError], ...] = (BlockingIOError,)
+
+    def close(self) -> None:
+        sock, self.sock = self.sock, None
+        self.buffer.clear()
+        if sock is not None:
+            sock.close()
+
+    def read(self) -> bool:
+        """Append the bytes that have arrived, without blocking; False once the peer has closed.
+
+        A TLS socket can hold decrypted bytes that poll cannot see, so they
+        are drained too.
+        """
+        sock = self.sock
+        pending = getattr(sock, "pending", None)
+        try:
+            data = sock.recv(_READ_SIZE)
+            while data:
+                self.buffer += data
+                if pending is None or not pending():
+                    return True
+                data = sock.recv(_READ_SIZE)
+        except self.not_yet:
+            return True
+        return False
 
 
 @dataclass(frozen=True)
@@ -110,12 +165,24 @@ class LlmScorer(Scorer):
     def __init__(self, config: LlmBackendConfig, ledger: CallLedger | None = None):
         super().__init__(ledger)
         self.config = config
-        connection_type, host, port = _endpoint(config.base_url)
-        self._headers = _headers(config.api_key_env)
+        self._https, host, port = _endpoint(config.base_url)
+        self._address = host, port
+        # The request line and headers every request starts with; each adds
+        # its Content-Length and body.
+        authority = f"[{host}]" if ":" in host else host
+        if port != (443 if self._https else 80):
+            authority += f":{port}"
+        headers = {
+            "Host": authority.encode("idna").decode() if not authority.isascii() else authority,
+            "Accept-Encoding": "identity",
+            **_headers(config.api_key_env),
+        }
+        self._head = f"POST {_PATH} HTTP/1.1\r\n".encode() + "".join(
+            f"{name}: {value}\r\n" for name, value in headers.items()
+        ).encode()
+        self._tls = None  # the https context, made at the first connect
         self.max_in_flight = config.batch_size
-        self._connections = tuple(
-            connection_type(host, port, timeout=_TIMEOUT_S) for _ in range(config.batch_size)
-        )
+        self._connections = tuple(_Connection() for _ in range(config.batch_size))
         # Taking a free connection is the in-flight limit. Last in, first out
         # reuses the connection used last, the likeliest to be still open.
         self._free = queue.LifoQueue()
@@ -126,8 +193,8 @@ class LlmScorer(Scorer):
     def close(self) -> None:
         """Close every connection and end every wait; later calls raise ScoringError.
 
-        Every open socket is shut down first, which wakes a poll or a read
-        that another thread has on it. A connection that a call holds is
+        Every open socket is shut down first, which wakes a poll, a send or
+        a TLS handshake that another thread has on it. A connection that a call holds is
         closed and freed by that call, which ends at once; the free ones
         are closed here.
         """
@@ -159,8 +226,8 @@ class LlmScorer(Scorer):
         """
         return self._batch_result(requests, *self._judge(requests))
 
-    def _body(self, request: JudgeRequest) -> tuple[bytes, int]:
-        """The POST body for a request, and its prompt's character count."""
+    def _request(self, request: JudgeRequest) -> tuple[tuple[bytes, bytes], int]:
+        """A judge request's HTTP head and body, and its prompt's character count."""
         prompt = build_prompt(request, self.config.templates, _MAX_DOC_CHARS)
         payload = {
             "model": self.config.model,
@@ -170,36 +237,68 @@ class LlmScorer(Scorer):
             "logprobs": True,
             "top_logprobs": _TOP_LOGPROBS,
         }
-        return json.dumps(payload).encode(), len(prompt)
+        body = json.dumps(payload).encode()
+        return (self._head + b"Content-Length: %d\r\n\r\n" % len(body), body), len(prompt)
+
+    def _open(self, connection: _Connection) -> None:
+        """Connect, with TLS for an https endpoint, and without Nagle's delay.
+
+        The TLS socket is the connection's before its handshake, so that
+        close() can shut it down and end a handshake that stalls.
+        """
+        connection.sock = sock = socket.create_connection(self._address, _TIMEOUT_S)
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if self._https:
+                import ssl  # loaded for an https endpoint only
+
+                if self._tls is None:  # the trust store is read once a scorer
+                    self._tls = ssl.create_default_context()
+                connection.not_yet = (BlockingIOError, ssl.SSLWantReadError)
+                connection.sock = sock = self._tls.wrap_socket(
+                    sock, server_hostname=self._address[0], do_handshake_on_connect=False
+                )
+                # close() sets the flag before it shuts the sockets down, so
+                # either it sees this socket or the handshake is skipped here
+                # and the caller finds the flag set.
+                if not self._closed.is_set():
+                    sock.do_handshake()
+        except BaseException:
+            connection.close()
+            raise
 
     def _judge(self, requests: Sequence[JudgeRequest]):
         """Run every request to its end on this thread: (results, errors by index).
 
         Each attempt takes a free connection, waiting for one only while none
         of this batch's requests is in flight, and sends on it. One poll then
-        waits for whichever response comes first, for the next deadline, or
-        for the next retry to fall due. A response is read whole, so its
-        connection goes back to the free queue at once. A failed attempt
-        waits out its backoff in a heap, holding no connection, and on the
-        close event while nothing is in flight. On any exception, a
-        ``KeyboardInterrupt`` included, the connections taken and not yet
-        freed are closed and freed, and nothing is left recording into the ledger.
+        waits for input on any socket in flight, for the next deadline, or
+        for the next retry to fall due. Each socket with input is read
+        without blocking, and a response is handled once it is whole, when
+        its connection goes back to the free queue at once. Every deadline is
+        checked on every pass. A failed attempt waits out its backoff in a
+        heap, holding no connection, and on the close event while nothing is
+        in flight. On any exception, a ``KeyboardInterrupt`` included, the
+        connections taken and not yet freed are closed and freed, and nothing
+        is left recording into the ledger.
         """
         if self._closed.is_set():
             raise ScoringError("scorer is closed")
         results: list[dict[str, float] | None] = [None] * len(requests)
         errors: dict[int, Exception] = {}
-        bodies = [self._body(request) for request in requests]
+        prepared = [self._request(request) for request in requests]
         attempts = [0] * len(requests)
         ready = collections.deque(range(len(requests)))
         backoff: list[tuple[float, int]] = []  # (due, index), a heap
-        in_flight: dict[int, tuple[http.client.HTTPConnection, int, float]] = {}  # by socket fd
-        held: set[http.client.HTTPConnection] = set()  # taken from the free queue, not put back
+        in_flight: dict[int, tuple[_Connection, int, float]] = {}  # by socket fd
+        held: set[_Connection] = set()  # taken from the free queue, not put back
         free = self._free
 
-        def release(connection: http.client.HTTPConnection, close: bool = False) -> None:
+        def release(connection: _Connection, close: bool = False) -> None:
             if close:  # a failed exchange leaves the stream unusable; it reopens on its next request
                 connection.close()
+            else:
+                connection.buffer.clear()
             held.discard(connection)
             free.put(connection)
 
@@ -217,7 +316,7 @@ class LlmScorer(Scorer):
             due = time.monotonic() + max(pause, min(retry_after, _TIMEOUT_S))
             heapq.heappush(backoff, (due, index))
 
-        def send(index: int, connection: http.client.HTTPConnection) -> None:
+        def send(index: int, connection: _Connection) -> None:
             try:
                 if connection.sock is not None and _readable(connection.sock):
                     # The server closed the idle connection (a keep-alive
@@ -226,38 +325,54 @@ class LlmScorer(Scorer):
                     connection.close()
                 started = time.monotonic()
                 if connection.sock is None and not self._closed.is_set():
-                    connection.connect()
+                    self._open(connection)
                 # Read with the socket open: close() sets the flag before it
                 # shuts every open socket down, so no request outlives it.
                 if self._closed.is_set():
                     release(connection, close=True)
                     raise ScoringError("scorer is closed")
-                connection.request("POST", _PATH, bodies[index][0], self._headers)
-            except (OSError, http.client.HTTPException) as exc:
+                sock = connection.sock
+                sock.settimeout(_TIMEOUT_S)
+                # Head and body in two writes, as the standard library's
+                # client sent them. In one, a request can reach perfbench's
+                # stub before the stub has counted the answer just sent on
+                # another connection as done, and its one-CPU gate reads
+                # that as two requests in flight (ROADMAP item 1a).
+                head, body = prepared[index][0]
+                sock.sendall(head)
+                sock.sendall(body)
+                sock.setblocking(False)  # the answer is read as it arrives
+            except OSError as exc:
                 release(connection, close=True)
                 failed(index, f"{type(exc).__name__}: {exc}")
                 return
-            in_flight[connection.sock.fileno()] = connection, index, started
+            in_flight[sock.fileno()] = connection, index, started
 
-        def receive(connection: http.client.HTTPConnection, index: int, started: float) -> None:
-            request = requests[index]
+        def receive(fd: int) -> None:
+            connection, index, started = in_flight[fd]
             try:
-                response = connection.getresponse()
-                status, data = response.status, response.read()
-            except (OSError, http.client.HTTPException) as exc:
+                ended = not connection.read()
+                response = _parse(connection.buffer, ended)
+            except (OSError, BadResponseError) as exc:
+                del in_flight[fd]
                 release(connection, close=True)
                 failed(index, f"{type(exc).__name__}: {exc}")
                 return
-            release(connection)
+            if response is None:  # not whole yet
+                return
+            del in_flight[fd]
+            status, headers, body, reusable = response
+            release(connection, close=not reusable)
+            request = requests[index]
             self.ledger.record_latency(request.kind, time.monotonic() - started)
             if status in RETRYABLE_STATUS:
                 retry_after = 0.0
                 if status in _RETRY_AFTER_STATUS:
-                    retry_after = _retry_after_seconds(response.getheader("Retry-After"))
+                    retry_after = _retry_after_seconds(headers.get("retry-after"))
                 failed(index, f"HTTP {status}", retry_after)
                 return
-            results[index] = self._extract_logits(request, status, data)
-            self.ledger.record(request.kind, bodies[index][1])
+            results[index] = self._extract_logits(request, status, body)
+            self.ledger.record(request.kind, prepared[index][1])
 
         try:
             while ready or backoff or in_flight:
@@ -283,9 +398,9 @@ class LlmScorer(Scorer):
                 if backoff:
                     wake = min(wake, backoff[0][0])
                 for fd in _ready(in_flight, max(0.0, wake - time.monotonic())):
-                    connection, index, started = in_flight.pop(fd)
+                    index = in_flight[fd][1]
                     try:
-                        receive(connection, index, started)
+                        receive(fd)
                     except HarnessError as exc:
                         errors[index] = exc
                 now = time.monotonic()
@@ -354,8 +469,8 @@ class LlmScorer(Scorer):
         return values
 
 
-def _endpoint(base_url: str) -> tuple[type[http.client.HTTPConnection], str, int | None]:
-    """The connection class, host and port of an ``http(s)://host[:port]`` URL."""
+def _endpoint(base_url: str) -> tuple[bool, str, int]:
+    """Whether an ``http(s)://host[:port]`` URL is https, its host, and its port."""
     try:
         parts = urlsplit(base_url)
         port = parts.port
@@ -371,9 +486,8 @@ def _endpoint(base_url: str) -> tuple[type[http.client.HTTPConnection], str, int
         or parts.fragment
     ):
         raise ValidationError(f"base_url must be http(s)://host[:port], got {base_url!r}")
-    if parts.scheme == "https":
-        return http.client.HTTPSConnection, parts.hostname, port
-    return http.client.HTTPConnection, parts.hostname, port
+    https = parts.scheme == "https"
+    return https, parts.hostname, port or (443 if https else 80)
 
 
 def _headers(api_key_env: str) -> dict[str, str]:
@@ -418,3 +532,105 @@ def _retry_after_seconds(value: str | None) -> float:
     except (TypeError, ValueError):
         return 0.0
     return seconds if math.isfinite(seconds) else 0.0
+
+
+def _parse(buffer: bytearray, ended: bool):
+    """The response at the start of buffer, or None while it is not whole.
+
+    Returns (status, headers, body, reusable): the headers by lower-case
+    name, and whether the connection can carry the next request. Any 1xx
+    interim response is skipped. ``ended`` says the peer has closed the
+    stream, which ends a body framed by neither a length nor chunked
+    coding; any other response it leaves unfinished was cut short.
+    """
+    start = 0
+    while True:  # past any 1xx interim response
+        line_end = buffer.find(b"\n", start)
+        if line_end >= 0:  # a garbage status line fails at once, before the headers end
+            line = bytes(buffer[start:line_end]).rstrip(b"\r")
+            parts = line.split(None, 2)  # version, status code, reason
+            code = parts[1] if len(parts) > 1 else b""
+            status = int(code) if len(code) == 3 and code.isdigit() else 0
+            if status < 100 or not parts[0].startswith(b"HTTP/1."):
+                raise BadResponseError(f"bad status line {line!r}")
+        head_end = _HEAD_END.search(buffer, start)
+        if head_end is None:
+            if len(buffer) - start > _MAX_HEAD:
+                raise BadResponseError(f"no end of headers in {_MAX_HEAD} bytes")
+            return _unfinished(buffer, ended)
+        headers = {}
+        for field_line in buffer[line_end + 1 : head_end.start()].decode("latin-1").split("\n"):
+            name, colon, value = field_line.partition(":")
+            if colon:
+                headers[name.strip().lower()] = value.strip()
+        start = head_end.end()
+        if status >= 200:
+            break
+    if status in (204, 304):
+        body, end = buffer[start:start], start
+    elif headers.get("transfer-encoding", "").rsplit(",", 1)[-1].strip().lower() == "chunked":
+        whole = _dechunk(buffer, start)
+        if whole is None:
+            return _unfinished(buffer, ended)
+        body, end = whole
+    elif "content-length" in headers:
+        try:
+            length = int(headers["content-length"])
+        except ValueError:
+            length = -1
+        if length < 0:
+            raise BadResponseError(f"bad Content-Length {headers['content-length']!r}")
+        end = start + length
+        if len(buffer) < end:
+            return _unfinished(buffer, ended)
+        body = buffer[start:end]
+    elif ended:  # the body runs to the end of the stream
+        body, end = buffer[start:], len(buffer)
+    else:
+        return None
+    tokens = headers.get("connection", "").lower()
+    keep_alive = "close" not in tokens and (parts[0] != b"HTTP/1.0" or "keep-alive" in tokens)
+    return status, headers, body, keep_alive and end == len(buffer) and not ended
+
+
+def _unfinished(buffer: bytearray, ended: bool) -> None:
+    """None while a response is still to come; once the peer has closed the stream, a failure."""
+    if ended:
+        raise BadResponseError(
+            f"the peer closed the connection after {len(buffer)} bytes of a response"
+            if buffer else "the peer closed the connection without a response"
+        )
+    return None
+
+
+def _dechunk(buffer: bytearray, start: int) -> tuple[bytearray, int] | None:
+    """The chunked body from start, and the offset past it, or None while it is not whole."""
+    body = bytearray()
+    while True:
+        line_end = buffer.find(b"\n", start)
+        if line_end < 0:
+            return None
+        line = bytes(buffer[start:line_end]).rstrip(b"\r")
+        try:
+            size = int(line.split(b";", 1)[0], 16)
+        except ValueError:
+            size = -1
+        if size < 0:
+            raise BadResponseError(f"bad chunk size line {line!r}")
+        start = line_end + 1
+        if size == 0:
+            break
+        if len(buffer) < start + size + 2:
+            return None
+        if buffer[start + size : start + size + 2] != b"\r\n":
+            raise BadResponseError("a chunk does not end in CRLF")
+        body += buffer[start : start + size]
+        start += size + 2
+    while True:  # the trailer section, to its empty line
+        line_end = buffer.find(b"\n", start)
+        if line_end < 0:
+            return None
+        empty = buffer[start:line_end] in (b"", b"\r")
+        start = line_end + 1
+        if empty:
+            return body, start

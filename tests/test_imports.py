@@ -114,6 +114,20 @@ def test_the_cli_loads_no_module_outside_the_standard_library_but_click():
     assert done.stdout.split() == ["click", "refrank"]
 
 
+def test_the_cli_loads_neither_http_client_nor_ssl():
+    # the endpoint judge speaks HTTP on raw sockets, and loads ssl only to open an https connection
+    script = (
+        "import sys\n"
+        "import refrank.cli\n"
+        "print(*sorted({'http.client', 'ssl'} & set(sys.modules)))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)}, check=True,
+    )
+    assert done.stdout.split() == []
+
+
 def test_the_package_has_modules_to_check():
     assert PACKAGE / "cli.py" in MODULES and PACKAGE / "scorer" / "llm.py" in MODULES
 

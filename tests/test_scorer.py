@@ -9,6 +9,8 @@ import os
 import re
 import signal
 import socket
+import socketserver
+import ssl
 import struct
 import subprocess
 import sys
@@ -1071,8 +1073,77 @@ class CountingHandler(BaseHTTPRequestHandler):
 
 
 @contextlib.contextmanager
-def counting_stub(latency_s, **kwargs):
+def counting_stub(latency_s, tls=None, **kwargs):
+    """A CountingStub serving on a thread; over TLS, with tls an ``ssl.SSLContext``."""
     server = CountingStub(latency_s, **kwargs)
+    if tls is not None:
+        server.socket = tls.wrap_socket(server.socket, server_side=True)
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+
+
+class RawStub(socketserver.ThreadingTCPServer):
+    """Keep-alive stub that answers each request with the bytes answer(prompt, attempt) scripts.
+
+    The script is a list of steps (delay_s, data): data is sent delay_s after
+    the step before it, and None closes the connection. attempt counts the
+    prompt's earlier requests. Each connection is served on its own thread,
+    so a slow answer holds up no other connection. ``arrivals`` lists each
+    request's arrival time, client port and prompt.
+    """
+
+    daemon_threads = True
+
+    def __init__(self, answer):
+        super().__init__(("127.0.0.1", 0), RawHandler)
+        self.answer = answer
+        self.lock = threading.Lock()
+        self.arrivals = []
+
+    @property
+    def url(self):
+        return f"http://127.0.0.1:{self.server_address[1]}"
+
+    def handle_error(self, request, client_address):
+        # a client that gave up on an answer leaves the rest of it nowhere to go
+        if not isinstance(sys.exc_info()[1], (BrokenPipeError, ConnectionResetError)):
+            super().handle_error(request, client_address)
+
+
+class RawHandler(socketserver.StreamRequestHandler):
+    disable_nagle_algorithm = True
+
+    def handle(self):
+        server = self.server
+        while True:
+            line, length = self.rfile.readline(), 0
+            if not line:
+                return
+            while line.strip():
+                name, _, value = line.partition(b":")
+                if name.lower() == b"content-length":
+                    length = int(value)
+                line = self.rfile.readline()
+            prompt = json.loads(self.rfile.read(length))["messages"][0]["content"]
+            with server.lock:
+                attempt = sum(1 for _, _, seen in server.arrivals if seen == prompt)
+                server.arrivals.append((time.monotonic(), self.client_address[1], prompt))
+            for delay, data in server.answer(prompt, attempt):
+                time.sleep(delay)
+                if data is None:
+                    return
+                self.wfile.write(data)
+
+
+@contextlib.contextmanager
+def raw_stub(answer):
+    server = RawStub(answer)
     thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
     thread.start()
     try:
@@ -1153,6 +1224,11 @@ class FakeClock:
 
 
 YES_NO = completion_payload([{"token": "yes", "logprob": -0.3}, {"token": "no", "logprob": -1.3}])
+YES_NO_BODY = json.dumps(YES_NO).encode()
+
+
+def whole_answer(status_line=b"HTTP/1.1 200 OK", body=YES_NO_BODY):
+    return b"%s\r\nContent-Length: %d\r\n\r\n%s" % (status_line, len(body), body)
 
 
 @pytest.fixture(params=["poll", "selector"])
@@ -1749,6 +1825,195 @@ class TestLlmTransport:
             assert done.stderr == ""
         else:  # the check can fail: unclosed keep-alive sockets do warn
             assert "ResourceWarning" in done.stderr
+
+
+# A self-signed certificate and key for 127.0.0.1, valid 2000-2099, made by
+#   openssl req -x509 -newkey ec -pkeyopt ec_paramgen_curve:prime256v1 -nodes \
+#     -not_before 20000101000000Z -not_after 20991231235959Z -subj /CN=127.0.0.1 \
+#     -addext subjectAltName=IP:127.0.0.1 -keyout key.pem -out cert.pem
+TLS = Path(__file__).parent / "tls"
+
+
+def chunked_answer(body=YES_NO_BODY):
+    chunks = b"".join(b"%x;ext=1\r\n%s\r\n" % (len(part), part) for part in (body[:9], body[9:]))
+    head = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+    return head + chunks + b"0\r\nX-Trailer: 1\r\n\r\n"
+
+
+# Each way of framing a whole answer: the stub's steps, and whether the
+# connection carries the next request.
+FRAMINGS = {
+    "content-length": ([(0, whole_answer())], True),
+    "chunked": ([(0, chunked_answer())], True),
+    "connection-close": (
+        [(0, whole_answer(b"HTTP/1.1 200 OK\r\nConnection: close")), (0, None)], False
+    ),
+    "http-1.0-close-delimited": ([(0, b"HTTP/1.0 200 OK\r\n\r\n" + YES_NO_BODY), (0, None)], False),
+    "100-continue": ([(0, b"HTTP/1.1 100 Continue\r\n\r\n" + whole_answer())], True),
+}
+# First answers that fail the attempt, which is retried on a new connection.
+FAULTY_ANSWERS = {
+    "cut-short": [(0, whole_answer()[:-20]), (0, None)],
+    "cut-short-chunked": [(0, chunked_answer()[:-40]), (0, None)],  # in the second chunk
+    "garbage-status-line": [(0, b"garbage\r\n")],  # the connection stays open
+    "no-answer": [(0, None)],
+}
+
+
+class TestResponseReader:
+    @pytest.mark.parametrize("read_size", [65536, 1], ids=["whole", "one-byte-per-read"])
+    @pytest.mark.parametrize("framing", list(FRAMINGS))
+    def test_every_framing_gives_the_answer(self, monkeypatch, framing, read_size):
+        monkeypatch.setattr(llm, "_READ_SIZE", read_size)
+        steps, reusable = FRAMINGS[framing]
+        with raw_stub(lambda prompt, attempt: steps) as server:
+            with llm_scorer(server.url, batch_size=1) as scorer:
+                for _ in range(2):
+                    assert scorer.score(PROBE_POINTWISE) == pytest.approx({"yes": -0.3, "no": -1.3})
+        assert scorer.ledger.retries == {} and scorer.ledger.total_calls == 2
+        ports = {port for _, port, _ in server.arrivals}
+        assert len(ports) == (1 if reusable else 2)
+
+    @pytest.mark.parametrize("read_size", [65536, 1], ids=["whole", "one-byte-per-read"])
+    @pytest.mark.parametrize("fault", list(FAULTY_ANSWERS))
+    def test_a_malformed_or_cut_short_answer_is_retried(self, monkeypatch, fault, read_size):
+        monkeypatch.setattr(llm, "_READ_SIZE", read_size)
+
+        def answer(prompt, attempt):
+            return FAULTY_ANSWERS[fault] if attempt == 0 else [(0, whole_answer())]
+
+        with raw_stub(answer) as server:
+            with llm_scorer(server.url, batch_size=1) as scorer:
+                assert scorer.score(PROBE_POINTWISE) == pytest.approx({"yes": -0.3, "no": -1.3})
+        assert scorer.ledger.retries == {"pointwise": 1} and scorer.ledger.total_calls == 1
+        assert len({port for _, port, _ in server.arrivals}) == 2
+
+    def test_a_garbage_status_line_on_every_attempt_fails_the_request(self):
+        with raw_stub(lambda prompt, attempt: [(0, b"garbage\r\n")]) as server:
+            with llm_scorer(server.url, batch_size=1) as scorer:
+                with pytest.raises(TransientBackendError) as exc:
+                    scorer.score(PROBE_POINTWISE)
+        assert str(exc.value) == (
+            "request failed after 4 attempt(s): BadResponseError: bad status line b'garbage'"
+        )
+        assert len(server.arrivals) == 4
+
+    def test_a_slow_body_holds_up_no_other_answer(self):
+        # One answer sends its headers at once and its body 1 s later; the
+        # others come whole after 0.05 s. Over two connections, the one the
+        # fast answers free carries the other three requests meanwhile.
+        head, body = whole_answer().split(b"\r\n\r\n")
+
+        def answer(prompt, attempt):
+            if "text 0" in prompt:
+                return [(0, head + b"\r\n\r\n"), (1.0, body)]
+            return [(0.05, whole_answer())]
+
+        requests = [JudgeRequest("pointwise", QUERY, (doc(f"d{i}", f"text {i}"),)) for i in range(4)]
+        with raw_stub(answer) as server:
+            with llm_scorer(server.url, batch_size=2) as scorer:
+                started = time.monotonic()
+                results = scorer.score_batch(requests)
+                took = time.monotonic() - started
+        assert results == [{"yes": -0.3, "no": -1.3}] * 4
+        assert took < 1.2, took
+        *fast, slow = sorted(scorer.ledger._latency["pointwise"])
+        assert max(fast) < 200 and slow >= 1000, (fast, slow)
+        (slow_arrived,) = [arrived for arrived, _, prompt in server.arrivals if "text 0" in prompt]
+        assert max(arrived for arrived, _, _ in server.arrivals) < slow_arrived + 1.0
+
+    def test_a_body_trickling_past_its_deadline_times_out_and_is_retried(self, monkeypatch):
+        monkeypatch.setattr(llm, "_TIMEOUT_S", 0.3)
+        head, body = whole_answer().split(b"\r\n\r\n")
+        trickle = [(0, head + b"\r\n\r\n")] + [(0.05, body[i : i + 1]) for i in range(len(body))]
+        with raw_stub(lambda prompt, attempt: trickle) as server:
+            with llm_scorer(server.url, batch_size=1) as scorer:
+                started = time.monotonic()
+                with pytest.raises(TransientBackendError) as exc:
+                    scorer.score(PROBE_POINTWISE)
+                took = time.monotonic() - started
+        assert str(exc.value) == "request failed after 4 attempt(s): TimeoutError: timed out"
+        assert scorer.ledger.retries == {"pointwise": 3} and scorer.ledger.total_calls == 0
+        assert len(server.arrivals) == 4
+        assert took < 4 * 0.3 + 1.0, took  # each attempt ends at its deadline, not its last byte
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            (b"HTTP/2 200\r\n\r\n", "bad status line b'HTTP/2 200'"),
+            (b"HTTP/1.1 20 OK\r\n", "bad status line b'HTTP/1.1 20 OK'"),
+            (b"HTTP/1.1 200 OK\r\nContent-Length: -1\r\n\r\n", "bad Content-Length '-1'"),
+            (b"HTTP/1.1 200 OK\r\nContent-Length: ten\r\n\r\n", "bad Content-Length 'ten'"),
+            (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n",
+             "bad chunk size line b'zz'"),
+            (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2\r\nabXY",
+             "a chunk does not end in CRLF"),
+            (b"HTTP/1.1 200 OK\r\nX-Long: " + b"a" * 65536, "no end of headers in 65536 bytes"),
+        ],
+        ids=["http-2", "two-digit-status", "negative-length", "word-length", "bad-chunk-size",
+             "chunk-without-crlf", "endless-headers"],
+    )
+    def test_a_malformed_answer_is_refused_before_the_peer_closes(self, raw, message):
+        with pytest.raises(llm.BadResponseError) as exc:
+            llm._parse(bytearray(raw), False)
+        assert str(exc.value) == message
+
+    def test_what_a_whole_answer_leaves_for_the_next_request(self):
+        # no body after 204; bytes past the answer, or a closed stream, retire the connection
+        assert llm._parse(bytearray(b"HTTP/1.1 204 No Content\r\n\r\n"), False) == (
+            204, {}, b"", True
+        )
+        status, _, body, reusable = llm._parse(bytearray(whole_answer() + b"HTTP"), False)
+        assert (status, bytes(body), reusable) == (200, YES_NO_BODY, False)
+        assert llm._parse(bytearray(whole_answer()), True)[3] is False
+        assert llm._parse(bytearray(whole_answer()[:-1]), False) is None
+        with pytest.raises(llm.BadResponseError, match="closed the connection after"):
+            llm._parse(bytearray(whole_answer()[:-1]), True)
+
+    @pytest.mark.parametrize("read_size", [65536, 1], ids=["whole", "one-byte-per-read"])
+    def test_https_gives_the_answers_http_gives(self, monkeypatch, read_size):
+        # one byte per read leaves the rest of each TLS record pending in the
+        # socket, where poll cannot see it
+        monkeypatch.setattr(llm, "_READ_SIZE", read_size)
+        tls = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+        tls.load_cert_chain(TLS / "cert.pem", TLS / "key.pem")
+        monkeypatch.setenv("SSL_CERT_FILE", str(TLS / "cert.pem"))
+        requests = [JudgeRequest("pointwise", QUERY, (doc(f"d{i}", f"text {i}"),)) for i in range(6)]
+        results = {}
+        for scheme in ("http", "https"):
+            with counting_stub(latency_s=0.0, tls=tls if scheme == "https" else None) as server:
+                url = f"{scheme}://127.0.0.1:{server.server_port}"
+                with llm_scorer(url, batch_size=2) as scorer:
+                    results[scheme] = scorer.score_batch(requests)
+            assert server.requests == 6 and len(server.ports) <= 2, scheme
+        assert results["https"] == results["http"]
+
+    def test_https_refuses_a_certificate_the_trust_store_lacks(self, monkeypatch):
+        tls = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+        tls.load_cert_chain(TLS / "cert.pem", TLS / "key.pem")
+        monkeypatch.delenv("SSL_CERT_FILE", raising=False)
+        with counting_stub(latency_s=0.0, tls=tls) as server:
+            with llm_scorer(f"https://127.0.0.1:{server.server_port}") as scorer:
+                with pytest.raises(TransientBackendError, match="CERTIFICATE_VERIFY_FAILED"):
+                    scorer.score(PROBE_POINTWISE)
+            assert server.requests == 0
+
+    def test_close_ends_a_tls_handshake_that_stalls(self):
+        # The listener never accepts, so the client's hello gets no answer.
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            scorer = llm_scorer(f"https://127.0.0.1:{listener.getsockname()[1]}", batch_size=1)
+
+            def in_handshake():  # and some way into it
+                if isinstance(scorer._connections[0].sock, ssl.SSLSocket):
+                    time.sleep(0.2)
+                    return True
+                return False
+
+            error, ended = close_while_waiting(scorer, [PROBE_POINTWISE], in_handshake)
+        assert isinstance(error, ScoringError) and "scorer is closed" in str(error), error
+        assert ended < 0.5
+        assert scorer.ledger.retries == {} and scorer.ledger.total_calls == 0
+        assert scorer._free.qsize() == 1 and scorer._connections[0].sock is None
 
 
 class TestSoftmaxHelpers:
