@@ -10,12 +10,14 @@ table datamodel.KINDS gives them, and datamodel.SETWISE_ALPHABET for setwise:
   duel       (doc_a, doc_b)  labels A / B
   setwise    docs[2..26]     labels A.. one letter per group member
 
-Scorer.score checks every answer once: a label that is missing or not
-finite raises DegenerateResponseError, so code downstream of it takes the
-values as they are. The endpoint judge, which overrides score, makes the
-same check as it parses each response. Normalization of logits into scores lives in the
-strategies module; scorers return raw values. Every successful call
-increments the shared CallLedger exactly once with the request kind.
+Scorer.score_batch is the one batch entry point. A per-request judge (the
+oracle) supplies _score_one, which Scorer.score checks and counts; a batch
+judge (the endpoint) supplies _judge, which runs a whole batch. Every
+answer is checked once: a label that is missing or not finite raises
+DegenerateResponseError, so code downstream takes the values as they
+are. Normalization of logits into scores lives in the strategies
+module; scorers return raw values. Every successful call increments the
+shared CallLedger exactly once with the request kind.
 """
 
 from __future__ import annotations
@@ -121,11 +123,12 @@ _set_kind, _set_query, _set_docs = (
 class Scorer:
     """Uniform interface over relevance judges.
 
-    Implementations must be safe to call from multiple threads; ``score``
-    rejects an answer without one finite logit per request label.
-    ``score_batch`` results are positionally aligned with the requests
-    regardless of completion order. ``max_in_flight`` is the most requests
-    the judge runs at once, None for no limit; bubblesort sizes batches to it.
+    A judge supplies ``_score_one`` (one request) or ``_judge`` (a batch).
+    Implementations must be safe to call from multiple threads, and reject
+    an answer without one finite logit per request label. ``score_batch``
+    results are positionally aligned with the requests regardless of
+    completion order. ``max_in_flight`` is the most requests the judge runs
+    at once, None for no limit; bubblesort sizes batches to it.
     """
 
     max_in_flight: int | None = None
@@ -145,8 +148,8 @@ class Scorer:
     def _score_one(self, request: JudgeRequest) -> tuple[dict[str, float], int]:
         """Return (label -> logit, prompt character count) for one request.
 
-        ``score`` calls it; a scorer that overrides ``score`` and
-        ``score_batch`` need not define it.
+        ``score`` calls it; a judge that supplies ``_judge`` and ``score``
+        need not.
         """
         raise NotImplementedError
 
@@ -163,9 +166,26 @@ class Scorer:
     def score_batch(self, requests: Sequence[JudgeRequest]) -> list[dict[str, float]]:
         """Score all requests, preserving order.
 
-        On partial failure raises BatchScoringError carrying both the
-        per-index errors and every successful result; the ledger still
-        counts each successful request exactly once.
+        On partial failure raises BatchScoringError carrying every success
+        and every failure; its message names the failed requests as
+        ``doc|doc`` ids, the first eight by index, then the first failure.
+        The ledger still counts each successful request exactly once.
+        """
+        results, errors = self._judge(requests)
+        if errors:
+            failed = ", ".join(
+                "|".join(doc.doc_id for doc in requests[index].docs) for index in list(errors)[:8]
+            )
+            cause = next(iter(errors.values()))
+            raise BatchScoringError(
+                f"scoring failed for: {failed} ({type(cause).__name__}: {cause})", results, errors
+            )
+        return results  # type: ignore[return-value]
+
+    def _judge(self, requests: Sequence[JudgeRequest]):
+        """(results, errors by index in index order), a result None where it failed.
+
+        This one calls ``score`` on each request in turn.
         """
         results: list[dict[str, float] | None] = []
         append = results.append
@@ -177,22 +197,4 @@ class Scorer:
             except HarnessError as exc:
                 append(None)
                 errors[index] = exc
-        return self._batch_result(requests, results, errors)
-
-    @staticmethod
-    def _batch_result(requests, results, errors: Mapping[int, Exception]) -> list[dict[str, float]]:
-        """The results, or BatchScoringError when any request failed.
-
-        The error carries every success and every failure; its message names
-        the failed requests as ``doc|doc`` ids, the first eight by index,
-        then the first failure.
-        """
-        if errors:
-            failed = ", ".join(
-                "|".join(doc.doc_id for doc in requests[index].docs) for index in list(errors)[:8]
-            )
-            cause = next(iter(errors.values()))
-            raise BatchScoringError(
-                f"scoring failed for: {failed} ({type(cause).__name__}: {cause})", results, errors
-            )
-        return results  # type: ignore[return-value]
+        return results, errors

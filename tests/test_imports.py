@@ -1,6 +1,7 @@
 """Every module-level import in the package and its tests is read or listed in
-__all__, every exception class the package defines is raised in it, and
-every private helper it defines is read in it.
+__all__, every exception class the package defines is raised in it, every
+private helper it defines is read in it, and one method body in the scorer
+package defines score_batch.
 
 Static checks with the standard library's ast. A name bound by an import
 at module level (``from __future__`` aside) must appear as a loaded name
@@ -10,8 +11,10 @@ exception must be named by some ``raise`` statement in the package. A private
 function or class, or a private module-level name (one leading underscore,
 dunders aside), must be read somewhere in the package: as a loaded name,
 an attribute, or an imported name. No module calls ``time.sleep``, so
-every wait in the package is one that closing its scorer can end. And
-importing refrank.cli loads no third-party module but click.
+every wait in the package is one that closing its scorer can end. Each
+judge supplies only its ``_judge`` or ``_score_one``, so a batch's code
+(its error, and anything counted per batch) lives in Scorer.score_batch
+alone. And importing refrank.cli loads no third-party module but click.
 """
 
 import ast
@@ -267,3 +270,32 @@ def test_the_check_sees_a_sleep():
         "pause = time.sleep\n"
     )
     assert sleep_calls(source) == ["line 2", "line 6", "line 7"]
+
+
+def score_batch_bodies(sources) -> list[str]:
+    """``Class.score_batch`` for each method named score_batch that the sources define."""
+    return [
+        f"{node.name}.score_batch"
+        for source in sources
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and item.name == "score_batch"
+    ]
+
+
+def test_one_method_body_defines_score_batch():
+    sources = (path.read_text(encoding="utf-8") for path in sorted((PACKAGE / "scorer").glob("*.py")))
+    assert score_batch_bodies(sources) == ["Scorer.score_batch"]
+
+
+def test_the_check_sees_a_second_score_batch():
+    sources = [
+        "class Scorer:\n"
+        "    def score_batch(self, requests): return self._judge(requests)\n",
+        "class Alias(Scorer):\n"
+        "    score_batch = Scorer.score_batch\n"
+        "class Override(Scorer):\n"
+        "    def score_batch(self, requests): return super().score_batch(requests)\n",
+    ]
+    assert score_batch_bodies(sources) == ["Scorer.score_batch", "Override.score_batch"]

@@ -542,6 +542,26 @@ class TestScoreBatch:
         assert exc.value.results[1] is None
         assert list(exc.value.errors) == [1]
 
+    def test_a_judge_that_supplies_only_judge_gets_the_batch_error(self):
+        class EvenOnly(Scorer):
+            def _judge(self, requests):
+                results = [{"A": 0.0, "B": -1.0} if i % 2 == 0 else None for i in range(len(requests))]
+                return results, {i: ScoringError(f"down {i}") for i in range(1, len(requests), 2)}
+
+        requests = [JudgeRequest("duel", QUERY, (doc(f"a{i}"), doc(f"b{i}"))) for i in range(4)]
+        with pytest.raises(BatchScoringError) as exc:
+            EvenOnly().score_batch(requests)
+        assert str(exc.value) == "scoring failed for: a1|b1, a3|b3 (ScoringError: down 1)"
+        assert exc.value.results == [{"A": 0.0, "B": -1.0}, None, {"A": 0.0, "B": -1.0}, None]
+        assert list(exc.value.errors) == [1, 3]
+        assert EvenOnly().score_batch(requests[:1]) == [{"A": 0.0, "B": -1.0}]
+
+    def test_the_endpoint_judge_binds_the_one_batch_body(self):
+        # An alias, not an override: perfbench/spans.py wraps Scorer.score_batch
+        # and LlmScorer.score_batch each, and an override calling the wrapped
+        # base, or no binding at all, would trace every endpoint batch twice.
+        assert LlmScorer.__dict__["score_batch"] is Scorer.__dict__["score_batch"]
+
 
 # kind -> (document texts in slot order, the exact prompt they render)
 SUBSTITUTIONS = {
@@ -926,6 +946,31 @@ class TestLlmScorer:
             "scoring failed for: d1 "
             "(DegenerateResponseError: response carries no first-position top_logprobs)"
         )
+
+    def test_each_request_is_built_as_it_is_sent(self, stub_server, monkeypatch):
+        # when the first request reaches the stub, no more than the batch_size
+        # requests that may be in flight have been built, not the whole batch
+        built = []
+
+        def counted(*args):
+            built.append(args[0])
+            return build_prompt(*args)
+
+        monkeypatch.setattr(llm, "build_prompt", counted)
+        top = [{"token": "yes", "logprob": -0.1}, {"token": "no", "logprob": -2.0}]
+        at_first = []
+
+        def behave(i):
+            if i == 0:
+                at_first.append(len(built))
+            return 200, completion_payload(top)
+
+        StubHandler.behaviors = [behave]
+        requests = [JudgeRequest("pointwise", QUERY, (doc(f"d{i}"),)) for i in range(12)]
+        with llm_scorer(stub_server, batch_size=2) as scorer:
+            assert len(scorer.score_batch(requests)) == 12
+        assert 1 <= at_first[0] <= 2
+        assert built == requests
 
     def test_api_key_env_missing(self, stub_server, monkeypatch):
         monkeypatch.delenv("STUB_KEY", raising=False)
