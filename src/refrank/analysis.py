@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 
 from .datamodel import CandidateList, Qrels, ValidationError
-from .eval import MetricConfig, ndcg_at_k
+from .eval import MetricConfig, fold_mean, ndcg_at_k
 from .scorer.base import Scorer
 from .strategies import EnsembleConfig, anchor_rows, anchor_scores, weighted_ranking
 
@@ -66,10 +66,7 @@ class SweepResult:
         for row in self.per_query:
             if len(row) != len(self.cells):
                 raise ValidationError("per_query row length must match cells")
-        mean = tuple(
-            sum(row[j] for row in self.per_query) / len(self.per_query)
-            for j in range(len(self.cells))
-        )
+        mean = tuple(fold_mean(column) for column in zip(*self.per_query))
         object.__setattr__(self, "mean", mean)
 
 

@@ -2,29 +2,31 @@
 
 Exit codes: 0 success, 1 runtime error, 2 usage error. A strategy-only
 flag (--m, --weights, --ref-index, --ref-topk, --k, --children) that no
-named strategy reads is a usage error, and so is an endpoint-only flag
-(--endpoint-url, --model, --api-key-env, --template-dir) under the oracle
-backend; --concurrency is at least 1. The oracle needs --seed, the endpoint
---endpoint-url and --model. Every usage error is raised before any input is
-read and before any refused setting. A bad --template-dir, which is
-loaded once per command, a bad --endpoint-url and an unset or malformed
---api-key-env key are refused before any input is read too; a setting
-out of range for any list is refused before the first judge call, and
-any refusal before bench prints a line. rerank and bench find such a
-setting by starting each strategy on the shortest list with a stand-in
-judge that stops it at its first call, so nothing is judged.
+named strategy reads is a usage error, as are --ref-index with --ref-topk
+and an endpoint-only flag (--endpoint-url, --model, --api-key-env,
+--template-dir) under the oracle backend; --concurrency is at least 1. The
+oracle needs --seed, the endpoint --endpoint-url and --model. Every usage
+error is raised before any input is read and before any refused setting. A
+bad --template-dir, which is loaded once per command, a bad --endpoint-url
+and an unset or malformed --api-key-env key are refused before any input
+is read too; a setting out of range for any list is refused before the
+first judge call, and any refusal before bench prints a line. rerank and
+bench find such a setting by starting each strategy on the shortest list
+with a stand-in judge that stops it at its first call, so nothing is
+judged.
 rerank and bench rank the queries on a pool of --concurrency threads. A
 failed query or Ctrl-C starts no queued query, and the judge, closed on
 the way out, ends the queries still running at once.
 Every rerank run writes a config snapshot into its report: the options the
-run read, the seed, and the package version. Re-running with the same
-configuration and seed reproduces the run file byte for byte under the
-oracle backend, which never touches the network. Blank input lines and
-repeated qrel pairs are skipped with one warning on stderr; rerank and bench
-also warn there when refrank-multiple's --m exceeds floor(log2 n). An output
-directory is created only when the first output is written, so a run that
-fails before then leaves none behind; existing outputs are refused before
-any judge call; eval refuses eval.json before it reads or prints anything.
+run read, the seed, and the package version. Under the oracle backend,
+which never touches the network, the same configuration and seed reproduce
+run files, sweep CSVs and report means byte for byte on Python 3.10-3.13.
+Blank input lines and repeated qrel pairs are skipped with one warning on
+stderr; rerank and bench also warn there when refrank-multiple's --m
+exceeds floor(log2 n). An output directory is created only when the first
+output is written, so a run that fails before then leaves none behind;
+existing outputs are refused before any judge call; eval refuses eval.json
+before it reads or prints anything.
 """
 
 from __future__ import annotations
@@ -212,6 +214,7 @@ def _parse_weights(text: str | None) -> tuple[float, ...]:
 
 def _ref_policy(ref_index: int, ref_topk: int | None, seed: int | None):
     if ref_topk is not None:
+        _refuse_given(["ref_index"], "is not read with --ref-topk")
         return RandomTopK(ref_topk, _require_seed(seed, "with --ref-topk"))
     return FixedIndex(ref_index)
 

@@ -223,8 +223,10 @@ _CHARS = "prompt_chars"  # the key of a tally's prompt-character count
 class CallLedger:
     """Counts judge calls by kind, their prompt characters, retried attempts and latencies.
 
-    A call counts once, when it succeeds; ``retries`` counts each attempt
-    after a request's first, by kind, whether or not the request succeeds.
+    A call counts once, when it succeeds, with its prompt characters: the
+    endpoint's rendered prompt, or the oracle's query and document texts,
+    uncut. ``retries`` counts each attempt after a request's first, by kind,
+    whether or not the request succeeds.
     ``record_latency`` appends one timed attempt's milliseconds to its kind's
     array, under the lock, 8 bytes an attempt; ``latency_ms`` sorts a copy
     and reads the exact p50, p95 and max from it.

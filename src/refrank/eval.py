@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Mapping, Sequence
+import operator
+from collections.abc import Collection, Mapping, Sequence
 from dataclasses import dataclass
 
 from .datamodel import Qrels, Ranking, ValidationError
@@ -36,6 +37,11 @@ class MetricConfig:
     @property
     def name(self) -> str:
         return f"ndcg@{self.k}"
+
+
+def fold_mean(values: Collection[float]) -> float:
+    """The mean, summed left to right from 0.0, as sum() did before Python 3.12."""
+    return functools.reduce(operator.add, values, 0.0) / len(values)
 
 
 def _dcg(grades: Sequence[int], k: int, gain: str) -> float:
@@ -106,7 +112,7 @@ def _evaluate(rows, ndcg, config: MetricConfig, qrels: Qrels) -> EvalReport:
             per_query[query_id] = ndcg(query_id, ranked)
         else:
             unjudged += 1
-    mean = sum(per_query.values()) / len(per_query) if per_query else 0.0
+    mean = fold_mean(per_query.values()) if per_query else 0.0
     return EvalReport(config.name, per_query, mean, len(per_query), unjudged)
 
 

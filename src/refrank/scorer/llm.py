@@ -362,12 +362,10 @@ class LlmScorer(Scorer):
             request = requests[index]
             self.ledger.record_latency(request.kind, time.monotonic() - started)
             if status in RETRYABLE_STATUS:
-                retry_after = 0.0
-                if status in _RETRY_AFTER_STATUS:
-                    retry_after = _retry_after_seconds(headers.get("retry-after"))
-                failed(index, f"HTTP {status}", retry_after)
+                retry_after = headers.get("retry-after") if status in _RETRY_AFTER_STATUS else None
+                failed(index, f"HTTP {status}", _retry_after_seconds(retry_after))
                 return
-            results[index] = self._extract_logits(request, status, body)
+            results[index] = _logits(request.labels, status, body)
             self.ledger.record(request.kind, prompt_chars)
 
         try:
@@ -413,56 +411,6 @@ class LlmScorer(Scorer):
                 connection.close()
                 free.put(connection)
         return results, dict(sorted(errors.items()))
-
-    def _extract_logits(self, request: JudgeRequest, status: int, body: bytes) -> dict[str, float]:
-        text = body.decode("utf-8", "replace")
-        if status != 200:
-            raise ScoringError(f"endpoint returned HTTP {status}: {text[:200]}")
-        try:
-            data = json.loads(text)
-        except ValueError:
-            raise DegenerateResponseError("response body is not JSON", payload=text[:500]) from None
-        try:
-            top = data["choices"][0]["logprobs"]["content"][0]["top_logprobs"]
-        except (KeyError, IndexError, TypeError):
-            raise DegenerateResponseError(
-                "response carries no first-position top_logprobs", payload=data
-            ) from None
-        if not top:
-            raise DegenerateResponseError("empty top_logprobs list", payload=data)
-        entries: list[tuple[str, float]] = []
-        for item in top:
-            try:
-                entries.append((item["token"], float(item["logprob"])))
-            except (KeyError, TypeError, ValueError):
-                raise DegenerateResponseError(
-                    "malformed top_logprobs entry", payload=data
-                ) from None
-        finite = [logprob for _, logprob in entries if math.isfinite(logprob)]
-        if not finite:
-            raise DegenerateResponseError("no finite log-probability in top_logprobs", payload=data)
-        floor = min(finite) - 1.0
-        values: dict[str, float] = {}
-        found_any = False
-        for label in request.labels:
-            present = [logprob for token, logprob in entries if token in (label, " " + label)]
-            if present:
-                best = max((logprob for logprob in present if math.isfinite(logprob)), default=None)
-                if best is None:
-                    raise DegenerateResponseError(
-                        f"backend produced no finite logit for label {label!r}", payload=data
-                    )
-                values[label] = best
-                found_any = True
-            else:
-                values[label] = floor
-        if not found_any:
-            raise DegenerateResponseError(
-                f"no label token among {list(request.labels)} "
-                f"appears in the top-{_TOP_LOGPROBS} log-probabilities",
-                payload=data,
-            )
-        return values
 
 
 def _endpoint(base_url: str) -> tuple[bool, str, int]:
@@ -528,6 +476,47 @@ def _retry_after_seconds(value: str | None) -> float:
     except (TypeError, ValueError):
         return 0.0
     return seconds if math.isfinite(seconds) else 0.0
+
+
+def _logits(labels: Sequence[str], status: int, body: bytes) -> dict[str, float]:
+    """Each label's logit from an answer, by the endpoint contract; any other answer raises."""
+    text = body.decode("utf-8", "replace")
+    if status != 200:
+        raise ScoringError(f"endpoint returned HTTP {status}: {text[:200]}")
+    try:
+        data = json.loads(text)
+    except (ValueError, RecursionError):  # RecursionError: nested too deep to parse
+        raise DegenerateResponseError("response body is not JSON", payload=text[:500]) from None
+    try:
+        top = data["choices"][0]["logprobs"]["content"][0]["top_logprobs"]
+    except (KeyError, IndexError, TypeError):
+        missing = "response carries no first-position top_logprobs"
+        raise DegenerateResponseError(missing, payload=data) from None
+    if not top:
+        raise DegenerateResponseError("empty top_logprobs list", payload=data)
+    try:  # iterated inside the guard, so a top_logprobs that is no list fails here too
+        entries = [(item["token"], float(item["logprob"])) for item in top]
+    except (KeyError, TypeError, ValueError, OverflowError):
+        raise DegenerateResponseError("malformed top_logprobs entry", payload=data) from None
+    finite = [logprob for _, logprob in entries if math.isfinite(logprob)]
+    if not finite:
+        raise DegenerateResponseError("no finite log-probability in top_logprobs", payload=data)
+    values = {}
+    for label in labels:
+        present = [logprob for token, logprob in entries if token in (label, " " + label)]
+        if present:
+            values[label] = max(filter(math.isfinite, present), default=None)
+            if values[label] is None:
+                raise DegenerateResponseError(
+                    f"backend produced no finite logit for label {label!r}", payload=data
+                )
+    if not values:
+        raise DegenerateResponseError(
+            f"no label token among {list(labels)} appears in the top-{_TOP_LOGPROBS} "
+            "log-probabilities", payload=data
+        )
+    floor = min(finite) - 1.0
+    return {label: values.get(label, floor) for label in labels}
 
 
 def _parse(buffer: bytearray, ended: bool):

@@ -302,6 +302,11 @@ class TestCsv:
         assert sweep.mean == ((0.2 + 0.4) / 2, (0.9 + 0.5) / 2)
         assert minmax_normalize(sweep.mean) == [0.0, 1.0]
 
+    def test_mean_folds_left_to_right_on_every_python(self):
+        # ten 0.1s fold to 0.9999999999999999; sum() gives 1.0 from Python 3.12 on
+        sweep = SweepResult("reference", (1, 2), ((0.1, 0.5),) * 10)
+        assert sweep.mean == (0.9999999999999999 / 10, 0.5)
+
     def test_result_validation(self):
         with pytest.raises(ValidationError):
             SweepResult(

@@ -436,6 +436,37 @@ def test_bench_prints_nothing_before_a_backend_usage_error(fixture_files):
 
 
 @pytest.mark.parametrize(
+    "command, strategy",
+    [("rerank", "refrank-single"), ("bench", "refrank-single,refrank-multiple")],
+)
+def test_ref_index_with_ref_topk_is_refused_before_any_input_is_read(
+    fixture_files, tmp_path, command, strategy
+):
+    data, paths = fixture_files
+    run, corpus, queries, qrels = paths
+    run.write_text("not a run line\n")
+    out = tmp_path / "out"
+    out_args = [] if command == "bench" else ["--out", str(out)]
+    result = CliRunner().invoke(cli, [
+        command, *input_args(paths), *out_args, "--strategy", strategy,
+        "--ref-index", "999", "--ref-topk", "2", "--seed", "7",
+    ])
+    assert result.exit_code == 2, result.output
+    assert "--ref-index is not read with --ref-topk" in result.stderr
+    assert result.stdout == ""
+    assert not out.exists()
+
+
+def test_ref_topk_alone_still_runs(fixture_files, tmp_path):
+    data, paths = fixture_files
+    out = tmp_path / "out"
+    result = invoke(rerank_args(paths, out, extra=["--ref-topk", "2"]))
+    assert result.exit_code == 0, result.output
+    report = json.loads((out / "refrank-single.report.json").read_text())
+    assert report["config"]["ref_topk"] == 2
+
+
+@pytest.mark.parametrize(
     "command, extra, message",
     [
         ("rerank", ["--ref-index", "0"], "--seed is required with the oracle backend"),

@@ -166,6 +166,13 @@ class TestMeanMetric:
         report = evaluate_run_map({"q1": ["a", "b"]}, qrels)
         assert report.mean == report.per_query["q1"] == ndcg_for_doc_ids("q1", ["a", "b"], qrels)
 
+    def test_mean_folds_left_to_right_on_every_python(self):
+        # ten 0.1s fold to 0.9999999999999999; sum() gives 1.0 from Python 3.12 on
+        qrels = Qrels({f"q{i}": {"a": 1} for i in range(10)})
+        rows = [(f"q{i}", None) for i in range(10)]
+        report = eval_module._evaluate(rows, lambda query_id, ranked: 0.1, MetricConfig(), qrels)
+        assert report.mean == 0.9999999999999999 / 10
+
 
 class TestEvaluateRankings:
     def test_unjudged_query_excluded_and_counted(self):

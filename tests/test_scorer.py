@@ -879,11 +879,35 @@ class TestLlmScorer:
             ([{"logprob": -0.1}], "malformed top_logprobs entry"),
             ([{"token": "yes", "logprob": "high"}], "malformed top_logprobs entry"),
             (["yes"], "malformed top_logprobs entry"),
+            (5, "malformed top_logprobs entry"),
+            (True, "malformed top_logprobs entry"),
+            (2.5, "malformed top_logprobs entry"),
+            ({"token": "yes", "logprob": -0.1}, "malformed top_logprobs entry"),
+            ([{"token": "yes", "logprob": 10**400}], "malformed top_logprobs entry"),
         ],
     )
     def test_empty_or_malformed_top_logprobs_is_degenerate(self, stub_server, top, message):
         StubHandler.behaviors = [lambda i: (200, completion_payload(top))]
         with pytest.raises(DegenerateResponseError, match=message):
+            llm_scorer(stub_server).score(PROBE_POINTWISE)
+        assert len(StubHandler.calls) == 1
+
+    def test_a_top_logprobs_of_no_list_fails_only_its_request_in_a_batch(self, stub_server):
+        top = [{"token": "yes", "logprob": -0.1}, {"token": "no", "logprob": -2.0}]
+        StubHandler.behaviors = [lambda i: (200, completion_payload(5 if i == 1 else top))]
+        requests = [JudgeRequest("pointwise", QUERY, (doc(f"d{i}"),)) for i in range(3)]
+        with llm_scorer(stub_server, batch_size=1) as scorer:
+            with pytest.raises(BatchScoringError) as exc:
+                scorer.score_batch(requests)
+        assert list(exc.value.errors) == [1]
+        assert isinstance(exc.value.errors[1], DegenerateResponseError)
+        assert str(exc.value.errors[1]) == "malformed top_logprobs entry"
+        assert exc.value.results[0] is not None and exc.value.results[2] is not None
+        assert len(StubHandler.calls) == 3
+
+    def test_json_nested_too_deep_to_parse_is_degenerate(self, stub_server):
+        StubHandler.behaviors = [lambda i: (200, b"[" * 100_000 + b"]" * 100_000)]
+        with pytest.raises(DegenerateResponseError, match="response body is not JSON"):
             llm_scorer(stub_server).score(PROBE_POINTWISE)
         assert len(StubHandler.calls) == 1
 
@@ -1511,6 +1535,15 @@ class TestLlmTransport:
         assert kind == "pointwise"
         assert 50 <= latency["p50"] <= latency["p95"] <= latency["max"]
         assert latency["p50"] <= 50 * 2 ** (1 / 8) + 10  # one bucket, and the client's own time
+
+    def test_rerank_reports_a_top_logprobs_of_no_list_as_a_scoring_failure(self, tmp_path):
+        paths = write_experiment_files(make_synth(1, 3, seed=23), tmp_path / "data")
+        body = json.dumps(completion_payload(5)).encode()
+        with raw_stub(lambda prompt, attempt: [(0, whole_answer(body=body))]) as server:
+            result = rerank_through(server, paths, tmp_path / "out", "pointwise")
+        assert result.exit_code == 1, result.output
+        assert "error: scoring failed for: " in result.output
+        assert "(DegenerateResponseError: malformed top_logprobs entry)" in result.output
 
     def test_an_interrupt_in_the_wait_closes_and_frees_the_connections_in_flight(
         self, monkeypatch
