@@ -415,6 +415,8 @@ def cmd_rerank(out_dir, force, **options):
     else:
         evaluation = asdict(evaluate_rankings(rankings, qrels, MetricConfig(gain=options["gain"])))
     reads = _reads(strategy)
+    if options["ref_topk"] is not None:  # a --ref-topk anchor reads no --ref-index
+        reads.discard("ref_index")
     config = {name: value for name, value in options.items()
               if name in reads or name not in _STRATEGY_ONLY}
     _write_json(report_out, {

@@ -231,7 +231,10 @@ class CallLedger:
     array, under the lock, 8 bytes an attempt; ``latency_ms`` sorts a copy
     and reads the exact p50, p95 and max from it.
 
-    Increment-only, and concurrent workers may share one instance. A call
+    ``record`` can count several calls of one kind at once, as the oracle
+    does once per batch.
+
+    Increment-only, and concurrent workers may share one instance. A record
     takes no lock: each thread adds to its own tally, a dict of the kinds
     plus a prompt-character count that only that thread writes, registered
     once under the lock. A read takes the lock and sums every tally,
@@ -253,14 +256,14 @@ class CallLedger:
         self._local.tally = tally
         return tally
 
-    def record(self, kind: str, prompt_chars: int = 0) -> None:
+    def record(self, kind: str, prompt_chars: int = 0, calls: int = 1) -> None:
         if kind not in KINDS:
             raise ValidationError(f"unknown request kind {kind!r}")
         try:
             tally = self._local.tally
         except AttributeError:
             tally = self._register()
-        tally[kind] += 1
+        tally[kind] += calls
         tally[_CHARS] += prompt_chars
 
     def record_retry(self, kind: str) -> None:

@@ -10,14 +10,16 @@ table datamodel.KINDS gives them, and datamodel.SETWISE_ALPHABET for setwise:
   duel       (doc_a, doc_b)  labels A / B
   setwise    docs[2..26]     labels A.. one letter per group member
 
-Scorer.score_batch is the one batch entry point. A per-request judge (the
-oracle) supplies _score_one, which Scorer.score checks and counts; a batch
-judge (the endpoint) supplies _judge, which runs a whole batch. Every
-answer is checked once: a label that is missing or not finite raises
-DegenerateResponseError, so code downstream takes the values as they
-are. Normalization of logits into scores lives in the strategies
-module; scorers return raw values. Every successful call increments the
-shared CallLedger exactly once with the request kind.
+Scorer.score_batch is the one batch entry point, and a judge's _judge runs
+the whole batch: the oracle and the endpoint each supply their own.
+Scorer.score is a batch of one through _judge. A judge may instead supply
+_score_one, one request at a time, which the base _judge checks and counts.
+Every answer is checked once, before any caller sees it: a label that is
+missing or not finite raises DegenerateResponseError, so code downstream
+takes the values as they are. Normalization of logits into scores lives
+in the strategies module; scorers return raw values. Every successful
+call is counted in the shared CallLedger exactly once with the request
+kind.
 """
 
 from __future__ import annotations
@@ -123,7 +125,7 @@ _set_kind, _set_query, _set_docs = (
 class Scorer:
     """Uniform interface over relevance judges.
 
-    A judge supplies ``_score_one`` (one request) or ``_judge`` (a batch).
+    A judge supplies ``_judge`` (a batch) or ``_score_one`` (one request).
     Implementations must be safe to call from multiple threads, and reject
     an answer without one finite logit per request label. ``score_batch``
     results are positionally aligned with the requests regardless of
@@ -148,20 +150,16 @@ class Scorer:
     def _score_one(self, request: JudgeRequest) -> tuple[dict[str, float], int]:
         """Return (label -> logit, prompt character count) for one request.
 
-        ``score`` calls it; a judge that supplies ``_judge`` and ``score``
-        need not.
+        The base ``_judge`` calls it; a judge that supplies ``_judge`` need not.
         """
         raise NotImplementedError
 
     def score(self, request: JudgeRequest) -> dict[str, float]:
-        logits, prompt_chars = self._score_one(request)
-        for label in request.labels:
-            if not isfinite(logits.get(label, nan)):
-                raise DegenerateResponseError(
-                    f"backend produced no finite logit for label {label!r}", payload=logits
-                )
-        self.ledger.record(request.kind, prompt_chars)
-        return logits
+        """Judge one request, a batch of one through ``_judge``; its failure is raised as is."""
+        results, errors = self._judge((request,))
+        if errors:
+            raise errors[0]
+        return results[0]
 
     def score_batch(self, requests: Sequence[JudgeRequest]) -> list[dict[str, float]]:
         """Score all requests, preserving order.
@@ -185,16 +183,29 @@ class Scorer:
     def _judge(self, requests: Sequence[JudgeRequest]):
         """(results, errors by index in index order), a result None where it failed.
 
-        This one calls ``score`` on each request in turn.
+        This one calls ``_score_one`` on each request in turn, then checks
+        and counts its answer.
         """
         results: list[dict[str, float] | None] = []
         append = results.append
         errors: dict[int, Exception] = {}
-        score = self.score
         for index, request in enumerate(requests):
             try:
-                append(score(request))
+                logits, prompt_chars = self._score_one(request)
+                check_labels(request, logits)
             except HarnessError as exc:
                 append(None)
                 errors[index] = exc
+                continue
+            self.ledger.record(request.kind, prompt_chars)
+            append(logits)
         return results, errors
+
+
+def check_labels(request: JudgeRequest, logits: Mapping[str, float]) -> None:
+    """Raise DegenerateResponseError unless ``logits`` holds a finite value for each request label."""
+    for label in request.labels:
+        if not isfinite(logits.get(label, nan)):
+            raise DegenerateResponseError(
+                f"backend produced no finite logit for label {label!r}", payload=logits
+            )

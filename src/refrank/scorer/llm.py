@@ -32,7 +32,7 @@ holds up no other. Once a response is whole
 (framed by ``Content-Length``, chunked coding or the end of the stream,
 after any 1xx interim response), its connection goes straight back for the
 next request, or is closed when the server said it would close. ``score``
-runs the same loop on one request. A connection the server closed while it
+is the same loop on a batch of one. A connection the server closed while it
 was idle is reopened before the next request, without counting a retry. An
 interrupt (Ctrl-C) closes the connections in flight and ends the call at
 once. ``close()`` closes the connections and ends every wait, in any
@@ -212,12 +212,6 @@ class LlmScorer(Scorer):
         for connection in taken:
             connection.close()
             self._free.put(connection)
-
-    def score(self, request: JudgeRequest) -> dict[str, float]:
-        results, errors = self._judge((request,))
-        if errors:
-            raise errors[0]
-        return results[0]
 
     # Scorer.score_batch itself, bound again here. perfbench/spans.py wraps
     # Scorer.score_batch and LlmScorer.score_batch each, so this way every

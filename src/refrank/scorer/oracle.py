@@ -31,14 +31,16 @@ for a query whose grades are all zero), or seeded per-document uniform
 draws.
 
 Each scorer keeps one state for the query it is judging now, built when the
-query id changes and replaced in one assignment. A judgment reads it once,
-checks its query id against the request's, and passes it to the judge:
+query id changes and replaced in one assignment. A batch reads it once;
+each judgment checks its query id against the request's and passes it to
+the judge:
 
 - the memo, keyed by (kind, ordered doc ids). With the state's query id,
   that key holds every input a judgment reads (the seed, the config and the
   latent source are fixed per scorer), so a remembered answer is the one a
-  fresh computation would give. Document text feeds only the prompt
-  character count, which is computed on every call.
+  fresh computation would give, and a fresh answer is checked before it
+  is remembered. Document text feeds only the prompt character count,
+  which is computed on every call.
 - the latent table, doc id -> g, computing each value on first use. A
   computation that raises stores nothing.
 - the draw-key table, doc id -> the bytes a draw hashes for it (its UTF-8
@@ -56,12 +58,12 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 from .._seeded import encode, extend, normal_from, prefix, stable_digest, unit_uniform
-from ..datamodel import CallLedger, Qrels, ValidationError
-from .base import JudgeRequest, Scorer
+from ..datamodel import KINDS, CallLedger, HarnessError, Qrels, ValidationError
+from .base import JudgeRequest, Scorer, check_labels
 
 
 @dataclass(frozen=True)
@@ -120,7 +122,8 @@ class OracleScorer(Scorer):
 
     Repeated calls agree bit for bit, since every judgment is a pure
     function of the memo key and the scorer's fixed inputs; see the module
-    docstring. Each call, remembered or not, is counted in the ledger.
+    docstring. The scorer supplies only ``_judge``, one pass over a batch;
+    each call, remembered or not, is counted in the ledger, once per batch.
     """
 
     def __init__(
@@ -204,28 +207,61 @@ class OracleScorer(Scorer):
         "setwise": _setwise,
     }
 
-    def _score_one(self, request: JudgeRequest) -> tuple[dict[str, float], int]:
-        kind = request.kind
-        docs = request.docs
-        chars = len(request.query.text)
-        if len(docs) == 2:
-            doc_a, doc_b = docs
-            chars += len(doc_a.text) + len(doc_b.text)
-            key = (kind, doc_a.doc_id, doc_b.doc_id)
-        else:
-            parts = [kind]
-            for doc in docs:
-                chars += len(doc.text)
-                parts.append(doc.doc_id)
-            key = tuple(parts)
+    def _judge(self, requests: Sequence[JudgeRequest]):
+        """(results, errors by index in index order), a result None where it failed.
+
+        One pass over the batch. Each request builds its memo key and prompt
+        character count and looks up the memo; a miss runs its kind's judge,
+        read from ``_JUDGES`` at call time, and checks the answer before it
+        is remembered, so the memo holds only good answers. Each result is
+        a copy, so that a caller editing its answer cannot change a later
+        one. The ledger counts the batch's answers once, on the way out, so
+        those before an exception, an interrupt included, still count.
+        """
+        results: list[dict[str, float] | None] = []
+        append = results.append
+        errors: dict[int, Exception] = {}
+        calls = dict.fromkeys(KINDS, 0)
+        prompt_chars = 0
+        judges = self._JUDGES
         state = self._state
-        if state.query_id != request.query.id:
-            # replaced in one assignment, so that concurrent callers never
-            # see one query's state under another query's id
-            state = self._state = _QueryState(request.query.id, self._seed, self.latent)
-        memo = state.memo
-        logits = memo.get(key)
-        if logits is None:
-            logits = memo[key] = self._JUDGES[kind](self, state, request)
-        # a copy, so that a caller editing its answer cannot change a later one
-        return logits.copy(), chars
+        try:
+            for index, request in enumerate(requests):
+                kind = request.kind
+                docs = request.docs
+                query = request.query
+                chars = len(query.text)
+                if len(docs) == 2:
+                    doc_a, doc_b = docs
+                    chars += len(doc_a.text) + len(doc_b.text)
+                    key = (kind, doc_a.doc_id, doc_b.doc_id)
+                else:
+                    parts = [kind]
+                    for doc in docs:
+                        chars += len(doc.text)
+                        parts.append(doc.doc_id)
+                    key = tuple(parts)
+                if state.query_id != query.id:
+                    # replaced in one assignment, so that concurrent callers
+                    # never see one query's state under another query's id
+                    state = self._state = _QueryState(query.id, self._seed, self.latent)
+                logits = state.memo.get(key)
+                if logits is None:
+                    try:
+                        logits = judges[kind](self, state, request)
+                        check_labels(request, logits)
+                    except HarnessError as exc:
+                        append(None)
+                        errors[index] = exc
+                        continue
+                    state.memo[key] = logits
+                append(logits.copy())
+                calls[kind] += 1
+                prompt_chars += chars
+        finally:
+            for kind, count in calls.items():
+                if count:
+                    # the ledger keeps one character total, so one record carries it
+                    self.ledger.record(kind, prompt_chars, calls=count)
+                    prompt_chars = 0
+        return results, errors

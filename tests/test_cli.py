@@ -467,6 +467,20 @@ def test_ref_topk_alone_still_runs(fixture_files, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "extra, anchor",
+    [([], {"ref_index": 1, "ref_topk": None}), (["--ref-topk", "2"], {"ref_topk": 2})],
+    ids=["ref-index", "ref-topk"],
+)
+def test_the_report_config_holds_the_anchor_option_the_run_read(fixture_files, tmp_path, extra, anchor):
+    data, paths = fixture_files
+    out = tmp_path / "out"
+    result = invoke(rerank_args(paths, out, extra=extra))
+    assert result.exit_code == 0, result.output
+    config = json.loads((out / "refrank-single.report.json").read_text())["config"]
+    assert {name: config[name] for name in ("ref_index", "ref_topk") if name in config} == anchor
+
+
+@pytest.mark.parametrize(
     "command, extra, message",
     [
         ("rerank", ["--ref-index", "0"], "--seed is required with the oracle backend"),

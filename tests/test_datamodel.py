@@ -160,6 +160,13 @@ class TestCallLedger:
         assert ledger.total_calls == 3
         assert ledger.prompt_chars == 15
 
+    def test_one_record_can_count_several_calls(self):
+        ledger = CallLedger()
+        ledger.record("duel", prompt_chars=30, calls=3)
+        ledger.record("duel")
+        assert ledger.counts == {"pointwise": 0, "triplet": 0, "duel": 4, "setwise": 0}
+        assert ledger.prompt_chars == 30
+
     def test_unknown_kind(self):
         with pytest.raises(ValidationError):
             CallLedger().record("listwise")

@@ -12,9 +12,10 @@ function or class, or a private module-level name (one leading underscore,
 dunders aside), must be read somewhere in the package: as a loaded name,
 an attribute, or an imported name. No module calls ``time.sleep``, so
 every wait in the package is one that closing its scorer can end. Each
-judge supplies only its ``_judge`` or ``_score_one``, so a batch's code
-(its error, and anything counted per batch) lives in Scorer.score_batch
-alone. And importing refrank.cli loads no third-party module but click.
+judge supplies only its ``_judge``, so a batch's code (its error, and
+anything counted per batch) lives in Scorer.score_batch alone, and
+``score`` and the ``_score_one`` hook are Scorer's alone. And importing
+refrank.cli loads no third-party module but click.
 """
 
 import ast
@@ -272,21 +273,21 @@ def test_the_check_sees_a_sleep():
     assert sleep_calls(source) == ["line 2", "line 6", "line 7"]
 
 
-def score_batch_bodies(sources) -> list[str]:
-    """``Class.score_batch`` for each method named score_batch that the sources define."""
+def method_bodies(sources, name: str) -> list[str]:
+    """``Class.name`` for each method called ``name`` that the sources define."""
     return [
-        f"{node.name}.score_batch"
+        f"{node.name}.{name}"
         for source in sources
         for node in ast.walk(ast.parse(source))
         if isinstance(node, ast.ClassDef)
         for item in node.body
-        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and item.name == "score_batch"
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and item.name == name
     ]
 
 
 def test_one_method_body_defines_score_batch():
     sources = (path.read_text(encoding="utf-8") for path in sorted((PACKAGE / "scorer").glob("*.py")))
-    assert score_batch_bodies(sources) == ["Scorer.score_batch"]
+    assert method_bodies(sources, "score_batch") == ["Scorer.score_batch"]
 
 
 def test_the_check_sees_a_second_score_batch():
@@ -298,4 +299,23 @@ def test_the_check_sees_a_second_score_batch():
         "class Override(Scorer):\n"
         "    def score_batch(self, requests): return super().score_batch(requests)\n",
     ]
-    assert score_batch_bodies(sources) == ["Scorer.score_batch", "Override.score_batch"]
+    assert method_bodies(sources, "score_batch") == ["Scorer.score_batch", "Override.score_batch"]
+
+
+def test_score_is_the_base_batch_of_one_and_no_judge_supplies_score_one():
+    # every judge in the package supplies _judge; score and the _score_one
+    # hook are Scorer's alone
+    sources = {path.relative_to(PACKAGE).as_posix(): path.read_text(encoding="utf-8") for path in MODULES}
+    assert [name for name, source in sources.items() if "def score(" in source] == ["scorer/base.py"]
+    assert method_bodies(sources.values(), "score") == ["Scorer.score"]
+    assert method_bodies(sources.values(), "_score_one") == ["Scorer._score_one"]
+
+
+def test_the_check_sees_a_judge_that_supplies_score_one():
+    sources = [
+        "class Scorer:\n"
+        "    def _score_one(self, request): raise NotImplementedError\n",
+        "class Oracle(Scorer):\n"
+        "    def _score_one(self, request): return {}, 0\n",
+    ]
+    assert method_bodies(sources, "_score_one") == ["Scorer._score_one", "Oracle._score_one"]
