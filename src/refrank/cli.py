@@ -48,7 +48,7 @@ from click.core import ParameterSource
 from . import __version__
 from .analysis import check_sweep_depth, sweep_anchors, sweep_topk_selection, write_curve_csv
 from .datamodel import CallLedger, HarnessError
-from .eval import GAIN_MODES, MetricConfig, evaluate_rankings, evaluate_run_map
+from .eval import GAIN_MODES, MetricConfig, check_qrels, evaluate_rankings, evaluate_run_map
 from .io import (
     ParseWarnings,
     assemble_experiment,
@@ -403,6 +403,9 @@ def cmd_rerank(out_dir, force, **options):
     """Rerank candidates and write a run file plus an experiment report."""
     strategy = options["strategy"]
     rankers, make_scorer, lists, qrels = _setup([strategy], options)
+    metric = MetricConfig(gain=options["gain"])
+    if qrels is not None:
+        check_qrels(qrels, metric)
     ledger = CallLedger()
     with make_scorer(qrels, ledger) as scorer:
         run_out, report_out = _outputs(out_dir, force, f"{strategy}.run", f"{strategy}.report.json")
@@ -413,7 +416,7 @@ def cmd_rerank(out_dir, force, **options):
         evaluation = dict(metric=None, per_query={}, mean=None, judged_queries=0,
                           unjudged_queries=0)
     else:
-        evaluation = asdict(evaluate_rankings(rankings, qrels, MetricConfig(gain=options["gain"])))
+        evaluation = asdict(evaluate_rankings(rankings, qrels, metric))
     reads = _reads(strategy)
     if options["ref_topk"] is not None:  # a --ref-topk anchor reads no --ref-index
         reads.discard("ref_index")
@@ -464,6 +467,8 @@ def cmd_analyze(out_dir, force, **options):
     """
     make_scorer = _scorer_factory(options)
     lists, qrels = _load_inputs(options)
+    metric = MetricConfig(gain=options["gain"])
+    check_qrels(qrels, metric)
     with make_scorer(qrels, CallLedger()) as scorer:
         ref_topk = options["ref_topk"]
         depth_r = ref_topk if ref_topk is not None else min(10, *map(len, lists))
@@ -473,7 +478,7 @@ def cmd_analyze(out_dir, force, **options):
             out_dir, force, "reference_sweep.csv", "topk_selection.csv", "ensemble_sweep.csv"
         )
         reference, ensemble = sweep_anchors(
-            lists, scorer, qrels, depth_r, options["m"], MetricConfig(gain=options["gain"])
+            lists, scorer, qrels, depth_r, options["m"], metric
         )
     write_curve_csv(reference.mean, _created(reference_csv))
     write_curve_csv(sweep_topk_selection(reference), topk_csv)
@@ -502,6 +507,7 @@ def cmd_eval(run_path, qrels_path, top_k, gain, out_dir, force):
     warnings = ParseWarnings()
     run = parse_run_file(run_path, warnings)
     qrels = parse_qrels(qrels_path, warnings)
+    check_qrels(qrels, metric)
     _warn_skipped(warnings)
     report = evaluate_run_map(run, qrels, metric)
     for query_id, value in report.per_query.items():

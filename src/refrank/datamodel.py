@@ -5,9 +5,8 @@ logic. KINDS is the one table of judge request kinds, which the ledger,
 JudgeRequest and the prompt templates read; SETWISE_ALPHABET beside it
 holds the setwise labels, and its length is the largest group. The one
 exception is CallLedger, which adds up judge-call counts so concurrent
-workers can share a single instance: each thread adds to a tally of its
-own without a lock, and a read takes the lock and sums the tallies. Only
-its final totals are meaningful.
+workers can share a single instance: every record and every read takes its
+one lock. Only its final totals are meaningful.
 
 No rank is stored anywhere: a document's first-stage rank is its position
 in a CandidateList, and its new rank its position in a Ranking, whose doc
@@ -193,6 +192,10 @@ class Qrels:
     def grade(self, query_id: str, doc_id: str) -> int:
         return self._by_query.get(query_id, {}).get(doc_id, 0)
 
+    def query_ids(self):
+        """The ids of every judged query, in the order they were given."""
+        return self._ideal.keys()
+
     def judged(self, query_id: str) -> Mapping[str, int]:
         """All judged docs for a query; treat the mapping as read-only."""
         return self._by_query.get(query_id, {})
@@ -217,7 +220,6 @@ KINDS: dict[str, tuple[int, int, tuple[str, ...] | None, tuple[str, ...]]] = {
     "duel": (2, 2, ("A", "B"), ("doc_i", "doc_j")),
     "setwise": (2, SETWISE_MAX_GROUP, None, ("docs",)),
 }
-_CHARS = "prompt_chars"  # the key of a tally's prompt-character count
 
 
 class CallLedger:
@@ -234,37 +236,24 @@ class CallLedger:
     ``record`` can count several calls of one kind at once, as the oracle
     does once per batch.
 
-    Increment-only, and concurrent workers may share one instance. A record
-    takes no lock: each thread adds to its own tally, a dict of the kinds
-    plus a prompt-character count that only that thread writes, registered
-    once under the lock. A read takes the lock and sums every tally,
-    including those of threads that have exited. Only the final totals are
-    observable.
+    Increment-only, and concurrent workers may share one instance: one
+    lock guards every total, and each record and each read takes it.
+    Only the final totals are observable.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._local = threading.local()
-        self._tallies: list[dict[str, int]] = []
+        self._counts = dict.fromkeys(KINDS, 0)
+        self._prompt_chars = 0
         self._retries: dict[str, int] = {}
         self._latency: dict[str, array] = {}  # kind -> each timed attempt, in ms
-
-    def _register(self) -> dict[str, int]:
-        tally = dict.fromkeys((*KINDS, _CHARS), 0)
-        with self._lock:
-            self._tallies.append(tally)
-        self._local.tally = tally
-        return tally
 
     def record(self, kind: str, prompt_chars: int = 0, calls: int = 1) -> None:
         if kind not in KINDS:
             raise ValidationError(f"unknown request kind {kind!r}")
-        try:
-            tally = self._local.tally
-        except AttributeError:
-            tally = self._register()
-        tally[kind] += calls
-        tally[_CHARS] += prompt_chars
+        with self._lock:
+            self._counts[kind] += calls
+            self._prompt_chars += prompt_chars
 
     def record_retry(self, kind: str) -> None:
         with self._lock:
@@ -277,7 +266,7 @@ class CallLedger:
     @property
     def counts(self) -> dict[str, int]:
         with self._lock:
-            return {kind: sum(tally[kind] for tally in self._tallies) for kind in KINDS}
+            return dict(self._counts)
 
     @property
     def total_calls(self) -> int:
@@ -286,7 +275,7 @@ class CallLedger:
     @property
     def prompt_chars(self) -> int:
         with self._lock:
-            return sum(tally[_CHARS] for tally in self._tallies)
+            return self._prompt_chars
 
     @property
     def retries(self) -> dict[str, int]:

@@ -2,6 +2,8 @@
 
 The ideal DCG is computed once per (ideal grades[:k], gain), from the
 grades Qrels sorted into ideal order at construction, so a call sorts nothing.
+An ideal DCG that is not a finite float (say, a grade of 1024 under exp
+gain) raises ValidationError; check_qrels looks for one in a whole qrels.
 """
 
 from __future__ import annotations
@@ -55,8 +57,11 @@ def _dcg(grades: Sequence[int], k: int, gain: str) -> float:
 
 @functools.lru_cache(maxsize=4096)
 def _ideal_dcg(ideal: tuple[int, ...], gain: str) -> float:
-    """The ideal DCG of a query's ideal grades, already cut to the cutoff k."""
-    return _dcg(ideal, len(ideal), gain)
+    """The ideal DCG of a query's ideal grades, already cut to the cutoff k; inf past a float."""
+    try:
+        return _dcg(ideal, len(ideal), gain)
+    except OverflowError:  # a gain too large for a float
+        return math.inf
 
 
 def ndcg_for_doc_ids(
@@ -70,11 +75,17 @@ def ndcg_for_doc_ids(
     The ideal DCG is computed over all judged docs for the query, not just
     the retrieved pool, so first-stage recall misses are penalized. Unjudged
     docs count as grade 0; a query with no positive judgments scores 0.
+    Grades whose ideal DCG is not a finite float raise ValidationError.
     """
     judged = qrels.judged(query_id)
     if not judged:
         return 0.0
     idcg = _ideal_dcg(qrels.ideal_grades(query_id)[: config.k], config.gain)
+    if not math.isfinite(idcg):
+        raise ValidationError(
+            f"query {query_id!r}: grades up to {qrels.max_grade(query_id)} give an ideal "
+            f"DCG@{config.k} that is not a finite float under {config.gain} gain"
+        )
     if idcg <= 0.0:
         return 0.0
     grades = [judged.get(doc_id, 0) for doc_id in doc_ids]
@@ -114,6 +125,16 @@ def _evaluate(rows, ndcg, config: MetricConfig, qrels: Qrels) -> EvalReport:
             unjudged += 1
     mean = fold_mean(per_query.values()) if per_query else 0.0
     return EvalReport(config.name, per_query, mean, len(per_query), unjudged)
+
+
+def check_qrels(qrels: Qrels, config: MetricConfig) -> None:
+    """Raise ValidationError for the first query whose ideal DCG@k is not a finite float.
+
+    A ranking's DCG is at most its query's ideal, so when every ideal is
+    finite, every NDCG of these qrels is a finite number.
+    """
+    for query_id in qrels.query_ids():
+        ndcg_for_doc_ids(query_id, (), qrels, config)
 
 
 def evaluate_rankings(

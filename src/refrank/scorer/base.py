@@ -10,10 +10,9 @@ table datamodel.KINDS gives them, and datamodel.SETWISE_ALPHABET for setwise:
   duel       (doc_a, doc_b)  labels A / B
   setwise    docs[2..26]     labels A.. one letter per group member
 
-Scorer.score_batch is the one batch entry point, and a judge's _judge runs
-the whole batch: the oracle and the endpoint each supply their own.
-Scorer.score is a batch of one through _judge. A judge may instead supply
-_score_one, one request at a time, which the base _judge checks and counts.
+Scorer.score_batch is the one batch entry point, and _judge is the one hook
+a judge supplies: it runs the whole batch, and the oracle and the endpoint
+each supply their own. Scorer.score is a batch of one through _judge.
 Every answer is checked once, before any caller sees it: a label that is
 missing or not finite raises DegenerateResponseError, so code downstream
 takes the values as they are. Normalization of logits into scores lives
@@ -125,12 +124,13 @@ _set_kind, _set_query, _set_docs = (
 class Scorer:
     """Uniform interface over relevance judges.
 
-    A judge supplies ``_judge`` (a batch) or ``_score_one`` (one request).
-    Implementations must be safe to call from multiple threads, and reject
-    an answer without one finite logit per request label. ``score_batch``
-    results are positionally aligned with the requests regardless of
-    completion order. ``max_in_flight`` is the most requests the judge runs
-    at once, None for no limit; bubblesort sizes batches to it.
+    A judge supplies ``_judge``, the one hook: it runs a whole batch,
+    checks each answer and counts each success in the ledger. It must be
+    safe to call from multiple threads, and reject an answer without one
+    finite logit per request label. ``score_batch`` results are
+    positionally aligned with the requests regardless of completion order.
+    ``max_in_flight`` is the most requests the judge runs at once, None for
+    no limit; bubblesort sizes batches to it.
     """
 
     max_in_flight: int | None = None
@@ -146,13 +146,6 @@ class Scorer:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    def _score_one(self, request: JudgeRequest) -> tuple[dict[str, float], int]:
-        """Return (label -> logit, prompt character count) for one request.
-
-        The base ``_judge`` calls it; a judge that supplies ``_judge`` need not.
-        """
-        raise NotImplementedError
 
     def score(self, request: JudgeRequest) -> dict[str, float]:
         """Judge one request, a batch of one through ``_judge``; its failure is raised as is."""
@@ -183,23 +176,9 @@ class Scorer:
     def _judge(self, requests: Sequence[JudgeRequest]):
         """(results, errors by index in index order), a result None where it failed.
 
-        This one calls ``_score_one`` on each request in turn, then checks
-        and counts its answer.
+        Each judge supplies its own.
         """
-        results: list[dict[str, float] | None] = []
-        append = results.append
-        errors: dict[int, Exception] = {}
-        for index, request in enumerate(requests):
-            try:
-                logits, prompt_chars = self._score_one(request)
-                check_labels(request, logits)
-            except HarnessError as exc:
-                append(None)
-                errors[index] = exc
-                continue
-            self.ledger.record(request.kind, prompt_chars)
-            append(logits)
-        return results, errors
+        raise NotImplementedError
 
 
 def check_labels(request: JudgeRequest, logits: Mapping[str, float]) -> None:

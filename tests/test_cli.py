@@ -1,4 +1,6 @@
 import json
+import math
+import sys
 import time
 
 import pytest
@@ -163,17 +165,27 @@ class TestRerank:
             report.pop("wall_seconds")
         assert report_a == report_b
 
-    def test_concurrency_preserves_output(self, fixture_files, tmp_path):
-        data, paths = fixture_files
-        serial, parallel = tmp_path / "serial", tmp_path / "parallel"
-        assert invoke(rerank_args(paths, serial)).exit_code == 0
-        assert (
-            invoke(rerank_args(paths, parallel, extra=["--concurrency", "4"])).exit_code
-            == 0
-        )
-        assert (serial / "refrank-single.run").read_bytes() == (
-            parallel / "refrank-single.run"
-        ).read_bytes()
+    @pytest.mark.parametrize("strategy", list(cli_module.STRATEGIES))
+    def test_concurrency_preserves_output(self, tmp_path, strategy):
+        # the run file and the ledger's totals, recorded from 1 thread or from 4
+        paths = write_experiment_files(make_synth(8, 12, seed=17, rank_correlation=0.4), tmp_path)
+        runs, ledgers = [], []
+        for concurrency in ("1", "4"):
+            out = tmp_path / concurrency
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)  # switch often, so that queries overlap on the pool's threads
+            try:
+                result = invoke(rerank_args(paths, out, strategy, ["--concurrency", concurrency]))
+            finally:
+                sys.setswitchinterval(interval)
+            assert result.exit_code == 0, result.output
+            report = json.loads((out / f"{strategy}.report.json").read_text())
+            runs.append((out / f"{strategy}.run").read_bytes())
+            ledgers.append({name: report[name] for name in
+                            ("calls", "total_calls", "prompt_chars", "retries", "latency_ms")})
+        assert runs[0] == runs[1]
+        assert ledgers[0] == ledgers[1]
+        assert ledgers[0]["total_calls"] > 0
 
     def test_wall_seconds_next_to_summed_query_seconds(self, tmp_path, monkeypatch):
         # every judgment waits 2 ms, as on an endpoint, so queries ranked in
@@ -560,19 +572,27 @@ def test_a_setting_the_last_and_shortest_list_cannot_take_makes_no_judge_call(
 
 
 def test_trying_every_strategy_on_the_shortest_list_judges_nothing(monkeypatch):
-    # on a 100-doc list pairwise-allpairs alone would judge n(n-1) = 9,900 pairs
-    scored = []
-    score = Scorer.score
+    # on a 100-doc list pairwise-allpairs alone would judge n(n-1) = 9,900 pairs;
+    # each ranker must stop at the stand-in, and no real scorer may judge
+    reached = []
+    stop = cli_module._NoJudge.score_batch
 
-    def counted(self, request):
-        scored.append(request.kind)
-        return score(self, request)
+    def recorded(self, requests):
+        reached.append({request.kind for request in requests})
+        return stop(self, requests)
 
-    monkeypatch.setattr(Scorer, "score", counted)
+    def judged(self, requests):
+        raise AssertionError(f"a real scorer judged {len(requests)} request(s)")
+
+    monkeypatch.setattr(cli_module._NoJudge, "score_batch", recorded)
+    monkeypatch.setattr(Scorer, "score_batch", judged)
     options = dict(m=5, weights=None, ref_index=1, ref_topk=None, seed=1, k=10, children=3)
     rankers = [make(**options) for make in cli_module.STRATEGIES.values()]
     cli_module._try_rankers(rankers, make_synth(2, 100, seed=3).lists)
-    assert scored == []
+    # one first batch per ranker, in STRATEGIES order
+    kinds = {"pointwise": "pointwise", "refrank-single": "triplet", "refrank-multiple": "triplet",
+             "pairwise-allpairs": "duel", "pairwise-bubblesort": "duel", "setwise-heapsort": "setwise"}
+    assert reached == [{kinds[name]} for name in cli_module.STRATEGIES]
 
 
 class TestAnalyze:
@@ -767,6 +787,54 @@ class TestEval:
         )
         assert result.exit_code == 1
         assert result.stderr == "error: metric cutoff k must be >= 1, got 0\n"
+
+
+@pytest.mark.parametrize("command", ["rerank", "analyze", "eval"])
+@pytest.mark.parametrize(
+    "regrade,gain,top",
+    [
+        pytest.param(lambda index: 1024 if index == 0 else None, "exp", 1024, id="1024-exp"),
+        pytest.param(lambda index: 1023, "exp", 1023, id="1023-everywhere-exp"),
+        pytest.param(lambda index: 1023, "linear", None, id="1023-everywhere-linear"),
+    ],
+)
+def test_grades_past_a_float_are_refused_before_any_judge_call(
+    fixture_files, tmp_path, ledgers, command, regrade, gain, top
+):
+    # q0002's judged docs regraded: regrade(index) for its index-th qrels line, None to keep it
+    _, (run, corpus, queries, qrels) = fixture_files
+    lines, index = [], 0
+    for line in qrels.read_text().splitlines():
+        query_id, zero, doc_id, grade = line.split()
+        if query_id == "q0002":
+            grade = regrade(index) or grade
+            index += 1
+        lines.append(f"{query_id} {zero} {doc_id} {grade}\n")
+    qrels.write_text("".join(lines))
+    out = tmp_path / "out"
+    args = {
+        "rerank": rerank_args((run, corpus, queries, qrels), out),
+        "analyze": ["analyze", *input_args((run, corpus, queries, qrels)), "--qrels", str(qrels),
+                    "--out", str(out), "--seed", "7", "--ref-topk", "2", "--m", "2"],
+        "eval": ["eval", "--run", str(run), "--qrels", str(qrels)],
+    }[command]
+    result = CliRunner().invoke(cli, [*args, "--gain", gain])
+    if top is None:  # linear gain: 1023 is a finite gain, and so is the mean
+        assert result.exit_code == 0, result.output
+        assert "nan" not in result.stdout
+        if command == "rerank":
+            report = json.loads((out / "refrank-single.report.json").read_text())
+            assert all(map(math.isfinite, [report["mean"], *report["per_query"].values()]))
+        assert all("nan" not in csv.read_text() for csv in out.glob("*.csv"))
+        return
+    assert result.exit_code == 1, result.output
+    assert result.stdout == ""
+    assert result.stderr == (
+        f"error: query 'q0002': grades up to {top} give an ideal DCG@10 that is not a "
+        f"finite float under {gain} gain\n"
+    )
+    assert sum(ledger.total_calls for ledger in ledgers) == 0
+    assert not out.exists()
 
 
 class TestBench:

@@ -185,6 +185,17 @@ class TestCallLedger:
         assert not reader.is_alive()
         assert read == [(0, 0)]
 
+    def test_records_take_the_lock(self):
+        ledger = CallLedger()
+        with ledger._lock:
+            writer = threading.Thread(target=ledger.record, args=("duel", 7))
+            writer.start()
+            writer.join(timeout=0.1)
+            assert writer.is_alive()  # blocked on the lock another writer holds
+        writer.join(timeout=5)
+        assert not writer.is_alive()
+        assert (ledger.counts["duel"], ledger.prompt_chars) == (1, 7)
+
     def test_concurrent_increments(self):
         ledger = CallLedger()
 

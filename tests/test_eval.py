@@ -7,6 +7,7 @@ from refrank.datamodel import Qrels, Ranking, ValidationError
 from refrank import eval as eval_module
 from refrank.eval import (
     MetricConfig,
+    check_qrels,
     evaluate_rankings,
     evaluate_run_map,
     ndcg_at_k,
@@ -150,6 +151,40 @@ class TestIdealDcgOnce:
             ndcg_for_doc_ids("q1", ["d2", "d1", "d3"], qrels)
         info = eval_module._ideal_dcg.cache_info()
         assert (info.misses, info.hits) == (1, 19)
+
+
+class TestGradesPastAFloat:
+    """Qrels whose ideal DCG@k is not a finite float are refused, naming the query."""
+
+    # 2**1024 - 1 is past the largest float; three gains of 2**1023 - 1 add up past it
+    CASES = [
+        pytest.param({"d1": 1024, "d2": 1}, "exp", "q2", id="1024-exp"),
+        pytest.param({"d1": 1023, "d2": 1023, "d3": 1023}, "exp", "q2", id="1023-everywhere-exp"),
+        pytest.param({"d1": 1023, "d2": 1023, "d3": 1023}, "linear", None, id="1023-everywhere-linear"),
+        pytest.param({"d1": 1024, "d2": 1}, "linear", None, id="1024-linear"),
+    ]
+
+    @pytest.mark.parametrize("grades,gain,refused", CASES)
+    def test_check_qrels(self, grades, gain, refused):
+        qrels = Qrels({"q1": {"d1": 3}, "q2": grades})
+        config = MetricConfig(gain=gain)
+        if refused is None:
+            check_qrels(qrels, config)
+            assert math.isfinite(ndcg_for_doc_ids("q2", ["d3", "d2", "d1"], qrels, config))
+            return
+        with pytest.raises(ValidationError, match=f"^query '{refused}': .* not a finite float under {gain} gain$"):
+            check_qrels(qrels, config)
+        with pytest.raises(ValidationError, match=f"^query '{refused}'"):
+            ndcg_for_doc_ids("q2", ["d3", "d2", "d1"], qrels, config)
+        # a query whose own grades are fine still scores
+        assert ndcg_for_doc_ids("q1", ["d1"], qrels, config) == 1.0
+
+    def test_the_cutoff_decides(self):
+        # two gains of 2**1023 - 1 fit a float; the third, inside k=3, does not
+        qrels = Qrels({"q1": {"d1": 1023, "d2": 1023, "d3": 1023}})
+        check_qrels(qrels, MetricConfig(k=2))
+        with pytest.raises(ValidationError):
+            check_qrels(qrels, MetricConfig(k=3))
 
 
 class TestMeanMetric:

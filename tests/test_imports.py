@@ -14,7 +14,8 @@ an attribute, or an imported name. No module calls ``time.sleep``, so
 every wait in the package is one that closing its scorer can end. Each
 judge supplies only its ``_judge``, so a batch's code (its error, and
 anything counted per batch) lives in Scorer.score_batch alone, and
-``score`` and the ``_score_one`` hook are Scorer's alone. And importing
+``score`` is Scorer's alone, and no class in the package defines a
+``_score_one`` hook beside ``_judge``. And importing
 refrank.cli loads no third-party module but click.
 """
 
@@ -303,12 +304,12 @@ def test_the_check_sees_a_second_score_batch():
 
 
 def test_score_is_the_base_batch_of_one_and_no_judge_supplies_score_one():
-    # every judge in the package supplies _judge; score and the _score_one
-    # hook are Scorer's alone
+    # _judge is the one hook: score is Scorer's alone, and nothing in the
+    # package defines _score_one
     sources = {path.relative_to(PACKAGE).as_posix(): path.read_text(encoding="utf-8") for path in MODULES}
     assert [name for name, source in sources.items() if "def score(" in source] == ["scorer/base.py"]
     assert method_bodies(sources.values(), "score") == ["Scorer.score"]
-    assert method_bodies(sources.values(), "_score_one") == ["Scorer._score_one"]
+    assert method_bodies(sources.values(), "_score_one") == []
 
 
 def test_the_check_sees_a_judge_that_supplies_score_one():

@@ -122,6 +122,7 @@ class NoisyDuelJudge(Scorer):
     Slot A's logit is a draw keyed by the ordered pair, so (a, b) and (b, a)
     are judged independently. ``batches`` lists each score_batch call's
     (lower, upper) doc id pairs; ``direct`` counts score calls made outside one.
+    Its ledger counts each duel it judges.
     ``max_in_flight`` is the in-flight limit it reports, None for none.
     """
 
@@ -132,9 +133,10 @@ class NoisyDuelJudge(Scorer):
         self.batches = []
         self.direct = 0
 
-    def _score_one(self, request):
-        lower, upper = (doc.doc_id for doc in request.docs)
-        return {"A": std_normal(self.seed, lower, upper), "B": 0.0}, 0
+    def _judge(self, requests):
+        self.ledger.record("duel", calls=len(requests))
+        pairs = ((doc.doc_id for doc in r.docs) for r in requests)
+        return [{"A": std_normal(self.seed, *pair), "B": 0.0} for pair in pairs], {}
 
     def score(self, request):
         self.direct += 1
@@ -142,14 +144,14 @@ class NoisyDuelJudge(Scorer):
 
     def score_batch(self, requests):
         self.batches.append([tuple(doc.doc_id for doc in r.docs) for r in requests])
-        return [Scorer.score(self, request) for request in requests]
+        return super().score_batch(requests)
 
 
 class ConstantJudge(Scorer):
     """Gives every request the same answer: logit 0.0 on every label."""
 
-    def _score_one(self, request):
-        return dict.fromkeys(request.labels, 0.0), 0
+    def _judge(self, requests):
+        return [dict.fromkeys(r.labels, 0.0) for r in requests], {}
 
 
 def serial_bubblesort(candidates, scorer, k):
