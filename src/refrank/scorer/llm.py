@@ -31,7 +31,12 @@ has input. It reads what has arrived without blocking, so a slow answer
 holds up no other. Once a response is whole
 (framed by ``Content-Length``, chunked coding or the end of the stream,
 after any 1xx interim response), its connection goes straight back for the
-next request, or is closed when the server said it would close. ``score``
+next request, or is closed when the server said it would close, and its
+latency is recorded. Its JSON is read only after every ready request has
+gone out on the free connections, so parsing overlaps the next round trip.
+A length or chunk size outside HTTP's plain digits, or two Content-Length
+fields that differ, make the response malformed. Each request's body is
+the scorer's fixed JSON envelope, built once, around the prompt. ``score``
 is the same loop on a batch of one. A connection the server closed while it
 was idle is reopened before the next request, without counting a retry. An
 interrupt (Ctrl-C) closes the connections in flight and ends the call at
@@ -92,6 +97,10 @@ _PATH = "/v1/chat/completions"
 _READ_SIZE = 65536
 _MAX_HEAD = 65536  # bytes of status line and headers
 _HEAD_END = re.compile(rb"\r?\n\r?\n")
+# HTTP/1.1 lengths are 1*DIGIT and chunk sizes 1*HEXDIG; int() also reads
+# signs, underscores, a 0x prefix and non-ASCII digits.
+_DIGITS = re.compile("[0-9]+")
+_HEX_DIGITS = re.compile(rb"[0-9A-Fa-f]+")
 
 
 class BadResponseError(Exception):
@@ -181,6 +190,20 @@ class LlmScorer(Scorer):
         self._head = f"POST {_PATH} HTTP/1.1\r\n".encode() + "".join(
             f"{name}: {value}\r\n" for name, value in headers.items()
         ).encode()
+        # The JSON body on either side of the prompt: each request's body is
+        # this envelope around json.dumps(prompt), byte for byte the dump of
+        # the whole object. Its last "" is the content's, as only fixed keys
+        # and numbers follow it.
+        envelope = json.dumps({
+            "model": config.model,
+            "messages": [{"role": "user", "content": ""}],
+            "temperature": 0,
+            "max_tokens": 1,
+            "logprobs": True,
+            "top_logprobs": _TOP_LOGPROBS,
+        })
+        before, _, after = envelope.rpartition('""')
+        self._envelope = before.encode(), after.encode()
         self._tls = None  # the https context, made at the first connect
         self.max_in_flight = config.batch_size
         self._connections = tuple(_Connection() for _ in range(config.batch_size))
@@ -254,9 +277,13 @@ class LlmScorer(Scorer):
         of this batch's requests is in flight, builds its request and sends
         it. One poll then waits for input on any socket in flight, for the
         next deadline, or for the next retry to fall due. Each socket with
-        input is read without blocking, and a response is handled once it
-        is whole, when its connection goes back to the free queue at once.
-        Every deadline is checked on every pass. A failed attempt waits out
+        input is read without blocking. Once a response is whole, its
+        connection goes back to the free queue and its latency is recorded
+        at once, and a 429 or 5xx schedules its retry. Any other answer is
+        held until the next pass has sent the ready requests on the free
+        connections; only then are its logits read and its call counted,
+        so its JSON is parsed while the next request is out. Every deadline
+        is checked on every pass. A failed attempt waits out
         its backoff in a heap, holding no connection, and on the close event
         while nothing is in flight. It returns only once every request has
         finished. On any exception, a ``KeyboardInterrupt`` included, the
@@ -272,6 +299,8 @@ class LlmScorer(Scorer):
         backoff: list[tuple[float, int]] = []  # (due, index), a heap
         # (connection, index, send time, prompt characters) by socket fd
         in_flight: dict[int, tuple[_Connection, int, float, int]] = {}
+        # (index, status, body, prompt characters) of the whole answers not yet parsed
+        answers: list[tuple[int, int, bytearray, int]] = []
         held: set[_Connection] = set()  # taken from the free queue, not put back
         free = self._free
 
@@ -300,14 +329,8 @@ class LlmScorer(Scorer):
         def send(index: int, connection: _Connection) -> None:
             # Built as it is sent, so a batch holds no more than its in-flight bodies.
             prompt = build_prompt(requests[index], self.config.templates, _MAX_DOC_CHARS)
-            body = json.dumps({
-                "model": self.config.model,
-                "messages": [{"role": "user", "content": prompt}],
-                "temperature": 0,
-                "max_tokens": 1,
-                "logprobs": True,
-                "top_logprobs": _TOP_LOGPROBS,
-            }).encode()
+            before, after = self._envelope
+            body = before + json.dumps(prompt).encode() + after
             try:
                 if connection.sock is not None and _readable(connection.sock):
                     # The server closed the idle connection (a keep-alive
@@ -353,17 +376,15 @@ class LlmScorer(Scorer):
             del in_flight[fd]
             status, headers, body, reusable = response
             release(connection, close=not reusable)
-            request = requests[index]
-            self.ledger.record_latency(request.kind, time.monotonic() - started)
+            self.ledger.record_latency(requests[index].kind, time.monotonic() - started)
             if status in RETRYABLE_STATUS:
                 retry_after = headers.get("retry-after") if status in _RETRY_AFTER_STATUS else None
                 failed(index, f"HTTP {status}", _retry_after_seconds(retry_after))
                 return
-            results[index] = _logits(request.labels, status, body)
-            self.ledger.record(request.kind, prompt_chars)
+            answers.append((index, status, body, prompt_chars))
 
         try:
-            while ready or backoff or in_flight:
+            while ready or backoff or in_flight or answers:
                 now = time.monotonic()
                 while backoff and (backoff[0][0] <= now or self._closed.is_set()):
                     ready.append(heapq.heappop(backoff)[1])
@@ -378,6 +399,17 @@ class LlmScorer(Scorer):
                         send(index, connection)
                     except HarnessError as exc:
                         errors[index] = exc
+                # The answers of the last pass, read while the requests just
+                # sent make their round trips.
+                for index, status, body, prompt_chars in answers:
+                    request = requests[index]
+                    try:
+                        results[index] = _logits(request.labels, status, body)
+                    except HarnessError as exc:
+                        errors[index] = exc
+                    else:
+                        self.ledger.record(request.kind, prompt_chars)
+                answers.clear()
                 if not in_flight:  # nor is any request ready: each one sent has failed
                     if backoff:
                         self._closed.wait(max(0.0, backoff[0][0] - time.monotonic()))
@@ -488,29 +520,36 @@ def _logits(labels: Sequence[str], status: int, body: bytes) -> dict[str, float]
         raise DegenerateResponseError(missing, payload=data) from None
     if not top:
         raise DegenerateResponseError("empty top_logprobs list", payload=data)
+    label_of = {token: label for label in labels for token in (label, " " + label)}
+    best = {}  # each listed label's largest log-probability, -inf while none is finite
+    floor = math.inf  # the smallest finite log-probability
     try:  # iterated inside the guard, so a top_logprobs that is no list fails here too
-        entries = [(item["token"], float(item["logprob"])) for item in top]
+        for item in top:
+            token, logprob = item["token"], float(item["logprob"])
+            if not math.isfinite(logprob):
+                logprob = -math.inf
+            elif logprob < floor:
+                floor = logprob
+            # a token that is no string names no label, and may be unhashable
+            label = label_of.get(token) if isinstance(token, str) else None
+            if label is not None:
+                best[label] = max(best.get(label, -math.inf), logprob)
     except (KeyError, TypeError, ValueError, OverflowError):
         raise DegenerateResponseError("malformed top_logprobs entry", payload=data) from None
-    finite = [logprob for _, logprob in entries if math.isfinite(logprob)]
-    if not finite:
+    if floor == math.inf:
         raise DegenerateResponseError("no finite log-probability in top_logprobs", payload=data)
-    values = {}
     for label in labels:
-        present = [logprob for token, logprob in entries if token in (label, " " + label)]
-        if present:
-            values[label] = max(filter(math.isfinite, present), default=None)
-            if values[label] is None:
-                raise DegenerateResponseError(
-                    f"backend produced no finite logit for label {label!r}", payload=data
-                )
-    if not values:
+        if best.get(label) == -math.inf:
+            raise DegenerateResponseError(
+                f"backend produced no finite logit for label {label!r}", payload=data
+            )
+    if not best:
         raise DegenerateResponseError(
             f"no label token among {list(labels)} appears in the top-{_TOP_LOGPROBS} "
             "log-probabilities", payload=data
         )
-    floor = min(finite) - 1.0
-    return {label: values.get(label, floor) for label in labels}
+    floor -= 1.0
+    return {label: best.get(label, floor) for label in labels}
 
 
 def _parse(buffer: bytearray, ended: bool):
@@ -541,7 +580,10 @@ def _parse(buffer: bytearray, ended: bool):
         for field_line in buffer[line_end + 1 : head_end.start()].decode("latin-1").split("\n"):
             name, colon, value = field_line.partition(":")
             if colon:
-                headers[name.strip().lower()] = value.strip()
+                name, value = name.strip().lower(), value.strip()
+                if name == "content-length" and headers.get(name, value) != value:
+                    value = f"{headers[name]}, {value}"  # two lengths: refused below
+                headers[name] = value
         start = head_end.end()
         if status >= 200:
             break
@@ -553,13 +595,9 @@ def _parse(buffer: bytearray, ended: bool):
             return _unfinished(buffer, ended)
         body, end = whole
     elif "content-length" in headers:
-        try:
-            length = int(headers["content-length"])
-        except ValueError:
-            length = -1
-        if length < 0:
+        if not _DIGITS.fullmatch(headers["content-length"]):
             raise BadResponseError(f"bad Content-Length {headers['content-length']!r}")
-        end = start + length
+        end = start + int(headers["content-length"])
         if len(buffer) < end:
             return _unfinished(buffer, ended)
         body = buffer[start:end]
@@ -590,12 +628,12 @@ def _dechunk(buffer: bytearray, start: int) -> tuple[bytearray, int] | None:
         if line_end < 0:
             return None
         line = bytes(buffer[start:line_end]).rstrip(b"\r")
-        try:
-            size = int(line.split(b";", 1)[0], 16)
-        except ValueError:
-            size = -1
-        if size < 0:
+        digits, extension, _ = line.partition(b";")
+        if extension:  # blank space may precede it
+            digits = digits.rstrip(b" \t")
+        if not _HEX_DIGITS.fullmatch(digits):
             raise BadResponseError(f"bad chunk size line {line!r}")
+        size = int(digits, 16)
         start = line_end + 1
         if size == 0:
             break

@@ -1,5 +1,6 @@
 import collections
 import contextlib
+import dataclasses
 import functools
 import hashlib
 import itertools
@@ -930,13 +931,42 @@ class TestLlmScorer:
             [("A", math.nan), (" A", -0.3), ("B", -1.0)],
             [(" A", -0.3), ("A", math.nan), ("B", -1.0)],
             [("A", math.nan), ("A", -0.3), ("B", -1.0)],
+            [("A", -math.inf), ("A", -0.3), ("B", -1.0)],
+            [("A", -0.3), ("A", -math.inf), ("B", -1.0)],
         ],
-        ids=["nan-then-space", "space-then-nan", "repeated-token"],
+        ids=["nan-then-space", "space-then-nan", "repeated-token", "repeated-inf-then-finite",
+             "repeated-finite-then-inf"],
     )
     def test_label_takes_max_finite_logprob(self, stub_server, top):
         payload = completion_payload([{"token": t, "logprob": v} for t, v in top])
         StubHandler.behaviors = [lambda i: (200, payload)]
         assert llm_scorer(stub_server).score(PROBE_TRIPLET) == {"A": -0.3, "B": -1.0}
+
+    @pytest.mark.parametrize("token", [5, None, ["A"], {"t": 1}], ids=["int", "null", "list", "dict"])
+    def test_a_token_that_is_no_string_is_ignored(self, stub_server, token):
+        # its log-probability still counts towards the floor
+        payload = completion_payload([{"token": "A", "logprob": -0.5}, {"token": token, "logprob": -1.0}])
+        StubHandler.behaviors = [lambda i: (200, payload)]
+        assert llm_scorer(stub_server).score(PROBE_TRIPLET) == {"A": -0.5, "B": -2.0}
+
+    @pytest.mark.parametrize(
+        "top, message",
+        [
+            ([("A", math.nan), ("B", -1.0)], "backend produced no finite logit for label 'A'"),
+            ([("B", math.nan), ("A", -math.inf), ("zzz", -1.0)],
+             "backend produced no finite logit for label 'A'"),
+            ([("A", math.nan), ("B", -math.inf)], "no finite log-probability in top_logprobs"),
+            ([("zzz", -math.inf), ("A", math.nan)], "no finite log-probability in top_logprobs"),
+        ],
+        ids=["nan-label", "labels-in-label-order", "none-finite-over-nan-label",
+             "none-finite-over-label-last"],
+    )
+    def test_each_nonfinite_fault_names_itself(self, stub_server, top, message):
+        payload = completion_payload([{"token": t, "logprob": v} for t, v in top])
+        StubHandler.behaviors = [lambda i: (200, payload)]
+        with pytest.raises(DegenerateResponseError) as exc:
+            llm_scorer(stub_server).score(PROBE_TRIPLET)
+        assert str(exc.value) == message
 
     def test_label_without_finite_logprob_is_degenerate(self, stub_server):
         top = [{"token": "A", "logprob": math.nan}, {"token": "B", "logprob": -1.0}]
@@ -1127,7 +1157,8 @@ class CountingStub(ThreadingHTTPServer):
     first attempts of each prompt that faulty selects get the answers in
     faults instead, one per attempt: an HTTP status with Retry-After:
     retry_after, or None to drop the connection without an answer.
-    ``arrivals`` lists the prompt of each request in the order they came. With close_after set,
+    ``arrivals`` lists the prompt of each request in the order they came,
+    and ``bodies`` each request's body as sent. With close_after set,
     the stub closes each connection unannounced once it has answered that
     many requests on it, as a keep-alive timeout does, and counts these
     closes. Each request also samples the client's live threads: those
@@ -1144,6 +1175,7 @@ class CountingStub(ThreadingHTTPServer):
         self.faults = faults
         self.retry_after = retry_after
         self.arrivals = []
+        self.bodies = []
         self.faulty = faulty
         self.close_after = close_after
         self.lock = threading.Lock()
@@ -1188,6 +1220,7 @@ class CountingHandler(BaseHTTPRequestHandler):
         with server.lock:
             server.requests += 1
             server.arrivals.append(prompt)
+            server.bodies.append(raw)
             server.inflight += 1
             server.inflight_max = max(server.inflight_max, server.inflight)
             server.ports.add(self.client_address[1])
@@ -1497,6 +1530,61 @@ class TestLlmTransport:
                     logits[path] = scorer.score_batch(requests)
             assert server.requests == 6 and server.inflight_max <= 2
         assert logits["selector"] == logits["poll"]
+
+    def test_the_next_request_goes_out_before_an_answer_is_parsed(self, monkeypatch):
+        # One connection: each answer frees it, the next request is built and
+        # sent on it, and only then is the answer's JSON read.
+        events = []
+
+        def built(request, *args):
+            events.append(("build", request.docs[0].doc_id))
+            return build_prompt(request, *args)
+
+        def parsed(*args):
+            events.append(("logits",))
+            return logits(*args)
+
+        logits = llm._logits
+        monkeypatch.setattr(llm, "build_prompt", built)
+        monkeypatch.setattr(llm, "_logits", parsed)
+        requests = [JudgeRequest("pointwise", QUERY, (doc(f"d{i}"),)) for i in range(3)]
+        with counting_stub(latency_s=0.002) as server:
+            with llm_scorer(server.url, batch_size=1) as scorer:
+                results = scorer.score_batch(requests)
+        assert events == [
+            ("build", "d0"), ("build", "d1"), ("logits",), ("build", "d2"), ("logits",), ("logits",)
+        ]
+        assert all(set(result) == {"yes", "no"} for result in results)
+        assert server.requests == 3 and scorer.ledger.total_calls == 3
+
+    @pytest.mark.parametrize(
+        "model", ["test-model", 'say "yes"', "back\\slash", "modèle-ü-模型", '"content": ""'],
+        ids=["plain", "quote", "backslash", "non-ascii", "content-key"],
+    )
+    def test_each_body_is_the_json_of_the_request(self, model):
+        requests = [
+            JudgeRequest("pointwise", Query("q", "what is ü \\ \"x\""), (doc("d0", "élan 模型"),)),
+            JudgeRequest("triplet", QUERY, (doc("d1", "x" * 4001), doc("d2", "}], \"model\": 1"))),
+        ]
+        config = LlmBackendConfig(base_url="http://x", model=model, retry_backoff=0.01)
+        expected = [
+            json.dumps({
+                "model": model,
+                "messages": [{"role": "user", "content": build_prompt(
+                    request, config.templates, 4000
+                )}],
+                "temperature": 0,
+                "max_tokens": 1,
+                "logprobs": True,
+                "top_logprobs": 20,
+            }).encode()
+            for request in requests
+        ]
+        with counting_stub(latency_s=0.0) as server:
+            with LlmScorer(dataclasses.replace(config, base_url=server.url)) as scorer:
+                for request in requests:
+                    scorer.score(request)
+        assert server.bodies == expected
 
     def test_bubblesort_fills_each_round_trip_at_the_in_flight_limit(self):
         candidates = make_synth(1, 10, seed=29).lists[0]
@@ -2003,10 +2091,19 @@ class TestLlmTransport:
 TLS = Path(__file__).parent / "tls"
 
 
-def chunked_answer(body=YES_NO_BODY):
-    chunks = b"".join(b"%x;ext=1\r\n%s\r\n" % (len(part), part) for part in (body[:9], body[9:]))
+def chunked_answer(body=YES_NO_BODY, size=b"%x", last=b"0"):
+    chunks = b"".join((size + b";ext=1\r\n%s\r\n") % (len(part), part) for part in (body[:9], body[9:]))
     head = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
-    return head + chunks + b"0\r\nX-Trailer: 1\r\n\r\n"
+    return head + chunks + last + b"\r\nX-Trailer: 1\r\n\r\n"
+
+
+def answer_of_length(*lengths, body=YES_NO_BODY):
+    """A whole answer with body, framed by one Content-Length field per length given."""
+    fields = b"".join(b"Content-Length: %s\r\n" % length for length in lengths)
+    return b"HTTP/1.1 200 OK\r\n" + fields + b"\r\n" + body
+
+
+LENGTH = b"%d" % len(YES_NO_BODY)
 
 
 # Each way of framing a whole answer: the stub's steps, and whether the
@@ -2019,6 +2116,8 @@ FRAMINGS = {
     ),
     "http-1.0-close-delimited": ([(0, b"HTTP/1.0 200 OK\r\n\r\n" + YES_NO_BODY), (0, None)], False),
     "100-continue": ([(0, b"HTTP/1.1 100 Continue\r\n\r\n" + whole_answer())], True),
+    "repeated-content-length": ([(0, answer_of_length(LENGTH, LENGTH))], True),
+    "blank-space-before-chunk-extension": ([(0, chunked_answer(size=b"%x \t"))], True),
 }
 # First answers that fail the attempt, which is retried on a new connection.
 FAULTY_ANSWERS = {
@@ -2026,6 +2125,13 @@ FAULTY_ANSWERS = {
     "cut-short-chunked": [(0, chunked_answer()[:-40]), (0, None)],  # in the second chunk
     "garbage-status-line": [(0, b"garbage\r\n")],  # the connection stays open
     "no-answer": [(0, None)],
+    # lengths outside 1*DIGIT and 1*HEXDIG, which int() reads
+    "signed-length": [(0, answer_of_length(b"+" + LENGTH))],
+    "underscore-length": [(0, answer_of_length(LENGTH[:1] + b"_" + LENGTH[1:]))],
+    "conflicting-lengths": [(0, answer_of_length(b"%d" % (len(YES_NO_BODY) + 1), LENGTH))],
+    "prefixed-chunk-size": [(0, chunked_answer(size=b"0x%x"))],
+    "underscore-chunk-size": [(0, chunked_answer(size=b"0_%x"))],
+    "signed-last-chunk": [(0, chunked_answer(last=b"-0"))],
 }
 
 
@@ -2117,14 +2223,29 @@ class TestResponseReader:
             (b"HTTP/1.1 20 OK\r\n", "bad status line b'HTTP/1.1 20 OK'"),
             (b"HTTP/1.1 200 OK\r\nContent-Length: -1\r\n\r\n", "bad Content-Length '-1'"),
             (b"HTTP/1.1 200 OK\r\nContent-Length: ten\r\n\r\n", "bad Content-Length 'ten'"),
+            (b"HTTP/1.1 200 OK\r\nContent-Length: 1_0\r\n\r\n", "bad Content-Length '1_0'"),
+            (b"HTTP/1.1 200 OK\r\nContent-Length: +10\r\n\r\n", "bad Content-Length '+10'"),
+            (b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\nContent-Length: 11\r\n\r\n",
+             "bad Content-Length '10, 11'"),
             (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n",
              "bad chunk size line b'zz'"),
+            (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n0x5\r\n",
+             "bad chunk size line b'0x5'"),
+            (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n0_5\r\n",
+             "bad chunk size line b'0_5'"),
+            (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n-0\r\n",
+             "bad chunk size line b'-0'"),
+            (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5 \r\n",
+             "bad chunk size line b'5 '"),
             (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2\r\nabXY",
              "a chunk does not end in CRLF"),
             (b"HTTP/1.1 200 OK\r\nX-Long: " + b"a" * 65536, "no end of headers in 65536 bytes"),
         ],
-        ids=["http-2", "two-digit-status", "negative-length", "word-length", "bad-chunk-size",
-             "chunk-without-crlf", "endless-headers"],
+        ids=["http-2", "two-digit-status", "negative-length", "word-length", "underscore-length",
+             "signed-length", "conflicting-lengths", "bad-chunk-size", "prefixed-chunk-size",
+             "underscore-chunk-size", "signed-chunk-size", "blank-after-chunk-size",
+             "chunk-without-crlf",
+             "endless-headers"],
     )
     def test_a_malformed_answer_is_refused_before_the_peer_closes(self, raw, message):
         with pytest.raises(llm.BadResponseError) as exc:
