@@ -41,11 +41,15 @@ the judge:
   fresh computation would give, and a fresh answer is checked before it
   is remembered. Document text feeds only the prompt character count,
   which is computed on every call.
-- the latent table, doc id -> g, computing each value on first use. A
-  computation that raises stores nothing.
+- the latent table, doc id -> g, computing each value on first use. Under
+  qrels, the query's judged grades and its maximum grade are read once,
+  when the state is built, so a value is one lookup and one division,
+  equal bit for bit to ``latent``. Explicit and seeded latents call
+  ``latent``; a computation that raises stores nothing.
 - the draw-key table, doc id -> the bytes a draw hashes for it (its UTF-8
-  followed by 0x1f), also filled on first use, so a doc id is encoded once
-  per query however often it is drawn under.
+  followed by 0x1f, as _seeded.encode gives them), encoded inline on first
+  use, so a doc id is encoded once per query however often it is drawn
+  under.
 - one BLAKE2b state per draw kind (pointwise, bias, triplet, duel, setwise)
   that has absorbed (seed, kind, query id). A draw copies it and hashes
   only its doc ids' keys, through _seeded.normal_from. A setwise judgment
@@ -61,7 +65,7 @@ import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
-from .._seeded import encode, extend, normal_from, prefix, stable_digest, unit_uniform
+from .._seeded import extend, normal_from, prefix, stable_digest, unit_uniform
 from ..datamodel import KINDS, CallLedger, HarnessError, Qrels, ValidationError
 from .base import JudgeRequest, Scorer, check_labels
 
@@ -104,16 +108,44 @@ class _Table(dict):
         return value
 
 
+class _Grades(dict):
+    """doc id -> its qrels grade over the query's maximum grade, each computed on first use.
+
+    0.0 for an unjudged doc, and for every doc of a query whose grades are
+    all zero (as 0 / 1), as ``OracleScorer.latent`` gives.
+    """
+
+    __slots__ = ("_judged", "_top")
+
+    def __init__(self, judged: Mapping[str, int], top: int):
+        super().__init__()
+        self._judged, self._top = (judged, top) if top > 0 else ({}, 1)
+
+    def __missing__(self, doc_id: str) -> float:
+        value = self[doc_id] = self._judged.get(doc_id, 0) / self._top
+        return value
+
+
+class _Keys(dict):
+    """doc id -> the bytes a draw hashes for it, each encoded on first use."""
+
+    __slots__ = ()
+
+    def __missing__(self, doc_id: str) -> bytes:
+        value = self[doc_id] = (doc_id + "\x1f").encode()  # _seeded.encode(doc_id)
+        return value
+
+
 class _QueryState:
     """The memo, latents, draw keys and draw prefixes of one query; see the module docstring."""
 
     __slots__ = ("query_id", "memo", "latent", "key", "prefix")
 
-    def __init__(self, query_id: str, seed: str, latent):
+    def __init__(self, query_id: str, seed: str, latent: dict[str, float]):
         self.query_id = query_id
         self.memo: dict[tuple[str, ...], dict[str, float]] = {}
-        self.latent = _Table(functools.partial(latent, query_id))
-        self.key = _Table(encode)
+        self.latent = latent
+        self.key = _Keys()
         self.prefix = {kind: prefix(seed, kind, query_id) for kind in _DRAWS}
 
 
@@ -140,13 +172,23 @@ class OracleScorer(Scorer):
         self._latents = dict(latents) if latents is not None else None
         self._seed = str(config.seed)
         # any id will do: its state is built as the first query's would be
-        self._state = _QueryState("", self._seed, self.latent)
+        self._state = self._query_state("")
+
+    def _query_state(self, query_id: str) -> _QueryState:
+        """A fresh state for one query, its latent table reading the scorer's source."""
+        qrels = self._qrels
+        if self._latents is None and qrels is not None:
+            latent = _Grades(qrels.judged(query_id), qrels.max_grade(query_id))
+        else:
+            latent = _Table(functools.partial(self.latent, query_id))
+        return _QueryState(query_id, self._seed, latent)
 
     def latent(self, query_id: str, doc_id: str) -> float:
         """Latent relevance g of one document, computed afresh.
 
-        The judges read it through the current query's table, which calls
-        this once per document.
+        The judges read it through the current query's latent table, which
+        under explicit or seeded latents calls this once per document, and
+        under qrels gives the same value from the grades it read once.
         """
         if self._latents is not None:
             try:
@@ -244,7 +286,7 @@ class OracleScorer(Scorer):
                 if state.query_id != query.id:
                     # replaced in one assignment, so that concurrent callers
                     # never see one query's state under another query's id
-                    state = self._state = _QueryState(query.id, self._seed, self.latent)
+                    state = self._state = self._query_state(query.id)
                 logits = state.memo.get(key)
                 if logits is None:
                     try:

@@ -172,8 +172,15 @@ def weighted_ranking(
 
     scores holds one row of len(weights) values per candidate, doc-major.
     Each sum runs over the candidate's row in anchor order, and the
-    candidates in first-stage order, so the floats are reproducible.
+    candidates in first-stage order, so the floats are reproducible. Any
+    other number of scores is refused.
     """
+    expected = len(candidates) * len(weights)
+    if len(scores) != expected:
+        raise ValidationError(
+            f"expected {expected} scores ({len(candidates)} candidates x "
+            f"{len(weights)} weights), got {len(scores)}"
+        )
     values = iter(scores)
     scored = []
     for doc in candidates.docs:
@@ -314,16 +321,25 @@ def rank_pairwise_bubblesort(
 
     The passes overlap, one score_batch per batch of _bubble_schedule at
     the scorer's max_in_flight, and the outcome equals the serial sweep's.
+    A pair that did not swap duels again in the next pass, so each ordered
+    pair's request is built once and sent again whenever the pair duels.
     """
     n = len(candidates)
     if not 1 <= k <= n:
         raise ValidationError(f"bubble passes k={k} must be within 1..{n}")
     query = candidates.query
     order = list(candidates.docs)
+    requests: dict[tuple[str, str], JudgeRequest] = {}  # (doc_a id, doc_b id) -> its duel
     for positions in _bubble_schedule(n, k, scorer.max_in_flight):
-        results = scorer.score_batch(
-            [JudgeRequest("duel", query, (order[i + 1], order[i])) for i in positions]
-        )
+        batch = []
+        for i in positions:
+            doc_a, doc_b = order[i + 1], order[i]
+            pair = (doc_a.doc_id, doc_b.doc_id)
+            request = requests.get(pair)
+            if request is None:
+                request = requests[pair] = JudgeRequest("duel", query, (doc_a, doc_b))
+            batch.append(request)
+        results = scorer.score_batch(batch)
         for i, logits in zip(positions, results):
             if refrank_score(logits["A"], logits["B"]) > 0.5:
                 order[i], order[i + 1] = order[i + 1], order[i]

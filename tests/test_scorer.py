@@ -499,6 +499,35 @@ class TestOracleLatentTable:
             doc_id: unit_uniform("7", "latent", "q1", doc_id) for doc_id in ids
         }
 
+    QRELS = Qrels({"q1": {"a": 3, "b": 1, "c": 0}, "q2": {"a": 0, "b": 0}, "q3": {"b": 4, "c": 2}})
+
+    @pytest.mark.parametrize("query_id", ["q1", "q2", "q3", "unjudged"])
+    def test_qrels_latents_equal_latent(self, query_id):
+        # judged, judged 0 and unjudged docs; q2's grades are all 0, and no qrels name "unjudged"
+        oracle = OracleScorer(OracleConfig(seed=3), qrels=self.QRELS)
+        query = Query(query_id, "text")
+        ids = ("a", "b", "c", "zz")
+        oracle.score_batch([JudgeRequest("pointwise", query, (doc(doc_id),)) for doc_id in ids])
+        table = oracle._state.latent
+        assert table == {doc_id: oracle.latent(query_id, doc_id) for doc_id in ids}
+        assert [math.copysign(1.0, table[doc_id]) for doc_id in ids] == [1.0] * 4  # no -0.0
+
+    @pytest.mark.parametrize("qrels", [None, QRELS])
+    def test_draw_keys_are_the_encoded_doc_ids(self, qrels):
+        oracle = OracleScorer(OracleConfig(seed=3, noise_sigma=0.5), qrels=qrels)
+        ids = ("a", "é", "文档")
+        oracle.score_batch([JudgeRequest("pointwise", QUERY, (doc(doc_id),)) for doc_id in ids])
+        assert oracle._state.key == {doc_id: encode(doc_id) for doc_id in ids}
+        assert oracle._state.key["文档"] == "文档".encode() + b"\x1f"
+
+    def test_a_batch_that_switches_queries_reads_each_querys_grades(self):
+        oracle = OracleScorer(OracleConfig(seed=3), qrels=self.QRELS)
+        queries = [Query(query_id, "text") for query_id in ("q1", "q3", "q2", "q1", "q3")]
+        requests = [JudgeRequest("triplet", query, (doc("b"), doc("c"))) for query in queries]
+        results = oracle.score_batch(requests)
+        expected = {"q1": (1 / 3, 0.0), "q2": (0.0, 0.0), "q3": (1.0, 0.5)}
+        assert [(r["A"], r["B"]) for r in results] == [expected[q.id] for q in queries]
+
 
 class TestScoreBatch:
     def test_alignment_and_count(self):

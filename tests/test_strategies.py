@@ -11,6 +11,7 @@ from refrank.datamodel import (
 )
 from refrank.io import assemble_experiment
 from refrank._seeded import std_normal
+from refrank import strategies
 from refrank.scorer import JudgeRequest, OracleConfig, OracleScorer, Scorer
 from refrank.strategies import (
     EnsembleConfig,
@@ -24,6 +25,7 @@ from refrank.strategies import (
     rank_refrank_single,
     rank_setwise_heapsort,
     refrank_score,
+    weighted_ranking,
 )
 
 from synth import make_synth, write_experiment_files
@@ -234,6 +236,56 @@ class TestBubblesortInFlight:
         # sending each wave in slices of at most limit duels takes wave_trips round trips
         waves = _bubble_schedule(n, k, None)
         assert sum(-(-len(wave) // limit) for wave in waves) == wave_trips
+
+
+def fresh_request_batches(candidates, k, seed, limit):
+    """Each batch's (doc_a, doc_b) ids when every duel builds its own request."""
+    judge = NoisyDuelJudge(seed=seed, max_in_flight=limit)
+    order = list(candidates.docs)
+    for positions in _bubble_schedule(len(order), k, limit):
+        results = judge.score_batch(
+            [JudgeRequest("duel", candidates.query, (order[i + 1], order[i])) for i in positions]
+        )
+        for i, logits in zip(positions, results):
+            if refrank_score(logits["A"], logits["B"]) > 0.5:
+                order[i], order[i + 1] = order[i + 1], order[i]
+    return judge.batches
+
+
+class TestBubblesortRequests:
+    @pytest.mark.parametrize("limit", [None, 1, 2])
+    @pytest.mark.parametrize("n,k", [(2, 1), (8, 3), (12, 12), (30, 10)])
+    def test_one_request_per_ordered_pair(self, n, k, limit, monkeypatch):
+        built = []
+
+        class CountingRequest(JudgeRequest):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+
+        monkeypatch.setattr(strategies, "JudgeRequest", CountingRequest)
+        cl, _ = fixture_list(n, seed=n)
+        judge = NoisyDuelJudge(seed=k, max_in_flight=limit)
+        rank_pairwise_bubblesort(cl, judge, k=k)
+        assert judge.batches == fresh_request_batches(cl, k, k, limit)
+        duels = [duel for batch in judge.batches for duel in batch]
+        assert len(duels) == k * (n - 1) - k * (k - 1) // 2
+        assert [tuple(doc.doc_id for doc in r.docs) for r in built] == list(dict.fromkeys(duels))
+        if n > 2:
+            assert len(built) < len(duels)  # some pair duels more than once
+
+
+class TestWeightedRanking:
+    @pytest.mark.parametrize("count", [5, 7, 12])
+    def test_any_other_number_of_scores_is_refused(self, count):
+        cl, _ = fixture_list(3)
+        with pytest.raises(
+            ValidationError,
+            match=rf"^expected 6 scores \(3 candidates x 2 weights\), got {count}$",
+        ):
+            weighted_ranking(cl, [0.5] * count, (0.5, 0.5))
 
 
 class TestNoiselessBehavior:
